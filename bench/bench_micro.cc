@@ -39,9 +39,10 @@
 //     persists the winners as a checksummed tuning file loadable via
 //     `largeea_cli --tune-file`. The perf trajectory invokes it as
 //     `--mode=tune --json-out=BENCH_tune.json`;
-//   * --json-out=FILE --mode=dag — serial vs operator-DAG executor
-//     (DESIGN.md §14) on the full two-channel pipeline: wall clock for
-//     both schedules, bit-identity of the fused matrix, per-node
+//   * --json-out=FILE --mode=dag — the operator-DAG executor (DESIGN.md
+//     §14) on the full two-channel pipeline at max_concurrency 1 (the
+//     serial order) vs the pool's thread count: wall clock for both
+//     schedules, bit-identity of the fused matrix, per-node
 //     seconds/peaks from the scheduler, and the measured critical path
 //     (the wall-time floor at infinite concurrency). The perf
 //     trajectory invokes it as `--mode=dag --json-out=BENCH_dag.json`;
@@ -75,6 +76,8 @@
 #include "src/common/macros.h"
 #include "src/common/rng.h"
 #include "src/core/large_ea.h"
+#include "src/core/pipeline_fingerprint.h"
+#include "src/dag/pipeline_dag.h"
 #include "src/gen/benchmark_gen.h"
 #include "src/la/ops.h"
 #include "src/name/levenshtein.h"
@@ -83,6 +86,7 @@
 #include "src/nn/batch_graph.h"
 #include "src/nn/ea_model.h"
 #include "src/obs/profiler.h"
+#include "src/obs/trace.h"
 #include "src/par/parallel_for.h"
 #include "src/par/thread_pool.h"
 #include "src/partition/metis.h"
@@ -94,6 +98,7 @@
 #include "src/sim/sinkhorn.h"
 #include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
+#include "src/stream/stream_context.h"
 #include "src/tune/autotune.h"
 #include "src/tune/tune_table.h"
 
@@ -739,12 +744,13 @@ int RunStreamSweep(const Flags& flags) {
 }
 
 // ---------------------------------------------------------------------
-// DAG executor sweep (--mode=dag): the full two-channel pipeline run
-// serially and through the operator-DAG scheduler on the same dataset.
-// The value of the DAG is overlap (name channel x structure partition),
-// so the headline numbers are the two wall clocks plus the node-level
-// critical path — the floor the schedule is converging towards. Every
-// row reasserts the determinism contract: the DAG fused matrix must be
+// DAG executor sweep (--mode=dag): the full two-channel pipeline
+// scheduled in serial order (max_concurrency 1) and with overlap (the
+// pool's thread count) on the same dataset and pool. The value of the
+// DAG is overlap (name channel x structure partition), so the headline
+// numbers are the two wall clocks plus the node-level critical path —
+// the floor the schedule is converging towards. Every row reasserts the
+// determinism contract: the overlapped fused matrix must be
 // bit-identical to the serial one.
 
 int RunDagSweep(const Flags& flags) {
@@ -760,28 +766,47 @@ int RunDagSweep(const Flags& flags) {
       static_cast<int32_t>(flags.GetInt("batches", 4));
   options.stream.memory_budget_mb = flags.GetInt("budget-mb", 0);
 
-  options.dag = false;
-  auto serial = RunLargeEa(dataset, options);
-  LARGEEA_CHECK(serial.ok());
-  const uint64_t serial_hash = FusedMatrixHash(serial->fused);
+  // The serial row: RunLargeEa's body at max_concurrency 1, with the
+  // same pool threads, timed by the same memory-tracking span. Scoped
+  // so its result is freed before the DAG row, whose peak it would
+  // otherwise inflate.
+  double serial_seconds = 0.0;
+  int64_t serial_peak = 0;
+  uint64_t serial_hash = 0;
+  {
+    obs::Span span("pipeline", obs::Span::kTrackMemory);
+    const stream::StreamOptions stream_options =
+        stream::ResolveStreamOptions(options.stream);
+    std::unique_ptr<stream::StreamContext> stream_ctx;
+    if (stream::StreamingEnabled(stream_options)) {
+      stream_ctx = std::make_unique<stream::StreamContext>(stream_options);
+    }
+    rt::CheckpointManager checkpoint = MakePipelineCheckpointManager(
+        dataset, options, /*dir=*/"", /*resume=*/false);
+    auto serial = dag::RunLargeEaPipeline(dataset, options, checkpoint,
+                                          stream_ctx.get(),
+                                          /*max_concurrency=*/1);
+    LARGEEA_CHECK(serial.ok());
+    serial_seconds = span.End();
+    serial_peak = span.peak_bytes();
+    serial_hash = FusedMatrixHash(serial->fused);
+  }
 
-  options.dag = true;
   auto dag = RunLargeEa(dataset, options);
   LARGEEA_CHECK(dag.ok());
   const bool identical = FusedMatrixHash(dag->fused) == serial_hash;
   const double speedup =
-      dag->total_seconds > 0.0 ? serial->total_seconds / dag->total_seconds
-                               : 0.0;
+      dag->total_seconds > 0.0 ? serial_seconds / dag->total_seconds : 0.0;
 
   std::printf("%-24s %10s %12s\n", "row", "seconds", "identical");
-  std::printf("%-24s %10.3f %12s\n", "serial", serial->total_seconds, "-");
+  std::printf("%-24s %10.3f %12s\n", "serial", serial_seconds, "-");
   std::printf("%-24s %10.3f %12s\n", "dag", dag->total_seconds,
               identical ? "yes" : "NO");
   {
     bench::BenchJson::Row row;
     row.Set("row", "serial")
-        .Set("seconds", serial->total_seconds)
-        .Set("peak_bytes", serial->peak_bytes)
+        .Set("seconds", serial_seconds)
+        .Set("peak_bytes", serial_peak)
         .Set("identical", true);
     json.Add(std::move(row));
   }

@@ -15,7 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "src/baselines/baselines.h"
-#include "src/core/name_channel.h"
+#include "src/core/large_ea.h"
 #include "src/core/structure_channel.h"
 
 using namespace largeea;
@@ -54,14 +54,16 @@ int main(int argc, char** argv) {
     for (const LanguagePair pair : SelectedPairs(flags)) {
       const EaDataset ds = GenerateBenchmark(TierSpec(tier, pair, scale));
 
-      NameChannelOptions name_options;
+      // The name channel alone: the pipeline with the structure
+      // channel ablated.
+      LargeEaOptions name_options;
+      name_options.use_structure_channel = false;
+      name_options.stream.memory_budget_mb = 0;
       if (ds.source.num_entities() > 8000) {
-        name_options.nff.sens.use_lsh = true;
+        name_options.name_channel.nff.sens.use_lsh = true;
       }
       const NameChannelResult name =
-          RunNameChannel(ds.source, ds.target, ds.split.train,
-                         name_options)
-              .value();
+          RunLargeEa(ds, name_options).value().name_channel;
 
       const int64_t r_batched = StructurePeak(
           tier, ds, ModelKind::kRrea, PartitionStrategy::kMetisCps, epochs);

@@ -16,8 +16,6 @@
 //       --report-out (DESIGN.md "Observability"), --threads / --simd
 //       (bit-identical results either way, DESIGN.md "Execution
 //       model" / "SIMD kernels"), --strict-io.
-//       (`align`, and invoking with bare flags and no subcommand, are
-//       deprecated spellings of `run`.)
 //
 //   largeea_cli index-build --source A.tsv --target B.tsv [--seeds S.tsv]
 //                           --index-out INDEX [any Config flag]
@@ -40,6 +38,7 @@
 //   largeea_cli partition   --source A.tsv --target B.tsv --seeds S.tsv
 //                           [--batches K]
 //       reports METIS-CPS vs VPS partition quality
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -51,6 +50,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -234,9 +234,9 @@ void ReportPhases(const LargeEaResult& result, obs::RunReport& report) {
     std::printf("%-22s %10.3f %12s\n", row.name, row.seconds, mem);
     report.AddPhase(row.name, row.seconds, row.peak_bytes);
   }
-  // DAG-executor node stats (empty on --no-dag): per-operator wall
-  // time and tracked peak, plus the measured critical path — the wall
-  // clock floor at infinite concurrency.
+  // DAG-executor node stats: per-operator wall time and tracked peak,
+  // plus the measured critical path — the wall-clock floor at infinite
+  // concurrency.
   for (const DagNodeStats& node : result.dag_nodes) {
     char mem[32];
     std::snprintf(mem, sizeof(mem), "%.1fMB",
@@ -696,7 +696,7 @@ int main(int argc, char** argv) {
         "       largeea_cli --help\n");
     return 2;
   }
-  std::string command = argv[1];
+  const std::string command = argv[1];
   if (command == "--help" || command == "-h") {
     std::printf(
         "usage: largeea_cli generate|run|index-build|serve|query|partition"
@@ -705,24 +705,16 @@ int main(int argc, char** argv) {
         ConfigHelp().c_str());
     return 0;
   }
-  // Legacy spellings: `align` and the original bare-flag invocation
-  // (no subcommand at all) both mean `run`. Kept as aliases so scripts
-  // and the shard orchestrator's re-invocations keep working.
-  int flag_argc = argc - 1;
-  char** flag_argv = argv + 1;
-  if (command.size() > 1 && command[0] == '-') {
-    std::fprintf(stderr,
-                 "largeea_cli: invoking without a subcommand is deprecated; "
-                 "assuming 'run' (see --help)\n");
-    command = "run";
-    flag_argc = argc;  // Flags skips element 0, which is now the binary.
-    flag_argv = argv;
-  } else if (command == "align") {
-    std::fprintf(stderr,
-                 "largeea_cli: 'align' is deprecated, use 'run'\n");
-    command = "run";
+  // One spelling per command: anything else, flags without a subcommand
+  // included, is rejected before a single flag is parsed.
+  constexpr std::string_view kCommands[] = {
+      "generate", "run", "index-build", "serve", "query", "partition"};
+  if (std::find(std::begin(kCommands), std::end(kCommands), command) ==
+      std::end(kCommands)) {
+    std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+    return 2;
   }
-  const Flags flags(flag_argc, flag_argv);
+  const Flags flags(argc - 1, argv + 1);
   // All commands share one configuration surface: every pipeline,
   // runtime, and I/O knob parses through largeea::Config exactly once.
   // Binary-local inputs (--source, --tier, ...) stay on `flags`.
@@ -756,7 +748,5 @@ int main(int argc, char** argv) {
   }
   if (command == "serve") return CmdServe(flags, *config);
   if (command == "query") return CmdQuery(flags, *config);
-  if (command == "partition") return CmdPartition(flags, *config);
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  return 2;
+  return CmdPartition(flags, *config);
 }

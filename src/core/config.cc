@@ -127,14 +127,6 @@ void Config::Register(FlagRegistry& r) {
   r.Bool("stream-release-inputs", &pipeline.stream.release_inputs,
          "free intermediate matrices as the fusion consumes them");
 
-  // Operator-DAG executor (DESIGN.md §14).
-  r.Bool("dag", &pipeline.dag,
-         "schedule the pipeline as an operator DAG: independent channels "
-         "overlap, admission respects the memory budget (results are "
-         "bit-identical to the serial order)");
-  r.Bool("no-dag", &no_dag,
-         "force the historical serial executor (same as --dag=false)");
-
   // Runtime and I/O.
   r.Int64("threads", &threads,
           "worker pool size (0 = LARGEEA_THREADS env or hardware)");
@@ -239,9 +231,6 @@ Status Config::Validate() {
           "--shard-worker " + std::to_string(shard_worker) +
           " out of range for --shards " + std::to_string(shards));
     }
-  }
-  if (no_dag) {
-    pipeline.dag = false;
   }
   if (!pipeline.use_name_channel && !pipeline.use_structure_channel) {
     return InvalidArgumentError(

@@ -58,7 +58,7 @@ struct Config {
   std::string report_out;
   std::string out;
 
-  /// Multi-process sharding (DESIGN.md §12). `shards > 0` makes `align`
+  /// Multi-process sharding (DESIGN.md §12). `shards > 0` makes `run`
   /// an orchestrator that re-invokes this binary once per shard with
   /// `--shard-worker i`; `shard_worker >= 0` makes it that worker. None
   /// of these enter the config fingerprint: a sharded run shares its
@@ -72,10 +72,6 @@ struct Config {
   int32_t shard_deadline_s = 0;
   bool shard_degrade = true;
   std::string shard_heartbeat_file;
-
-  /// Convenience spelling for `--dag=false` (DESIGN.md §14). Folded
-  /// into pipeline.dag by Validate(); wins when both are passed.
-  bool no_dag = false;
 
   /// Kernel-level profiling (DESIGN.md §11). Off by default: the
   /// disabled profiler costs one relaxed atomic load per annotated

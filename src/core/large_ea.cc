@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/common/macros.h"
 #include "src/core/pipeline_fingerprint.h"
 #include "src/dag/pipeline_dag.h"
 #include "src/obs/log.h"
@@ -13,17 +12,11 @@
 #include "src/obs/trace.h"
 #include "src/par/thread_pool.h"
 #include "src/rt/checkpoint.h"
-#include "src/rt/fault_injection.h"
 #include "src/rt/io_util.h"
 #include "src/simd/simd.h"
 #include "src/stream/stream_context.h"
 
 namespace largeea {
-namespace {
-
-constexpr const char* kFusedKind = "fused";
-
-}  // namespace
 
 uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
                                   const LargeEaOptions& options) {
@@ -32,12 +25,12 @@ uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
   // resume.
   const StructureChannelOptions& s = options.structure_channel;
   const NameChannelOptions& n = options.name_channel;
-  // The budget is part of the fingerprint even though results are
-  // bit-identical across budgets: under release_inputs a streamed run
-  // checkpoints empty intermediate matrices, so resuming a streamed
-  // checkpoint into an unbudgeted run (or across tile layouts) would
-  // silently hand back different artifacts. Resolving here keeps the
-  // fingerprint in agreement with what RunLargeEa will actually do.
+  // The budget is part of this global stamp, resolved here so the
+  // fingerprint agrees with what RunLargeEa will actually do. No
+  // artifact the pipeline writes carries it: every node saves its
+  // artifact in full before any consumer releases it, so the per-node
+  // fingerprints that override this stamp (pipeline_fingerprint.h)
+  // leave the budget out and a checkpoint resumes under any budget.
   const stream::StreamOptions stream =
       stream::ResolveStreamOptions(options.stream);
   char buf[768];
@@ -74,126 +67,9 @@ uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
   return rt::Fnv1a64(buf);
 }
 
-namespace {
-
-/// The historical serial executor (--no-dag): phases run in Algorithm-1
-/// order on the calling thread. Kept as the reference the DAG schedule
-/// is proven bit-identical against (tests/dag_test.cc).
-StatusOr<LargeEaResult> RunLargeEaSerial(const EaDataset& dataset,
-                                         const LargeEaOptions& options,
-                                         rt::CheckpointManager& checkpoint,
-                                         stream::StreamContext* stream_ctx) {
-  LargeEaResult result;
-
-  // --- Name channel: M_n and pseudo seeds. ---
-  if (options.use_name_channel) {
-    auto name = RunNameChannel(dataset.source, dataset.target,
-                               dataset.split.train, options.name_channel,
-                               &checkpoint, stream_ctx);
-    if (!name.ok()) return name.status().WithContext("name channel");
-    result.name_channel = std::move(name).value();
-  }
-
-  // --- Seed augmentation: ψ' ← ψ' + ψ'_p. ---
-  {
-    LARGEEA_TRACE_SPAN("pipeline/seed_augmentation");
-    result.effective_seeds = dataset.split.train;
-    result.effective_seeds.insert(result.effective_seeds.end(),
-                                  result.name_channel.pseudo_seeds.begin(),
-                                  result.name_channel.pseudo_seeds.end());
-  }
-
-  // --- Structure channel: mini-batch training, M_s. ---
-  if (options.use_structure_channel) {
-    LARGEEA_TRACE_SPAN("structure_channel");
-    auto structure = RunStructureChannel(dataset.source, dataset.target,
-                                         result.effective_seeds,
-                                         options.structure_channel,
-                                         &checkpoint);
-    if (!structure.ok()) {
-      return structure.status().WithContext("structure channel");
-    }
-    result.structure_channel = std::move(structure).value();
-  }
-
-  // --- Channel fusion: M = M_s + M_n. ---
-  {
-    LARGEEA_TRACE_SPAN("pipeline/fusion");
-    LARGEEA_INJECT_FAULT("pipeline.fusion");
-    bool fused_resumed = false;
-    if (checkpoint.should_load()) {
-      auto fused = checkpoint.LoadMatrix(kFusedKind);
-      if (fused.ok()) {
-        result.fused = std::move(fused).value();
-        fused_resumed = true;
-      } else if (fused.status().code() != StatusCode::kNotFound) {
-        obs::MetricsRegistry::Get()
-            .GetCounter("checkpoint.load_failures")
-            .Increment();
-        LARGEEA_LOG_WARN("pipeline: ignoring unusable fused checkpoint "
-                         "(%s); fusing from scratch",
-                         fused.status().ToString().c_str());
-      }
-    }
-    if (!fused_resumed) {
-      // Under a budget with release_inputs, the channel matrices are
-      // consumed (moved/streamed) instead of copied: FuseStreamed frees
-      // each input row as it merges, and the single-channel cases move.
-      // The fused bits are identical either way.
-      const bool consume_inputs = stream_ctx != nullptr &&
-                                  stream_ctx->options().release_inputs;
-      if (options.use_name_channel && options.use_structure_channel &&
-          !options.fuse_name_similarity) {
-        // "w/o name channel": DA already fed ψ'; only M_s is scored.
-        result.fused = consume_inputs
-                           ? std::move(result.structure_channel.similarity)
-                           : result.structure_channel.similarity;
-      } else if (options.use_name_channel &&
-                 options.use_structure_channel) {
-        if (consume_inputs) {
-          result.fused = SparseSimMatrix::FuseStreamed(
-              std::move(result.structure_channel.similarity),
-              std::move(result.name_channel.nff.fused),
-              options.structure_weight, options.name_weight,
-              options.fused_top_k);
-        } else {
-          result.fused = result.structure_channel.similarity.Fuse(
-              result.name_channel.nff.fused, options.structure_weight,
-              options.name_weight, options.fused_top_k);
-        }
-      } else if (options.use_structure_channel) {
-        result.fused = consume_inputs
-                           ? std::move(result.structure_channel.similarity)
-                           : result.structure_channel.similarity;
-      } else {
-        result.fused = consume_inputs
-                           ? std::move(result.name_channel.nff.fused)
-                           : result.name_channel.nff.fused;
-      }
-      if (consume_inputs) {
-        // Leave the consumed fields as clean empty matrices, not
-        // moved-from husks.
-        result.structure_channel.similarity = SparseSimMatrix();
-        result.name_channel.nff.fused = SparseSimMatrix();
-      }
-      if (checkpoint.enabled()) {
-        (void)checkpoint.SaveMatrix(kFusedKind, result.fused);
-      }
-    }
-  }
-
-  {
-    LARGEEA_TRACE_SPAN("pipeline/evaluate");
-    LARGEEA_INJECT_FAULT("pipeline.evaluate");
-    result.metrics = Evaluate(result.fused, dataset.split.test);
-  }
-  return result;
-}
-
-}  // namespace
-
 StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
-                                   const LargeEaOptions& options) {
+                                   const LargeEaOptions& options,
+                                   const StructureTrainer& train_structure) {
   if (!options.use_name_channel && !options.use_structure_channel) {
     return InvalidArgumentError(
         "at least one of use_name_channel / use_structure_channel must be "
@@ -205,13 +81,10 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
   obs::Span pipeline_span("pipeline", obs::Span::kTrackMemory);
   pipeline_span.AddAttr("simd.backend",
                         simd::BackendName(simd::ActiveBackend()));
-  pipeline_span.AddAttr("executor",
-                        options.dag ? std::string("dag")
-                                    : std::string("serial"));
 
   // Memory-budgeted streaming: one context (budget + spill store) per
-  // run, handed only to the phases that know how to stream. Null when
-  // disabled, which keeps every call site on the historical path.
+  // run, handed only to the operators that know how to stream. Null
+  // when disabled, which keeps every operator on its in-memory path.
   const stream::StreamOptions stream_options =
       stream::ResolveStreamOptions(options.stream);
   std::unique_ptr<stream::StreamContext> stream_ctx;
@@ -236,13 +109,9 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
                      checkpoint.dir().c_str());
   }
 
-  StatusOr<LargeEaResult> run =
-      options.dag
-          ? dag::RunLargeEaPipeline(dataset, options, checkpoint,
-                                    stream_ctx.get(),
-                                    par::ThreadPool::Get().num_threads())
-          : RunLargeEaSerial(dataset, options, checkpoint,
-                             stream_ctx.get());
+  StatusOr<LargeEaResult> run = dag::RunLargeEaPipeline(
+      dataset, options, checkpoint, stream_ctx.get(),
+      par::ThreadPool::Get().num_threads(), train_structure);
   if (!run.ok()) return run.status();
   LargeEaResult result = std::move(run).value();
 
@@ -258,14 +127,12 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
       .Set(static_cast<double>(result.structure_channel.batches_dropped));
   registry.GetGauge("pipeline.batches_resumed")
       .Set(static_cast<double>(result.structure_channel.batches_resumed));
-  if (options.dag) {
-    // Compliant when unbudgeted, or when the run's tracked peak stayed
-    // under the budget the scheduler admitted against.
-    const bool compliant =
-        stream_ctx == nullptr ||
-        result.peak_bytes <= stream_ctx->budget().budget_bytes();
-    registry.GetGauge("dag.budget.compliant").Set(compliant ? 1.0 : 0.0);
-  }
+  // Compliant when unbudgeted, or when the run's tracked peak stayed
+  // under the budget the scheduler admitted against.
+  const bool compliant =
+      stream_ctx == nullptr ||
+      result.peak_bytes <= stream_ctx->budget().budget_bytes();
+  registry.GetGauge("dag.budget.compliant").Set(compliant ? 1.0 : 0.0);
   return result;
 }
 

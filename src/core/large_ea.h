@@ -1,16 +1,19 @@
 // LargeEA — the full two-channel pipeline (Figure 2).
 //
-// Run order follows Algorithm 1: the name channel produces M_n and pseudo
+// Dataflow follows Algorithm 1: the name channel produces M_n and pseudo
 // seeds; the pseudo seeds join ψ'; the structure channel trains per
 // mini-batch and produces M_s; the channels fuse as M = M_s + M_n; the
-// fused matrix is evaluated against the held-out test pairs.
+// fused matrix is evaluated against the held-out test pairs. RunLargeEa
+// executes it as the operator DAG of src/dag/pipeline_dag.h — the one
+// executor, in-process or sharded (the shard orchestrator only swaps
+// the structure_train node's trainer).
 //
-// Fault tolerance: with a checkpoint directory configured, every phase
-// boundary (name channel, partition, each mini-batch, fused matrix)
-// persists its output, and a `resume` run restores completed phases
-// instead of recomputing them — bit-identically, because every phase is
-// deterministic given the options and the checkpoints round-trip floats
-// exactly. See DESIGN.md §7 for the failure model.
+// Fault tolerance: with a checkpoint directory configured, every operator
+// (name features, pseudo seeds, partition, each mini-batch, fused matrix)
+// persists its output, and a `resume` run restores completed operators
+// instead of recomputing them — bit-identically, because every operator
+// is deterministic given the options and the checkpoints round-trip
+// floats exactly. See DESIGN.md §7 for the failure model.
 #ifndef LARGEEA_CORE_LARGE_EA_H_
 #define LARGEEA_CORE_LARGE_EA_H_
 
@@ -63,16 +66,9 @@ struct LargeEaOptions {
   /// (nff.semantic, nff.string, structure_channel.similarity) come back
   /// empty — only `fused` and the metrics are retained.
   stream::StreamOptions stream;
-  /// Run the pipeline through the operator-DAG executor (src/dag/):
-  /// independent operators overlap on worker threads, admission is
-  /// budget-aware, and intermediates are released at their last use.
-  /// False runs the historical serial order. Scheduling-only — results
-  /// and checkpoints are bit-identical either way, so this flag is
-  /// deliberately NOT part of the config fingerprint.
-  bool dag = true;
 };
 
-/// Per-operator execution record when the DAG executor ran.
+/// Per-operator execution record of the DAG executor.
 struct DagNodeStats {
   std::string name;
   double seconds = 0.0;
@@ -91,7 +87,7 @@ struct LargeEaResult {
   EntityPairList effective_seeds;
   double total_seconds = 0.0;
   int64_t peak_bytes = 0;
-  /// DAG-executor diagnostics; empty when the serial path ran.
+  /// DAG-executor diagnostics, one entry per operator.
   std::vector<DagNodeStats> dag_nodes;
   double dag_critical_path_seconds = 0.0;
   std::vector<std::string> dag_critical_path;  ///< node names, source→sink
@@ -99,8 +95,9 @@ struct LargeEaResult {
 };
 
 /// Fingerprint of everything that shapes the numeric result (dataset
-/// shape plus result-affecting options). Checkpoints are stamped with it
-/// so stale artifacts from a different run configuration are rejected.
+/// shape plus result-affecting options): the default stamp of the
+/// pipeline's checkpoint manager, which per-node fingerprints override
+/// for every artifact kind the pipeline writes (pipeline_fingerprint.h).
 uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
                                   const LargeEaOptions& options);
 
@@ -108,8 +105,12 @@ uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
 /// for unsupervised EA) and evaluates on dataset.split.test. Fails with a
 /// contextful Status when a channel fails unrecoverably; per-batch
 /// structure failures degrade (see StructureChannelOptions) instead.
-StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
-                                   const LargeEaOptions& options);
+/// `train_structure` is the structure_train node's execution policy:
+/// in-process mini-batch training by default; the shard orchestrator
+/// passes one that trains across supervised worker processes.
+StatusOr<LargeEaResult> RunLargeEa(
+    const EaDataset& dataset, const LargeEaOptions& options,
+    const StructureTrainer& train_structure = TrainStructureChannel);
 
 }  // namespace largeea
 

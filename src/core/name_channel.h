@@ -1,12 +1,12 @@
 // Name channel (Section 2.3): NFF name features plus the name-based data
-// augmentation producing pseudo seeds.
+// augmentation producing pseudo seeds. The channel runs as the pipeline
+// DAG's name_semantic / name_string / name_fuse / name_augmentation
+// operators (src/dag/pipeline_dag.cc), which fill NameChannelResult.
 #ifndef LARGEEA_CORE_NAME_CHANNEL_H_
 #define LARGEEA_CORE_NAME_CHANNEL_H_
 
 #include "src/name/data_augmentation.h"
 #include "src/name/nff.h"
-#include "src/rt/checkpoint.h"
-#include "src/rt/status.h"
 
 namespace largeea {
 
@@ -29,19 +29,6 @@ struct NameChannelResult {
   /// computed (component timings are zero in that case).
   bool resumed = false;
 };
-
-/// Runs the name channel. `existing_seeds` keeps the augmentation from
-/// duplicating already-seeded entities (pass empty for unsupervised EA).
-/// When `checkpoint` is non-null, a completed channel is saved there and
-/// a resume-mode manager restores it without recomputing. A non-null
-/// `stream_ctx` routes the NFF computation through the memory-budgeted
-/// streaming layer (see ComputeNameFeatures); the fused matrix and the
-/// pseudo seeds are bit-identical either way.
-StatusOr<NameChannelResult> RunNameChannel(
-    const KnowledgeGraph& source, const KnowledgeGraph& target,
-    const EntityPairList& existing_seeds, const NameChannelOptions& options,
-    rt::CheckpointManager* checkpoint = nullptr,
-    stream::StreamContext* stream_ctx = nullptr);
 
 }  // namespace largeea
 

@@ -25,10 +25,10 @@
 // budget-independent and a checkpoint taken under one memory budget
 // resumes bit-identically under any other.
 //
-// All processes that share a checkpoint directory — RunLargeEa, the
-// shard orchestrator, and every shard worker — must install the same
-// per-kind fingerprints, which is why the installer lives here and is
-// computed from the *orchestrator-shaped* options in all three.
+// All processes that share a checkpoint directory — RunLargeEa (the
+// shard orchestrator's included) and every shard worker — must install
+// the same per-kind fingerprints, which is why the installer lives here
+// and is computed from the *orchestrator-shaped* options in both.
 #ifndef LARGEEA_CORE_PIPELINE_FINGERPRINT_H_
 #define LARGEEA_CORE_PIPELINE_FINGERPRINT_H_
 

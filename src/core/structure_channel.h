@@ -13,6 +13,7 @@
 #define LARGEEA_CORE_STRUCTURE_CHANNEL_H_
 
 #include <cstdint>
+#include <functional>
 
 #include "src/nn/ea_model.h"
 #include "src/partition/metis_cps.h"
@@ -66,7 +67,7 @@ struct StructureChannelOptions {
   /// invalidate checkpoints shared across processes.
   int32_t shard_count = 0;
   int32_t shard_index = 0;
-  /// Merge-only resume (the orchestrator's fuse phase): a batch whose
+  /// Merge-only resume (the sharded trainer's merge): a batch whose
   /// checkpoint artifact cannot be loaded is treated as a *failed* batch
   /// — dropped and counted under drop_failed_batches, channel failure
   /// otherwise — instead of being retrained in this process. Guarantees
@@ -97,10 +98,11 @@ std::string StructureBatchArtifactKind(size_t batch_index);
 bool StructureBatchTrainable(const MiniBatch& batch);
 
 /// The partition phase alone: loads the checkpointed batch set, or
-/// generates (+overlaps, + checkpoints) it. Exposed so the shard
-/// orchestrator can materialise the partition once before spawning
-/// workers. With options.shard_count > 0 the partition is load-only and
-/// a missing artifact is FAILED_PRECONDITION (see the field comment).
+/// generates (+overlaps, + checkpoints) it. The pipeline DAG runs this
+/// as its partition node, so the artifact is on disk before a sharded
+/// structure_train node spawns workers. With options.shard_count > 0
+/// (a worker) the partition is load-only and a missing artifact is
+/// FAILED_PRECONDITION (see the field comment).
 /// `partition_seconds`, when non-null, receives the phase wall time.
 StatusOr<MiniBatchSet> PrepareStructureBatches(
     const KnowledgeGraph& source, const KnowledgeGraph& target,
@@ -116,6 +118,15 @@ StatusOr<StructureChannelResult> TrainStructureChannel(
     const KnowledgeGraph& source, const KnowledgeGraph& target,
     MiniBatchSet batches, const StructureChannelOptions& options,
     rt::CheckpointManager* checkpoint = nullptr);
+
+/// The training phase as the pipeline's structure_train node calls it
+/// (TrainStructureChannel's signature). TrainStructureChannel itself is
+/// the in-process policy; the shard orchestrator supplies one that
+/// trains across worker processes and then merges (src/shard/).
+using StructureTrainer = std::function<StatusOr<StructureChannelResult>(
+    const KnowledgeGraph& source, const KnowledgeGraph& target,
+    MiniBatchSet batches, const StructureChannelOptions& options,
+    rt::CheckpointManager* checkpoint)>;
 
 /// Runs the structure channel — PrepareStructureBatches followed by
 /// TrainStructureChannel. `seeds` is ψ' (train pairs, possibly already

@@ -1,6 +1,7 @@
 #include "src/dag/pipeline_dag.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,9 +14,8 @@
 namespace largeea::dag {
 namespace {
 
-// Artifact kinds shared with the serial path (src/core/name_channel.cc,
-// src/core/large_ea.cc) — the two executors must read and write the
-// same checkpoint store interchangeably.
+// Artifact kinds; pipeline_fingerprint.cc stamps each with its node's
+// fingerprint.
 constexpr const char* kSemanticKind = "name_semantic";
 constexpr const char* kStringKind = "name_string";
 constexpr const char* kNameFusedKind = "name_fused";
@@ -28,13 +28,27 @@ int64_t SimBytes(int64_t rows, int64_t k) {
   return rows * (k * static_cast<int64_t>(sizeof(SimEntry)) + 32);
 }
 
-/// Loads `kind` into `out` if resume mode has a usable artifact.
-/// Non-NOT_FOUND failures are counted and logged (the serial path's
-/// behaviour) and the node recomputes.
+/// Loads `kind` into `out` if resume mode has a usable artifact: one
+/// that loads under its fingerprint with the source × target shape.
+/// Other failures than NOT_FOUND are counted and logged, and the node
+/// recomputes.
 bool TryLoadMatrix(rt::CheckpointManager& checkpoint, const char* kind,
-                   SparseSimMatrix& out, NodeContext& ctx) {
+                   const EaDataset& dataset, SparseSimMatrix& out,
+                   NodeContext& ctx) {
   if (!checkpoint.should_load()) return false;
   auto loaded = checkpoint.LoadMatrix(kind);
+  if (loaded.ok() &&
+      (loaded->num_rows() != dataset.source.num_entities() ||
+       loaded->num_cols() != dataset.target.num_entities())) {
+    // Budgeted runs of the former serial and shard-prefix executors
+    // saved released (empty) intermediates under fingerprints that
+    // promise full bytes; such a matrix is as unusable as a mismatch.
+    loaded = FailedPreconditionError(
+        "shape " + std::to_string(loaded->num_rows()) + "x" +
+        std::to_string(loaded->num_cols()) + ", expected " +
+        std::to_string(dataset.source.num_entities()) + "x" +
+        std::to_string(dataset.target.num_entities()));
+  }
   if (loaded.ok()) {
     out = std::move(loaded).value();
     ctx.MarkFromCheckpoint();
@@ -65,7 +79,7 @@ struct PipelineState {
 StatusOr<LargeEaResult> RunLargeEaPipeline(
     const EaDataset& dataset, const LargeEaOptions& options,
     rt::CheckpointManager& checkpoint, stream::StreamContext* stream_ctx,
-    int32_t max_concurrency) {
+    int32_t max_concurrency, const StructureTrainer& train_structure) {
   const KnowledgeGraph& source = dataset.source;
   const KnowledgeGraph& target = dataset.target;
   const NameChannelOptions& n = options.name_channel;
@@ -107,7 +121,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
             SimBytes(src_rows, n.nff.sens.top_k),
         [&](NodeContext& ctx) -> Status {
           SparseSimMatrix& out = state.result.name_channel.nff.semantic;
-          if (TryLoadMatrix(checkpoint, kSemanticKind, out, ctx)) {
+          if (TryLoadMatrix(checkpoint, kSemanticKind, dataset, out, ctx)) {
             return OkStatus();
           }
           LARGEEA_INJECT_FAULT("name.features");
@@ -124,7 +138,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
             SimBytes(src_rows, n.nff.stns.max_entries_per_row),
         [&](NodeContext& ctx) -> Status {
           SparseSimMatrix& out = state.result.name_channel.nff.string;
-          if (TryLoadMatrix(checkpoint, kStringKind, out, ctx)) {
+          if (TryLoadMatrix(checkpoint, kStringKind, dataset, out, ctx)) {
             return OkStatus();
           }
           out = ComputeStringSimilarity(source, target, n.nff.stns);
@@ -138,7 +152,8 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         SimBytes(src_rows, n.nff.max_entries_per_row),
         [&](NodeContext& ctx) -> Status {
           NffResult& nff = state.result.name_channel.nff;
-          if (TryLoadMatrix(checkpoint, kNameFusedKind, nff.fused, ctx)) {
+          if (TryLoadMatrix(checkpoint, kNameFusedKind, dataset, nff.fused,
+                            ctx)) {
             return OkStatus();
           }
           if (consume) {
@@ -158,10 +173,9 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
           return OkStatus();
         });
     // Augmentation disabled still gets a node: ψ'_p is then constantly
-    // empty, and saving the artifact keeps resume-completeness the same
-    // as the serial path's four-artifact contract. Without the M_n edge
-    // the node is a source, so the whole structure channel overlaps the
-    // name channel.
+    // empty, and saving the artifact keeps the name channel's four
+    // artifacts complete. Without the M_n edge the node is a source, so
+    // the whole structure channel overlaps the name channel.
     std::vector<int32_t> aug_inputs;
     if (n.enable_augmentation) aug_inputs.push_back(v_name);
     n_aug = graph.AddNode(
@@ -250,7 +264,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         "structure_train", {v_batches}, {v_struct},
         all_rows * s.train.dim * 4 * 3 + SimBytes(src_rows, s.top_k),
         [&](NodeContext& ctx) -> Status {
-          auto trained = TrainStructureChannel(
+          auto trained = train_structure(
               source, target, std::move(state.batches), s, &checkpoint);
           if (!trained.ok()) return trained.status();
           state.result.structure_channel = std::move(trained).value();
@@ -281,12 +295,13 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
       [&](NodeContext& ctx) -> Status {
         LARGEEA_INJECT_FAULT("pipeline.fusion");
         LargeEaResult& r = state.result;
-        if (TryLoadMatrix(checkpoint, kFusedKind, r.fused, ctx)) {
+        if (TryLoadMatrix(checkpoint, kFusedKind, dataset, r.fused, ctx)) {
           return OkStatus();
         }
-        // Same four-way branch as the serial path; under a consuming
-        // stream context the inputs are moved and the scheduler's value
-        // release resets the moved-from fields to clean empties.
+        // Which of M_s and M_n make up M, fused or moved. Under a
+        // consuming stream context the inputs are moved, and the
+        // scheduler's value release resets the moved-from fields to
+        // clean empties.
         if (options.use_name_channel && options.use_structure_channel &&
             !options.fuse_name_similarity) {
           r.fused = consume ? std::move(r.structure_channel.similarity)
@@ -332,9 +347,8 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   if (!scheduled.ok()) return scheduled.status();
   ScheduleResult& sched = scheduled.value();
 
-  // Reconstruct the serial path's channel-level bookkeeping from the
-  // per-node runs (component timings stay zero for resumed nodes, as
-  // the serial resume leaves them).
+  // Channel-level bookkeeping from the per-node runs (component timings
+  // stay zero for resumed nodes).
   if (options.use_name_channel) {
     NameChannelResult& name = state.result.name_channel;
     const NodeRun& sem = sched.node_runs[static_cast<size_t>(n_sem)];

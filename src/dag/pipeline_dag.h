@@ -17,10 +17,12 @@
 // ψ' needs no name-channel output, so the structure channel launches
 // immediately and runs concurrently with SENS/STNS.
 //
-// Every operator keeps the serial pipeline's checkpoint artifact, fault
-// injection point, and numeric behaviour; only the schedule differs.
-// RunLargeEaPipeline is the drop-in body RunLargeEa delegates to when
-// LargeEaOptions::dag is set.
+// These node bodies are the only implementation of the name channel and
+// of the final fusion choice. RunLargeEaPipeline is the body of every
+// RunLargeEa, in-process or sharded: sharding only swaps the trainer the
+// structure_train node calls (src/shard/orchestrator.h). Each node saves
+// its checkpoint artifact in full before the scheduler releases it, so
+// artifact bytes are identical under any budget or schedule.
 #ifndef LARGEEA_DAG_PIPELINE_DAG_H_
 #define LARGEEA_DAG_PIPELINE_DAG_H_
 
@@ -32,15 +34,18 @@
 namespace largeea::dag {
 
 /// Runs the full pipeline as a scheduled operator graph and fills a
-/// LargeEaResult identical (bit-for-bit on `fused`, the metrics, and
-/// every checkpoint artifact) to the serial path's. `checkpoint` must
-/// come from MakePipelineCheckpointManager so per-node artifacts carry
-/// per-node fingerprints; `stream_ctx` may be null (unbudgeted).
-/// `max_concurrency` bounds overlapping operators (1 = serial order).
+/// LargeEaResult that is bit-identical (on `fused`, the metrics, and
+/// every checkpoint artifact) at any `max_concurrency`, budget, and
+/// SIMD backend. `checkpoint` must come from
+/// MakePipelineCheckpointManager so per-node artifacts carry per-node
+/// fingerprints; `stream_ctx` may be null (unbudgeted).
+/// `max_concurrency` bounds overlapping operators (1 = ascending-id
+/// serial order). The structure_train node calls `train_structure`.
 StatusOr<LargeEaResult> RunLargeEaPipeline(
     const EaDataset& dataset, const LargeEaOptions& options,
     rt::CheckpointManager& checkpoint, stream::StreamContext* stream_ctx,
-    int32_t max_concurrency);
+    int32_t max_concurrency,
+    const StructureTrainer& train_structure = TrainStructureChannel);
 
 }  // namespace largeea::dag
 

@@ -2,13 +2,10 @@
 
 #include <chrono>
 #include <filesystem>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "src/core/name_channel.h"
-#include "src/core/pipeline_fingerprint.h"
 #include "src/core/structure_channel.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
@@ -18,7 +15,6 @@
 #include "src/shard/heartbeat.h"
 #include "src/shard/shard_plan.h"
 #include "src/shard/subprocess.h"
-#include "src/stream/stream_context.h"
 
 namespace largeea::shard {
 
@@ -58,74 +54,12 @@ void WipeCheckpoints(const std::string& dir) {
   }
 }
 
-}  // namespace
-
-StatusOr<LargeEaResult> RunShardedLargeEa(const EaDataset& dataset,
-                                          const LargeEaOptions& options,
-                                          const ShardOptions& shards,
-                                          ShardRunStats* stats_out) {
-  if (shards.num_shards <= 0) return RunLargeEa(dataset, options);
-  const std::string& dir = options.fault_tolerance.checkpoint_dir;
-  if (dir.empty()) {
-    return InvalidArgumentError("sharded execution requires --checkpoint-dir "
-                                "(workers hand their blocks to the merge "
-                                "through it)");
-  }
-  if (shards.worker_command.empty()) {
-    return InvalidArgumentError("sharded execution requires a worker command");
-  }
-
-  ShardRunStats stats;
-  stats.num_shards = shards.num_shards;
-  obs::Span span("shard/orchestrator");
-  span.AddAttr("shards", static_cast<int64_t>(shards.num_shards));
-
-  if (!options.fault_tolerance.resume) WipeCheckpoints(dir);
-
-  // --- Phase A: the single-process prefix (name channel, seed
-  // augmentation, partition), checkpointed so every worker and the merge
-  // read one shared, fingerprint-stamped partition. This mirrors
-  // RunLargeEa exactly — including the streaming context — so the
-  // artifacts are the ones a plain run would have written.
-  const stream::StreamOptions stream_options =
-      stream::ResolveStreamOptions(options.stream);
-  // The pipeline manager (global fingerprint + per-node overrides) —
-  // workers and the merge construct the identical manager, so artifacts
-  // from the three process roles validate interchangeably.
-  rt::CheckpointManager checkpoint =
-      MakePipelineCheckpointManager(dataset, options, dir, /*resume=*/true);
-  MiniBatchSet batches;
-  {
-    obs::Span prefix_span("shard/prefix");
-    std::unique_ptr<stream::StreamContext> stream_ctx;
-    if (stream::StreamingEnabled(stream_options)) {
-      stream_ctx = std::make_unique<stream::StreamContext>(stream_options);
-    }
-    EntityPairList effective_seeds = dataset.split.train;
-    if (options.use_name_channel) {
-      auto name = RunNameChannel(dataset.source, dataset.target,
-                                 dataset.split.train, options.name_channel,
-                                 &checkpoint, stream_ctx.get());
-      if (!name.ok()) {
-        return name.status().WithContext("shard orchestrator: name channel");
-      }
-      effective_seeds.insert(effective_seeds.end(),
-                             name->pseudo_seeds.begin(),
-                             name->pseudo_seeds.end());
-    }
-    if (options.use_structure_channel) {
-      auto prepared = PrepareStructureBatches(dataset.source, dataset.target,
-                                              effective_seeds,
-                                              options.structure_channel,
-                                              &checkpoint);
-      if (!prepared.ok()) {
-        return prepared.status().WithContext("shard orchestrator: partition");
-      }
-      batches = std::move(prepared).value();
-    }
-  }
-
-  // --- Phase B: supervised workers, one per non-empty shard. ---
+/// Phase B: spawns one supervised worker per incomplete, non-empty
+/// shard of `batches` and returns once every shard is done or degraded.
+Status SuperviseWorkers(const MiniBatchSet& batches,
+                        rt::CheckpointManager& checkpoint,
+                        const ShardOptions& shards, const std::string& dir,
+                        ShardRunStats& stats) {
   const ShardPlan plan = PlanShards(batches, shards.num_shards);
   std::vector<ShardState> states(
       static_cast<size_t>(shards.num_shards));
@@ -290,29 +224,70 @@ StatusOr<LargeEaResult> RunShardedLargeEa(const EaDataset& dataset,
         std::to_string(stats.shards_degraded) +
         " shard(s) failed after retries and degradation is disabled");
   }
-
-  LARGEEA_INJECT_FAULT("shard.orchestrator.merge");
-
-  // --- Phase C: merge through the single-process resume path. Every
-  // present batch artifact loads at the in-order merge cursor exactly as
-  // a local run's would; batches a degraded shard never produced are
-  // classified failed-on-load and dropped with the existing counted
-  // degradation (structure channel falls back to M_n for those pairs).
-  LargeEaOptions merged = options;
-  merged.fault_tolerance.resume = true;
-  merged.structure_channel.resume_missing_batches_as_failed = true;
-  merged.structure_channel.drop_failed_batches = shards.degrade_failed_shards;
-  auto result = RunLargeEa(dataset, merged);
-  if (!result.ok()) {
-    return result.status().WithContext("shard orchestrator: merge");
-  }
-
   if (shards.capture_worker_traces) {
     for (int32_t i = 0; i < shards.num_shards; ++i) {
       if (!states[static_cast<size_t>(i)].batches.empty()) {
         stats.worker_trace_files.push_back(ShardTracePath(dir, i));
       }
     }
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
+StatusOr<LargeEaResult> RunShardedLargeEa(const EaDataset& dataset,
+                                          const LargeEaOptions& options,
+                                          const ShardOptions& shards,
+                                          ShardRunStats* stats_out) {
+  if (shards.num_shards <= 0) return RunLargeEa(dataset, options);
+  const std::string& dir = options.fault_tolerance.checkpoint_dir;
+  if (dir.empty()) {
+    return InvalidArgumentError("sharded execution requires --checkpoint-dir "
+                                "(workers hand their blocks to the merge "
+                                "through it)");
+  }
+  if (shards.worker_command.empty()) {
+    return InvalidArgumentError("sharded execution requires a worker command");
+  }
+
+  ShardRunStats stats;
+  stats.num_shards = shards.num_shards;
+  obs::Span span("shard/orchestrator");
+  span.AddAttr("shards", static_cast<int64_t>(shards.num_shards));
+
+  if (!options.fault_tolerance.resume) WipeCheckpoints(dir);
+
+  // The structure_train node's sharded policy. The pipeline has already
+  // checkpointed the partition the workers load; the trainer supervises
+  // them (phase B), then merges their blocks in merge-only mode (phase
+  // C): every present batch artifact loads at the in-order merge cursor
+  // exactly as a local run's would, and batches a degraded shard never
+  // produced are classified failed-on-load and dropped with the counted
+  // degradation (the name channel then covers those pairs).
+  const StructureTrainer train_sharded =
+      [&](const KnowledgeGraph& source, const KnowledgeGraph& target,
+          MiniBatchSet batches, const StructureChannelOptions& structure,
+          rt::CheckpointManager* checkpoint)
+      -> StatusOr<StructureChannelResult> {
+    LARGEEA_RETURN_IF_ERROR(
+        SuperviseWorkers(batches, *checkpoint, shards, dir, stats));
+    LARGEEA_INJECT_FAULT("shard.orchestrator.merge");
+    StructureChannelOptions merge = structure;
+    merge.resume_missing_batches_as_failed = true;
+    merge.drop_failed_batches = shards.degrade_failed_shards;
+    return TrainStructureChannel(source, target, std::move(batches), merge,
+                                 checkpoint);
+  };
+
+  // Resume is forced on, as in every worker's manager: a fresh run has
+  // just wiped the directory, and the supervision loop must see the
+  // artifacts the workers write.
+  LargeEaOptions pipeline = options;
+  pipeline.fault_tolerance.resume = true;
+  auto result = RunLargeEa(dataset, pipeline, train_sharded);
+  if (!result.ok()) {
+    return result.status().WithContext("shard orchestrator");
   }
 
   auto& registry = obs::MetricsRegistry::Get();

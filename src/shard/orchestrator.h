@@ -6,17 +6,20 @@
 // bit-identical to a plain RunLargeEa at ANY shard count — including
 // after a worker was SIGKILLed mid-batch and respawned.
 //
-// Phases:
-//   A. Parent: name channel + seed augmentation + partition, all
-//      checkpointed (identical to the single-process prefix).
-//   B. Supervision loop: spawn one worker per incomplete shard, watch
-//      heartbeats and deadlines, classify failures (exit code, signal,
-//      hang, deadline), retry with bounded exponential backoff; a shard
-//      that exhausts its retries is degraded — its batches fall out of
-//      M_s and are counted, never silently wrong.
-//   C. Merge: RunLargeEa with resume=true over the shared checkpoint
-//      directory; the in-order block merge cannot tell worker-trained
-//      artifacts from locally trained ones.
+// Sharding is an execution policy of the pipeline DAG's structure_train
+// node, not a second pipeline: the orchestrator runs RunLargeEa (resume
+// forced on) with a trainer that replaces in-process training.
+//   A. The DAG's own nodes: name channel, seed augmentation, partition,
+//      all checkpointed exactly as in any RunLargeEa.
+//   B. The trainer's supervision loop: spawn one worker per incomplete
+//      shard, watch heartbeats and deadlines, classify failures (exit
+//      code, signal, hang, deadline), retry with bounded exponential
+//      backoff; a shard that exhausts its retries is degraded — its
+//      batches fall out of M_s and are counted, never silently wrong.
+//   C. The trainer's merge: TrainStructureChannel in merge-only mode
+//      over the shared checkpoint directory; the in-order block merge
+//      cannot tell worker-trained artifacts from locally trained ones.
+//      The DAG then fuses and evaluates as usual.
 #ifndef LARGEEA_SHARD_ORCHESTRATOR_H_
 #define LARGEEA_SHARD_ORCHESTRATOR_H_
 

@@ -64,11 +64,20 @@ class CoreFixture : public ::testing::Test {
 
 const EaDataset* CoreFixture::dataset_ = nullptr;
 
+// The name channel alone: the pipeline with the structure channel
+// ablated, read back through the name_channel fields its nodes fill.
+NameChannelResult NameChannelAlone(const EaDataset& dataset,
+                                   const NameChannelOptions& name) {
+  LargeEaOptions options;
+  options.name_channel = name;
+  options.use_structure_channel = false;
+  options.stream.memory_budget_mb = 0;  // in-memory: M_n is retained
+  return RunLargeEa(dataset, options).value().name_channel;
+}
+
 TEST_F(CoreFixture, NameChannelProducesFeaturesAndSeeds) {
   const NameChannelResult result =
-      RunNameChannel(dataset().source, dataset().target,
-                     dataset().split.train, NameChannelOptions{})
-          .value();
+      NameChannelAlone(dataset(), NameChannelOptions{});
   EXPECT_GT(result.nff.fused.TotalEntries(), 0);
   EXPECT_GT(result.pseudo_seeds.size(), 20u);
   EXPECT_GT(result.total_seconds, 0.0);
@@ -78,10 +87,7 @@ TEST_F(CoreFixture, NameChannelProducesFeaturesAndSeeds) {
 TEST_F(CoreFixture, NameChannelAugmentationCanBeDisabled) {
   NameChannelOptions options;
   options.enable_augmentation = false;
-  const NameChannelResult result =
-      RunNameChannel(dataset().source, dataset().target,
-                     dataset().split.train, options)
-          .value();
+  const NameChannelResult result = NameChannelAlone(dataset(), options);
   EXPECT_TRUE(result.pseudo_seeds.empty());
 }
 

@@ -4,11 +4,13 @@
 //   * scheduler unit tests on toy graphs — serial order at concurrency
 //     1, genuine overlap at concurrency 2, budget deferrals, release at
 //     last consumer, first-error-by-node-id;
-//   * pipeline equivalence — the DAG schedule of RunLargeEa is proven
-//     bit-identical to the serial reference (--no-dag) across thread
-//     counts × memory budgets × SIMD backends, its checkpoints are
-//     byte-identical across schedules, and --resume re-executes only
-//     the dirty subgraph.
+//   * pipeline equivalence — RunLargeEa is proven bit-identical to an
+//     independent reference (Algorithm 1 composed from the public
+//     per-operator calls, with no scheduler, checkpoint, or stream)
+//     across thread counts × memory budgets × SIMD backends, its
+//     checkpoints are byte-identical across schedules, --resume
+//     re-executes only the dirty subgraph, and a wrong-shaped
+//     checkpoint matrix is recomputed instead of fused.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,10 +26,14 @@
 #include <vector>
 
 #include "src/core/large_ea.h"
+#include "src/core/pipeline_fingerprint.h"
 #include "src/dag/graph.h"
 #include "src/dag/scheduler.h"
 #include "src/gen/benchmark_gen.h"
 #include "src/kg/dataset.h"
+#include "src/name/data_augmentation.h"
+#include "src/name/semantic_sim.h"
+#include "src/name/string_sim.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/par/thread_pool.h"
@@ -187,7 +193,56 @@ TEST(DagSchedulerTest, ReportsFirstErrorInSerialOrder) {
 }
 
 // ---------------------------------------------------------------------
-// Pipeline equivalence: DAG schedule vs the serial reference.
+// Pipeline equivalence: RunLargeEa vs an independent reference.
+
+/// Algorithm 1 as a straight composition of the public per-operator
+/// calls (the ones e2ebench/probe.cc times): no scheduler, checkpoint,
+/// or stream context, so nothing it shares with RunLargeEa beyond the
+/// operators themselves.
+LargeEaResult ReferenceRun(const EaDataset& dataset,
+                           const LargeEaOptions& options) {
+  const NameChannelOptions& n = options.name_channel;
+  LargeEaResult result;
+  SparseSimMatrix name;
+  if (options.use_name_channel) {
+    const SparseSimMatrix semantic =
+        ComputeSemanticSimilarity(dataset.source, dataset.target, n.nff.sens);
+    const SparseSimMatrix string =
+        ComputeStringSimilarity(dataset.source, dataset.target, n.nff.stns);
+    name = semantic.Fuse(string, 1.0f, n.nff.string_weight,
+                         n.nff.max_entries_per_row);
+    if (n.enable_augmentation) {
+      result.name_channel.pseudo_seeds = GeneratePseudoSeeds(
+          name, dataset.split.train, n.augmentation_margin);
+    }
+  }
+  result.effective_seeds = dataset.split.train;
+  result.effective_seeds.insert(result.effective_seeds.end(),
+                                result.name_channel.pseudo_seeds.begin(),
+                                result.name_channel.pseudo_seeds.end());
+  SparseSimMatrix structure;
+  if (options.use_structure_channel) {
+    const StructureChannelOptions& s = options.structure_channel;
+    auto batches = PrepareStructureBatches(
+        dataset.source, dataset.target, result.effective_seeds, s, nullptr);
+    EXPECT_TRUE(batches.ok()) << batches.status().ToString();
+    auto trained = TrainStructureChannel(dataset.source, dataset.target,
+                                         std::move(batches).value(), s);
+    EXPECT_TRUE(trained.ok()) << trained.status().ToString();
+    structure = std::move(trained->similarity);
+  }
+  if (options.use_name_channel && options.use_structure_channel &&
+      options.fuse_name_similarity) {
+    result.fused = structure.Fuse(name, options.structure_weight,
+                                  options.name_weight, options.fused_top_k);
+  } else if (options.use_structure_channel) {
+    result.fused = std::move(structure);
+  } else {
+    result.fused = std::move(name);
+  }
+  result.metrics = Evaluate(result.fused, dataset.split.test);
+  return result;
+}
 
 uint64_t FusedHash(const SparseSimMatrix& m) {
   std::string bytes;
@@ -278,25 +333,20 @@ class DagPipelineTest : public ::testing::Test {
 
 const EaDataset* DagPipelineTest::dataset_ = nullptr;
 
-TEST_F(DagPipelineTest, MatchesSerialAcrossThreadsAndBudgets) {
-  LargeEaOptions serial = BaseOptions();
-  serial.dag = false;
-  const auto baseline = RunLargeEa(dataset(), serial);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  EXPECT_TRUE(baseline->dag_nodes.empty());
+TEST_F(DagPipelineTest, MatchesReferenceAcrossThreadsAndBudgets) {
+  const LargeEaResult reference = ReferenceRun(dataset(), BaseOptions());
 
   for (const int32_t threads : {1, 2, 8}) {
     for (const int64_t budget_mb : {int64_t{0}, int64_t{1}}) {
       par::ThreadPool::Get().SetNumThreads(threads);
       LargeEaOptions options = BaseOptions();
-      options.dag = true;
       options.stream.memory_budget_mb = budget_mb;
       if (budget_mb > 0) options.stream.tile_rows = 64;
       const auto scheduled = RunLargeEa(dataset(), options);
       ASSERT_TRUE(scheduled.ok())
           << "threads=" << threads << " budget=" << budget_mb << ": "
           << scheduled.status().ToString();
-      ExpectSameResult(*baseline, *scheduled);
+      ExpectSameResult(reference, *scheduled);
       EXPECT_FALSE(scheduled->dag_nodes.empty());
       EXPECT_GT(scheduled->dag_critical_path_seconds, 0.0);
       EXPECT_FALSE(scheduled->dag_critical_path.empty());
@@ -304,26 +354,20 @@ TEST_F(DagPipelineTest, MatchesSerialAcrossThreadsAndBudgets) {
   }
 }
 
-TEST_F(DagPipelineTest, MatchesSerialOnScalarBackend) {
+TEST_F(DagPipelineTest, MatchesReferenceOnScalarBackend) {
   const simd::Backend original = simd::ActiveBackend();
   simd::SetBackend(simd::Backend::kScalar);
-  LargeEaOptions serial = BaseOptions();
-  serial.dag = false;
-  const auto baseline = RunLargeEa(dataset(), serial);
-  ASSERT_TRUE(baseline.ok());
+  const LargeEaResult reference = ReferenceRun(dataset(), BaseOptions());
 
   par::ThreadPool::Get().SetNumThreads(4);
-  LargeEaOptions options = BaseOptions();
-  options.dag = true;
-  const auto scheduled = RunLargeEa(dataset(), options);
+  const auto scheduled = RunLargeEa(dataset(), BaseOptions());
   simd::SetBackend(original);
   ASSERT_TRUE(scheduled.ok()) << scheduled.status().ToString();
-  ExpectSameResult(*baseline, *scheduled);
+  ExpectSameResult(reference, *scheduled);
 }
 
 TEST_F(DagPipelineTest, ChecksDagBudgetComplianceGauge) {
   LargeEaOptions options = BaseOptions();
-  options.dag = true;
   options.stream.memory_budget_mb = 256;  // generous: must be compliant
   options.stream.tile_rows = 64;
   const auto run = RunLargeEa(dataset(), options);
@@ -335,7 +379,6 @@ TEST_F(DagPipelineTest, ChecksDagBudgetComplianceGauge) {
 TEST_F(DagPipelineTest, ChecksNodeStatsCoverEveryOperator) {
   par::ThreadPool::Get().SetNumThreads(4);
   LargeEaOptions options = BaseOptions();
-  options.dag = true;
   const auto run = RunLargeEa(dataset(), options);
   ASSERT_TRUE(run.ok());
   std::vector<std::string> names;
@@ -350,23 +393,21 @@ TEST_F(DagPipelineTest, ChecksNodeStatsCoverEveryOperator) {
 }
 
 TEST_F(DagPipelineTest, CheckpointsAreByteIdenticalAcrossSchedules) {
-  // The checkpoint contract is schedule-invariant: serial at one
-  // thread and DAG at eight threads under a tiny budget write the
-  // same artifact set, byte for byte. (DAG runs persist full
-  // intermediate artifacts regardless of the budget — that is what
-  // makes this possible; see DESIGN.md §14.)
+  // The checkpoint contract is schedule-invariant: one thread
+  // unbudgeted and eight threads under a tiny budget write the same
+  // artifact set, byte for byte. (Nodes persist full intermediate
+  // artifacts regardless of the budget — that is what makes this
+  // possible; see DESIGN.md §14.)
   par::ThreadPool::Get().SetNumThreads(1);
   LargeEaOptions first = BaseOptions();
-  first.dag = true;
-  first.fault_tolerance.checkpoint_dir = CheckpointDir("bytes_serial");
+  first.fault_tolerance.checkpoint_dir = CheckpointDir("bytes_1t");
   ASSERT_TRUE(RunLargeEa(dataset(), first).ok());
 
   par::ThreadPool::Get().SetNumThreads(8);
   LargeEaOptions second = BaseOptions();
-  second.dag = true;
   second.stream.memory_budget_mb = 1;
   second.stream.tile_rows = 64;
-  second.fault_tolerance.checkpoint_dir = CheckpointDir("bytes_dag");
+  second.fault_tolerance.checkpoint_dir = CheckpointDir("bytes_8t");
   ASSERT_TRUE(RunLargeEa(dataset(), second).ok());
 
   const auto a = DirHashes(first.fault_tolerance.checkpoint_dir);
@@ -379,7 +420,6 @@ TEST_F(DagPipelineTest, CheckpointsAreByteIdenticalAcrossSchedules) {
 
 TEST_F(DagPipelineTest, ResumeReExecutesOnlyTheDirtySubgraph) {
   LargeEaOptions options = BaseOptions();
-  options.dag = true;
   options.fault_tolerance.checkpoint_dir = CheckpointDir("dirty");
   ASSERT_TRUE(RunLargeEa(dataset(), options).ok());
 
@@ -410,6 +450,51 @@ TEST_F(DagPipelineTest, ResumeReExecutesOnlyTheDirtySubgraph) {
   EXPECT_EQ(FusedHash(baseline->fused), FusedHash(resumed->fused));
 }
 
+TEST_F(DagPipelineTest, WrongShapedCheckpointMatrixIsRecomputed) {
+  // Budgeted runs of the former serial executor left an empty
+  // name_semantic under a fingerprint that promises full bytes. A
+  // resume whose name_fuse node recomputes must treat it like a
+  // fingerprint mismatch — count it, recompute — instead of fusing it.
+  LargeEaOptions changed = BaseOptions();
+  changed.name_channel.nff.string_weight = 0.5f;
+  const auto fresh = RunLargeEa(dataset(), changed);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  // Every artifact downstream of name_fuse is stale under the edit, so
+  // an intact directory's resume sets the expected failure count.
+  const auto resume_load_failures = [&](const std::string& dir,
+                                        bool empty_semantic) -> int64_t {
+    LargeEaOptions first = BaseOptions();
+    first.fault_tolerance.checkpoint_dir = dir;
+    EXPECT_TRUE(RunLargeEa(dataset(), first).ok());
+    if (empty_semantic) {
+      rt::CheckpointManager checkpoint = MakePipelineCheckpointManager(
+          dataset(), first, dir, /*resume=*/false);
+      EXPECT_TRUE(checkpoint.SaveMatrix("name_semantic", SparseSimMatrix())
+                      .ok());
+    }
+    LargeEaOptions resume = changed;
+    resume.fault_tolerance.checkpoint_dir = dir;
+    resume.fault_tolerance.resume = true;
+    obs::Counter& failures = obs::MetricsRegistry::Get().GetCounter(
+        "checkpoint.load_failures");
+    const int64_t before = failures.Value();
+    const auto resumed = RunLargeEa(dataset(), resume);
+    EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
+    if (resumed.ok()) ExpectSameResult(*fresh, *resumed);
+    return failures.Value() - before;
+  };
+  const std::string intact_dir = CheckpointDir("shape_intact");
+  const std::string emptied_dir = CheckpointDir("shape_empty");
+  const int64_t intact =
+      resume_load_failures(intact_dir, /*empty_semantic=*/false);
+  const int64_t emptied =
+      resume_load_failures(emptied_dir, /*empty_semantic=*/true);
+  EXPECT_EQ(emptied, intact + 1);
+  fs::remove_all(intact_dir);
+  fs::remove_all(emptied_dir);
+}
+
 TEST_F(DagPipelineTest, BothChannelsDisabledIsInvalidArgument) {
   LargeEaOptions options = BaseOptions();
   options.use_name_channel = false;
@@ -425,7 +510,6 @@ TEST_F(DagPipelineTest, TraceShowsNodeSpansAndFlowEvents) {
   recorder.Clear();
   recorder.Enable();
   LargeEaOptions options = BaseOptions();
-  options.dag = true;
   const auto run = RunLargeEa(dataset(), options);
   recorder.Disable();
   ASSERT_TRUE(run.ok());

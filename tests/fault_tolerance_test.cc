@@ -20,10 +20,12 @@
 #include "src/common/flags.h"
 #include "src/core/config.h"
 #include "src/core/large_ea.h"
+#include "src/core/pipeline_fingerprint.h"
 #include "src/gen/benchmark_gen.h"
 #include "src/kg/dataset.h"
 #include "src/kg/kg_io.h"
 #include "src/par/thread_pool.h"
+#include "src/rt/checkpoint.h"
 #include "src/rt/fault_injection.h"
 #include "src/rt/io_util.h"
 #include "src/shard/orchestrator.h"
@@ -665,6 +667,45 @@ TEST_F(ShardChaosTest, OrchestratorKilledBeforeMergeResumesWithoutWorkers) {
   ExpectBitIdentical(baseline, *resumed);
   EXPECT_EQ(stats.workers_launched, 0);
   EXPECT_EQ(stats.shards_resumed, 3);
+}
+
+TEST_F(ShardChaosTest, BudgetedShardedRunResumesAfterFusionEdit) {
+  // A sharded run under a tiny budget must checkpoint the name channel
+  // in full, as any run does: a later resume that rejects the fused name
+  // matrix (its string weight changed) rebuilds it from name_semantic and
+  // name_string, which therefore must hold every source row.
+  const std::string ckpt = CheckpointDir("budget_resume");
+  const std::vector<std::string> budget = {"--memory-budget-mb=1",
+                                           "--stream-tile-rows=64"};
+  std::vector<std::string> args = AlignArgs(ckpt);
+  args.insert(args.end(), budget.begin(), budget.end());
+  shard::ShardOptions sharding = FastShardOptions(2, ckpt);
+  sharding.worker_command.insert(sharding.worker_command.end(),
+                                 budget.begin(), budget.end());
+  const LargeEaOptions options = OptionsFromArgs(args);
+  const auto sharded = shard::RunShardedLargeEa(dataset(), options, sharding);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+
+  rt::CheckpointManager checkpoint = MakePipelineCheckpointManager(
+      dataset(), options, ckpt, /*resume=*/true);
+  for (const char* kind : {"name_semantic", "name_string"}) {
+    const auto matrix = checkpoint.LoadMatrix(kind);
+    ASSERT_TRUE(matrix.ok()) << kind << ": " << matrix.status().ToString();
+    ASSERT_EQ(matrix->num_rows(), dataset().source.num_entities()) << kind;
+  }
+
+  // An unsharded resume with the fusion edit equals a fresh run of the
+  // edited configuration, bit for bit.
+  args.push_back("--string-weight=0.5");
+  LargeEaOptions edited = OptionsFromArgs(args);
+  edited.fault_tolerance.resume = true;
+  const auto resumed = RunLargeEa(dataset(), edited);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  LargeEaOptions fresh = edited;
+  fresh.fault_tolerance = {};
+  const auto baseline = RunLargeEa(dataset(), fresh);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ExpectBitIdentical(*baseline, *resumed);
 }
 
 TEST_F(ShardChaosTest, CliShardedRunReportsShardMetrics) {

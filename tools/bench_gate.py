@@ -13,8 +13,9 @@ key columns, so a re-ordered or extended sweep still gates correctly:
                                       + utilization / imbalance_ratio
     tune    -> (param, candidate)     schema-checked only (timings of
                                       autotune candidates, no gate)
-    dag     -> (row,)                 schema-checked only (serial vs
-                                      DAG wall clock, node timings)
+    dag     -> (row,)                 schema-checked only (DAG wall
+                                      clock at concurrency 1 vs the
+                                      pool's, node timings)
     serve   -> (targets, path)        on items_per_sec (QPS)
                                       + recall_at_k on name_ann rows
 

@@ -18,10 +18,11 @@
 #     --mode=tune --json-out, DESIGN.md §13): one row per
 #     (param, candidate) with the winner flagged. TUNE_SCALE shrinks
 #     the sweep shapes;
-#   * BENCH_dag.json — serial vs operator-DAG executor on the full
-#     pipeline (bench_micro --mode=dag --json-out, DESIGN.md §14):
-#     both wall clocks, per-node timings, and the node-level critical
-#     path, with bit-identity asserted. DAG_SCALE tunes the dataset;
+#   * BENCH_dag.json — the operator-DAG executor on the full pipeline
+#     at max_concurrency 1 (serial order) vs the pool's thread count
+#     (bench_micro --mode=dag --json-out, DESIGN.md §14): both wall
+#     clocks, per-node timings, and the node-level critical path, with
+#     bit-identity asserted. DAG_SCALE tunes the dataset;
 #   * BENCH_serve.json — single-query latency/QPS of the serving layer
 #     (bench_micro --mode=serve --json-out, DESIGN.md §15): per index
 #     size, the entity path, the ANN name path, and the exact-scan name

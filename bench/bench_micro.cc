@@ -17,11 +17,13 @@
 //     perf trajectory invokes it as
 //     `--mode=backend --json-out=BENCH_simd.json`;
 //   * --json-out=FILE --mode=stream — a memory-budget sweep of the
-//     streaming layer (DESIGN.md §10): the name-channel pipeline runs
-//     unbudgeted to record its tracked peak and fused-matrix hash, then
-//     again under budgets of 1/2, 1/4, and 1/8 of that peak. Rows carry
-//     the observed peak, wall time, and whether the fused matrix stayed
-//     bit-identical. The perf trajectory invokes it as
+//     streaming layer (DESIGN.md §10): per SENS path (exact, lsh), the
+//     name-channel pipeline runs unbudgeted to record its tracked peak
+//     and fused-matrix hash, then once under each distinct budget among
+//     1/2, 1/4, and 1/8 of that peak (floored at 1 MiB). Rows, keyed
+//     (path, budget_mb), carry the observed peak, wall time, tile
+//     reloads (stream.cache.misses), and whether the fused matrix
+//     stayed bit-identical. The perf trajectory invokes it as
 //     `--mode=stream --json-out=BENCH_stream.json`;
 //   * --json-out=FILE --mode=profile — the kernel-scaling sweep with the
 //     profiler (DESIGN.md §11) enabled: the same threads x kernels grid,
@@ -85,6 +87,7 @@
 #include "src/name/semantic_encoder.h"
 #include "src/nn/batch_graph.h"
 #include "src/nn/ea_model.h"
+#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/par/parallel_for.h"
@@ -659,10 +662,13 @@ int RunBackendMatrix(const Flags& flags) {
 
 // ---------------------------------------------------------------------
 // Streaming budget sweep (--mode=stream): the name-channel pipeline on a
-// generated dataset, first unbudgeted (recording the tracked peak and
-// the fused matrix's hash), then under successively tighter budgets.
-// The determinism contract extends to streaming (DESIGN.md §10): every
-// budgeted row must reproduce the unbudgeted fused matrix bit-for-bit.
+// generated dataset, per SENS path (exact scan, LSH), first unbudgeted
+// (recording the tracked peak and the fused matrix's hash), then under
+// each distinct budget among 1/2, 1/4 and 1/8 of that peak (floored at
+// 1 MiB, so small datasets collapse them). The determinism contract
+// extends to streaming (DESIGN.md §10): every budgeted row must
+// reproduce its path's unbudgeted fused matrix bit-for-bit. Rows also
+// carry the tile reloads the run paid (stream.cache.misses).
 
 uint64_t FusedMatrixHash(const SparseSimMatrix& m) {
   std::string bytes;
@@ -680,63 +686,69 @@ int RunStreamSweep(const Flags& flags) {
   const double scale = flags.GetDouble("scale", 0.2);
   BenchmarkSpec spec = Ids15kSpec(LanguagePair::kEnFr, scale);
   const EaDataset dataset = GenerateBenchmark(spec);
-
-  // Name channel only: those are the streamed whole-graph phases
-  // (semantic top-k, NFF fusion, fused-matrix construction); structure
-  // training would just add budget-independent wall time.
-  LargeEaOptions options;
-  options.use_structure_channel = false;
-  options.name_channel.nff.sens.use_lsh = flags.GetBool("use-lsh", false);
+  const obs::Counter& misses =
+      obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
 
   struct RunResult {
     double seconds = 0.0;
     int64_t peak_bytes = 0;
     uint64_t fused_hash = 0;
+    int64_t cache_misses = 0;
   };
-  const auto run_once = [&](int64_t budget_mb) -> RunResult {
-    LargeEaOptions run_options = options;
+  const auto run_once = [&](bool use_lsh, int64_t budget_mb) -> RunResult {
+    // Name channel only: those are the streamed whole-graph phases
+    // (semantic top-k, NFF fusion, fused-matrix construction); structure
+    // training would just add budget-independent wall time.
+    LargeEaOptions options;
+    options.use_structure_channel = false;
+    options.name_channel.nff.sens.use_lsh = use_lsh;
     // 0 disables streaming explicitly (the env var only applies to the
     // unset sentinel -1), so the baseline is the historical path.
-    run_options.stream.memory_budget_mb = budget_mb;
-    auto run = RunLargeEa(dataset, run_options);
+    options.stream.memory_budget_mb = budget_mb;
+    const int64_t misses_before = misses.Value();
+    auto run = RunLargeEa(dataset, options);
     LARGEEA_CHECK(run.ok());
     return RunResult{run->total_seconds, run->peak_bytes,
-                     FusedMatrixHash(run->fused)};
+                     FusedMatrixHash(run->fused),
+                     misses.Value() - misses_before};
   };
 
-  std::printf("%-12s %12s %12s %10s %10s\n", "budget_mb", "peak",
-              "seconds", "identical", "compliant");
-  const RunResult baseline = run_once(0);
-  std::printf("%-12s %12s %12.3f %10s %10s\n", "unbudgeted",
-              bench::FormatBytes(baseline.peak_bytes).c_str(),
-              baseline.seconds, "-", "-");
-  {
-    bench::BenchJson::Row row;
-    row.Set("budget_mb", int64_t{0})
-        .Set("peak_bytes", baseline.peak_bytes)
-        .Set("seconds", baseline.seconds)
-        .Set("identical", true)
-        .Set("compliant", true);
-    json.Add(std::move(row));
-  }
-  for (const int64_t divisor : {2, 4, 8}) {
-    const int64_t budget_mb =
-        std::max<int64_t>(1, baseline.peak_bytes / divisor / (1 << 20));
-    const RunResult budgeted = run_once(budget_mb);
-    const bool identical = budgeted.fused_hash == baseline.fused_hash;
-    const bool compliant = budgeted.peak_bytes <= budget_mb * (1 << 20);
-    std::printf("%-12lld %12s %12.3f %10s %10s\n",
+  std::printf("%-6s %10s %12s %10s %12s %10s %10s\n", "path", "budget_mb",
+              "peak", "seconds", "tile_misses", "identical", "compliant");
+  const auto add_row = [&](const char* path, int64_t budget_mb,
+                           const RunResult& run, bool identical) {
+    const bool compliant =
+        budget_mb == 0 || run.peak_bytes <= budget_mb * (1 << 20);
+    std::printf("%-6s %10lld %12s %10.3f %12lld %10s %10s\n", path,
                 static_cast<long long>(budget_mb),
-                bench::FormatBytes(budgeted.peak_bytes).c_str(),
-                budgeted.seconds, identical ? "yes" : "NO",
-                compliant ? "yes" : "NO");
+                bench::FormatBytes(run.peak_bytes).c_str(), run.seconds,
+                static_cast<long long>(run.cache_misses),
+                identical ? "yes" : "NO", compliant ? "yes" : "NO");
     bench::BenchJson::Row row;
-    row.Set("budget_mb", budget_mb)
-        .Set("peak_bytes", budgeted.peak_bytes)
-        .Set("seconds", budgeted.seconds)
+    row.Set("path", path)
+        .Set("budget_mb", budget_mb)
+        .Set("peak_bytes", run.peak_bytes)
+        .Set("seconds", run.seconds)
+        .Set("cache_misses", run.cache_misses)
         .Set("identical", identical)
         .Set("compliant", compliant);
     json.Add(std::move(row));
+  };
+  for (const bool use_lsh : {false, true}) {
+    const char* path = use_lsh ? "lsh" : "exact";
+    const RunResult baseline = run_once(use_lsh, 0);
+    add_row(path, 0, baseline, true);
+    int64_t last_budget_mb = 0;
+    for (const int64_t divisor : {2, 4, 8}) {
+      const int64_t budget_mb =
+          std::max<int64_t>(1, baseline.peak_bytes / divisor / (1 << 20));
+      // Budgets only shrink with the divisor, so repeats are adjacent.
+      if (budget_mb == last_budget_mb) continue;
+      last_budget_mb = budget_mb;
+      const RunResult budgeted = run_once(use_lsh, budget_mb);
+      add_row(path, budget_mb, budgeted,
+              budgeted.fused_hash == baseline.fused_hash);
+    }
   }
   par::ThreadPool::Get().Shutdown();
   json.Write();

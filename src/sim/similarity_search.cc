@@ -239,8 +239,8 @@ class StreamedLshSearch : public SimilaritySearch {
   void SearchInto(const MatrixRowRange& source,
                   std::span<const EntityId> row_ids,
                   SparseSimMatrix& out) const override {
-    LshTopKStreamedInto(source, row_ids, *target_, index_, options_.topk,
-                        out);
+    LshTopKStreamedInto(source, row_ids, *target_, index_, options_.prefetch,
+                        options_.topk, out);
   }
 
   void QueryTopK(std::span<const float> query, int32_t k,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/macros.h"
+#include "src/common/memory_tracker.h"
 #include "src/la/ops.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -179,57 +180,106 @@ void ExactTopKStreamedInto(const MatrixRowRange& source,
 void LshTopKStreamedInto(const MatrixRowRange& source,
                          std::span<const EntityId> row_ids,
                          const stream::TileMatrix& target,
-                         const LshIndex& index, const TopKOptions& options,
-                         SparseSimMatrix& out) {
+                         const LshIndex& index, bool prefetch,
+                         const TopKOptions& options, SparseSimMatrix& out) {
   LARGEEA_CHECK(target.complete());
   LARGEEA_CHECK_EQ(source.cols(), target.cols());
   LARGEEA_CHECK_EQ(source.cols(), index.dim());
   LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
+  LARGEEA_CHECK_GT(options.k, 0);
   const int64_t dim = source.cols();
-  const int64_t tile_rows = target.tile_rows();
   const simd::KernelTable& kt = simd::Kernels();
 
   obs::ProfileScope prof("sim.topk.lsh");
   prof.AddBytes(4 * source.rows() * dim, source.rows() * options.k * 8);
 
-  std::atomic<int64_t> candidates_total{0};
+  // Tile-major sweep. Step 1 plans the block: every row's sorted LSH
+  // candidates, queried in parallel. Step 2 pins each needed target
+  // tile once and offers every row its candidates inside that tile, so
+  // a block reads each tile at most once instead of once per row. Each
+  // row's heap lives across the tiles and sees its candidates in the
+  // same ascending order as LshTopKInto, so the kept set and its drain
+  // order (and hence the output bytes) are identical.
+  struct RowSweep {
+    std::vector<int32_t> candidates;  ///< sorted target rows
+    size_t next = 0;                  ///< first candidate not yet offered
+    TopKHeap heap;
+  };
+  std::vector<RowSweep> sweep(static_cast<size_t>(source.rows()),
+                              RowSweep{{}, 0, TopKHeap(options.k)});
   const int64_t row_grain =
       tune::TuneTable::Get().TopKRowGrain(source.rows());
   par::ParallelFor(
       0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-        TopKHeap heap(options.k);
-        std::vector<std::pair<float, int32_t>> drained;
+        // Query() leaves pre-dedup capacity behind; the plan keeps
+        // exact-size copies so its tracked bytes are its real bytes.
         std::vector<int32_t> candidates;
-        int64_t candidates_scanned = 0;
-        // Pin of the tile the current candidate run lives in. Candidates
-        // are sorted, so each row pins each needed tile exactly once.
-        std::shared_ptr<const Matrix> tile;
-        int64_t tile_idx = -1;
         for (int64_t i = rows.begin; i < rows.end; ++i) {
-          LARGEEA_TRACE_HOT_SPAN("topk/lsh_row");
-          heap.Clear();
-          const float* src = source.Row(i);
-          index.Query(src, candidates);
-          candidates_scanned += static_cast<int64_t>(candidates.size());
-          for (const int32_t j : candidates) {
-            const int64_t t = j / tile_rows;
-            if (t != tile_idx) {
-              tile = target.Tile(t);
-              tile_idx = t;
+          LARGEEA_TRACE_HOT_SPAN("topk/lsh_plan_row");
+          index.Query(source.Row(i), candidates);
+          sweep[i].candidates.assign(candidates.begin(), candidates.end());
+        }
+      });
+  // The plan and the heaps stay live for the whole sweep; tracking them
+  // lets the tile cache's headroom and the budget's peak see them.
+  int64_t candidates_scanned = 0;
+  for (const RowSweep& row : sweep) {
+    candidates_scanned += static_cast<int64_t>(row.candidates.size());
+  }
+  const TrackedAllocation tracked_sweep(
+      candidates_scanned * static_cast<int64_t>(sizeof(int32_t)) +
+      source.rows() * options.k *
+          static_cast<int64_t>(sizeof(std::pair<float, int32_t>)));
+
+  // Tiles no row of the block has a candidate in are never pinned, so a
+  // small block (tiny tiles) reads no more tiles than its candidates
+  // touch. Sorted candidates let each row jump a whole tile at a time.
+  std::vector<char> needed(static_cast<size_t>(target.num_tiles()), 0);
+  for (const RowSweep& row : sweep) {
+    for (auto it = row.candidates.begin(); it != row.candidates.end();) {
+      const int64_t t = *it / target.tile_rows();
+      needed[t] = 1;
+      it = std::lower_bound(it, row.candidates.end(), target.TileEnd(t));
+    }
+  }
+  std::vector<int64_t> tiles;
+  for (int64_t t = 0; t < target.num_tiles(); ++t) {
+    if (needed[t]) tiles.push_back(t);
+  }
+
+  for (size_t n = 0; n < tiles.size(); ++n) {
+    if (prefetch && n + 1 < tiles.size()) target.Prefetch(tiles[n + 1]);
+    const int64_t t = tiles[n];
+    const std::shared_ptr<const Matrix> tile = target.Tile(t);
+    const int64_t tile_begin = target.TileBegin(t);
+    const int64_t tile_end = target.TileEnd(t);
+    par::ParallelFor(
+        0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
+          for (int64_t i = rows.begin; i < rows.end; ++i) {
+            RowSweep& row = sweep[i];
+            const float* src = source.Row(i);
+            for (; row.next < row.candidates.size() &&
+                   row.candidates[row.next] < tile_end;
+                 ++row.next) {
+              const int32_t j = row.candidates[row.next];
+              row.heap.Offer(j, ScorePair(kt, src, tile->Row(j - tile_begin),
+                                          dim, options.metric));
             }
-            heap.Offer(j, ScorePair(kt, src, tile->Row(j - t * tile_rows),
-                                    dim, options.metric));
           }
-          heap.Drain(drained);
+        });
+  }
+
+  // Same direct scatter as LshTopKInto: disjoint rows, disjoint writes.
+  par::ParallelFor(
+      0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
+        std::vector<std::pair<float, int32_t>> drained;
+        for (int64_t i = rows.begin; i < rows.end; ++i) {
+          sweep[i].heap.Drain(drained);
           for (const auto& [score, j] : drained) {
             out.Accumulate(row_ids[i], j, score);
           }
         }
-        candidates_total.fetch_add(candidates_scanned,
-                                   std::memory_order_relaxed);
       });
-  const int64_t candidates_scanned =
-      candidates_total.load(std::memory_order_relaxed);
   prof.AddBytes(4 * candidates_scanned * dim, 0);
   prof.AddFlops(2 * candidates_scanned * dim);
   auto& registry = obs::MetricsRegistry::Get();

@@ -78,16 +78,20 @@ void ExactTopKStreamedInto(const MatrixRowRange& source,
                            const stream::TileMatrix& target, bool prefetch,
                            const TopKOptions& options, SparseSimMatrix& out);
 
-/// Memory-budgeted approximate variant: candidates from `index` (built
-/// over the tiled target, e.g. incrementally) are scored by pinning each
-/// candidate's tile. Candidates arrive sorted, so each row touches every
-/// needed tile once. Bit-identical to LshTopKInto over the same target.
-/// Column ids are the target's absolute row indices.
+/// Memory-budgeted approximate variant, swept tile-major: the block's
+/// rows are first queried against `index` (built over the tiled target,
+/// e.g. incrementally) into a tracked plan of sorted candidate lists;
+/// then each target tile holding a candidate is pinned once, in order
+/// (prefetching the next such tile when `prefetch`), and every row
+/// scores its candidates inside it into a heap kept across tiles. A
+/// call therefore pins each tile at most once, however many rows it
+/// has. Bit-identical to LshTopKInto over the same target. Column ids
+/// are the target's absolute row indices.
 void LshTopKStreamedInto(const MatrixRowRange& source,
                          std::span<const EntityId> row_ids,
                          const stream::TileMatrix& target,
-                         const LshIndex& index, const TopKOptions& options,
-                         SparseSimMatrix& out);
+                         const LshIndex& index, bool prefetch,
+                         const TopKOptions& options, SparseSimMatrix& out);
 
 }  // namespace largeea
 

@@ -6,7 +6,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <string_view>
+#include <vector>
 
 #include "src/obs/json_writer.h"
 #include "src/rt/io_util.h"
@@ -257,8 +259,17 @@ const TuneTable& TuneTable::Get() {
 }
 
 void TuneTable::Set(const TuneOverrides& overrides) {
-  // Deliberately leaked: kernels may hold a reference across the swap.
-  TableSlot().store(new TuneTable(overrides), std::memory_order_release);
+  // Replaced tables are never freed, since kernels may hold a reference
+  // across the swap. They stay reachable from `retired`, so the leak
+  // checker of the ASan builds does not report them.
+  static std::mutex mu;
+  static auto* const retired = new std::vector<const TuneTable*>();
+  const TuneTable* previous = TableSlot().exchange(
+      new TuneTable(overrides), std::memory_order_acq_rel);
+  if (previous != nullptr) {
+    std::lock_guard<std::mutex> lock(mu);
+    retired->push_back(previous);
+  }
 }
 
 int64_t TuneTable::GemmRowGrain(int64_t m) const {

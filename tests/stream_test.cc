@@ -1,6 +1,8 @@
 // The memory-budgeted streaming layer (DESIGN.md §10): tile spill and
 // reload round-trip bit-exactly, the LRU cache evicts under a tiny
-// budget and transparently reloads, FuseStreamed matches Fuse entry for
+// budget and transparently reloads, the tile-major streamed LSH kernel
+// matches the in-memory one byte for byte while reading each tile at
+// most once per source block, FuseStreamed matches Fuse entry for
 // entry, and the full budgeted pipeline reproduces the unbudgeted fused
 // matrix and metrics bit-identically — at any thread count and on every
 // SIMD backend this CPU has.
@@ -9,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -21,7 +24,10 @@
 #include "src/par/thread_pool.h"
 #include "src/rt/fault_injection.h"
 #include "src/rt/io_util.h"
+#include "src/sim/lsh.h"
+#include "src/sim/similarity_search.h"
 #include "src/sim/sparse_sim.h"
+#include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
 #include "src/stream/memory_budget.h"
 #include "src/stream/stream_options.h"
@@ -224,6 +230,185 @@ TEST(TileMatrixTest, AppendAndTileViewsCoverAllRows) {
   }
 }
 
+// ---------------------------------------------------------------------
+// The streamed LSH kernel: tile-major over the target, bit-identical to
+// the in-memory kernel, and reading each tile at most once per block.
+
+// Cuts `full` into `tile_rows`-row tiles appended to a TileMatrix.
+stream::TileMatrix TileCopy(stream::TileStore& store, const Matrix& full,
+                            int64_t tile_rows) {
+  stream::TileMatrix tiles(&store, full.rows(), full.cols(), tile_rows);
+  for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+    Matrix block(tiles.TileEnd(t) - tiles.TileBegin(t), full.cols());
+    const float* first = full.Row(tiles.TileBegin(t));
+    std::copy(first, first + block.size(), block.data());
+    tiles.Append(std::move(block));
+  }
+  return tiles;
+}
+
+void ExpectSparseEq(const SparseSimMatrix& a, const SparseSimMatrix& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (int32_t r = 0; r < a.num_rows(); ++r) {
+    const auto ra = a.Row(r);
+    const auto rb = b.Row(r);
+    ASSERT_EQ(ra.size(), rb.size()) << "row " << r;
+    for (size_t i = 0; i < ra.size(); ++i) {
+      ASSERT_EQ(ra[i].column, rb[i].column) << "row " << r;
+      // Bit-exact on purpose: streaming must not perturb one ulp.
+      ASSERT_EQ(ra[i].score, rb[i].score) << "row " << r;
+    }
+  }
+}
+
+class StreamedTopKTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kTileRows = 32;
+  static constexpr int64_t kNumTiles = 10;
+
+  void SetUp() override {
+    saved_threads_ = par::ThreadPool::Get().num_threads();
+  }
+  void TearDown() override {
+    par::ThreadPool::Get().SetNumThreads(saved_threads_);
+  }
+
+  // Few short hashes make wide buckets, so every row's candidates
+  // spread over most of the target and cross many tile boundaries.
+  static LshOptions WideBuckets() {
+    LshOptions lsh;
+    lsh.num_tables = 3;
+    lsh.bits_per_table = 3;
+    return lsh;
+  }
+
+  // One SearchInto of source_ (a single block) against tiles_ through
+  // the streamed LSH search. Returns the result; `misses` and `issued`
+  // receive the call's stream.cache.misses and stream.prefetch.issued.
+  SparseSimMatrix SearchBlock(bool prefetch, int64_t* misses,
+                              int64_t* issued) const {
+    SimilaritySearchOptions options;
+    options.use_lsh = true;
+    options.lsh = WideBuckets();
+    options.prefetch = prefetch;
+    const std::unique_ptr<SimilaritySearch> search =
+        MakeStreamedSimilaritySearch(tiles_, options);
+    auto& metrics = obs::MetricsRegistry::Get();
+    const int64_t misses_before =
+        metrics.GetCounter("stream.cache.misses").Value();
+    const int64_t issued_before =
+        metrics.GetCounter("stream.prefetch.issued").Value();
+    std::vector<EntityId> row_ids(source_.rows());
+    std::iota(row_ids.begin(), row_ids.end(), 0);
+    SparseSimMatrix out(static_cast<int32_t>(source_.rows()),
+                        static_cast<int32_t>(target_.rows()), 10);
+    search->SearchInto(source_, row_ids, out);
+    *misses = metrics.GetCounter("stream.cache.misses").Value() -
+              misses_before;
+    *issued = metrics.GetCounter("stream.prefetch.issued").Value() -
+              issued_before;
+    return out;
+  }
+
+  int32_t saved_threads_ = 1;
+  // Tracked ballast past the 1 MiB budget pins the cache at its floor
+  // of three tiles, so a tile read twice is a reload.
+  const TrackedAllocation ballast_{int64_t{4} << 20};
+  stream::TileStore store_{BudgetOfMb(1)};
+  const Matrix target_ = RandomMatrix(kTileRows * kNumTiles, 64, 31);
+  const Matrix source_ = RandomMatrix(kTileRows, 64, 32);
+  const stream::TileMatrix tiles_ = TileCopy(store_, target_, kTileRows);
+};
+
+TEST_F(StreamedTopKTest, LshMatchesInMemoryAcrossTileRowsAndThreads) {
+  constexpr int64_t kTargetRows = 150;
+  constexpr int64_t kDim = 16;
+  Matrix target = RandomMatrix(kTargetRows, kDim, 21);
+  // Exact duplicates score identically against every source row, so the
+  // k-boundary and the drain order both go through the id tie-break.
+  for (int64_t r = 0; r + 1 < kTargetRows; r += 5) {
+    std::copy(target.Row(r), target.Row(r) + kDim, target.Row(r + 1));
+  }
+  const Matrix source = RandomMatrix(40, kDim, 22);
+  // Rows land at an offset in a larger matrix, as segmented callers do.
+  std::vector<EntityId> row_ids(source.rows());
+  std::iota(row_ids.begin(), row_ids.end(), 3);
+  std::vector<EntityId> col_ids(kTargetRows);
+  std::iota(col_ids.begin(), col_ids.end(), 0);
+  const LshIndex index(target, WideBuckets());
+  const TopKOptions topk{.k = 7, .metric = SimMetric::kManhattan};
+
+  SparseSimMatrix expected(50, kTargetRows, topk.k);
+  LshTopKInto(source, row_ids, target, col_ids, index, topk, expected);
+  int64_t ties = 0;
+  for (int32_t r = 0; r < expected.num_rows(); ++r) {
+    const auto row = expected.Row(r);
+    for (size_t i = 1; i < row.size(); ++i) {
+      ties += row[i].score == row[i - 1].score;
+    }
+  }
+  ASSERT_GT(ties, 0);
+
+  for (const int64_t tile_rows : {int64_t{1}, int64_t{7}, int64_t{64},
+                                  kTargetRows}) {
+    const stream::TileMatrix tiles = TileCopy(store_, target, tile_rows);
+    for (const int32_t threads : {1, 2, 8}) {
+      par::ThreadPool::Get().SetNumThreads(threads);
+      SparseSimMatrix streamed(50, kTargetRows, topk.k);
+      LshTopKStreamedInto(source, row_ids, tiles, index, /*prefetch=*/true,
+                          topk, streamed);
+      SCOPED_TRACE(testing::Message() << "tile_rows=" << tile_rows
+                                      << " threads=" << threads);
+      ExpectSparseEq(expected, streamed);
+    }
+  }
+}
+
+TEST_F(StreamedTopKTest, LshSearchReadsEachTileAtMostOncePerBlock) {
+  int64_t misses = 0;
+  int64_t issued = 0;
+  const SparseSimMatrix out = SearchBlock(/*prefetch=*/false, &misses, &issued);
+  EXPECT_EQ(out.TotalEntries(), source_.rows() * 10);
+  EXPECT_LE(misses, kNumTiles);
+  EXPECT_EQ(issued, 0);
+}
+
+TEST_F(StreamedTopKTest, LshSearchPinsOnlyTilesHoldingCandidates) {
+  // One-row tiles and a one-row block: the row's candidates are a small
+  // share of the target, and no other tile may be read.
+  stream::TileStore store(BudgetOfMb(1));
+  const stream::TileMatrix one_row_tiles = TileCopy(store, target_, 1);
+  SimilaritySearchOptions options;
+  options.use_lsh = true;
+  options.prefetch = false;
+  const std::unique_ptr<SimilaritySearch> search =
+      MakeStreamedSimilaritySearch(one_row_tiles, options);
+  std::vector<int32_t> candidates;
+  LshIndex(target_, options.lsh).Query(source_.Row(0), candidates);
+  ASSERT_LT(static_cast<int64_t>(candidates.size()), target_.rows() / 2);
+
+  auto& misses = obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
+  const int64_t misses_before = misses.Value();
+  const std::vector<EntityId> row_ids = {0};
+  SparseSimMatrix out(1, static_cast<int32_t>(target_.rows()), 10);
+  search->SearchInto(MatrixRowRange(source_, 0, 1), row_ids, out);
+  EXPECT_LE(misses.Value() - misses_before,
+            static_cast<int64_t>(candidates.size()));
+}
+
+TEST_F(StreamedTopKTest, LshSearchPrefetchesOnlyWhenAsked) {
+  int64_t misses = 0;
+  int64_t issued_off = 0;
+  int64_t issued_on = 0;
+  const SparseSimMatrix off = SearchBlock(/*prefetch=*/false, &misses,
+                                          &issued_off);
+  const SparseSimMatrix on = SearchBlock(/*prefetch=*/true, &misses,
+                                         &issued_on);
+  EXPECT_EQ(issued_off, 0);
+  EXPECT_GT(issued_on, 0);
+  ExpectSparseEq(off, on);
+}
+
 SparseSimMatrix RandomSparse(int32_t rows, int32_t cols, int32_t per_row,
                              uint64_t seed) {
   Rng rng(seed);
@@ -245,16 +430,7 @@ TEST(FuseStreamedTest, MatchesFuseBitForBit) {
   const SparseSimMatrix streamed = SparseSimMatrix::FuseStreamed(
       SparseSimMatrix(a), SparseSimMatrix(b), 1.0f, 0.05f, 30,
       /*rows_per_block=*/64);
-  ASSERT_EQ(fused.num_rows(), streamed.num_rows());
-  for (int32_t r = 0; r < fused.num_rows(); ++r) {
-    const auto fr = fused.Row(r);
-    const auto sr = streamed.Row(r);
-    ASSERT_EQ(fr.size(), sr.size()) << "row " << r;
-    for (size_t i = 0; i < fr.size(); ++i) {
-      ASSERT_EQ(fr[i].column, sr[i].column) << "row " << r;
-      ASSERT_EQ(fr[i].score, sr[i].score) << "row " << r;
-    }
-  }
+  ExpectSparseEq(fused, streamed);
 }
 
 uint64_t FusedHash(const SparseSimMatrix& m) {
@@ -296,17 +472,7 @@ class StreamPipelineTest : public ::testing::Test {
 
   static void ExpectSameResult(const LargeEaResult& a,
                                const LargeEaResult& b) {
-    ASSERT_EQ(a.fused.num_rows(), b.fused.num_rows());
-    for (int32_t r = 0; r < a.fused.num_rows(); ++r) {
-      const auto ra = a.fused.Row(r);
-      const auto rb = b.fused.Row(r);
-      ASSERT_EQ(ra.size(), rb.size()) << "row " << r;
-      for (size_t i = 0; i < ra.size(); ++i) {
-        ASSERT_EQ(ra[i].column, rb[i].column) << "row " << r;
-        // Bit-exact on purpose: the budget must not perturb one ulp.
-        ASSERT_EQ(ra[i].score, rb[i].score) << "row " << r;
-      }
-    }
+    ExpectSparseEq(a.fused, b.fused);
     EXPECT_EQ(a.effective_seeds, b.effective_seeds);
     EXPECT_DOUBLE_EQ(a.metrics.hits_at_1, b.metrics.hits_at_1);
     EXPECT_DOUBLE_EQ(a.metrics.hits_at_5, b.metrics.hits_at_5);
@@ -371,9 +537,18 @@ TEST_F(StreamPipelineTest, LshPathStreamsBitIdentically) {
 
   options.stream.memory_budget_mb = 1;
   options.stream.tile_rows = 64;
-  const auto streamed = RunLargeEa(dataset, options);
-  ASSERT_TRUE(streamed.ok());
-  ExpectSameResult(*baseline, *streamed);
+  auto& issued =
+      obs::MetricsRegistry::Get().GetCounter("stream.prefetch.issued");
+  for (const bool prefetch : {true, false}) {
+    options.stream.prefetch = prefetch;
+    const int64_t issued_before = issued.Value();
+    const auto streamed = RunLargeEa(dataset, options);
+    ASSERT_TRUE(streamed.ok()) << "prefetch=" << prefetch;
+    ExpectSameResult(*baseline, *streamed);
+    if (!prefetch) {
+      EXPECT_EQ(issued.Value(), issued_before);
+    }
+  }
 }
 
 TEST_F(StreamPipelineTest, HalfBudgetRunStaysUnderBudgetBitIdentically) {

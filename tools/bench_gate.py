@@ -11,6 +11,10 @@ key columns, so a re-ordered or extended sweep still gates correctly:
     simd    -> (kernel, backend)      on items_per_sec
     profile -> (kernel, threads)      on items_per_sec
                                       + utilization / imbalance_ratio
+    stream  -> (path, budget_mb)      schema-checked only (per SENS
+                                      path, the unbudgeted run and each
+                                      distinct budget: peak, seconds,
+                                      tile reloads, bit-identity)
     tune    -> (param, candidate)     schema-checked only (timings of
                                       autotune candidates, no gate)
     dag     -> (row,)                 schema-checked only (DAG wall
@@ -53,7 +57,7 @@ KEY_COLUMNS = {
     "par": ("kernel", "threads"),
     "simd": ("kernel", "backend"),
     "profile": ("kernel", "threads"),
-    "stream": ("budget_mb",),
+    "stream": ("path", "budget_mb"),
     "tune": ("param", "candidate"),
     "dag": ("row",),
     "serve": ("targets", "path"),

@@ -10,10 +10,11 @@
 #     (bench_micro --mode=profile --json-out, DESIGN.md §11): rows add
 #     utilization, chunk-imbalance, GB/s, arithmetic intensity;
 #   * BENCH_stream.json — memory-budget sweep of the streaming layer:
-#     unbudgeted peak, then budgets of 1/2, 1/4, 1/8 of it, each row
-#     recording peak/seconds and that the fused matrix stayed
-#     bit-identical (bench_micro --mode=stream --json-out,
-#     DESIGN.md §10). STREAM_SCALE tunes the dataset size;
+#     per SENS path (exact, lsh), the unbudgeted peak, then each
+#     distinct budget among 1/2, 1/4, 1/8 of it (floored at 1 MiB),
+#     each row recording peak/seconds/tile reloads and that the fused
+#     matrix stayed bit-identical (bench_micro --mode=stream
+#     --json-out, DESIGN.md §10). STREAM_SCALE tunes the dataset size;
 #   * BENCH_tune.json — the autotune candidate sweep (bench_micro
 #     --mode=tune --json-out, DESIGN.md §13): one row per
 #     (param, candidate) with the winner flagged. TUNE_SCALE shrinks
@@ -100,8 +101,8 @@ esac
 
 if [[ "${MODE}" == "gate-check" ]]; then
   exec python3 tools/bench_gate.py --check \
-    BENCH_par.json BENCH_simd.json BENCH_profile.json BENCH_tune.json \
-    BENCH_dag.json BENCH_serve.json
+    BENCH_par.json BENCH_simd.json BENCH_profile.json BENCH_stream.json \
+    BENCH_tune.json BENCH_dag.json BENCH_serve.json
 fi
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

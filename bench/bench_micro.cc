@@ -33,14 +33,6 @@
 //     (bandwidth-bound vs imbalanced vs merge-serialised) from the JSON
 //     alone. The perf trajectory invokes it as
 //     `--mode=profile --json-out=BENCH_profile.json`;
-//   * --json-out=FILE --mode=tune — the autotune sweep (DESIGN.md §13):
-//     every tunable parameter's candidate list timed on representative
-//     shapes, one row per (param, candidate) with the winner flagged.
-//     --scale shrinks the shapes (CI uses a tiny scale) and --min-time
-//     sets the per-candidate timing window. --tune-out additionally
-//     persists the winners as a checksummed tuning file loadable via
-//     `largeea_cli --tune-file`. The perf trajectory invokes it as
-//     `--mode=tune --json-out=BENCH_tune.json`;
 //   * --json-out=FILE --mode=dag — the operator-DAG executor (DESIGN.md
 //     §14) on the full two-channel pipeline at max_concurrency 1 (the
 //     serial order) vs the pool's thread count: wall clock for both
@@ -102,8 +94,6 @@
 #include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
 #include "src/stream/stream_context.h"
-#include "src/tune/autotune.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 namespace {
@@ -464,50 +454,6 @@ int RunProfileSweep(const Flags& flags) {
     }
   }
   profiler.Clear();
-  par::ThreadPool::Get().Shutdown();
-  json.Write();
-  return 0;
-}
-
-// ---------------------------------------------------------------------
-// Autotune sweep (--mode=tune): tune::RunAutotune's candidate timings as
-// JSON rows, one per (param, candidate). candidate=0 is the analytic
-// default; `winner` marks the value RunAutotune would install. The pool
-// size is whatever --threads requests (0 = hardware), matching how the
-// CLI's --autotune runs.
-
-int RunTuneSweep(const Flags& flags) {
-  bench::BenchJson json(flags, "tune");
-  par::ThreadPool::Get().SetNumThreads(
-      static_cast<int32_t>(flags.GetInt("threads", 0)));
-  tune::AutotuneOptions options;
-  options.scale = flags.GetDouble("scale", 1.0);
-  options.min_seconds = flags.GetDouble("min-time", 0.05);
-  const tune::AutotuneResult result = tune::RunAutotune(options);
-
-  std::printf("%-22s %12s %14s %8s\n", "param", "candidate", "sec/iter",
-              "winner");
-  for (const tune::AutotuneRow& r : result.rows) {
-    std::printf("%-22s %12lld %14.6f %8s\n", r.param.c_str(),
-                static_cast<long long>(r.candidate), r.seconds,
-                r.winner ? "yes" : "");
-    bench::BenchJson::Row row;
-    row.Set("param", r.param)
-        .Set("candidate", r.candidate)
-        .Set("seconds", r.seconds)
-        .Set("winner", r.winner);
-    json.Add(std::move(row));
-  }
-  const std::string tune_out = flags.GetString("tune-out", "");
-  if (!tune_out.empty()) {
-    const Status saved = tune::SaveTuneFile(tune_out, result.winners);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "tune-out: %s\n",
-                   std::string(saved.message()).c_str());
-      return 1;
-    }
-    std::printf("winners -> %s\n", tune_out.c_str());
-  }
   par::ThreadPool::Get().Shutdown();
   json.Write();
   return 0;
@@ -1184,7 +1130,6 @@ int main(int argc, char** argv) {
     if (mode == "stream") return largeea::RunStreamSweep(flags);
     if (mode == "dag") return largeea::RunDagSweep(flags);
     if (mode == "profile") return largeea::RunProfileSweep(flags);
-    if (mode == "tune") return largeea::RunTuneSweep(flags);
     if (mode == "serve") return largeea::RunServeSweep(flags);
     return largeea::RunKernelScaling(flags);
   }

@@ -38,6 +38,10 @@
 //   largeea_cli partition   --source A.tsv --target B.tsv --seeds S.tsv
 //                           [--batches K]
 //       reports METIS-CPS vs VPS partition quality
+//
+// Every command accepts the Config flags plus the ones shown with it;
+// any other flag (a typo, or a flag that no longer exists) exits 2 and
+// names the flag.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -47,7 +51,9 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -78,7 +84,6 @@
 #include "src/shard/orchestrator.h"
 #include "src/shard/worker.h"
 #include "src/simd/simd.h"
-#include "src/tune/tune_table.h"
 
 using namespace largeea;
 
@@ -706,15 +711,39 @@ int main(int argc, char** argv) {
     return 0;
   }
   // One spelling per command: anything else, flags without a subcommand
-  // included, is rejected before a single flag is parsed.
-  constexpr std::string_view kCommands[] = {
-      "generate", "run", "index-build", "serve", "query", "partition"};
-  if (std::find(std::begin(kCommands), std::end(kCommands), command) ==
-      std::end(kCommands)) {
+  // included, is rejected before a single flag is parsed. Each command
+  // accepts the Config flags plus its own, listed here.
+  const std::map<std::string_view, std::set<std::string_view>> kCommands = {
+      {"generate", {"tier", "pair", "scale", "out_dir"}},
+      {"run", {"source", "target", "seeds", "test"}},
+      {"index-build",
+       {"source", "target", "seeds", "test", "index-out", "hnsw-neighbors",
+        "ef-construction", "ef-search"}},
+      {"serve", {"index", "serve-batch", "k", "expect-fingerprint"}},
+      {"query",
+       {"index", "entity", "name", "k", "exact", "expect-fingerprint"}},
+      {"partition", {"source", "target", "seeds", "test"}},
+  };
+  const auto own_flags = kCommands.find(command);
+  if (own_flags == kCommands.end()) {
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
     return 2;
   }
   const Flags flags(argc - 1, argv + 1);
+  // A misspelled or removed flag fails here instead of silently running
+  // the default.
+  Config known;
+  FlagRegistry registry;
+  known.Register(registry);
+  for (const std::string& name : flags.Names()) {
+    if (!registry.Knows(name) && !own_flags->second.contains(name)) {
+      std::fprintf(stderr,
+                   "error: unknown flag --%s for '%s' (largeea_cli --help "
+                   "lists the Config flags)\n",
+                   name.c_str(), command.c_str());
+      return 2;
+    }
+  }
   // All commands share one configuration surface: every pipeline,
   // runtime, and I/O knob parses through largeea::Config exactly once.
   // Binary-local inputs (--source, --tier, ...) stay on `flags`.
@@ -728,13 +757,6 @@ int main(int argc, char** argv) {
   if (!runtime.ok()) {
     std::fprintf(stderr, "error: %s\n", runtime.ToString().c_str());
     return 2;
-  }
-  // ApplyRuntime installed the tune table (analytic defaults layered
-  // with --tune-file / --tune-override, then --autotune winners); echo
-  // the effective state whenever the user asked for anything non-default.
-  if (config->autotune || !config->tune_file.empty() ||
-      !config->tune_override.empty()) {
-    std::printf("%s\n", tune::TuneTable::Get().Describe().c_str());
   }
   // Deterministic chaos testing: LARGEEA_FAULTS (gated per shard by
   // LARGEEA_FAULTS_SHARD) arms named fault points in this process.

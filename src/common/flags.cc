@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "src/common/string_util.h"
@@ -66,6 +67,13 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? def : it->second;
 }
 
+std::vector<std::string> Flags::Names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 void FlagRegistry::Add(const std::string& name, Kind kind, void* field,
                        const std::string& help) {
   for (const Binding& b : bindings_) {
@@ -124,10 +132,20 @@ Status FlagRegistry::ApplyFrom(const Flags& flags) {
                                       " is not an integer: " + raw);
         }
         if (b.kind == Kind::kInt32) {
+          if (*parsed < std::numeric_limits<int32_t>::min() ||
+              *parsed > std::numeric_limits<int32_t>::max()) {
+            return InvalidArgumentError("flag --" + b.name +
+                                        " is out of the 32-bit range: " +
+                                        raw);
+          }
           *static_cast<int32_t*>(b.field) = static_cast<int32_t>(*parsed);
         } else if (b.kind == Kind::kInt64) {
           *static_cast<int64_t*>(b.field) = *parsed;
         } else {
+          if (*parsed < 0) {
+            return InvalidArgumentError("flag --" + b.name +
+                                        " must not be negative: " + raw);
+          }
           *static_cast<uint64_t*>(b.field) = static_cast<uint64_t>(*parsed);
         }
         break;

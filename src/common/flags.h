@@ -1,8 +1,10 @@
 // Minimal command-line flag parsing for the bench and example binaries.
 //
 // Accepted forms: --name=value, --name value, and bare --name for booleans.
-// Unknown flags abort with a message listing what was seen, so typos in a
-// bench invocation fail loudly instead of silently running the default.
+// Malformed arguments (a token that is not --flag) abort. Flags itself
+// accepts any flag name; a binary that wants typos to fail checks
+// Names() against the flags it knows (largeea_cli does: an unknown flag
+// exits 2 naming it).
 //
 // Two layers:
 //   * Flags — the raw argv -> string map with typed lookups;
@@ -38,6 +40,9 @@ class Flags {
   /// True if the flag appeared on the command line.
   bool Has(const std::string& name) const { return values_.contains(name); }
 
+  /// Every flag name that appeared on the command line, sorted.
+  std::vector<std::string> Names() const;
+
  private:
   std::map<std::string, std::string> values_;
 };
@@ -62,8 +67,10 @@ class FlagRegistry {
               const std::string& help);
 
   /// Overlays every flag present in `flags` onto its bound field.
-  /// Unparseable values (e.g. --epochs=abc) fail with kInvalidArgument
-  /// naming the flag; flags with no binding are left for the caller.
+  /// Unparseable values (e.g. --epochs=abc), integers outside an Int32
+  /// field's range and negative Uint64 values fail with
+  /// kInvalidArgument naming the flag; flags with no binding are left
+  /// for the caller.
   Status ApplyFrom(const Flags& flags);
 
   /// True if `name` is bound. Lets callers distinguish registry flags

@@ -5,8 +5,7 @@
 #include "src/obs/report.h"
 #include "src/par/thread_pool.h"
 #include "src/simd/simd.h"
-#include "src/tune/autotune.h"
-#include "src/tune/tune_table.h"
+#include "src/stream/stream_options.h"
 
 namespace largeea {
 
@@ -142,21 +141,6 @@ void Config::Register(FlagRegistry& r) {
   r.Bool("profile", &profile,
          "per-kernel timing, bytes/flops, and pool utilization accounting "
          "(adds a `profile` report section and trace counter tracks)");
-
-  // Kernel autotuning (DESIGN.md §13).
-  r.Bool("autotune", &autotune,
-         "sweep kernel block/grain candidates at startup and install the "
-         "winners (saved to --tune-file when one is given)");
-  r.String("tune-file", &tune_file,
-           "checksummed JSON tuning file to load kernel parameters from "
-           "(written by --autotune / bench_micro --mode=tune)");
-  r.String("tune-override", &tune_override,
-           "explicit kernel parameters, e.g. "
-           "gemm.row_grain=64,elem.grain=32768 (overrides --tune-file)");
-  r.Double("autotune-scale", &autotune_scale,
-           "scale of the representative shapes the --autotune sweep times");
-  r.Double("autotune-min-time", &autotune_min_time,
-           "minimum timing window per --autotune candidate, seconds");
 }
 
 Status Config::Validate() {
@@ -210,6 +194,12 @@ Status Config::Validate() {
     return InvalidArgumentError(
         "--memory-budget-mb must be >= 0 (or unset)");
   }
+  if (pipeline.stream.memory_budget_mb > stream::kMaxMemoryBudgetMb) {
+    return InvalidArgumentError(
+        "--memory-budget-mb must be <= " +
+        std::to_string(stream::kMaxMemoryBudgetMb) +
+        " (the budget in bytes must fit in 64 bits)");
+  }
   if (pipeline.fault_tolerance.resume &&
       pipeline.fault_tolerance.checkpoint_dir.empty()) {
     return InvalidArgumentError("--resume requires --checkpoint-dir");
@@ -236,19 +226,6 @@ Status Config::Validate() {
     return InvalidArgumentError(
         "at least one of --use-name-channel / --use-structure-channel "
         "must stay enabled");
-  }
-  if (!tune_override.empty()) {
-    // Dry-run parse so an unknown parameter name fails here, with the
-    // flag named, instead of at ApplyRuntime time.
-    tune::TuneOverrides scratch;
-    const Status parsed = tune::ApplyOverrideList(scratch, tune_override);
-    if (!parsed.ok()) return parsed;
-  }
-  if (autotune_scale <= 0.0) {
-    return InvalidArgumentError("--autotune-scale must be > 0");
-  }
-  if (autotune_min_time <= 0.0) {
-    return InvalidArgumentError("--autotune-min-time must be > 0");
   }
   return OkStatus();
 }
@@ -284,39 +261,6 @@ Status Config::ApplyRuntime() const {
   }
   if (profile) {
     obs::Profiler::Get().Enable();
-  }
-
-  // Tuning layers, lowest to highest priority: analytic defaults (the
-  // empty overrides), --tune-file, --tune-override, then an --autotune
-  // sweep seeded from all of the above. Every parameter involved is
-  // reduction-order-neutral (tune_table.h), so nothing here can change
-  // a result bit — which is why none of it enters the config
-  // fingerprint and checkpoints stay shared across tuned/untuned runs.
-  tune::TuneOverrides overrides;
-  if (!tune_file.empty()) {
-    StatusOr<tune::TuneOverrides> loaded = tune::LoadTuneFile(tune_file);
-    if (loaded.ok()) {
-      overrides = *loaded;
-    } else if (!(autotune && loaded.status().code() == StatusCode::kNotFound)) {
-      // With --autotune the file is an output as much as an input, so a
-      // missing file just means "first run"; anything else is an error.
-      return loaded.status().WithContext("--tune-file");
-    }
-  }
-  if (!tune_override.empty()) {
-    const Status applied = tune::ApplyOverrideList(overrides, tune_override);
-    if (!applied.ok()) return applied;
-  }
-  tune::TuneTable::Set(overrides);
-  if (autotune) {
-    tune::AutotuneOptions sweep;
-    sweep.scale = autotune_scale;
-    sweep.min_seconds = autotune_min_time;
-    const tune::AutotuneResult result = tune::RunAutotune(sweep);
-    if (!tune_file.empty()) {
-      const Status saved = tune::SaveTuneFile(tune_file, result.winners);
-      if (!saved.ok()) return saved.WithContext("--tune-file");
-    }
   }
   return OkStatus();
 }

@@ -79,16 +79,6 @@ struct Config {
   /// Chrome traces gain utilization/imbalance counter tracks.
   bool profile = false;
 
-  /// Kernel autotuning (DESIGN.md §13). Every tunable parameter is
-  /// reduction-order-neutral, so none of these enter the config
-  /// fingerprint: a tuned run shares checkpoints — byte-identically —
-  /// with the equivalent untuned run by design.
-  bool autotune = false;          ///< startup sweep; winners installed
-  std::string tune_file;          ///< load (and with --autotune, save)
-  std::string tune_override;      ///< "name=value,..." explicit overrides
-  double autotune_scale = 1.0;    ///< sweep shape scale (CI uses tiny)
-  double autotune_min_time = 0.05;  ///< seconds per timed candidate
-
   /// Binds every flag to its field. Called by ConfigFromFlags and
   /// WriteTo; call it directly to compose Config with binary-local
   /// flags in one registry.

@@ -1,7 +1,6 @@
 #include "src/core/large_ea.h"
 
 #include <cinttypes>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -12,60 +11,10 @@
 #include "src/obs/trace.h"
 #include "src/par/thread_pool.h"
 #include "src/rt/checkpoint.h"
-#include "src/rt/io_util.h"
 #include "src/simd/simd.h"
 #include "src/stream/stream_context.h"
 
 namespace largeea {
-
-uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
-                                  const LargeEaOptions& options) {
-  // Everything that can change the numbers goes in; cosmetic knobs
-  // (checkpoint dir, log level) stay out so they never invalidate a
-  // resume.
-  const StructureChannelOptions& s = options.structure_channel;
-  const NameChannelOptions& n = options.name_channel;
-  // The budget is part of this global stamp, resolved here so the
-  // fingerprint agrees with what RunLargeEa will actually do. No
-  // artifact the pipeline writes carries it: every node saves its
-  // artifact in full before any consumer releases it, so the per-node
-  // fingerprints that override this stamp (pipeline_fingerprint.h)
-  // leave the budget out and a checkpoint resumes under any budget.
-  const stream::StreamOptions stream =
-      stream::ResolveStreamOptions(options.stream);
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "largeea-config v1"
-      " kg=%d,%zu,%d,%zu train=%zu test=%zu"
-      " channels=%d,%d,%d fuse=%d,%.9g,%.9g"
-      " name=%d,%.9g,%.9g,%d,%d,%.9g,%d"
-      " structure=%d,%d,%d,%d,%d,%d,%" PRIu64
-      " train=%d,%d,%.9g,%.9g,%d,%d,%" PRIu64
-      " stream=%" PRId64 ",%d,%d",
-      dataset.source.num_entities(),
-      dataset.source.triples().size(),
-      dataset.target.num_entities(),
-      dataset.target.triples().size(),
-      dataset.split.train.size(), dataset.split.test.size(),
-      static_cast<int>(options.use_name_channel),
-      static_cast<int>(options.use_structure_channel),
-      static_cast<int>(options.fuse_name_similarity),
-      options.fused_top_k, options.structure_weight, options.name_weight,
-      static_cast<int>(n.enable_augmentation), n.augmentation_margin,
-      n.nff.string_weight, n.nff.max_entries_per_row, n.nff.sens.top_k,
-      n.nff.stns.jaccard_threshold,
-      n.nff.stns.max_entries_per_row,
-      static_cast<int>(s.model), static_cast<int>(s.strategy),
-      s.num_batches, s.overlap_degree, s.top_k,
-      static_cast<int>(s.apply_csls), s.seed,
-      s.train.epochs, s.train.dim, s.train.learning_rate,
-      s.train.margin, s.train.negatives_per_seed,
-      s.train.hard_negative_refresh, s.train.seed,
-      stream.memory_budget_mb, stream.tile_rows,
-      static_cast<int>(stream.release_inputs));
-  return rt::Fnv1a64(buf);
-}
 
 StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
                                    const LargeEaOptions& options,
@@ -98,8 +47,7 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
                      stream_ctx->store().spill_dir().c_str());
   }
 
-  // The global fingerprint stays the default stamp; per-node
-  // fingerprints cover every artifact the pipeline actually writes, so
+  // Per-node fingerprints cover every artifact the pipeline writes, so
   // a changed option re-executes only the dirty subgraph on --resume.
   rt::CheckpointManager checkpoint = MakePipelineCheckpointManager(
       dataset, options, options.fault_tolerance.checkpoint_dir,

@@ -94,13 +94,6 @@ struct LargeEaResult {
   int64_t dag_deferrals = 0;
 };
 
-/// Fingerprint of everything that shapes the numeric result (dataset
-/// shape plus result-affecting options): the default stamp of the
-/// pipeline's checkpoint manager, which per-node fingerprints override
-/// for every artifact kind the pipeline writes (pipeline_fingerprint.h).
-uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
-                                  const LargeEaOptions& options);
-
 /// Runs LargeEA on `dataset` (dataset.split.train as ψ', possibly empty
 /// for unsupervised EA) and evaluates on dataset.split.test. Fails with a
 /// contextful Status when a channel fails unrecoverably; per-batch

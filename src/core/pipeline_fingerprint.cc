@@ -150,10 +150,10 @@ void InstallPipelineFingerprints(rt::CheckpointManager& checkpoint,
 rt::CheckpointManager MakePipelineCheckpointManager(
     const EaDataset& dataset, const LargeEaOptions& options,
     const std::string& dir, bool resume) {
-  rt::CheckpointManager checkpoint(
-      dir, LargeEaConfigFingerprint(dataset, options), resume);
-  InstallPipelineFingerprints(checkpoint,
-                              ComputePipelineFingerprints(dataset, options));
+  const PipelineFingerprints fingerprints =
+      ComputePipelineFingerprints(dataset, options);
+  rt::CheckpointManager checkpoint(dir, fingerprints.base, resume);
+  InstallPipelineFingerprints(checkpoint, fingerprints);
   return checkpoint;
 }
 

@@ -1,12 +1,9 @@
 // Per-node checkpoint fingerprints for the pipeline DAG.
 //
-// The global LargeEaConfigFingerprint stamps a checkpoint directory with
-// *everything* that can shape a result, so any option change invalidated
-// every artifact. The DAG executor wants finer grain: each operator's
-// artifact should be stamped with a fingerprint of exactly the inputs
-// and options that shape *that* artifact, chained through the graph —
-// then a `--resume` after an option change re-executes only the dirty
-// subgraph (DESIGN.md §14).
+// Each operator's artifact is stamped with a fingerprint of exactly the
+// inputs and options that shape *that* artifact, chained through the
+// graph, so a `--resume` after an option change re-executes only the
+// dirty subgraph (DESIGN.md §14).
 //
 // The chain mirrors the operator edges:
 //
@@ -52,6 +49,8 @@ struct PipelineFingerprints {
   uint64_t partition = 0;
   uint64_t batch = 0;  ///< every "batch_NNNN" block (pre-CSLS by design)
   uint64_t fused = 0;
+
+  bool operator==(const PipelineFingerprints&) const = default;
 };
 
 PipelineFingerprints ComputePipelineFingerprints(
@@ -61,9 +60,9 @@ PipelineFingerprints ComputePipelineFingerprints(
 void InstallPipelineFingerprints(rt::CheckpointManager& checkpoint,
                                  const PipelineFingerprints& fingerprints);
 
-/// The checkpoint manager every pipeline process must use: global
-/// fingerprint (LargeEaConfigFingerprint) as the default, per-node
-/// fingerprints installed for each artifact kind.
+/// The checkpoint manager every pipeline process must use: per-node
+/// fingerprints installed for each artifact kind, `base` as the default
+/// for any other kind.
 rt::CheckpointManager MakePipelineCheckpointManager(
     const EaDataset& dataset, const LargeEaOptions& options,
     const std::string& dir, bool resume);

@@ -9,9 +9,9 @@
 #include "src/common/macros.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
+#include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/simd/simd.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 namespace {
@@ -22,12 +22,10 @@ namespace {
 // declared-bytes semantics (these are f32 kernels by construction).
 constexpr int64_t kF = 4;
 
-// Grain and block sizes come from the tune::TuneTable (DESIGN.md §13):
-// shape-aware analytic defaults, optionally overridden by a tuning file
-// or --tune-override. Every tunable parameter is a function of the
-// problem shape and the table only — never of the thread count — so
-// chunk boundaries, and therefore every float reduction order, are
-// identical at any `--threads N` (DESIGN.md §8).
+// Grain and block sizes come from src/par/grain.h (DESIGN.md §13):
+// functions of the problem shape and the cache sizes only — never of
+// the thread count — so chunk boundaries, and therefore every float
+// reduction order, are identical at any `--threads N` (DESIGN.md §8).
 
 /// Bounded pool of k×n scratch matrices for GemmTransposeA partials:
 /// reusing a partial across jobs replaces an alloc + full zero-fill
@@ -90,15 +88,15 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   prof.AddBytes(kF * (m * k + k * n), kF * m * n);
   prof.AddFlops(2 * m * k * n);
   const simd::KernelTable& kt = simd::Kernels();
-  const tune::TuneTable& tt = tune::TuneTable::Get();
   // p-panel blocking keeps the active rows of B cache-resident while the
   // chunk's C rows accumulate — but when all of B fits in cache anyway,
-  // panelling only re-streams A and C, so the table returns one panel.
+  // panelling only re-streams A and C, so GemmPanel returns one panel.
   // Either way each c[i][j] receives its contributions in ascending p
-  // order, so the blocking (shape + table, never thread count) never
+  // order, so the blocking (shape + cache, never thread count) never
   // changes the result.
-  const int64_t panel = tt.GemmPanel(k, n);
-  par::ParallelFor(0, m, tt.GemmRowGrain(m), [&](const par::ChunkRange& rows) {
+  const int64_t panel = par::GemmPanel(k, n);
+  const int64_t grain = par::GemmRowGrain(m);
+  par::ParallelFor(0, m, grain, [&](const par::ChunkRange& rows) {
     for (int64_t p0 = 0; p0 < k; p0 += panel) {
       const int64_t p1 = std::min(p0 + panel, k);
       for (int64_t i = rows.begin; i < rows.end; ++i) {
@@ -123,9 +121,9 @@ void GemmTransposeB(const Matrix& a, const Matrix& b, Matrix& c) {
   prof.AddBytes(kF * (m * k + n * k), kF * m * n);
   prof.AddFlops(2 * m * k * n);
   const simd::KernelTable& kt = simd::Kernels();
-  const tune::TuneTable& tt = tune::TuneTable::Get();
-  const int64_t tile_cols = tt.GemmTileCols(k);
-  par::ParallelFor(0, m, tt.GemmRowGrain(m), [&](const par::ChunkRange& rows) {
+  const int64_t tile_cols = par::GemmTileCols(k);
+  const int64_t grain = par::GemmRowGrain(m);
+  par::ParallelFor(0, m, grain, [&](const par::ChunkRange& rows) {
     // Tile over B rows so a tile of B is reused across every A row of
     // the chunk. Each element is one dot kernel call — no cross-tile
     // sums.
@@ -153,9 +151,9 @@ void GemmTransposeA(const Matrix& a, const Matrix& b, Matrix& c) {
   const simd::KernelTable& kt = simd::Kernels();
   // Every input row touches all of C, so chunks accumulate into private
   // partial matrices merged in chunk order. The chunk count picks the
-  // float merge order, so the grain is an analytic-only shape function
-  // (tune::TuneTable::GemmTransposeAGrain) — never overridable.
-  const int64_t grain = tune::TuneTable::GemmTransposeAGrain(m);
+  // float merge order, so the grain is a function of shape alone
+  // (par::GemmTransposeAGrain).
+  const int64_t grain = par::GemmTransposeAGrain(m);
   par::ParallelReduceOrdered<TaPartial>(
       0, m, grain,
       [&](const par::ChunkRange& rows, TaPartial& partial) {
@@ -201,7 +199,7 @@ void Axpy(float alpha, const Matrix& x, Matrix& y) {
   prof.AddBytes(kF * 2 * x.size(), kF * x.size());
   prof.AddFlops(2 * x.size());
   const simd::KernelTable& kt = simd::Kernels();
-  const int64_t grain = tune::TuneTable::Get().ElemGrain(x.size());
+  const int64_t grain = par::ElemGrain(x.size());
   par::ParallelFor(0, x.size(), grain, [&](const par::ChunkRange& r) {
     kt.axpy(alpha, xv + r.begin, yv + r.begin, r.end - r.begin);
   });
@@ -213,7 +211,7 @@ void Scale(Matrix& m, float alpha) {
   prof.AddBytes(kF * m.size(), kF * m.size());
   prof.AddFlops(m.size());
   const simd::KernelTable& kt = simd::Kernels();
-  const int64_t grain = tune::TuneTable::Get().ElemGrain(m.size());
+  const int64_t grain = par::ElemGrain(m.size());
   par::ParallelFor(0, m.size(), grain, [&](const par::ChunkRange& r) {
     kt.scale(v + r.begin, alpha, r.end - r.begin);
   });
@@ -225,7 +223,7 @@ void L2NormalizeRows(Matrix& m, float epsilon) {
   prof.AddBytes(kF * m.size(), kF * m.size());
   prof.AddFlops(3 * m.size());
   const simd::KernelTable& kt = simd::Kernels();
-  const int64_t grain = tune::TuneTable::Get().NormRowGrain(m.rows());
+  const int64_t grain = par::NormRowGrain(m.rows());
   par::ParallelFor(0, m.rows(), grain, [&](const par::ChunkRange& r) {
     for (int64_t row = r.begin; row < r.end; ++row) {
       float* v = m.Row(row);
@@ -237,7 +235,7 @@ void L2NormalizeRows(Matrix& m, float epsilon) {
 
 void ReluInPlace(Matrix& m) {
   float* v = m.data();
-  const int64_t grain = tune::TuneTable::Get().ElemGrain(m.size());
+  const int64_t grain = par::ElemGrain(m.size());
   par::ParallelFor(0, m.size(), grain, [&](const par::ChunkRange& r) {
     for (int64_t i = r.begin; i < r.end; ++i) {
       if (v[i] < 0.0f) v[i] = 0.0f;
@@ -250,7 +248,7 @@ void ReluBackwardInPlace(const Matrix& pre_activation, Matrix& grad) {
   LARGEEA_CHECK_EQ(pre_activation.cols(), grad.cols());
   const float* pre = pre_activation.data();
   float* g = grad.data();
-  const int64_t grain = tune::TuneTable::Get().ElemGrain(grad.size());
+  const int64_t grain = par::ElemGrain(grad.size());
   par::ParallelFor(0, grad.size(), grain, [&](const par::ChunkRange& r) {
     for (int64_t i = r.begin; i < r.end; ++i) {
       if (pre[i] <= 0.0f) g[i] = 0.0f;

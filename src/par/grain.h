@@ -1,0 +1,51 @@
+// Analytic chunk grains and block sizes for the hot kernels (DESIGN.md
+// §13): pure functions of the problem shape and the detected cache
+// hierarchy, never of the thread count.
+//
+// Two kinds, and the difference is the determinism contract:
+//
+// * Order-neutral grains (GemmRowGrain ... TopKRowGrain) only split
+//   loops whose bodies write chunk- or element-private state (§8), so
+//   any value gives the same bytes. They target ~kTargetChunks chunks
+//   per job.
+// * Reduction-topology functions (SinkhornColChunks,
+//   GemmTransposeAGrain) pick a float merge order, so they depend on the
+//   shape alone — changing one changes result bits and checkpoint bytes.
+#ifndef LARGEEA_PAR_GRAIN_H_
+#define LARGEEA_PAR_GRAIN_H_
+
+#include <cstdint>
+
+namespace largeea::par {
+
+/// Target chunk count per job for the order-neutral grains.
+inline constexpr int64_t kTargetChunks = 64;
+
+// --- Order-neutral grains.
+
+/// Gemm/GemmTransposeB row grain, a 16-row multiple.
+int64_t GemmRowGrain(int64_t m);
+/// Gemm k-panel depth: whole B when it fits in L2, else half an L2 of
+/// B rows.
+int64_t GemmPanel(int64_t k, int64_t n);
+/// GemmTransposeB B-row tile width: half an L1 of B rows.
+int64_t GemmTileCols(int64_t k);
+/// Axpy/Scale/Relu element grain.
+int64_t ElemGrain(int64_t size);
+/// L2NormalizeRows row grain.
+int64_t NormRowGrain(int64_t rows);
+/// Sinkhorn row-normalise grain.
+int64_t SinkhornRowGrain(int64_t rows);
+/// Top-k search source-row grain.
+int64_t TopKRowGrain(int64_t rows);
+
+// --- Reduction-topology functions: shape only.
+
+/// Column-sum chunk count of the Sinkhorn scatter, in [2, 32].
+int64_t SinkhornColChunks(int64_t num_entries);
+/// Row grain of GemmTransposeA, whose chunks own k×n partials.
+int64_t GemmTransposeAGrain(int64_t m);
+
+}  // namespace largeea::par
+
+#endif  // LARGEEA_PAR_GRAIN_H_

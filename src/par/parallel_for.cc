@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/tune/tune_table.h"
-
 namespace largeea::par {
 
 std::vector<ChunkRange> ComputeChunks(int64_t begin, int64_t end,
@@ -68,8 +66,9 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain,
   // it safe to cap the chunk count relative to the pool size here and
   // cut per-chunk scheduling overhead. Reductions are NEVER capped this
   // way: their merge order is part of the §8 determinism contract.
+  constexpr int64_t kChunksPerThread = 16;
   const int64_t max_chunks =
-      tune::TuneTable::Get().ChunksPerThread() *
+      kChunksPerThread *
       static_cast<int64_t>(std::max(1, ThreadPool::Get().num_threads()));
   const std::vector<ChunkRange> chunks =
       ComputeChunksCapped(begin, end, grain, max_chunks);

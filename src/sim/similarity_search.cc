@@ -7,11 +7,11 @@
 
 #include "src/common/macros.h"
 #include "src/obs/trace.h"
+#include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
 #include "src/stream/tile_store.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 namespace {
@@ -142,8 +142,7 @@ class HnswSearch : public SimilaritySearch {
     // Each source row is an independent graph walk, so the batch path
     // is a parallel loop of single queries with direct scatter — same
     // disjoint-rows argument as ExactTopKInto.
-    const int64_t row_grain =
-        tune::TuneTable::Get().TopKRowGrain(source.rows());
+    const int64_t row_grain = par::TopKRowGrain(source.rows());
     par::ParallelFor(
         0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
           std::vector<std::pair<float, int32_t>> drained;

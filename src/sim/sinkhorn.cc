@@ -8,20 +8,19 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
+#include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/simd/simd.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 
-// Rows per chunk for the row-local phases come from the tune table: row
-// sums never cross a row boundary, so any grain gives bit-identical
-// results and the parameter is freely tunable. The column-sum chunk
-// count is the analytic-only tune::TuneTable::SinkhornColChunks(shape):
-// it bounds the extra memory (col_chunks * num_cols floats) and —
-// because it is a pure shape function, never of the thread count or
-// tuning file — fixes both the scatter partitioning and the pairwise
-// tree topology of the float merge.
+// Rows per chunk for the row-local phases come from
+// par::SinkhornRowGrain: row sums never cross a row boundary, so any
+// grain gives bit-identical results. The column-sum chunk count is
+// par::SinkhornColChunks(shape): it bounds the extra memory
+// (col_chunks * num_cols floats) and — because it is a pure shape
+// function, never of the thread count — fixes both the scatter
+// partitioning and the pairwise tree topology of the float merge.
 
 SparseSimMatrix SinkhornNormalize(const SparseSimMatrix& m,
                                   const SinkhornOptions& options) {
@@ -67,7 +66,7 @@ SparseSimMatrix SinkhornNormalize(const SparseSimMatrix& m,
   row_offset[num_rows] = static_cast<int64_t>(entry_val.size());
   const int64_t num_entries = static_cast<int64_t>(entry_val.size());
   const simd::KernelTable& kt = simd::Kernels();
-  const int64_t row_grain = tune::TuneTable::Get().SinkhornRowGrain(num_rows);
+  const int64_t row_grain = par::SinkhornRowGrain(num_rows);
 
   // Stabilised exponentiation: subtract each row's max score. The max is
   // computed explicitly — rows arrive sorted descending today, but the
@@ -89,7 +88,7 @@ SparseSimMatrix SinkhornNormalize(const SparseSimMatrix& m,
 
   std::vector<float> col_sum(m.num_cols());
   const int64_t num_cols = static_cast<int64_t>(col_sum.size());
-  const int64_t col_chunks = tune::TuneTable::SinkhornColChunks(num_entries);
+  const int64_t col_chunks = par::SinkhornColChunks(num_entries);
   const int64_t col_grain =
       num_entries > 0 ? (num_entries + col_chunks - 1) / col_chunks : 1;
   for (int32_t it = 0; it < options.iterations; ++it) {

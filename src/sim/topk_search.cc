@@ -11,21 +11,21 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
+#include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/sim/lsh.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
 #include "src/stream/tile_store.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 
-// Source rows per parallel chunk come from the tune table. The scatter
-// below writes each result straight into its own SparseSimMatrix row
-// from the parallel body, so the output is a pure per-row function of
-// the inputs — any grain (and any thread count) produces identical
-// bytes, which is what makes this parameter freely tunable and lets
-// the kernels run with no merge tail at all.
+// Source rows per parallel chunk come from par::TopKRowGrain. The
+// scatter below writes each result straight into its own
+// SparseSimMatrix row from the parallel body, so the output is a pure
+// per-row function of the inputs — any grain (and any thread count)
+// produces identical bytes, which lets the kernels run with no merge
+// tail at all.
 //
 // ScorePair and TopKHeap live in src/sim/topk_util.h so the
 // single-query path (QueryTopK, HNSW, serving) keeps byte-identical
@@ -56,8 +56,7 @@ void ExactTopKInto(const MatrixRowRange& source,
   // happens in the body and the former serial result-merge tail is
   // gone. Per-row entry order (heap drain order) is unchanged, so the
   // output bytes match the merged version exactly.
-  const int64_t row_grain =
-      tune::TuneTable::Get().TopKRowGrain(source.rows());
+  const int64_t row_grain = par::TopKRowGrain(source.rows());
   par::ParallelFor(
       0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
         TopKHeap heap(options.k);
@@ -123,8 +122,7 @@ void LshTopKInto(const MatrixRowRange& source,
   // rows → disjoint `out` rows. The data-dependent candidate count is
   // the only cross-chunk aggregate left — one relaxed add per chunk.
   std::atomic<int64_t> candidates_total{0};
-  const int64_t row_grain =
-      tune::TuneTable::Get().TopKRowGrain(source.rows());
+  const int64_t row_grain = par::TopKRowGrain(source.rows());
   par::ParallelFor(
       0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
         TopKHeap heap(options.k);
@@ -207,8 +205,7 @@ void LshTopKStreamedInto(const MatrixRowRange& source,
   };
   std::vector<RowSweep> sweep(static_cast<size_t>(source.rows()),
                               RowSweep{{}, 0, TopKHeap(options.k)});
-  const int64_t row_grain =
-      tune::TuneTable::Get().TopKRowGrain(source.rows());
+  const int64_t row_grain = par::TopKRowGrain(source.rows());
   par::ParallelFor(
       0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
         // Query() leaves pre-dedup capacity behind; the plan keeps

@@ -10,7 +10,8 @@ StreamOptions ResolveStreamOptions(StreamOptions options) {
   if (const char* env = std::getenv("LARGEEA_MEMORY_BUDGET_MB")) {
     char* end = nullptr;
     const long long parsed = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) {
+    if (end != env && *end == '\0' && parsed >= 0 &&
+        parsed <= kMaxMemoryBudgetMb) {
       options.memory_budget_mb = parsed;
     }
   }

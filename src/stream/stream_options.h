@@ -10,13 +10,20 @@
 #define LARGEEA_STREAM_STREAM_OPTIONS_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace largeea::stream {
 
+/// Largest budget, in MiB, whose byte count fits in an int64_t. Config
+/// rejects a larger --memory-budget-mb; ResolveStreamOptions ignores a
+/// larger LARGEEA_MEMORY_BUDGET_MB like any other malformed value.
+inline constexpr int64_t kMaxMemoryBudgetMb =
+    std::numeric_limits<int64_t>::max() >> 20;
+
 /// Knobs of the streaming layer. Part of LargeEaOptions (and of the
-/// unified Config); covered by the checkpoint configuration fingerprint
-/// so `--resume` never mixes tile layouts across budgets.
+/// unified Config); in no checkpoint fingerprint, because every
+/// artifact is saved in full under any budget (pipeline_fingerprint.h).
 struct StreamOptions {
   /// Tracked-memory budget in MiB. 0 disables streaming (the in-memory
   /// path); -1 means "unset" — consult LARGEEA_MEMORY_BUDGET_MB, then
@@ -39,9 +46,9 @@ struct StreamOptions {
 };
 
 /// Applies the environment default: an unset budget (-1) resolves to
-/// LARGEEA_MEMORY_BUDGET_MB when that holds a non-negative integer, else
-/// to 0 (disabled). Idempotent; every consumer of StreamOptions
-/// (pipeline, fingerprint, Config) resolves before use so they can never
+/// LARGEEA_MEMORY_BUDGET_MB when that holds an integer in
+/// [0, kMaxMemoryBudgetMb], else to 0 (disabled). Idempotent; every
+/// consumer of StreamOptions resolves before use so they can never
 /// disagree about whether a run streams.
 StreamOptions ResolveStreamOptions(StreamOptions options);
 

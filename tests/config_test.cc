@@ -9,6 +9,7 @@
 
 #include "src/common/flags.h"
 #include "src/core/config.h"
+#include "src/core/pipeline_fingerprint.h"
 #include "src/obs/report.h"
 
 namespace largeea {
@@ -71,6 +72,10 @@ TEST(ConfigTest, RejectsBadValuesWithFlagNamingMessages) {
       {{"--simd=avx512"}, "--simd"},
       {{"--threads=-2"}, "--threads"},
       {{"--memory-budget-mb=-7"}, "--memory-budget-mb"},
+      // Values that parse as integers but do not fit the field.
+      {{"--batches=4294967298"}, "--batches"},
+      {{"--seed=-1"}, "--seed"},
+      {{"--memory-budget-mb=9223372036854775807"}, "--memory-budget-mb"},
       {{"--resume"}, "--checkpoint-dir"},
       {{"--use-name-channel=false", "--use-structure-channel=false"},
        "--use-name-channel"},
@@ -83,20 +88,30 @@ TEST(ConfigTest, RejectsBadValuesWithFlagNamingMessages) {
   }
 }
 
-TEST(ConfigTest, FingerprintSeesConfigBoundStreamFlags) {
+TEST(ConfigTest, PipelineFingerprintsMatchFlagsAndIgnoreMemoryBudget) {
   // The flag -> Config -> fingerprint path must agree with directly
   // set options, so checkpoints from the CLI and from code match.
-  auto flagged = ConfigFromFlags(MakeFlags({"--memory-budget-mb=32"}));
+  auto flagged = ConfigFromFlags(
+      MakeFlags({"--memory-budget-mb=32", "--string-weight=0.25"}));
   ASSERT_TRUE(flagged.ok());
   LargeEaOptions direct;
   direct.stream.memory_budget_mb = 32;
+  direct.name_channel.nff.string_weight = 0.25f;
   EaDataset empty;
-  EXPECT_EQ(LargeEaConfigFingerprint(empty, flagged->pipeline),
-            LargeEaConfigFingerprint(empty, direct));
-  LargeEaOptions unbudgeted;
+  const PipelineFingerprints from_flags =
+      ComputePipelineFingerprints(empty, flagged->pipeline);
+  EXPECT_EQ(from_flags, ComputePipelineFingerprints(empty, direct));
+  // Every artifact is saved in full before a consumer releases it, so
+  // no per-node fingerprint carries the budget: a checkpoint taken
+  // under one budget resumes under any other (pipeline_fingerprint.h).
+  LargeEaOptions unbudgeted = direct;
   unbudgeted.stream.memory_budget_mb = 0;
-  EXPECT_NE(LargeEaConfigFingerprint(empty, flagged->pipeline),
-            LargeEaConfigFingerprint(empty, unbudgeted));
+  EXPECT_EQ(from_flags, ComputePipelineFingerprints(empty, unbudgeted));
+  // A result-shaping flag does reach them.
+  LargeEaOptions reweighted = direct;
+  reweighted.name_channel.nff.string_weight = 0.5f;
+  EXPECT_NE(from_flags.name_fused,
+            ComputePipelineFingerprints(empty, reweighted).name_fused);
 }
 
 TEST(ConfigTest, ReportRoundTripAgreesWithFlags) {

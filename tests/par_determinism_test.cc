@@ -20,7 +20,6 @@
 #include "src/gen/benchmark_gen.h"
 #include "src/par/thread_pool.h"
 #include "src/rt/fault_injection.h"
-#include "src/tune/tune_table.h"
 
 namespace largeea {
 namespace {
@@ -150,94 +149,6 @@ TEST_F(ParDeterminismTest, CheckpointArtifactsByteIdenticalAcrossThreadCounts) {
   for (const auto& [name, bytes] : files_t1) {
     const auto it = files_t8.find(name);
     ASSERT_NE(it, files_t8.end()) << "missing at threads=8: " << name;
-    EXPECT_EQ(bytes, it->second) << "artifact differs: " << name;
-  }
-}
-
-/// Restores the default (analytic) tune table on scope exit so a tuned
-/// test cannot leak its table into the rest of the suite.
-class ScopedTuneFile {
- public:
-  explicit ScopedTuneFile(const tune::TuneOverrides& overrides) {
-    path_ = (fs::temp_directory_path() / "largeea_tune_det.json").string();
-    const Status saved = tune::SaveTuneFile(path_, overrides);
-    EXPECT_TRUE(saved.ok()) << saved.ToString();
-    auto loaded = tune::LoadTuneFile(path_);
-    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-    if (loaded.ok()) EXPECT_TRUE(*loaded == overrides);
-    tune::TuneTable::Set(loaded.ok() ? *loaded : overrides);
-  }
-  ~ScopedTuneFile() {
-    tune::TuneTable::Set(tune::TuneOverrides{});
-    fs::remove(path_);
-  }
-
- private:
-  std::string path_;
-};
-
-/// A deliberately non-default table: every order-neutral parameter is
-/// moved off its analytic value (odd grains included, so chunk layouts
-/// genuinely differ from the defaults).
-tune::TuneOverrides NonDefaultOverrides() {
-  tune::TuneOverrides overrides;
-  overrides.gemm_row_grain = 48;
-  overrides.gemm_panel = 96;
-  overrides.gemm_tile_cols = 24;
-  overrides.elem_grain = 4096;
-  overrides.norm_row_grain = 33;
-  overrides.sinkhorn_row_grain = 100;
-  overrides.topk_row_grain = 17;
-  overrides.chunks_per_thread = 8;
-  return overrides;
-}
-
-TEST_F(ParDeterminismTest, TuningFileBitIdenticalAcrossThreadCountsAndTables) {
-  // The tuning-file determinism contract (DESIGN.md §13): every
-  // file-tunable parameter is reduction-order-neutral, so a run under a
-  // non-default tuning file must be bit-identical to the untuned run —
-  // at every thread count.
-  const LargeEaOptions options = Options();
-  const LargeEaResult untuned = RunAt(1, options);
-
-  ScopedTuneFile tuned_table(NonDefaultOverrides());
-  const LargeEaResult tuned1 = RunAt(1, options);
-  const LargeEaResult tuned2 = RunAt(2, options);
-  const LargeEaResult tuned8 = RunAt(8, options);
-  {
-    SCOPED_TRACE("tuned threads=1 vs untuned threads=1");
-    ExpectBitIdentical(untuned, tuned1);
-  }
-  {
-    SCOPED_TRACE("tuned threads=2 vs untuned threads=1");
-    ExpectBitIdentical(untuned, tuned2);
-  }
-  {
-    SCOPED_TRACE("tuned threads=8 vs untuned threads=1");
-    ExpectBitIdentical(untuned, tuned8);
-  }
-}
-
-TEST_F(ParDeterminismTest, CheckpointBytesIdenticalUnderTuningFile) {
-  // Checkpoint artifacts are the other half of the contract: the tuning
-  // file is excluded from the config fingerprint precisely because it
-  // cannot change any artifact byte — a tuned resume must be able to
-  // pick up an untuned run's checkpoints and vice versa.
-  LargeEaOptions options = Options();
-  options.fault_tolerance.checkpoint_dir = CheckpointDir("ckpt_untuned");
-  RunAt(1, options);
-  const auto untuned = ReadDirBytes(options.fault_tolerance.checkpoint_dir);
-
-  ScopedTuneFile tuned_table(NonDefaultOverrides());
-  options.fault_tolerance.checkpoint_dir = CheckpointDir("ckpt_tuned");
-  RunAt(8, options);
-  const auto tuned = ReadDirBytes(options.fault_tolerance.checkpoint_dir);
-
-  ASSERT_FALSE(untuned.empty());
-  ASSERT_EQ(untuned.size(), tuned.size());
-  for (const auto& [name, bytes] : untuned) {
-    const auto it = tuned.find(name);
-    ASSERT_NE(it, tuned.end()) << "missing under tuning file: " << name;
     EXPECT_EQ(bytes, it->second) << "artifact differs: " << name;
   }
 }

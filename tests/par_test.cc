@@ -1,8 +1,9 @@
 // Unit tests for the parallel execution layer (src/par/): pool
-// lifecycle, exception propagation, deterministic chunking, and the
-// ordered-merge reduction that underpins the bit-identical-at-any-
-// thread-count contract (DESIGN.md §8). Whole-pipeline invariance is
-// covered separately by par_determinism_test.cc.
+// lifecycle, exception propagation, deterministic chunking, the
+// analytic grain formulas, and the ordered-merge reduction that
+// underpins the bit-identical-at-any-thread-count contract (DESIGN.md
+// §8). Whole-pipeline invariance is covered separately by
+// par_determinism_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/par/background_worker.h"
+#include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/par/thread_pool.h"
 
@@ -163,6 +165,49 @@ TEST(ComputeChunksCappedTest, BoundariesIndependentOfThreadCount) {
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i].begin, after[i].begin);
     EXPECT_EQ(before[i].end, after[i].end);
+  }
+}
+
+TEST(GrainTest, AnalyticGemmRowGrainTargetsChunkBand) {
+  // The historical constant (32) put a 20000-row GEMM at 625 chunks; the
+  // analytic grain lands the job in a band near kTargetChunks.
+  const int64_t grain = GemmRowGrain(20000);
+  EXPECT_EQ(grain % 16, 0);
+  const int64_t chunks = (20000 + grain - 1) / grain;
+  EXPECT_LE(chunks, kTargetChunks);
+  EXPECT_GE(chunks, kTargetChunks / 2);
+  // Small problems: one cache-line-aligned chunk, never a zero grain.
+  EXPECT_GE(GemmRowGrain(1), 1);
+  EXPECT_GE(GemmRowGrain(0), 1);
+  // Grain never exceeds what 16-row rounding requires.
+  EXPECT_LE(GemmRowGrain(100), 112);
+}
+
+TEST(GrainTest, AnalyticGrainsArePositiveAcrossShapes) {
+  for (int64_t shape : {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{1000},
+                        int64_t{20000}, int64_t{1} << 30}) {
+    EXPECT_GT(GemmRowGrain(shape), 0) << shape;
+    EXPECT_GT(GemmPanel(shape, 128), 0) << shape;
+    EXPECT_GT(GemmTileCols(shape), 0) << shape;
+    EXPECT_GT(ElemGrain(shape), 0) << shape;
+    EXPECT_GT(NormRowGrain(shape), 0) << shape;
+    EXPECT_GT(SinkhornRowGrain(shape), 0) << shape;
+    EXPECT_GT(TopKRowGrain(shape), 0) << shape;
+    EXPECT_GT(SinkhornColChunks(shape), 0) << shape;
+    EXPECT_GT(GemmTransposeAGrain(shape), 0) << shape;
+  }
+}
+
+TEST(GrainTest, SinkhornColChunksIsBoundedShapeFunction) {
+  EXPECT_EQ(SinkhornColChunks(0), 2);
+  EXPECT_EQ(SinkhornColChunks(1), 2);
+  EXPECT_EQ(SinkhornColChunks(int64_t{1} << 40), 32);
+  // Monotone non-decreasing in the entry count.
+  int64_t prev = 0;
+  for (int64_t entries = 1; entries <= (int64_t{1} << 24); entries *= 4) {
+    const int64_t chunks = SinkhornColChunks(entries);
+    EXPECT_GE(chunks, prev);
+    prev = chunks;
   }
 }
 

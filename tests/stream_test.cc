@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -70,6 +71,29 @@ TEST(StreamOptionsTest, EnvResolutionRespectsExplicitValues) {
   explicit_on.memory_budget_mb = 64;
   EXPECT_EQ(stream::ResolveStreamOptions(explicit_on).memory_budget_mb, 64);
   EXPECT_TRUE(stream::StreamingEnabled(explicit_on));
+}
+
+TEST(StreamOptionsTest, EnvBudgetAboveTheByteRangeIsIgnored) {
+  // An unset budget consults LARGEEA_MEMORY_BUDGET_MB; a value whose
+  // byte count would overflow int64_t is malformed, like "abc" or -1.
+  const char* saved = std::getenv("LARGEEA_MEMORY_BUDGET_MB");
+  const std::string restore = saved != nullptr ? saved : "";
+  const stream::StreamOptions unset;
+  const auto resolved_with = [&](const std::string& value) {
+    setenv("LARGEEA_MEMORY_BUDGET_MB", value.c_str(), /*overwrite=*/1);
+    return stream::ResolveStreamOptions(unset).memory_budget_mb;
+  };
+  EXPECT_EQ(resolved_with("12"), 12);
+  EXPECT_EQ(resolved_with(std::to_string(stream::kMaxMemoryBudgetMb)),
+            stream::kMaxMemoryBudgetMb);
+  EXPECT_EQ(resolved_with(std::to_string(stream::kMaxMemoryBudgetMb + 1)), 0);
+  EXPECT_EQ(resolved_with("9223372036854775807"), 0);
+  EXPECT_EQ(resolved_with("-1"), 0);
+  if (saved != nullptr) {
+    setenv("LARGEEA_MEMORY_BUDGET_MB", restore.c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("LARGEEA_MEMORY_BUDGET_MB");
+  }
 }
 
 TEST(MemoryBudgetTest, TileRowsHonourBudgetAndBounds) {

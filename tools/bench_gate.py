@@ -15,8 +15,6 @@ key columns, so a re-ordered or extended sweep still gates correctly:
                                       path, the unbudgeted run and each
                                       distinct budget: peak, seconds,
                                       tile reloads, bit-identity)
-    tune    -> (param, candidate)     schema-checked only (timings of
-                                      autotune candidates, no gate)
     dag     -> (row,)                 schema-checked only (DAG wall
                                       clock at concurrency 1 vs the
                                       pool's, node timings)
@@ -58,7 +56,6 @@ KEY_COLUMNS = {
     "simd": ("kernel", "backend"),
     "profile": ("kernel", "threads"),
     "stream": ("path", "budget_mb"),
-    "tune": ("param", "candidate"),
     "dag": ("row",),
     "serve": ("targets", "path"),
 }

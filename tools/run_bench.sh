@@ -15,10 +15,6 @@
 #     each row recording peak/seconds/tile reloads and that the fused
 #     matrix stayed bit-identical (bench_micro --mode=stream
 #     --json-out, DESIGN.md §10). STREAM_SCALE tunes the dataset size;
-#   * BENCH_tune.json — the autotune candidate sweep (bench_micro
-#     --mode=tune --json-out, DESIGN.md §13): one row per
-#     (param, candidate) with the winner flagged. TUNE_SCALE shrinks
-#     the sweep shapes;
 #   * BENCH_dag.json — the operator-DAG executor on the full pipeline
 #     at max_concurrency 1 (serial order) vs the pool's thread count
 #     (bench_micro --mode=dag --json-out, DESIGN.md §14): both wall
@@ -64,7 +60,6 @@ MIN_TIME="${MIN_TIME:-0.3}"
 THREADS_LIST="${THREADS_LIST:-1,2,4,8}"
 BUILD_DIR="${BUILD_DIR:-build}"
 STREAM_SCALE="${STREAM_SCALE:-0.2}"
-TUNE_SCALE="${TUNE_SCALE:-1.0}"
 DAG_SCALE="${DAG_SCALE:-0.2}"
 SERVE_TARGETS="${SERVE_TARGETS:-2000,8000,32000,256000}"
 GATE_TOLERANCE="${GATE_TOLERANCE:-0.15}"
@@ -102,7 +97,7 @@ esac
 if [[ "${MODE}" == "gate-check" ]]; then
   exec python3 tools/bench_gate.py --check \
     BENCH_par.json BENCH_simd.json BENCH_profile.json BENCH_stream.json \
-    BENCH_tune.json BENCH_dag.json BENCH_serve.json
+    BENCH_dag.json BENCH_serve.json
 fi
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -162,11 +157,6 @@ echo "=== profile sweep ==="
 echo "=== streaming budget sweep ==="
 "${BUILD_DIR}/bench/bench_micro" --mode=stream \
   --json-out="${OUT_DIR}/BENCH_stream.json" --scale="${STREAM_SCALE}"
-
-echo "=== autotune candidate sweep ==="
-"${BUILD_DIR}/bench/bench_micro" --mode=tune \
-  --json-out="${OUT_DIR}/BENCH_tune.json" --scale="${TUNE_SCALE}" \
-  --min-time="${MIN_TIME}"
 
 echo "=== DAG executor sweep ==="
 "${BUILD_DIR}/bench/bench_micro" --mode=dag \

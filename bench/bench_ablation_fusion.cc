@@ -2,11 +2,9 @@
 // channel-fusion strategies.
 //
 // The paper fuses M = M_s + M_n with equal weights and decodes by row
-// argmax. This bench isolates the calibration/decoding choices this
+// argmax. This bench isolates the calibration choices this
 // implementation makes on top:
 //   * CSLS hubness correction of M_s (on by default) vs. raw M_s;
-//   * Sinkhorn (approximately 1-to-1) decoding of the fused matrix vs.
-//     plain argmax;
 //   * the name-fusion weight γ of STNS inside NFF;
 //   * structural-model choice (RREA vs. GCN vs. TransE) under identical
 //     channels.
@@ -16,7 +14,6 @@
 
 #include "bench/bench_util.h"
 #include "src/core/evaluator.h"
-#include "src/sim/sinkhorn.h"
 
 using namespace largeea;
 using namespace largeea::bench;
@@ -42,19 +39,14 @@ int main(int argc, char** argv) {
   // Baseline configuration.
   const LargeEaOptions base =
       DefaultOptions(tier, dataset, ModelKind::kRrea, epochs);
-  const LargeEaResult with_csls = RunLargeEa(dataset, base).value();
-  report("default (RREA, CSLS on M_s, argmax)", with_csls.metrics);
+  report("default (RREA, CSLS on M_s, argmax)",
+         RunLargeEa(dataset, base).value().metrics);
 
   {
     LargeEaOptions options = base;
     options.structure_channel.apply_csls = false;
     report("w/o CSLS on M_s",
            RunLargeEa(dataset, options).value().metrics);
-  }
-  {
-    const SparseSimMatrix sinkhorn = SinkhornNormalize(with_csls.fused);
-    report("+ Sinkhorn decoding of fused M",
-           Evaluate(sinkhorn, dataset.split.test));
   }
   for (const float gamma : {0.0f, 0.05f, 0.3f}) {
     LargeEaOptions options = base;
@@ -77,9 +69,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading guide: CSLS calibration matters when the structure channel\n"
       "is weak/noisy (small batches; see tests) and is ~neutral when it is\n"
-      "strong; Sinkhorn's global 1-to-1 competition typically gains a few\n"
-      "H@1 points over per-row argmax; gamma = 0.05 (the paper's choice)\n"
-      "sits near the optimum; RREA > GCN > TransE as the structural\n"
-      "plug-in, matching the EA literature.\n");
+      "strong; gamma = 0.05 (the paper's choice) sits near the optimum;\n"
+      "RREA > GCN > TransE as the structural plug-in, matching the EA\n"
+      "literature.\n");
   return 0;
 }

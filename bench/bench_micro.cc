@@ -6,13 +6,13 @@
 // Three modes:
 //   * default — the google-benchmark suite below, all its flags intact;
 //   * --json-out=FILE — a hand-timed kernel-scaling harness instead:
-//     threads x {gemm, topk, sinkhorn, minhash} rows (seconds,
+//     threads x {gemm, topk, minhash} rows (seconds,
 //     items/sec, speedup vs 1 thread), written through BenchJson. The
 //     perf trajectory invokes it as `--json-out=BENCH_par.json`;
 //     --threads-list=1,2,4,8 and --min-time=0.3 tune the sweep;
 //   * --json-out=FILE --mode=backend — a SIMD backend x kernel matrix at
 //     one thread: every available backend (scalar, sse2, avx2) times
-//     {dot, manhattan, gemm, gemm_tb, sinkhorn, topk, levenshtein} on
+//     {dot, manhattan, gemm, gemm_tb, topk, levenshtein} on
 //     identical inputs, rows carry speedup vs the scalar backend. The
 //     perf trajectory invokes it as
 //     `--mode=backend --json-out=BENCH_simd.json`;
@@ -90,7 +90,6 @@
 #include "src/serve/index_manager.h"
 #include "src/serve/query_engine.h"
 #include "src/sim/lsh.h"
-#include "src/sim/sinkhorn.h"
 #include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
 #include "src/stream/stream_context.h"
@@ -270,16 +269,14 @@ std::vector<int32_t> ParseThreadsList(const std::string& list) {
 // Problem sizes for the scaling/profile sweeps: DBP1M-representative
 // magnitudes (PAPER.md), i.e. what one mini-batch of the real workload
 // looks like, not toy shapes. A training batch on DBP1M holds ~20k
-// entities at dim 128, so the gemm row count, the sinkhorn row count,
-// and the minhash name count all sit at 20k; the brute-force top-k grid
+// entities at dim 128, so the gemm row count and the minhash name count
+// both sit at 20k; the brute-force top-k grid
 // is 4000^2 because the exact path is only ever used on sub-batch
 // candidate sets (the full graphs go through LSH).
 constexpr int64_t kScaleGemmRows = 20000;
 constexpr int64_t kScaleGemmDim = 128;
 constexpr int64_t kScaleTopKRows = 4000;
 constexpr int64_t kScaleTopKDim = 64;
-constexpr int32_t kScaleSinkRows = 20000;
-constexpr int32_t kScaleSinkEntries = 50;
 constexpr int64_t kScaleMinHashNames = 20000;
 
 struct ScalingKernel {
@@ -300,8 +297,6 @@ struct ScalingBench {
   Matrix topk_a{kScaleTopKRows, kScaleTopKDim};
   Matrix topk_b{kScaleTopKRows, kScaleTopKDim};
   TopKOptions topk{.k = 50, .metric = SimMetric::kManhattan};
-  SparseSimMatrix sink_in{kScaleSinkRows, kScaleSinkRows, kScaleSinkEntries};
-  SinkhornOptions sink;
   MinHasher hasher{64, 7};
   std::vector<std::vector<std::string>> names;
   std::vector<std::vector<uint64_t>> signatures;
@@ -312,13 +307,6 @@ struct ScalingBench {
     gemm_b.GlorotInit(rng);
     topk_a.GlorotInit(rng);
     topk_b.GlorotInit(rng);
-    for (int32_t r = 0; r < kScaleSinkRows; ++r) {
-      for (int32_t e = 0; e < kScaleSinkEntries; ++e) {
-        sink_in.Accumulate(
-            r, static_cast<EntityId>(rng.Uniform(kScaleSinkRows)),
-            static_cast<float>(rng.Uniform(1000)) * 1e-3f);
-      }
-    }
     names.resize(static_cast<size_t>(kScaleMinHashNames));
     for (size_t i = 0; i < names.size(); ++i) {
       names[i] = TokenizeName("entity name number " + std::to_string(i) +
@@ -332,11 +320,6 @@ struct ScalingBench {
         {"topk", "sim.topk.exact", kScaleTopKRows * kScaleTopKRows,
          [this] {
            benchmark::DoNotOptimize(ExactTopK(topk_a, topk_b, topk));
-         }},
-        {"sinkhorn", "sim.sinkhorn",
-         int64_t{kScaleSinkRows} * kScaleSinkEntries * sink.iterations,
-         [this] {
-           benchmark::DoNotOptimize(SinkhornNormalize(sink_in, sink));
          }},
         {"minhash", "bench.minhash", kScaleMinHashNames, [this] {
            // Mirrors string_sim.cc's signature-build loop, annotated the
@@ -489,14 +472,6 @@ int RunBackendMatrix(const Flags& flags) {
   topk_a.GlorotInit(rng);
   topk_b.GlorotInit(rng);
   const TopKOptions topk{.k = 50, .metric = SimMetric::kManhattan};
-  SparseSimMatrix sink_in(2000, 2000, 50);
-  for (int32_t r = 0; r < 2000; ++r) {
-    for (int32_t e = 0; e < 50; ++e) {
-      sink_in.Accumulate(r, static_cast<EntityId>(rng.Uniform(2000)),
-                         static_cast<float>(rng.Uniform(1000)) * 1e-3f);
-    }
-  }
-  SinkhornOptions sink;
   constexpr int32_t kNamePairs = 400;
   std::vector<std::pair<std::string, std::string>> name_pairs;
   int64_t name_cells = 0;  // DP cells per iteration, for items/sec
@@ -517,7 +492,6 @@ int RunBackendMatrix(const Flags& flags) {
     std::function<void()> fn;
     std::function<void()> scalar_fn;  // nullptr = same as fn
   };
-  float acc_sink = 0.0f;
   const std::vector<Kernel> kernels = {
       {"dot", int64_t{kVecRows} * kVecDim,
        [&] {
@@ -541,15 +515,6 @@ int RunBackendMatrix(const Flags& flags) {
        [&] { Gemm(gemm_a, gemm_b, gemm_c); }, nullptr},
       {"gemm_tb", int64_t{256} * 256 * 256,
        [&] { GemmTransposeB(gemm_a, gemm_b, gemm_c); }, nullptr},
-      {"sinkhorn", int64_t{2000} * 50 * sink.iterations,
-       [&] {
-         benchmark::DoNotOptimize(acc_sink +=
-                                  SinkhornNormalize(sink_in, sink)
-                                      .Row(0)
-                                      .front()
-                                      .score);
-       },
-       nullptr},
       {"topk", int64_t{1000} * 1000,
        [&] { benchmark::DoNotOptimize(ExactTopK(topk_a, topk_b, topk)); },
        nullptr},
@@ -973,7 +938,7 @@ int RunServeSweep(const Flags& flags) {
           [&](int64_t i) {
             index->encoder().EncodeName(
                 queries[static_cast<size_t>(i) % queries.size()], qvec.data());
-            index->ann().QueryTopK(qvec, k, scratch);
+            index->AnnTopK(qvec, k, scratch);
           },
           min_time / 4);
       const int32_t shortlist_cap = std::max(4 * k, 64);  // engine's cap

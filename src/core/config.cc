@@ -41,8 +41,6 @@ void Config::Register(FlagRegistry& r) {
           "entries kept per row in the fused M_n");
   r.Int32("sens-top-k", &name.nff.sens.top_k,
           "phi — semantic candidates kept per source entity");
-  r.Int32("segments", &name.nff.sens.num_segments,
-          "segments the embedding matrices are split into");
   r.Bool("use-idf", &name.nff.sens.use_idf,
          "IDF-weight name tokens over the two KGs");
   r.Bool("use-lsh", &name.nff.sens.use_lsh,

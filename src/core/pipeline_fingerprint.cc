@@ -52,14 +52,14 @@ PipelineFingerprints ComputePipelineFingerprints(
   fp.name_semantic = Chain(
       fp.base, "sem",
       Printf("enc=%d,%d,%.9g,%d,%d,%d,%" PRIu64 ",%.9g"
-             " idf=%d topk=%d seg=%d lsh=%d,%d,%d,%d,%" PRIu64 " metric=%d",
+             " idf=%d topk=%d lsh=%d,%d,%d,%d,%" PRIu64 " metric=%d",
              sens.encoder.dim, sens.encoder.active_slots_per_token,
              sens.encoder.word_token_weight,
              sens.encoder.tokenizer.ngram_size,
              static_cast<int>(sens.encoder.tokenizer.include_words),
              static_cast<int>(sens.encoder.tokenizer.include_ngrams),
              sens.encoder.seed, sens.encoder.epsilon,
-             static_cast<int>(sens.use_idf), sens.top_k, sens.num_segments,
+             static_cast<int>(sens.use_idf), sens.top_k,
              static_cast<int>(sens.use_lsh), sens.lsh.num_tables,
              sens.lsh.bits_per_table, sens.lsh.probe_radius, sens.lsh.seed,
              static_cast<int>(sens.metric)));

@@ -17,7 +17,7 @@
 #include "src/partition/overlap.h"
 #include "src/rt/fault_injection.h"
 #include "src/sim/csls.h"
-#include "src/sim/similarity_search.h"
+#include "src/sim/topk_search.h"
 
 namespace largeea {
 namespace {
@@ -214,10 +214,8 @@ StatusOr<StructureChannelResult> TrainStructureChannel(
                           options.top_k);
     {
       LARGEEA_TRACE_SPAN("structure/topk");
-      const auto search =
-          MakeSimilaritySearch(embeddings.target, local_target.global_ids,
-                               SimilaritySearchOptions{.topk = topk});
-      search->SearchInto(embeddings.source, local_source.global_ids, block);
+      ExactTopKInto(embeddings.source, local_source.global_ids,
+                    embeddings.target, local_target.global_ids, topk, block);
     }
     return block;
   };

@@ -1,25 +1,21 @@
 #include "src/name/nff.h"
 
-#include <utility>
+#include <string>
 
 #include "src/obs/trace.h"
-#include "src/stream/stream_context.h"
 
 namespace largeea {
 
 NffResult ComputeNameFeatures(const KnowledgeGraph& source,
                               const KnowledgeGraph& target,
-                              const NffOptions& options,
-                              stream::StreamContext* stream_ctx) {
+                              const NffOptions& options) {
   NffResult result;
   {
     obs::Span sens_span("name/sens");
     sens_span.AddAttr("use_lsh",
                       options.sens.use_lsh ? std::string("true")
                                            : std::string("false"));
-    sens_span.AddAttr("streamed", int64_t{stream_ctx != nullptr});
-    result.semantic =
-        ComputeSemanticSimilarity(source, target, options.sens, stream_ctx);
+    result.semantic = ComputeSemanticSimilarity(source, target, options.sens);
     result.sens_seconds = sens_span.End();
   }
   {
@@ -28,19 +24,9 @@ NffResult ComputeNameFeatures(const KnowledgeGraph& source,
     result.stns_seconds = stns_span.End();
   }
   LARGEEA_TRACE_SPAN("name/fuse");
-  if (stream_ctx != nullptr && stream_ctx->options().release_inputs) {
-    // Row-streamed fusion consumes M_se and M_st as it goes; the moved-
-    // from members are left empty, which the budget counts on.
-    result.fused = SparseSimMatrix::FuseStreamed(
-        std::move(result.semantic), std::move(result.string), 1.0f,
-        options.string_weight, options.max_entries_per_row);
-    result.semantic = SparseSimMatrix();
-    result.string = SparseSimMatrix();
-  } else {
-    result.fused = result.semantic.Fuse(result.string, 1.0f,
-                                        options.string_weight,
-                                        options.max_entries_per_row);
-  }
+  result.fused = result.semantic.Fuse(result.string, 1.0f,
+                                      options.string_weight,
+                                      options.max_entries_per_row);
   return result;
 }
 

@@ -27,15 +27,12 @@ struct NffResult {
   double stns_seconds = 0.0;
 };
 
-/// Runs SENS and STNS and fuses them. With a non-null `stream_ctx` the
-/// semantic search streams target embedding tiles through the spill
-/// store and the fusion consumes its inputs row-by-row — `semantic` and
-/// `string` come back empty (released) when the context's
-/// release_inputs option is set; `fused` is bit-identical either way.
+/// Runs SENS and STNS in memory and fuses them. The pipeline's streamed
+/// name channel is the DAG's name nodes (src/dag/pipeline_dag.h), not
+/// this function.
 NffResult ComputeNameFeatures(const KnowledgeGraph& source,
                               const KnowledgeGraph& target,
-                              const NffOptions& options,
-                              stream::StreamContext* stream_ctx = nullptr);
+                              const NffOptions& options);
 
 }  // namespace largeea
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
-#include "src/common/macros.h"
-#include "src/sim/similarity_search.h"
+#include "src/obs/trace.h"
 #include "src/stream/stream_context.h"
 
 namespace largeea {
@@ -15,18 +15,12 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
                                           const KnowledgeGraph& target,
                                           const SensOptions& options,
                                           stream::StreamContext* stream_ctx) {
-  LARGEEA_CHECK_GE(options.num_segments, 1);
   SemanticEncoder encoder(options.encoder);
   if (options.use_idf) encoder.FitIdf({&source, &target});
 
   SparseSimMatrix m_se(source.num_entities(), target.num_entities(),
                        options.top_k);
-  SimilaritySearchOptions search_options{
-      .topk = {.k = options.top_k, .metric = options.metric},
-      .use_lsh = options.use_lsh,
-      .lsh = options.lsh,
-      .num_segments = options.num_segments,
-  };
+  const TopKOptions topk{.k = options.top_k, .metric = options.metric};
 
   if (stream_ctx != nullptr) {
     // Memory-budgeted path: the target embeddings are encoded tile by
@@ -34,7 +28,7 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
     // fly — neither whole-graph embedding matrix ever exists. Per-name
     // encoding and order-independent top-k make this bit-identical to
     // the in-memory path below.
-    search_options.prefetch = stream_ctx->options().prefetch;
+    const bool prefetch = stream_ctx->options().prefetch;
     const int64_t dim = encoder.dim();
     const int64_t tile_rows = stream_ctx->budget().TileRowsFor(
         target.num_entities(), dim * static_cast<int64_t>(sizeof(float)));
@@ -45,8 +39,24 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
           target, static_cast<EntityId>(tiles.TileBegin(t)),
           static_cast<EntityId>(tiles.TileEnd(t))));
     }
-    const std::unique_ptr<SimilaritySearch> search =
-        MakeStreamedSimilaritySearch(tiles, search_options);
+    // Incremental LSH build, one tile resident at a time. Rows arrive in
+    // ascending order exactly as in the one-shot constructor, so the
+    // finished index is identical to LshIndex(target_emb, options.lsh).
+    std::optional<LshIndex> index;
+    if (options.use_lsh) {
+      index.emplace(static_cast<int32_t>(dim), options.lsh);
+      obs::Span build_span("lsh/build_index");
+      build_span.AddAttr("streamed", int64_t{1});
+      for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+        if (prefetch) tiles.Prefetch(t + 1);
+        const std::shared_ptr<const Matrix> tile = tiles.Tile(t);
+        const int32_t base = static_cast<int32_t>(tiles.TileBegin(t));
+        for (int64_t r = 0; r < tile->rows(); ++r) {
+          index->Insert(base + static_cast<int32_t>(r), tile->Row(r));
+        }
+      }
+      index->FinishBuild();
+    }
     for (int64_t sb = 0; sb < source.num_entities(); sb += tile_rows) {
       const int64_t se =
           std::min<int64_t>(sb + tile_rows, source.num_entities());
@@ -54,7 +64,12 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
           source, static_cast<EntityId>(sb), static_cast<EntityId>(se));
       std::vector<EntityId> row_ids(se - sb);
       std::iota(row_ids.begin(), row_ids.end(), static_cast<EntityId>(sb));
-      search->SearchInto(block, row_ids, m_se);
+      if (index.has_value()) {
+        LshTopKStreamedInto(block, row_ids, tiles, *index, prefetch, topk,
+                            m_se);
+      } else {
+        ExactTopKStreamedInto(block, row_ids, tiles, prefetch, topk, m_se);
+      }
     }
     m_se.RefreshMemoryTracking();
     return m_se;
@@ -62,21 +77,15 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
 
   const Matrix source_emb = encoder.EncodeAllNames(source);
   const Matrix target_emb = encoder.EncodeAllNames(target);
+  std::vector<EntityId> row_ids(source.num_entities());
+  std::iota(row_ids.begin(), row_ids.end(), 0);
   std::vector<EntityId> col_ids(target.num_entities());
   std::iota(col_ids.begin(), col_ids.end(), 0);
-  const std::unique_ptr<SimilaritySearch> search =
-      MakeSimilaritySearch(target_emb, col_ids, search_options);
-
-  // Source segments are scored one at a time; the search object applies
-  // the same segmentation to the target (exact path) or its LSH index.
-  // Segmented accumulation yields exactly the unsegmented result.
-  const int64_t src_step =
-      (source_emb.rows() + options.num_segments - 1) / options.num_segments;
-  for (int64_t sb = 0; sb < source_emb.rows(); sb += src_step) {
-    const int64_t se = std::min(sb + src_step, source_emb.rows());
-    std::vector<EntityId> row_ids(se - sb);
-    std::iota(row_ids.begin(), row_ids.end(), static_cast<EntityId>(sb));
-    search->SearchInto(MatrixRowRange(source_emb, sb, se), row_ids, m_se);
+  if (options.use_lsh) {
+    const LshIndex index(target_emb, options.lsh);
+    LshTopKInto(source_emb, row_ids, target_emb, col_ids, index, topk, m_se);
+  } else {
+    ExactTopKInto(source_emb, row_ids, target_emb, col_ids, topk, m_se);
   }
   m_se.RefreshMemoryTracking();
   return m_se;

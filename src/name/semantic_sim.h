@@ -1,9 +1,9 @@
 // SENS — semantic name similarity (Section 2.3).
 //
-// Entity names are embedded by the SemanticEncoder, embeddings are split
-// into segments for memory-bounded search, and only the top-φ most
-// similar target entities per source entity are retained — the paper's
-// Faiss-backed pipeline, with O(k|Es|) instead of O(|Es||Et|) memory.
+// Entity names are embedded by the SemanticEncoder and only the top-φ
+// most similar target entities per source entity are retained — the
+// paper's Faiss-backed pipeline, with O(k|Es|) instead of O(|Es||Et|)
+// memory.
 #ifndef LARGEEA_NAME_SEMANTIC_SIM_H_
 #define LARGEEA_NAME_SEMANTIC_SIM_H_
 
@@ -23,9 +23,6 @@ struct SensOptions {
   bool use_idf = true;
   /// φ — semantic candidates kept per source entity.
   int32_t top_k = 50;
-  /// Number of segments the embedding matrices are split into; search
-  /// runs per segment pair so only one block is hot at a time.
-  int32_t num_segments = 1;
   /// Use the approximate LSH path instead of exact blocked search
   /// (the DBP1M-tier setting).
   bool use_lsh = false;

@@ -78,24 +78,10 @@ int64_t NormRowGrain(int64_t rows) {
   return grain < 16 ? 16 : grain;
 }
 
-int64_t SinkhornRowGrain(int64_t rows) {
-  if (rows <= 64) return 64;
-  const int64_t grain = CeilDiv(rows, kTargetChunks);
-  return grain < 64 ? 64 : grain;
-}
-
 int64_t TopKRowGrain(int64_t rows) {
   if (rows <= 8) return 8;
   const int64_t grain = CeilDiv(rows, kTargetChunks);
   return grain < 8 ? 8 : grain;
-}
-
-int64_t SinkhornColChunks(int64_t num_entries) {
-  // Pure function of shape (see header): enough chunks that the column
-  // scatter parallelises, few enough that the tree merge tail stays
-  // shallow. ~256K entries per chunk.
-  if (num_entries <= 0) return 2;
-  return Clamp(CeilDiv(num_entries, int64_t{1} << 18), 2, 32);
 }
 
 int64_t GemmTransposeAGrain(int64_t m) {

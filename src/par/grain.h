@@ -8,9 +8,9 @@
 //   loops whose bodies write chunk- or element-private state (§8), so
 //   any value gives the same bytes. They target ~kTargetChunks chunks
 //   per job.
-// * Reduction-topology functions (SinkhornColChunks,
-//   GemmTransposeAGrain) pick a float merge order, so they depend on the
-//   shape alone — changing one changes result bits and checkpoint bytes.
+// * The reduction-topology function (GemmTransposeAGrain) picks a float
+//   merge order, so it depends on the shape alone — changing it changes
+//   result bits and checkpoint bytes.
 #ifndef LARGEEA_PAR_GRAIN_H_
 #define LARGEEA_PAR_GRAIN_H_
 
@@ -34,15 +34,11 @@ int64_t GemmTileCols(int64_t k);
 int64_t ElemGrain(int64_t size);
 /// L2NormalizeRows row grain.
 int64_t NormRowGrain(int64_t rows);
-/// Sinkhorn row-normalise grain.
-int64_t SinkhornRowGrain(int64_t rows);
 /// Top-k search source-row grain.
 int64_t TopKRowGrain(int64_t rows);
 
-// --- Reduction-topology functions: shape only.
+// --- Reduction-topology function: shape only.
 
-/// Column-sum chunk count of the Sinkhorn scatter, in [2, 32].
-int64_t SinkhornColChunks(int64_t num_entries);
 /// Row grain of GemmTransposeA, whose chunks own k×n partials.
 int64_t GemmTransposeAGrain(int64_t m);
 

@@ -96,65 +96,6 @@ void ParallelReduceOrdered(int64_t begin, int64_t end, int64_t grain,
   }
 }
 
-/// Runs body(chunk, state) like ParallelReduceOrdered, then folds the
-/// per-chunk states with combine(into, from) along a fixed-topology
-/// pairwise tree instead of a serial linear scan. The topology is a
-/// pure function of the chunk count (stride-doubling: level s combines
-/// states[i] <- states[i+s] for i = 0, 2s, 4s, ...), so the float
-/// reduction order is identical at any thread count — but unlike the
-/// ordered merge the tail is O(log chunks) deep and each level's
-/// combines touch disjoint states, so they run on the pool.
-/// Returns the fully folded states[0] (State{} for an empty range).
-template <typename State, typename Body, typename Combine>
-State ParallelReduceTree(int64_t begin, int64_t end, int64_t grain,
-                         Body&& body, Combine&& combine) {
-  const std::vector<ChunkRange> chunks = ComputeChunks(begin, end, grain);
-  if (chunks.empty()) return State{};
-  std::vector<State> states(chunks.size());
-  const bool profiled = obs::ProfilingEnabled();
-  ThreadPool::JobStats stats;
-  ThreadPool::Get().Run(
-      static_cast<int64_t>(chunks.size()),
-      [&](int64_t task) {
-        body(chunks[static_cast<size_t>(task)],
-             states[static_cast<size_t>(task)]);
-      },
-      profiled ? &stats : nullptr);
-  const uint64_t merge_start = profiled ? obs::TscClock::Now() : 0;
-  const int64_t n = static_cast<int64_t>(chunks.size());
-  std::vector<std::pair<int64_t, int64_t>> pairs;
-  for (int64_t stride = 1; stride < n; stride *= 2) {
-    pairs.clear();
-    for (int64_t i = 0; i + stride < n; i += 2 * stride) {
-      pairs.emplace_back(i, i + stride);
-    }
-    // Combines within a level touch disjoint states, so their execution
-    // order is irrelevant — dispatching through the pool vs running
-    // inline cannot change a bit. Tiny levels (the tail of every tree)
-    // run inline: a cross-thread wakeup costs more than two combines.
-    if (pairs.size() <= 2) {
-      for (const auto& [into, from] : pairs) {
-        combine(states[static_cast<size_t>(into)],
-                states[static_cast<size_t>(from)]);
-      }
-    } else {
-      ThreadPool::Get().Run(
-          static_cast<int64_t>(pairs.size()), [&](int64_t p) {
-            combine(states[static_cast<size_t>(pairs[static_cast<size_t>(p)]
-                                                   .first)],
-                    states[static_cast<size_t>(pairs[static_cast<size_t>(p)]
-                                                   .second)]);
-          });
-    }
-  }
-  if (profiled) {
-    internal::RecordLoopProfile(
-        stats, n, grain > 0 ? grain : end - begin,
-        obs::TscClock::ToSeconds(obs::TscClock::Now() - merge_start));
-  }
-  return std::move(states[0]);
-}
-
 }  // namespace largeea::par
 
 #endif  // LARGEEA_PAR_PARALLEL_FOR_H_

@@ -44,6 +44,15 @@ Status ReadTokenizer(rt::BinaryReader& r, TokenizerOptions* t) {
   return OkStatus();
 }
 
+/// Drained (score, target row) pairs as {target id, score} entries:
+/// target ids are the embedding rows.
+void ToEntries(const std::vector<std::pair<float, int32_t>>& drained,
+               std::vector<SimEntry>& out) {
+  out.clear();
+  out.reserve(drained.size());
+  for (const auto& [score, j] : drained) out.push_back({j, score});
+}
+
 }  // namespace
 
 StatusOr<std::shared_ptr<const ServeIndex>> ServeIndex::Build(
@@ -137,21 +146,10 @@ Status ServeIndex::Finish() {
     lsh_->Insert(static_cast<int32_t>(e), target_signatures_[e]);
   }
 
-  // Search objects over the (now address-stable) embedding matrix.
-  target_ids_.resize(num_targets);
-  for (int64_t e = 0; e < num_targets; ++e) {
-    target_ids_[e] = static_cast<EntityId>(e);
-  }
-  SimilaritySearchOptions search_options;
-  search_options.topk.metric = options_.metric;
-  search_options.hnsw = options_.hnsw;
+  // The graph over the (now address-stable) embedding matrix.
   if (!graph_.has_value()) {
     graph_.emplace(target_embeddings_, options_.metric, options_.hnsw);
   }
-  ann_ = MakeHnswSimilaritySearch(target_embeddings_, target_ids_,
-                                  search_options, *graph_);
-  exact_ = MakeSimilaritySearch(target_embeddings_, target_ids_,
-                                search_options);
   return OkStatus();
 }
 
@@ -169,10 +167,29 @@ std::optional<EntityId> ServeIndex::TargetIdByName(
   return it->second;
 }
 
-std::vector<int32_t> ServeIndex::StringShortlist(
-    const std::string& name) const {
-  return lsh_->Query(hasher_->Signature(
-      TokenizeName(name, options_.minhash_tokenizer)));
+void ServeIndex::AnnTopK(std::span<const float> query, int32_t k,
+                         std::vector<SimEntry>& out) const {
+  LARGEEA_CHECK_EQ(static_cast<int64_t>(query.size()),
+                   target_embeddings_.cols());
+  std::vector<std::pair<float, int32_t>> drained;
+  graph_->QueryTopK(query.data(), k, drained);
+  ToEntries(drained, out);
+}
+
+void ServeIndex::ExactTopK(std::span<const float> query, int32_t k,
+                           std::vector<SimEntry>& out) const {
+  LARGEEA_CHECK_EQ(static_cast<int64_t>(query.size()),
+                   target_embeddings_.cols());
+  const simd::KernelTable& kt = simd::Kernels();
+  TopKHeap heap(k);
+  for (int64_t j = 0; j < target_embeddings_.rows(); ++j) {
+    heap.Offer(static_cast<int32_t>(j),
+               ScorePair(kt, query.data(), target_embeddings_.Row(j),
+                         target_embeddings_.cols(), options_.metric));
+  }
+  std::vector<std::pair<float, int32_t>> drained;
+  heap.Drain(drained);
+  ToEntries(drained, out);
 }
 
 std::vector<int32_t> ServeIndex::StringShortlist(const std::string& name,

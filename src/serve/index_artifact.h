@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +44,7 @@
 #include "src/name/minhash.h"
 #include "src/name/semantic_encoder.h"
 #include "src/rt/status.h"
-#include "src/sim/similarity_search.h"
+#include "src/sim/hnsw.h"
 #include "src/sim/sparse_sim.h"
 
 namespace largeea::serve {
@@ -111,19 +112,22 @@ class ServeIndex {
   /// embeddings).
   const SemanticEncoder& encoder() const { return *encoder_; }
   const Matrix& target_embeddings() const { return target_embeddings_; }
-  /// ANN search over the target embeddings (HNSW walk, exact scores).
-  const SimilaritySearch& ann() const { return *ann_; }
-  /// Exact full-scan search over the same embeddings — the reference
-  /// path the ANN answer is benchmarked and verified against.
-  const SimilaritySearch& exact() const { return *exact_; }
+  /// Top-k targets for an encoded query (length encoder dim) by an
+  /// HNSW walk over the target embeddings, as {target id, exact score}
+  /// in (score desc, id asc) order. `out` is cleared first.
+  void AnnTopK(std::span<const float> query, int32_t k,
+               std::vector<SimEntry>& out) const;
+  /// The same answer by a full scan of the target embeddings — the
+  /// reference path the ANN answer is benchmarked and verified against.
+  void ExactTopK(std::span<const float> query, int32_t k,
+                 std::vector<SimEntry>& out) const;
 
   /// Target ids whose MinHash signature collides with `name`'s in at
-  /// least one LSH band (the string-channel shortlist; deduplicated).
-  std::vector<int32_t> StringShortlist(const std::string& name) const;
-  /// Same shortlist bounded to `limit` ids, preferring candidates that
-  /// collide in more bands (higher estimated Jaccard; deterministic
-  /// cut). The query path uses this so one query against a popular
-  /// bucket cannot degenerate into an O(n) re-rank.
+  /// least one LSH band (the string-channel shortlist; deduplicated),
+  /// bounded to `limit` ids, preferring candidates that collide in more
+  /// bands (higher estimated Jaccard; deterministic cut). The bound
+  /// keeps one query against a popular bucket from degenerating into an
+  /// O(n) re-rank.
   std::vector<int32_t> StringShortlist(const std::string& name,
                                        int32_t limit) const;
 
@@ -139,7 +143,7 @@ class ServeIndex {
   ServeIndex() = default;
 
   /// Shared tail of Build and Load: derived structures (name→id maps,
-  /// encoder IDF, search objects, LSH banding) computed from the packed
+  /// encoder IDF, LSH banding) computed from the packed
   /// state. The HNSW graph must already sit in graph_ (Load) or is
   /// built here (Build).
   Status Finish();
@@ -167,9 +171,6 @@ class ServeIndex {
   std::unique_ptr<SemanticEncoder> encoder_;
   std::unique_ptr<MinHasher> hasher_;
   std::unique_ptr<MinHashLsh> lsh_;
-  std::vector<EntityId> target_ids_;  ///< identity col_ids for searches
-  std::unique_ptr<SimilaritySearch> ann_;
-  std::unique_ptr<SimilaritySearch> exact_;
 };
 
 }  // namespace largeea::serve

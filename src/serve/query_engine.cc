@@ -103,13 +103,13 @@ void QueryEngine::ExecuteName(const ServeIndex& index,
 
   std::vector<SimEntry> entries;
   if (request.exact) {
-    index.exact().QueryTopK(query, request.k, entries);
+    index.ExactTopK(query, request.k, entries);
   } else {
     // ANN shortlist (graph walk) ∪ string shortlist (MinHash/LSH band
     // collisions) — the two name channels, fused per query. Both carry
     // or get exact scores, so the final cut is a deterministic top-k of
     // the union.
-    index.ann().QueryTopK(query, request.k, entries);
+    index.AnnTopK(query, request.k, entries);
     // Band-count-capped shortlist: enough headroom over k to matter,
     // bounded so a popular bucket cannot make this query O(n).
     const int32_t cap = std::max(4 * request.k, 64);

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "src/common/string_util.h"
-#include "src/rt/io_util.h"
 
 namespace largeea {
 
@@ -67,19 +66,6 @@ StatusOr<SparseSimMatrix> SimMatrixFromString(std::string_view text) {
                  static_cast<float>(*score));
   }
   m.RefreshMemoryTracking();
-  return m;
-}
-
-Status SaveSimMatrix(const SparseSimMatrix& m, const std::string& path) {
-  return rt::AtomicallyWriteFile(path, SimMatrixToString(m))
-      .WithContext("saving sim matrix");
-}
-
-StatusOr<SparseSimMatrix> LoadSimMatrix(const std::string& path) {
-  LARGEEA_ASSIGN_OR_RETURN(const std::string text,
-                           rt::ReadFileToString(path));
-  auto m = SimMatrixFromString(text);
-  if (!m.ok()) return m.status().WithContext("loading '" + path + "'");
   return m;
 }
 

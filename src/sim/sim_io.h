@@ -1,8 +1,9 @@
 // Persistence for sparse similarity matrices.
 //
 // Channel outputs (M_s, M_n, fused M) are the expensive artefacts of a
-// LargeEA run; saving them lets downstream tooling re-decode, re-fuse, or
-// inspect alignments without re-running training. Format: a text header
+// LargeEA run; pipeline checkpoints and the serve index artifact carry
+// them in this text format, so a resume or a served index never re-runs
+// training. Format: a text header
 // ("largeea-sim v1 <rows> <cols> <max_entries>") followed by one
 // "row<TAB>col<TAB>score" line per entry. Scores are printed with %.9g,
 // which round-trips float exactly — a serialise/parse cycle is
@@ -24,13 +25,6 @@ std::string SimMatrixToString(const SparseSimMatrix& m);
 /// Parses a matrix serialised by SimMatrixToString. INVALID_ARGUMENT on
 /// malformed content (bad header, field count, out-of-range indices).
 StatusOr<SparseSimMatrix> SimMatrixFromString(std::string_view text);
-
-/// Writes `m` to `path` atomically (temp file + rename).
-Status SaveSimMatrix(const SparseSimMatrix& m, const std::string& path);
-
-/// Reads a matrix written by SaveSimMatrix. NOT_FOUND if the file cannot
-/// be opened, INVALID_ARGUMENT on malformed content.
-StatusOr<SparseSimMatrix> LoadSimMatrix(const std::string& path);
 
 }  // namespace largeea
 

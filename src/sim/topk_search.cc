@@ -28,7 +28,7 @@ namespace largeea {
 // tail at all.
 //
 // ScorePair and TopKHeap live in src/sim/topk_util.h so the
-// single-query path (QueryTopK, HNSW, serving) keeps byte-identical
+// single-query path (HNSW, serving) keeps byte-identical
 // keep-set semantics with these batch kernels.
 
 void ExactTopKInto(const MatrixRowRange& source,

@@ -38,8 +38,8 @@ struct TopKOptions {
 /// score ties broken towards the smaller column id so the kept set is
 /// independent of scan order. `row_ids[i]` / `col_ids[j]` map view rows
 /// to entity ids in `out`. Both sides take row-range views (a whole
-/// Matrix converts implicitly), so segmented callers pass windows into
-/// the full embedding matrices instead of materialised row copies.
+/// Matrix converts implicitly), so callers can pass windows into the
+/// full embedding matrices instead of materialised row copies.
 /// Rows are scanned in parallel on the par::ThreadPool; results are
 /// merged in row order and are bit-identical at any thread count.
 void ExactTopKInto(const MatrixRowRange& source,

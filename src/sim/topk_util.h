@@ -1,8 +1,8 @@
 // Shared top-k accumulation primitives for the similarity kernels.
 //
 // TopKHeap and ScorePair started life inside topk_search.cc; the
-// single-query path (SimilaritySearch::QueryTopK, the HNSW graph index,
-// the serve-time re-rank) needs the exact same deterministic keep-set
+// single-query path (the HNSW graph index, the serve index's exact scan
+// and its re-rank) needs the exact same deterministic keep-set
 // semantics, so they live here. Any change to the tie-break rule below
 // changes which candidates survive everywhere at once — batch, ANN, and
 // serving stay in agreement by construction.
@@ -37,7 +37,7 @@ inline float ScorePair(const simd::KernelTable& kt, const float* a,
 // Fixed-capacity top-k accumulator: a binary min-heap on (score, id).
 // Ties at the k-boundary break towards the smaller column id, so the
 // surviving set is a pure function of the candidate set — scan order
-// (and therefore segmentation or thread count) cannot change it.
+// (and therefore tiling or thread count) cannot change it.
 class TopKHeap {
  public:
   explicit TopKHeap(int32_t k) : k_(k) {}

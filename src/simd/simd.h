@@ -1,8 +1,8 @@
 // Portable fixed-width SIMD kernel layer with runtime dispatch.
 //
 // Every dense float kernel in the library (dot products, GEMM
-// microkernels, Sinkhorn normalisation, element-wise ops) routes through
-// the KernelTable returned by Kernels(). Three backends implement the
+// microkernels, element-wise ops) routes through the KernelTable
+// returned by Kernels(). Three backends implement the
 // table — scalar, SSE2 (2x4 lanes), and AVX2 (8 lanes) — and the active
 // one is chosen at runtime: CLI `--simd {auto,avx2,sse2,scalar}`, then
 // the LARGEEA_SIMD environment variable, then a CPUID probe for the best

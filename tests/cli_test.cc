@@ -53,6 +53,8 @@ TEST(CliTest, UnknownFlagsExitTwoNamingTheFlag) {
       {{"run", "--memory-budget", "1"}, "unknown flag --memory-budget"},
       // Another command's own flag.
       {{"query", "--tier", "ids15k"}, "unknown flag --tier"},
+      // The SENS segment count, removed with the search strategy layer.
+      {{"run", "--segments", "4"}, "unknown flag --segments"},
   };
   for (const auto& c : cases) {
     const CliOutcome outcome = RunCli(c.args);

@@ -1,68 +1,13 @@
-// Tests for the extension modules: Sinkhorn decoding and bootstrapped
-// (structure-only, self-training) EA.
+// Tests for the bootstrapped (structure-only, self-training) EA
+// extension.
 #include <gtest/gtest.h>
 
 #include "src/core/bootstrap.h"
 #include "src/core/evaluator.h"
 #include "src/gen/benchmark_gen.h"
-#include "src/sim/sinkhorn.h"
 
 namespace largeea {
 namespace {
-
-TEST(SinkhornTest, NormalizesTowardDoublyStochastic) {
-  SparseSimMatrix m(3, 3, 3);
-  for (int32_t r = 0; r < 3; ++r) {
-    for (int32_t c = 0; c < 3; ++c) {
-      m.Accumulate(r, c, r == c ? 1.0f : 0.2f);
-    }
-  }
-  const SparseSimMatrix normalized =
-      SinkhornNormalize(m, SinkhornOptions{.temperature = 0.5f,
-                                           .iterations = 20});
-  // Rows sum to ~1 after the final column step on a square support; at
-  // minimum they must be close.
-  for (int32_t r = 0; r < 3; ++r) {
-    float sum = 0.0f;
-    for (const SimEntry& e : normalized.Row(r)) sum += e.score;
-    EXPECT_NEAR(sum, 1.0f, 0.1f);
-    // The diagonal stays each row's best match.
-    EXPECT_EQ(normalized.ArgmaxOfRow(r), r);
-  }
-}
-
-TEST(SinkhornTest, ResolvesContestedTargets) {
-  // Rows 0 and 1 both prefer column 0, but row 1 has no alternative while
-  // row 0 has a decent second choice. Sinkhorn's competition reassigns
-  // row 0 to its runner-up; plain argmax leaves both on column 0.
-  SparseSimMatrix m(2, 2, 2);
-  m.Accumulate(0, 0, 1.0f);
-  m.Accumulate(0, 1, 0.9f);
-  m.Accumulate(1, 0, 1.0f);
-  m.Accumulate(1, 1, 0.1f);
-  EXPECT_EQ(m.ArgmaxOfRow(0), 0);
-  EXPECT_EQ(m.ArgmaxOfRow(1), 0);
-  const SparseSimMatrix normalized =
-      SinkhornNormalize(m, SinkhornOptions{.temperature = 0.3f,
-                                           .iterations = 30});
-  EXPECT_EQ(normalized.ArgmaxOfRow(0), 1);
-  EXPECT_EQ(normalized.ArgmaxOfRow(1), 0);
-}
-
-TEST(SinkhornTest, PreservesEntrySupport) {
-  SparseSimMatrix m(4, 6, 3);
-  Rng rng(5);
-  for (int32_t r = 0; r < 4; ++r) {
-    for (int i = 0; i < 3; ++i) {
-      m.Accumulate(r, static_cast<EntityId>(rng.Uniform(6)),
-                   rng.UniformFloat());
-    }
-  }
-  const SparseSimMatrix normalized = SinkhornNormalize(m);
-  for (int32_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(normalized.Row(r).size(), m.Row(r).size());
-  }
-}
 
 class BootstrapFixture : public ::testing::Test {
  protected:

@@ -254,21 +254,6 @@ TEST_F(NameChannelFixture, SensRespectsTopK) {
   }
 }
 
-TEST_F(NameChannelFixture, SensSegmentationDoesNotChangeResults) {
-  SensOptions one;
-  one.num_segments = 1;
-  SensOptions four;
-  four.num_segments = 4;
-  const SparseSimMatrix a = ComputeSemanticSimilarity(
-      dataset().source, dataset().target, one);
-  const SparseSimMatrix b = ComputeSemanticSimilarity(
-      dataset().source, dataset().target, four);
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  for (int32_t r = 0; r < a.num_rows(); ++r) {
-    EXPECT_EQ(a.ArgmaxOfRow(r), b.ArgmaxOfRow(r)) << "row " << r;
-  }
-}
-
 TEST_F(NameChannelFixture, SensLshApproximatesExact) {
   SensOptions exact;
   SensOptions approx;

@@ -18,7 +18,6 @@
 #include "src/par/parallel_for.h"
 #include "src/par/thread_pool.h"
 #include "src/rt/io_util.h"
-#include "src/sim/sinkhorn.h"
 
 namespace largeea {
 namespace {
@@ -249,34 +248,41 @@ TEST_F(ProfilerTest, KernelOutputsBitIdenticalWithProfilingOnAndOff) {
   Matrix a(64, 48), b(48, 32), c(64, 32);
   a.GlorotInit(rng);
   b.GlorotInit(rng);
-  SparseSimMatrix sink_in(100, 100, 10);
-  for (int32_t r = 0; r < 100; ++r) {
-    for (int32_t e = 0; e < 10; ++e) {
-      sink_in.Accumulate(r, static_cast<EntityId>(rng.Uniform(100)),
-                         static_cast<float>(rng.Uniform(1000)) * 1e-3f);
-    }
-  }
+  // A reduction kernel too: 256 rows split into several chunks whose
+  // partial A^T·B products merge in chunk order.
+  Matrix ta(256, 48), tb(256, 32), tc(48, 32);
+  ta.GlorotInit(rng);
+  tb.GlorotInit(rng);
 
   Gemm(a, b, c);
   const uint64_t gemm_off = MatrixHash(c);
-  const uint64_t sink_off = SparseHash(SinkhornNormalize(sink_in, {}));
+  GemmTransposeA(ta, tb, tc);
+  const uint64_t gemm_ta_off = MatrixHash(tc);
 
   obs::Profiler::Get().Enable();
   Gemm(a, b, c);
   const uint64_t gemm_on = MatrixHash(c);
-  const uint64_t sink_on = SparseHash(SinkhornNormalize(sink_in, {}));
+  GemmTransposeA(ta, tb, tc);
+  const uint64_t gemm_ta_on = MatrixHash(tc);
   obs::Profiler::Get().Disable();
 
   EXPECT_EQ(gemm_off, gemm_on);
-  EXPECT_EQ(sink_off, sink_on);
+  EXPECT_EQ(gemm_ta_off, gemm_ta_on);
   // And the profiled run actually recorded the kernels it timed.
-  bool saw_gemm = false, saw_sinkhorn = false;
+  bool saw_gemm = false, saw_gemm_ta = false;
   for (const obs::KernelProfile& k : obs::Profiler::Get().KernelTotals()) {
     if (k.kernel == "la.gemm") saw_gemm = true;
-    if (k.kernel == "sim.sinkhorn") saw_sinkhorn = true;
+    if (k.kernel == "la.gemm_ta") saw_gemm_ta = true;
   }
   EXPECT_TRUE(saw_gemm);
-  EXPECT_TRUE(saw_sinkhorn);
+  EXPECT_TRUE(saw_gemm_ta);
+  // Several chunks per job, so the ordered merge really ran.
+  obs::PoolKernelTotal gemm_ta_pool;
+  for (const obs::PoolKernelTotal& t : obs::Profiler::Get().PoolTotals()) {
+    if (t.kernel == "la.gemm_ta") gemm_ta_pool = t;
+  }
+  EXPECT_GT(gemm_ta_pool.jobs, 0);
+  EXPECT_GT(gemm_ta_pool.chunks, gemm_ta_pool.jobs);
 }
 
 TEST_F(ProfilerTest, FusedMatrixBitIdenticalWithProfilingOnAndOff) {

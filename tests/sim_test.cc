@@ -3,9 +3,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 
 #include "src/la/ops.h"
@@ -161,10 +158,7 @@ TEST(SimIoTest, RoundTripPreservesEverything) {
                    rng.UniformFloat() - 0.3f);  // include negative scores
     }
   }
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sim_io_test.tsv").string();
-  ASSERT_TRUE(SaveSimMatrix(m, path).ok());
-  const auto loaded = LoadSimMatrix(path);
+  const auto loaded = SimMatrixFromString(SimMatrixToString(m));
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->num_rows(), m.num_rows());
   ASSERT_EQ(loaded->num_cols(), m.num_cols());
@@ -178,27 +172,16 @@ TEST(SimIoTest, RoundTripPreservesEverything) {
       EXPECT_FLOAT_EQ(a[i].score, b[i].score);
     }
   }
-  std::remove(path.c_str());
 }
 
-TEST(SimIoTest, RejectsMalformedFiles) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sim_io_bad.tsv").string();
-  {
-    std::ofstream out(path);
-    out << "not-a-sim-file\n";
-  }
-  EXPECT_EQ(LoadSimMatrix(path).status().code(),
+TEST(SimIoTest, RejectsMalformedDocuments) {
+  EXPECT_EQ(SimMatrixFromString("not-a-sim-file\n").status().code(),
             StatusCode::kInvalidArgument);
-  {
-    std::ofstream out(path);
-    out << "largeea-sim v1 2 2 2\n9\t0\t1.0\n";  // row out of range
-  }
-  EXPECT_EQ(LoadSimMatrix(path).status().code(),
+  // Row out of range.
+  EXPECT_EQ(SimMatrixFromString("largeea-sim v1 2 2 2\n9\t0\t1.0\n")
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(LoadSimMatrix("/nonexistent/sim.tsv").status().code(),
-            StatusCode::kNotFound);
-  std::remove(path.c_str());
 }
 
 // Brute-force reference for top-k.

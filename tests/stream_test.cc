@@ -26,7 +26,6 @@
 #include "src/rt/fault_injection.h"
 #include "src/rt/io_util.h"
 #include "src/sim/lsh.h"
-#include "src/sim/similarity_search.h"
 #include "src/sim/sparse_sim.h"
 #include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
@@ -306,17 +305,12 @@ class StreamedTopKTest : public ::testing::Test {
     return lsh;
   }
 
-  // One SearchInto of source_ (a single block) against tiles_ through
-  // the streamed LSH search. Returns the result; `misses` and `issued`
-  // receive the call's stream.cache.misses and stream.prefetch.issued.
+  // One LshTopKStreamedInto of source_ (a single block) against tiles_.
+  // Returns the result; `misses` and `issued` receive the call's
+  // stream.cache.misses and stream.prefetch.issued.
   SparseSimMatrix SearchBlock(bool prefetch, int64_t* misses,
                               int64_t* issued) const {
-    SimilaritySearchOptions options;
-    options.use_lsh = true;
-    options.lsh = WideBuckets();
-    options.prefetch = prefetch;
-    const std::unique_ptr<SimilaritySearch> search =
-        MakeStreamedSimilaritySearch(tiles_, options);
+    const LshIndex index(target_, WideBuckets());
     auto& metrics = obs::MetricsRegistry::Get();
     const int64_t misses_before =
         metrics.GetCounter("stream.cache.misses").Value();
@@ -326,7 +320,8 @@ class StreamedTopKTest : public ::testing::Test {
     std::iota(row_ids.begin(), row_ids.end(), 0);
     SparseSimMatrix out(static_cast<int32_t>(source_.rows()),
                         static_cast<int32_t>(target_.rows()), 10);
-    search->SearchInto(source_, row_ids, out);
+    LshTopKStreamedInto(source_, row_ids, tiles_, index, prefetch,
+                        TopKOptions{}, out);
     *misses = metrics.GetCounter("stream.cache.misses").Value() -
               misses_before;
     *issued = metrics.GetCounter("stream.prefetch.issued").Value() -
@@ -354,7 +349,7 @@ TEST_F(StreamedTopKTest, LshMatchesInMemoryAcrossTileRowsAndThreads) {
     std::copy(target.Row(r), target.Row(r) + kDim, target.Row(r + 1));
   }
   const Matrix source = RandomMatrix(40, kDim, 22);
-  // Rows land at an offset in a larger matrix, as segmented callers do.
+  // Rows land at an offset in a larger matrix, as streamed blocks do.
   std::vector<EntityId> row_ids(source.rows());
   std::iota(row_ids.begin(), row_ids.end(), 3);
   std::vector<EntityId> col_ids(kTargetRows);
@@ -402,20 +397,17 @@ TEST_F(StreamedTopKTest, LshSearchPinsOnlyTilesHoldingCandidates) {
   // share of the target, and no other tile may be read.
   stream::TileStore store(BudgetOfMb(1));
   const stream::TileMatrix one_row_tiles = TileCopy(store, target_, 1);
-  SimilaritySearchOptions options;
-  options.use_lsh = true;
-  options.prefetch = false;
-  const std::unique_ptr<SimilaritySearch> search =
-      MakeStreamedSimilaritySearch(one_row_tiles, options);
+  const LshIndex index(target_, LshOptions{});
   std::vector<int32_t> candidates;
-  LshIndex(target_, options.lsh).Query(source_.Row(0), candidates);
+  index.Query(source_.Row(0), candidates);
   ASSERT_LT(static_cast<int64_t>(candidates.size()), target_.rows() / 2);
 
   auto& misses = obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
   const int64_t misses_before = misses.Value();
   const std::vector<EntityId> row_ids = {0};
   SparseSimMatrix out(1, static_cast<int32_t>(target_.rows()), 10);
-  search->SearchInto(MatrixRowRange(source_, 0, 1), row_ids, out);
+  LshTopKStreamedInto(MatrixRowRange(source_, 0, 1), row_ids, one_row_tiles,
+                      index, /*prefetch=*/false, TopKOptions{}, out);
   EXPECT_LE(misses.Value() - misses_before,
             static_cast<int64_t>(candidates.size()));
 }

@@ -6,7 +6,7 @@
 // Three modes:
 //   * default — the google-benchmark suite below, all its flags intact;
 //   * --json-out=FILE — a hand-timed kernel-scaling harness instead:
-//     threads x {gemm, topk, minhash} rows (seconds,
+//     threads x {gemm, topk, lsh, minhash} rows (seconds,
 //     items/sec, speedup vs 1 thread), written through BenchJson. The
 //     perf trajectory invokes it as `--json-out=BENCH_par.json`;
 //     --threads-list=1,2,4,8 and --min-time=0.3 tune the sweep;
@@ -61,6 +61,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -272,11 +273,16 @@ std::vector<int32_t> ParseThreadsList(const std::string& list) {
 // entities at dim 128, so the gemm row count and the minhash name count
 // both sit at 20k; the brute-force top-k grid
 // is 4000^2 because the exact path is only ever used on sub-batch
-// candidate sets (the full graphs go through LSH).
+// candidate sets (the full graphs go through LSH). The LSH top-k row is
+// SENS at DBP1M EN-FR's shape — 20k targets at the encoder's dim 192,
+// the CLI's default tables — over a 2,000-row slice of the source side.
 constexpr int64_t kScaleGemmRows = 20000;
 constexpr int64_t kScaleGemmDim = 128;
 constexpr int64_t kScaleTopKRows = 4000;
 constexpr int64_t kScaleTopKDim = 64;
+constexpr int64_t kScaleLshSourceRows = 2000;
+constexpr int64_t kScaleLshTargetRows = 20000;
+constexpr int64_t kScaleLshDim = 192;
 constexpr int64_t kScaleMinHashNames = 20000;
 
 struct ScalingKernel {
@@ -297,6 +303,11 @@ struct ScalingBench {
   Matrix topk_a{kScaleTopKRows, kScaleTopKDim};
   Matrix topk_b{kScaleTopKRows, kScaleTopKDim};
   TopKOptions topk{.k = 50, .metric = SimMetric::kManhattan};
+  Matrix lsh_a{kScaleLshSourceRows, kScaleLshDim};
+  Matrix lsh_b{kScaleLshTargetRows, kScaleLshDim};
+  std::vector<EntityId> lsh_row_ids;
+  std::vector<EntityId> lsh_col_ids;
+  std::optional<LshIndex> lsh_index;
   MinHasher hasher{64, 7};
   std::vector<std::vector<std::string>> names;
   std::vector<std::vector<uint64_t>> signatures;
@@ -307,6 +318,13 @@ struct ScalingBench {
     gemm_b.GlorotInit(rng);
     topk_a.GlorotInit(rng);
     topk_b.GlorotInit(rng);
+    lsh_a.GlorotInit(rng);
+    lsh_b.GlorotInit(rng);
+    lsh_row_ids.resize(kScaleLshSourceRows);
+    std::iota(lsh_row_ids.begin(), lsh_row_ids.end(), 0);
+    lsh_col_ids.resize(kScaleLshTargetRows);
+    std::iota(lsh_col_ids.begin(), lsh_col_ids.end(), 0);
+    lsh_index.emplace(lsh_b, LshOptions{});
     names.resize(static_cast<size_t>(kScaleMinHashNames));
     for (size_t i = 0; i < names.size(); ++i) {
       names[i] = TokenizeName("entity name number " + std::to_string(i) +
@@ -320,6 +338,14 @@ struct ScalingBench {
         {"topk", "sim.topk.exact", kScaleTopKRows * kScaleTopKRows,
          [this] {
            benchmark::DoNotOptimize(ExactTopK(topk_a, topk_b, topk));
+         }},
+        {"lsh", "sim.topk.lsh", kScaleLshSourceRows * kScaleLshTargetRows,
+         [this] {
+           SparseSimMatrix out(kScaleLshSourceRows, kScaleLshTargetRows,
+                               topk.k);
+           LshTopKInto(lsh_a, lsh_row_ids, lsh_b, lsh_col_ids, *lsh_index,
+                       topk, out);
+           benchmark::DoNotOptimize(out);
          }},
         {"minhash", "bench.minhash", kScaleMinHashNames, [this] {
            // Mirrors string_sim.cc's signature-build loop, annotated the

@@ -22,6 +22,8 @@
 //       runs the pipeline, then packs the fused matrix, name tables,
 //       target-name embeddings + HNSW graph, and MinHash/LSH structures
 //       into one checksummed serve-index artifact (DESIGN.md §15).
+//       --trace-out / --report-out / --profile work as for `run`, and
+//       also cover the index build.
 //
 //   largeea_cli serve       --index INDEX [--serve-batch N] [--k K]
 //                           [--expect-fingerprint HEX]
@@ -290,11 +292,79 @@ void PrintProfileSummary() {
   }
 }
 
-int CmdRun(const Flags& flags, Config config, int argc, char** argv) {
+// Starts recording spans when --trace-out asks for a timeline.
+void StartTracing(const Config& config) {
   if (!config.trace_out.empty()) {
     obs::TraceRecorder::Get().Clear();
     obs::TraceRecorder::Get().Enable();
   }
+}
+
+// The outputs every pipeline command shares: prints the phase table
+// (and the --profile summary), then writes --trace-out and --report-out.
+// The report holds the dataset, the effective configuration, the phases,
+// the evaluation, the memory phases and the span totals so far. A
+// sharded run merges the orchestrator's own timeline with every worker
+// trace in `worker_traces` into one multi-process document; pid 1 stays
+// the orchestrator, workers get pids 2..N+1. Returns 0, or 1 after a
+// failed write.
+int WritePipelineOutputs(const char* tool, const EaDataset& dataset,
+                         const Config& config, const LargeEaResult& result,
+                         const std::vector<std::string>& worker_traces) {
+  obs::RunReport report;
+  report.SetTool(tool);
+  report.SetDataset(dataset.name, dataset.source.num_entities(),
+                    dataset.target.num_entities(),
+                    dataset.source.num_triples(),
+                    dataset.target.num_triples(),
+                    static_cast<int64_t>(dataset.split.train.size()),
+                    static_cast<int64_t>(dataset.split.test.size()));
+  // The full effective configuration — every Config flag, including the
+  // auto-LSH decision — plus the backend actually dispatched.
+  config.WriteTo(report);
+  report.AddConfig("simd.active", simd::BackendName(simd::ActiveBackend()));
+  ReportPhases(result, report);
+  if (result.metrics.num_test_pairs > 0) report.SetEval(result.metrics);
+  report.IngestMemoryPhases();
+  report.IngestTraceTotals();
+  if (config.profile) PrintProfileSummary();
+
+  if (!config.trace_out.empty()) {
+    std::string trace = obs::TraceRecorder::Get().ToChromeTraceJson();
+    if (!worker_traces.empty()) {
+      std::vector<obs::TraceProcess> processes;
+      processes.push_back(obs::TraceProcess{"orchestrator", 1,
+                                            std::move(trace)});
+      int32_t pid = 2;
+      for (const std::string& path : worker_traces) {
+        auto json = rt::ReadFileToString(path);
+        // "worker-3-trace.json" -> track label "worker-3".
+        std::string label = std::filesystem::path(path).stem().string();
+        if (const size_t pos = label.rfind("-trace"); pos != std::string::npos) {
+          label.resize(pos);
+        }
+        processes.push_back(obs::TraceProcess{
+            std::move(label), pid++,
+            json.ok() ? std::move(json).value() : std::string()});
+      }
+      trace = obs::MergeChromeTraces(processes);
+    }
+    if (!obs::WriteStringToFile(config.trace_out, trace)) {
+      return Fail("failed to write --trace-out");
+    }
+    std::printf("wrote trace to %s\n", config.trace_out.c_str());
+  }
+  if (!config.report_out.empty()) {
+    if (!report.WriteJson(config.report_out)) {
+      return Fail("failed to write --report-out");
+    }
+    std::printf("wrote run report to %s\n", config.report_out.c_str());
+  }
+  return 0;
+}
+
+int CmdRun(const Flags& flags, Config config, int argc, char** argv) {
+  StartTracing(config);
   StartShutdownWatcher(config, "largeea_cli run");
 
   const EaDataset dataset =
@@ -384,57 +454,10 @@ int CmdRun(const Flags& flags, Config config, int argc, char** argv) {
                 static_cast<long>(result.metrics.num_test_pairs));
   }
 
-  obs::RunReport report;
-  report.SetTool("largeea_cli run");
-  report.SetDataset(dataset.name, dataset.source.num_entities(),
-                    dataset.target.num_entities(),
-                    dataset.source.num_triples(),
-                    dataset.target.num_triples(),
-                    static_cast<int64_t>(dataset.split.train.size()),
-                    static_cast<int64_t>(dataset.split.test.size()));
-  // The full effective configuration — every Config flag, including the
-  // auto-LSH decision above — plus the backend actually dispatched.
-  config.WriteTo(report);
-  report.AddConfig("simd.active", simd::BackendName(simd::ActiveBackend()));
-  ReportPhases(result, report);
-  if (result.metrics.num_test_pairs > 0) report.SetEval(result.metrics);
-  report.IngestMemoryPhases();
-  report.IngestTraceTotals();
-  if (config.profile) PrintProfileSummary();
-
-  if (!config.trace_out.empty()) {
-    // A sharded run merges the orchestrator's own timeline with every
-    // worker trace into one multi-process document; pid 1 stays the
-    // orchestrator, workers get pids 2..N+1.
-    std::string trace = obs::TraceRecorder::Get().ToChromeTraceJson();
-    if (!shard_stats.worker_trace_files.empty()) {
-      std::vector<obs::TraceProcess> processes;
-      processes.push_back(obs::TraceProcess{"orchestrator", 1,
-                                            std::move(trace)});
-      int32_t pid = 2;
-      for (const std::string& path : shard_stats.worker_trace_files) {
-        auto json = rt::ReadFileToString(path);
-        // "worker-3-trace.json" -> track label "worker-3".
-        std::string label = std::filesystem::path(path).stem().string();
-        if (const size_t pos = label.rfind("-trace"); pos != std::string::npos) {
-          label.resize(pos);
-        }
-        processes.push_back(obs::TraceProcess{
-            std::move(label), pid++,
-            json.ok() ? std::move(json).value() : std::string()});
-      }
-      trace = obs::MergeChromeTraces(processes);
-    }
-    if (!obs::WriteStringToFile(config.trace_out, trace)) {
-      return Fail("failed to write --trace-out");
-    }
-    std::printf("wrote trace to %s\n", config.trace_out.c_str());
-  }
-  if (!config.report_out.empty()) {
-    if (!report.WriteJson(config.report_out)) {
-      return Fail("failed to write --report-out");
-    }
-    std::printf("wrote run report to %s\n", config.report_out.c_str());
+  if (const int failed =
+          WritePipelineOutputs("largeea_cli run", dataset, config, result,
+                               shard_stats.worker_trace_files)) {
+    return failed;
   }
 
   const std::string& out = config.out;
@@ -487,6 +510,7 @@ std::optional<uint64_t> ExpectedFingerprint(const Flags& flags) {
 int CmdIndexBuild(const Flags& flags, Config config) {
   const std::string out = flags.GetString("index-out", "");
   if (out.empty()) return Fail("--index-out is required");
+  StartTracing(config);
   StartShutdownWatcher(config, "largeea_cli index-build");
 
   const EaDataset dataset =
@@ -536,7 +560,10 @@ int CmdIndexBuild(const Flags& flags, Config config) {
       static_cast<long>((*index)->num_target_entities()),
       fingerprints.fused,
       static_cast<double>((*index)->MemoryBytes()) / (1 << 20));
-  return 0;
+  // After the save, so the report and the trace hold the index build's
+  // own spans (serve/index_build, hnsw/build) next to the pipeline's.
+  return WritePipelineOutputs("largeea_cli index-build", dataset, config,
+                              *run, {});
 }
 
 int CmdServe(const Flags& flags, const Config& config) {

@@ -1,9 +1,13 @@
 #include "src/core/config.h"
 
+#include <cstdint>
+#include <string>
+
 #include "src/obs/log.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
 #include "src/par/thread_pool.h"
+#include "src/sim/lsh.h"
 #include "src/simd/simd.h"
 #include "src/stream/stream_options.h"
 
@@ -187,6 +191,40 @@ Status Config::Validate() {
   }
   if (threads < 0) {
     return InvalidArgumentError("--threads must be >= 0");
+  }
+  // Sizes the pipeline would otherwise crash on, or silently read as a
+  // different value (a hinge loss with no negatives has no gradient, so
+  // --negatives 0 trained nothing). --lsh-bits is bounded by the index's
+  // flat 2^bits offset tables.
+  const NameChannelOptions& name = pipeline.name_channel;
+  const StructureChannelOptions& structure = pipeline.structure_channel;
+  const struct {
+    const char* flag;
+    int64_t value;
+    int64_t min;
+    int64_t max;
+  } sizes[] = {
+      {"sens-top-k", name.nff.sens.top_k, 1, INT32_MAX},
+      {"encoder-dim", name.nff.sens.encoder.dim, 1, INT32_MAX},
+      {"lsh-tables", name.nff.sens.lsh.num_tables, 1, INT32_MAX},
+      {"lsh-bits", name.nff.sens.lsh.bits_per_table, 1, kMaxLshBits},
+      {"lsh-probes", name.nff.sens.lsh.probe_radius, 0, kMaxLshProbeRadius},
+      {"batches", structure.num_batches, 1, INT32_MAX},
+      {"overlap-degree", structure.overlap_degree, 1, INT32_MAX},
+      {"structure-top-k", structure.top_k, 1, INT32_MAX},
+      {"max-batch-retries", structure.max_batch_retries, 0, INT32_MAX},
+      {"epochs", structure.train.epochs, 0, INT32_MAX},
+      {"dim", structure.train.dim, 1, INT32_MAX},
+      {"negatives", structure.train.negatives_per_seed, 1, INT32_MAX},
+      {"stream-tile-rows", pipeline.stream.tile_rows, 0, INT32_MAX},
+  };
+  for (const auto& size : sizes) {
+    if (size.value < size.min || size.value > size.max) {
+      return InvalidArgumentError(
+          "--" + std::string(size.flag) + " must be in [" +
+          std::to_string(size.min) + ", " + std::to_string(size.max) +
+          "]; got " + std::to_string(size.value));
+    }
   }
   if (pipeline.stream.memory_budget_mb < -1) {
     return InvalidArgumentError(

@@ -86,8 +86,9 @@ struct Config {
 
   /// Parses the selector strings into pipeline enums and checks
   /// cross-field invariants (--resume requires --checkpoint-dir, the
-  /// budget is sane, log level/simd names are known). kInvalidArgument
-  /// with a flag-naming message on failure.
+  /// budget is sane, log level/simd names are known) and the ranges of
+  /// the size flags (top-k, dims, batches, LSH shape, epochs).
+  /// kInvalidArgument with a flag-naming message on failure.
   Status Validate();
 
   /// Applies the runtime knobs to the process: log level, worker pool

@@ -84,6 +84,19 @@ int64_t TopKRowGrain(int64_t rows) {
   return grain < 8 ? 8 : grain;
 }
 
+int64_t LshBlockRows(int64_t rows, int64_t dim) {
+  // Each tile is read from beyond L2 once per block, so bigger blocks
+  // share it more; the cap keeps the block's source rows within the
+  // half of L2 the tile leaves free.
+  const int64_t cap = (Cache().l2_bytes / 2) / (4 * (dim > 0 ? dim : 1));
+  return Clamp(CeilDiv(rows, kTargetChunks), 8, cap < 8 ? 8 : cap);
+}
+
+int64_t LshTileRows(int64_t dim) {
+  const int64_t words = (Cache().l2_bytes / 2) / (4 * (dim > 0 ? dim : 1) * 64);
+  return (words < 1 ? 1 : words) * 64;
+}
+
 int64_t GemmTransposeAGrain(int64_t m) {
   // Bounded partial count (each partial is a k×n matrix); identical to
   // the historical formula so existing checkpoints keep their bytes.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <numeric>
 #include <vector>
 
@@ -20,12 +21,12 @@
 
 namespace largeea {
 
-// Source rows per parallel chunk come from par::TopKRowGrain. The
-// scatter below writes each result straight into its own
-// SparseSimMatrix row from the parallel body, so the output is a pure
-// per-row function of the inputs — any grain (and any thread count)
-// produces identical bytes, which lets the kernels run with no merge
-// tail at all.
+// Source rows per parallel chunk come from par::TopKRowGrain (exact)
+// and par::LshBlockRows (LSH). The scatter below writes each result
+// straight into its own SparseSimMatrix row from the parallel body, so
+// the output is a pure per-row function of the inputs — any grain (and
+// any thread count) produces identical bytes, which lets the kernels run
+// with no merge tail at all.
 //
 // ScorePair and TopKHeap live in src/sim/topk_util.h so the
 // single-query path (HNSW, serving) keeps byte-identical
@@ -100,60 +101,144 @@ SparseSimMatrix ExactTopK(const Matrix& source, const Matrix& target,
   return out;
 }
 
+namespace {
+
+// A block's candidate plan: one bitset of BitsetWords(target rows) words
+// per source row, filled by LshIndex::Query. Set bits are the row's
+// candidates in ascending order, already de-duplicated. Returns the
+// number of candidates planned.
+int64_t PlanCandidates(const MatrixRowRange& source, int64_t begin,
+                       int64_t end, const LshIndex& index, int64_t words,
+                       uint64_t* bits) {
+  int64_t candidates = 0;
+  for (int64_t i = begin; i < end; ++i) {
+    LARGEEA_TRACE_HOT_SPAN("topk/lsh_plan_row");
+    uint64_t* row_bits = bits + (i - begin) * words;
+    index.Query(source.Row(i), row_bits);
+    for (int64_t w = 0; w < words; ++w) {
+      candidates += std::popcount(row_bits[w]);
+    }
+  }
+  return candidates;
+}
+
+// Word `w` of `bits` with the bits outside [begin, end) cleared; `w`
+// must lie in [begin / 64, (end - 1) / 64].
+uint64_t WordInRange(const uint64_t* bits, int64_t w, int64_t begin,
+                     int64_t end) {
+  uint64_t word = bits[w];
+  if (w == begin >> 6) word &= ~uint64_t{0} << (begin & 63);
+  if (w == (end - 1) >> 6 && (end & 63) != 0) {
+    word &= (uint64_t{1} << (end & 63)) - 1;
+  }
+  return word;
+}
+
+// Offers `src` every candidate among target rows [begin, end) — the set
+// bits of `bits` in that range, ascending — scored against `rows`, which
+// points at target row `begin` with rows `dim` floats apart.
+void OfferCandidates(const simd::KernelTable& kt, const float* src,
+                     const uint64_t* bits, int64_t begin, int64_t end,
+                     const float* rows, int64_t dim, SimMetric metric,
+                     TopKHeap& heap) {
+  for (int64_t w = begin >> 6; begin < end && w <= (end - 1) >> 6; ++w) {
+    for (uint64_t word = WordInRange(bits, w, begin, end); word != 0;
+         word &= word - 1) {
+      const int64_t j = w * 64 + std::countr_zero(word);
+      heap.Offer(static_cast<int32_t>(j),
+                 ScorePair(kt, src, rows + (j - begin) * dim, dim, metric));
+    }
+  }
+}
+
+// Drains every row's heap into `out` (direct scatter: disjoint source
+// rows write disjoint `out` rows). `col_ids` maps target rows to
+// entity ids; empty means the identity.
+void DrainHeaps(std::span<TopKHeap> heaps, std::span<const EntityId> row_ids,
+                std::span<const EntityId> col_ids, SparseSimMatrix& out) {
+  std::vector<std::pair<float, int32_t>> drained;
+  for (size_t i = 0; i < heaps.size(); ++i) {
+    heaps[i].Drain(drained);
+    for (const auto& [score, j] : drained) {
+      out.Accumulate(row_ids[i], col_ids.empty() ? j : col_ids[j], score);
+    }
+  }
+}
+
+void RecordLshScan(obs::ProfileScope& prof, int64_t rows, int64_t dim,
+                   int64_t candidates_scanned) {
+  prof.AddBytes(4 * candidates_scanned * dim, 0);
+  prof.AddFlops(2 * candidates_scanned * dim);
+  auto& registry = obs::MetricsRegistry::Get();
+  registry.GetCounter("topk.lsh.rows").Add(rows);
+  registry.GetCounter("topk.lsh.candidates_scanned").Add(candidates_scanned);
+}
+
+}  // namespace
+
 void LshTopKInto(const MatrixRowRange& source,
                  std::span<const EntityId> row_ids, const Matrix& target,
                  std::span<const EntityId> col_ids, const LshIndex& index,
                  const TopKOptions& options, SparseSimMatrix& out) {
   LARGEEA_CHECK_EQ(source.cols(), target.cols());
   LARGEEA_CHECK_EQ(source.cols(), index.dim());
+  LARGEEA_CHECK_LE(index.num_rows(), target.rows());
   LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
   LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
+  LARGEEA_CHECK_GT(options.k, 0);
   const int64_t dim = source.cols();
+  const int64_t words = BitsetWords(target.rows());
   const simd::KernelTable& kt = simd::Kernels();
 
   // LSH candidate counts are data-dependent: the fixed source-read and
   // result-write traffic is declared up front, and the scored-candidate
-  // traffic is added after the reduce once candidates_scanned is known
+  // traffic is added after the loop once candidates_scanned is known
   // (ProfileScope accumulators are caller-thread-only by design).
   obs::ProfileScope prof("sim.topk.lsh");
   prof.AddBytes(4 * source.rows() * dim, source.rows() * options.k * 8);
 
-  // Direct scatter, same argument as ExactTopKInto: disjoint source
-  // rows → disjoint `out` rows. The data-dependent candidate count is
-  // the only cross-chunk aggregate left — one relaxed add per chunk.
+  // Tile-major sweep per block of source rows: plan the block's
+  // candidate bitsets, then walk the target in L2-sized tiles and offer
+  // every row its candidates inside the tile, so the block shares each
+  // tile while it is cache-resident. Each heap lives across the tiles
+  // and the kept set is a pure function of the candidate set, so the
+  // bytes match a row-at-a-time scan. A parallel chunk may hold several
+  // blocks (ParallelFor caps the chunk count); blocks write disjoint
+  // `out` rows, and the candidate count is the only cross-chunk
+  // aggregate — one relaxed add per chunk.
   std::atomic<int64_t> candidates_total{0};
-  const int64_t row_grain = par::TopKRowGrain(source.rows());
+  const int64_t block_rows = par::LshBlockRows(source.rows(), dim);
+  const int64_t tile_rows = par::LshTileRows(dim);
   par::ParallelFor(
-      0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-        TopKHeap heap(options.k);
-        std::vector<std::pair<float, int32_t>> drained;
-        std::vector<int32_t> candidates;
-        int64_t candidates_scanned = 0;
-        for (int64_t i = rows.begin; i < rows.end; ++i) {
-          LARGEEA_TRACE_HOT_SPAN("topk/lsh_row");
-          heap.Clear();
-          const float* src = source.Row(i);
-          index.Query(src, candidates);
-          candidates_scanned += static_cast<int64_t>(candidates.size());
-          for (const int32_t j : candidates) {
-            heap.Offer(
-                j, ScorePair(kt, src, target.Row(j), dim, options.metric));
+      0, source.rows(), block_rows, [&](const par::ChunkRange& chunk) {
+        const int64_t max_rows = std::min(block_rows, chunk.end - chunk.begin);
+        std::vector<uint64_t> bits(static_cast<size_t>(max_rows * words));
+        std::vector<TopKHeap> heaps(static_cast<size_t>(max_rows),
+                                    TopKHeap(options.k));
+        for (TopKHeap& heap : heaps) heap.Reserve();
+        int64_t candidates = 0;
+        for (int64_t begin = chunk.begin; begin < chunk.end;
+             begin += block_rows) {
+          const int64_t rows = std::min(block_rows, chunk.end - begin);
+          std::fill(bits.begin(), bits.end(), 0);
+          candidates += PlanCandidates(source, begin, begin + rows, index,
+                                       words, bits.data());
+          for (int64_t tile = 0; tile < target.rows(); tile += tile_rows) {
+            const int64_t tile_end = std::min(tile + tile_rows, target.rows());
+            for (int64_t r = 0; r < rows; ++r) {
+              OfferCandidates(kt, source.Row(begin + r),
+                              bits.data() + r * words, tile, tile_end,
+                              target.Row(tile), dim, options.metric,
+                              heaps[r]);
+            }
           }
-          heap.Drain(drained);
-          for (const auto& [score, j] : drained) {
-            out.Accumulate(row_ids[i], col_ids[j], score);
-          }
+          DrainHeaps(std::span(heaps).first(rows),
+                     row_ids.subspan(begin, rows), col_ids, out);
         }
-        candidates_total.fetch_add(candidates_scanned,
-                                   std::memory_order_relaxed);
+        candidates_total.fetch_add(candidates, std::memory_order_relaxed);
       });
-  const int64_t candidates_scanned =
-      candidates_total.load(std::memory_order_relaxed);
-  prof.AddBytes(4 * candidates_scanned * dim, 0);
-  prof.AddFlops(2 * candidates_scanned * dim);
-  auto& registry = obs::MetricsRegistry::Get();
-  registry.GetCounter("topk.lsh.rows").Add(source.rows());
-  registry.GetCounter("topk.lsh.candidates_scanned").Add(candidates_scanned);
+  RecordLshScan(prof, source.rows(), dim,
+                candidates_total.load(std::memory_order_relaxed));
 }
 
 void ExactTopKStreamedInto(const MatrixRowRange& source,
@@ -183,65 +268,59 @@ void LshTopKStreamedInto(const MatrixRowRange& source,
   LARGEEA_CHECK(target.complete());
   LARGEEA_CHECK_EQ(source.cols(), target.cols());
   LARGEEA_CHECK_EQ(source.cols(), index.dim());
+  LARGEEA_CHECK_LE(index.num_rows(), target.rows());
   LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
   LARGEEA_CHECK_GT(options.k, 0);
   const int64_t dim = source.cols();
+  const int64_t rows = source.rows();
+  const int64_t words = BitsetWords(target.rows());
   const simd::KernelTable& kt = simd::Kernels();
 
   obs::ProfileScope prof("sim.topk.lsh");
-  prof.AddBytes(4 * source.rows() * dim, source.rows() * options.k * 8);
+  prof.AddBytes(4 * rows * dim, rows * options.k * 8);
 
-  // Tile-major sweep. Step 1 plans the block: every row's sorted LSH
-  // candidates, queried in parallel. Step 2 pins each needed target
-  // tile once and offers every row its candidates inside that tile, so
-  // a block reads each tile at most once instead of once per row. Each
-  // row's heap lives across the tiles and sees its candidates in the
-  // same ascending order as LshTopKInto, so the kept set and its drain
-  // order (and hence the output bytes) are identical.
-  struct RowSweep {
-    std::vector<int32_t> candidates;  ///< sorted target rows
-    size_t next = 0;                  ///< first candidate not yet offered
-    TopKHeap heap;
-  };
-  std::vector<RowSweep> sweep(static_cast<size_t>(source.rows()),
-                              RowSweep{{}, 0, TopKHeap(options.k)});
-  const int64_t row_grain = par::TopKRowGrain(source.rows());
-  par::ParallelFor(
-      0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-        // Query() leaves pre-dedup capacity behind; the plan keeps
-        // exact-size copies so its tracked bytes are its real bytes.
-        std::vector<int32_t> candidates;
-        for (int64_t i = rows.begin; i < rows.end; ++i) {
-          LARGEEA_TRACE_HOT_SPAN("topk/lsh_plan_row");
-          index.Query(source.Row(i), candidates);
-          sweep[i].candidates.assign(candidates.begin(), candidates.end());
-        }
-      });
-  // The plan and the heaps stay live for the whole sweep; tracking them
-  // lets the tile cache's headroom and the budget's peak see them.
-  int64_t candidates_scanned = 0;
-  for (const RowSweep& row : sweep) {
-    candidates_scanned += static_cast<int64_t>(row.candidates.size());
-  }
-  const TrackedAllocation tracked_sweep(
-      candidates_scanned * static_cast<int64_t>(sizeof(int32_t)) +
-      source.rows() * options.k *
+  // The same tile-major sweep as LshTopKInto, with the whole call as one
+  // block and the spilled tiles as its tiles: plan every row's candidate
+  // bitset in parallel, then pin each needed tile once, in order
+  // (prefetching the next one when asked), and offer every row its
+  // candidates inside it. A call therefore pins each tile at most once,
+  // however many rows it has.
+  const int64_t block_rows = par::LshBlockRows(rows, dim);
+  std::vector<uint64_t> bits(static_cast<size_t>(rows * words), 0);
+  std::atomic<int64_t> candidates_total{0};
+  par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
+    candidates_total.fetch_add(
+        PlanCandidates(source, chunk.begin, chunk.end, index, words,
+                       bits.data() + chunk.begin * words),
+        std::memory_order_relaxed);
+  });
+  std::vector<TopKHeap> heaps(static_cast<size_t>(rows), TopKHeap(options.k));
+  for (TopKHeap& heap : heaps) heap.Reserve();
+  // The bitsets and the filled heaps stay live for the whole sweep;
+  // tracking them lets the tile cache's headroom and the budget's peak
+  // see them.
+  const TrackedAllocation tracked_plan(
+      rows * words * static_cast<int64_t>(sizeof(uint64_t)) +
+      rows * options.k *
           static_cast<int64_t>(sizeof(std::pair<float, int32_t>)));
 
   // Tiles no row of the block has a candidate in are never pinned, so a
   // small block (tiny tiles) reads no more tiles than its candidates
-  // touch. Sorted candidates let each row jump a whole tile at a time.
-  std::vector<char> needed(static_cast<size_t>(target.num_tiles()), 0);
-  for (const RowSweep& row : sweep) {
-    for (auto it = row.candidates.begin(); it != row.candidates.end();) {
-      const int64_t t = *it / target.tile_rows();
-      needed[t] = 1;
-      it = std::lower_bound(it, row.candidates.end(), target.TileEnd(t));
-    }
+  // touch.
+  std::vector<uint64_t> any(static_cast<size_t>(words), 0);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t w = 0; w < words; ++w) any[w] |= bits[i * words + w];
   }
   std::vector<int64_t> tiles;
   for (int64_t t = 0; t < target.num_tiles(); ++t) {
-    if (needed[t]) tiles.push_back(t);
+    const int64_t begin = target.TileBegin(t);
+    const int64_t end = target.TileEnd(t);
+    for (int64_t w = begin >> 6; w <= (end - 1) >> 6; ++w) {
+      if (WordInRange(any.data(), w, begin, end) != 0) {
+        tiles.push_back(t);
+        break;
+      }
+    }
   }
 
   for (size_t n = 0; n < tiles.size(); ++n) {
@@ -250,38 +329,22 @@ void LshTopKStreamedInto(const MatrixRowRange& source,
     const std::shared_ptr<const Matrix> tile = target.Tile(t);
     const int64_t tile_begin = target.TileBegin(t);
     const int64_t tile_end = target.TileEnd(t);
-    par::ParallelFor(
-        0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-          for (int64_t i = rows.begin; i < rows.end; ++i) {
-            RowSweep& row = sweep[i];
-            const float* src = source.Row(i);
-            for (; row.next < row.candidates.size() &&
-                   row.candidates[row.next] < tile_end;
-                 ++row.next) {
-              const int32_t j = row.candidates[row.next];
-              row.heap.Offer(j, ScorePair(kt, src, tile->Row(j - tile_begin),
-                                          dim, options.metric));
-            }
-          }
-        });
+    par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
+      for (int64_t i = chunk.begin; i < chunk.end; ++i) {
+        OfferCandidates(kt, source.Row(i), bits.data() + i * words,
+                        tile_begin, tile_end, tile->Row(0), dim,
+                        options.metric, heaps[i]);
+      }
+    });
   }
 
-  // Same direct scatter as LshTopKInto: disjoint rows, disjoint writes.
-  par::ParallelFor(
-      0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-        std::vector<std::pair<float, int32_t>> drained;
-        for (int64_t i = rows.begin; i < rows.end; ++i) {
-          sweep[i].heap.Drain(drained);
-          for (const auto& [score, j] : drained) {
-            out.Accumulate(row_ids[i], j, score);
-          }
-        }
-      });
-  prof.AddBytes(4 * candidates_scanned * dim, 0);
-  prof.AddFlops(2 * candidates_scanned * dim);
-  auto& registry = obs::MetricsRegistry::Get();
-  registry.GetCounter("topk.lsh.rows").Add(source.rows());
-  registry.GetCounter("topk.lsh.candidates_scanned").Add(candidates_scanned);
+  par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
+    DrainHeaps(std::span(heaps).subspan(chunk.begin, chunk.end - chunk.begin),
+               row_ids.subspan(chunk.begin, chunk.end - chunk.begin), {},
+               out);
+  });
+  RecordLshScan(prof, rows, dim,
+                candidates_total.load(std::memory_order_relaxed));
 }
 
 }  // namespace largeea

@@ -59,8 +59,12 @@ class TileMatrix;
 }  // namespace stream
 
 /// Approximate variant: candidates come from `index` (built over `target`),
-/// then are scored exactly with `options.metric`. Same parallel scan and
-/// deterministic tie-breaking as ExactTopKInto; `target` stays a full
+/// then are scored exactly with `options.metric`. Swept tile-major: each
+/// parallel block of source rows plans its candidate bitsets, then walks
+/// the target in L2-sized tiles (par::LshBlockRows / par::LshTileRows)
+/// and offers every row its in-tile candidates to a heap kept across
+/// tiles. Same deterministic tie-breaking as ExactTopKInto, so the
+/// output is bit-identical at any thread count; `target` stays a full
 /// Matrix because LSH candidate ids index its absolute rows.
 void LshTopKInto(const MatrixRowRange& source,
                  std::span<const EntityId> row_ids, const Matrix& target,
@@ -80,13 +84,13 @@ void ExactTopKStreamedInto(const MatrixRowRange& source,
 
 /// Memory-budgeted approximate variant, swept tile-major: the block's
 /// rows are first queried against `index` (built over the tiled target,
-/// e.g. incrementally) into a tracked plan of sorted candidate lists;
-/// then each target tile holding a candidate is pinned once, in order
-/// (prefetching the next such tile when `prefetch`), and every row
-/// scores its candidates inside it into a heap kept across tiles. A
-/// call therefore pins each tile at most once, however many rows it
-/// has. Bit-identical to LshTopKInto over the same target. Column ids
-/// are the target's absolute row indices.
+/// e.g. incrementally) into a tracked plan of candidate bitsets, one bit
+/// per target row; then each target tile holding a candidate is pinned
+/// once, in order (prefetching the next such tile when `prefetch`), and
+/// every row scores its candidates inside it into a heap kept across
+/// tiles. A call therefore pins each tile at most once, however many
+/// rows it has. Bit-identical to LshTopKInto over the same target.
+/// Column ids are the target's absolute row indices.
 void LshTopKStreamedInto(const MatrixRowRange& source,
                          std::span<const EntityId> row_ids,
                          const stream::TileMatrix& target,

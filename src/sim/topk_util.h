@@ -63,6 +63,10 @@ class TopKHeap {
 
   void Clear() { heap_.clear(); }
 
+  /// Allocates all k entries now, so a heap's bytes are known before it
+  /// fills and it never regrows.
+  void Reserve() { heap_.reserve(static_cast<size_t>(k_)); }
+
   /// Strict ranking: higher score first, then smaller id. Used both as
   /// the heap comparator (front = worst kept item) and the drain order.
   static bool Better(const std::pair<float, int32_t>& a,

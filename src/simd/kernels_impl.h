@@ -62,17 +62,6 @@ float ManhattanImpl(const float* a, const float* b, int64_t dim) {
 }
 
 template <typename V>
-float SumImpl(const float* a, int64_t dim) {
-  typename V::Reg acc = V::Zero();
-  int64_t i = 0;
-  for (; i + 8 <= dim; i += 8) acc = V::Add(acc, V::LoadU(a + i));
-  alignas(32) float lanes[8];
-  V::Store(lanes, acc);
-  for (int64_t lane = 0; i < dim; ++i, ++lane) lanes[lane] += a[i];
-  return LaneTreeSum(lanes);
-}
-
-template <typename V>
 void AxpyImpl(float alpha, const float* x, float* y, int64_t n) {
   const typename V::Reg va = V::Broadcast(alpha);
   int64_t i = 0;
@@ -105,8 +94,8 @@ void DivideImpl(float* x, float denom, int64_t n) {
 /// Assembles a KernelTable from one trait.
 template <typename V>
 constexpr KernelTable MakeKernelTable() {
-  return KernelTable{&DotImpl<V>,  &ManhattanImpl<V>, &SumImpl<V>,
-                     &AxpyImpl<V>, &ScaleImpl<V>,     &DivideImpl<V>};
+  return KernelTable{&DotImpl<V>,  &ManhattanImpl<V>, &AxpyImpl<V>,
+                     &ScaleImpl<V>, &DivideImpl<V>};
 }
 
 }  // namespace largeea::simd

@@ -63,8 +63,6 @@ struct KernelTable {
   float (*dot)(const float* a, const float* b, int64_t dim);
   /// Sum of |a[i] - b[i]| over the lane tree.
   float (*manhattan)(const float* a, const float* b, int64_t dim);
-  /// Sum of a[i] over the lane tree.
-  float (*sum)(const float* a, int64_t dim);
   /// y[i] += alpha * x[i] (element-wise; one mul, one add per element).
   void (*axpy)(float alpha, const float* x, float* y, int64_t n);
   /// x[i] *= alpha.

@@ -1,7 +1,8 @@
 // The largeea_cli front end as a real subprocess: every command accepts
 // the Config flags plus its own, and any other flag — a typo, or a flag
-// that no longer exists — exits 2 naming the flag, before any input is
-// read.
+// that no longer exists — or an out-of-range size exits 2 naming the
+// flag, before any input is read; index-build writes the same trace and
+// report as run.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -64,6 +65,41 @@ TEST(CliTest, UnknownFlagsExitTwoNamingTheFlag) {
     EXPECT_NE(outcome.output.find(c.needle), std::string::npos)
         << outcome.output;
   }
+}
+
+TEST(CliTest, OutOfRangeSizeFlagsExitTwoNamingTheFlag) {
+  // Checked before any input is read: no --source is needed.
+  const CliOutcome outcome = RunCli({"run", "--sens-top-k", "0"});
+  EXPECT_EQ(outcome.status.state, shard::ProcessStatus::State::kExited);
+  EXPECT_EQ(outcome.status.exit_code, 2) << outcome.output;
+  EXPECT_NE(outcome.output.find("--sens-top-k"), std::string::npos)
+      << outcome.output;
+}
+
+TEST(CliTest, IndexBuildWritesTraceAndReportWithItsSpans) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("largeea_cli_index_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const CliOutcome generated =
+      RunCli({"generate", "--tier", "ids15k", "--scale", "0.03", "--out_dir",
+              dir.string()});
+  ASSERT_EQ(generated.status.exit_code, 0) << generated.output;
+  const fs::path trace = dir / "trace.json";
+  const fs::path report = dir / "report.json";
+  const CliOutcome built = RunCli(
+      {"index-build", "--source", (dir / "source.tsv").string(), "--target",
+       (dir / "target.tsv").string(), "--seeds", (dir / "train.tsv").string(),
+       "--epochs", "2", "--index-out", (dir / "serve.idx").string(),
+       "--trace-out", trace.string(), "--report-out", report.string()});
+  ASSERT_EQ(built.status.exit_code, 0) << built.output;
+  EXPECT_TRUE(fs::exists(trace));
+  auto json = rt::ReadFileToString(report.string());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_NE(json->find("\"largeea_cli index-build\""), std::string::npos);
+  EXPECT_NE(json->find("\"serve/index_build\""), std::string::npos) << *json;
+  EXPECT_NE(json->find("\"hnsw/build\""), std::string::npos) << *json;
+  fs::remove_all(dir);
 }
 
 #endif  // LARGEEA_CLI_BIN

@@ -76,6 +76,22 @@ TEST(ConfigTest, RejectsBadValuesWithFlagNamingMessages) {
       {{"--batches=4294967298"}, "--batches"},
       {{"--seed=-1"}, "--seed"},
       {{"--memory-budget-mb=9223372036854775807"}, "--memory-budget-mb"},
+      // Sizes that would crash or be silently reread deeper down.
+      {{"--sens-top-k=0"}, "--sens-top-k"},
+      {{"--lsh-bits=40"}, "--lsh-bits"},
+      {{"--lsh-bits=17"}, "--lsh-bits"},
+      {{"--lsh-tables=0"}, "--lsh-tables"},
+      {{"--lsh-probes=2"}, "--lsh-probes"},
+      {{"--lsh-probes=-1"}, "--lsh-probes"},
+      {{"--encoder-dim=0"}, "--encoder-dim"},
+      {{"--structure-top-k=0"}, "--structure-top-k"},
+      {{"--batches=0"}, "--batches"},
+      {{"--overlap-degree=0"}, "--overlap-degree"},
+      {{"--dim=0"}, "--dim"},
+      {{"--epochs=-1"}, "--epochs"},
+      {{"--negatives=0"}, "--negatives"},
+      {{"--max-batch-retries=-1"}, "--max-batch-retries"},
+      {{"--stream-tile-rows=-1"}, "--stream-tile-rows"},
       {{"--resume"}, "--checkpoint-dir"},
       {{"--use-name-channel=false", "--use-structure-channel=false"},
        "--use-name-channel"},

@@ -2,15 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
 #include "src/la/ops.h"
+#include "src/par/grain.h"
+#include "src/par/thread_pool.h"
 #include "src/sim/csls.h"
 #include "src/sim/sim_io.h"
 #include "src/sim/lsh.h"
 #include "src/sim/sparse_sim.h"
 #include "src/sim/topk_search.h"
+#include "src/sim/topk_util.h"
+#include "src/simd/simd.h"
 
 namespace largeea {
 namespace {
@@ -247,6 +252,35 @@ TEST(TopKTest, IdMapsRespected) {
   }
 }
 
+// The rows set in a Query() bitset, ascending.
+std::vector<int32_t> QueryRows(const LshIndex& index, const float* vec) {
+  std::vector<uint64_t> bits(BitsetWords(index.num_rows()), 0);
+  index.Query(vec, bits.data());
+  std::vector<int32_t> rows;
+  for (int32_t j = 0; j < index.num_rows(); ++j) {
+    if ((bits[j >> 6] >> (j & 63)) & 1) rows.push_back(j);
+  }
+  return rows;
+}
+
+// Oracle that shares nothing with the bucket layout: row j is a
+// candidate of `vec` when, in some table, its key and vec's key differ
+// in at most probe_radius bits.
+std::vector<int32_t> KeyOracle(const LshIndex& index, const Matrix& data,
+                               const float* vec) {
+  std::vector<int32_t> rows;
+  for (int32_t j = 0; j < data.rows(); ++j) {
+    for (int32_t t = 0; t < index.options().num_tables; ++t) {
+      if (std::popcount(index.Key(vec, t) ^ index.Key(data.Row(j), t)) <=
+          index.options().probe_radius) {
+        rows.push_back(j);
+        break;
+      }
+    }
+  }
+  return rows;
+}
+
 TEST(LshTest, FindsIdenticalVectors) {
   Rng rng(47);
   Matrix data(200, 16);
@@ -256,10 +290,9 @@ TEST(LshTest, FindsIdenticalVectors) {
                                         .bits_per_table = 8,
                                         .seed = 3});
   // Querying with a stored vector must return it.
-  std::vector<int32_t> candidates;
   int found = 0;
   for (int32_t i = 0; i < 200; ++i) {
-    index.Query(data.Row(i), candidates);
+    const std::vector<int32_t> candidates = QueryRows(index, data.Row(i));
     if (std::find(candidates.begin(), candidates.end(), i) !=
         candidates.end()) {
       ++found;
@@ -284,10 +317,9 @@ TEST(LshTest, NearNeighborsRecall) {
   const LshIndex index(base, LshOptions{.num_tables = 16,
                                         .bits_per_table = 10,
                                         .seed = 5});
-  std::vector<int32_t> candidates;
   int recalled = 0;
   for (int32_t i = 0; i < n; ++i) {
-    index.Query(noisy.Row(i), candidates);
+    const std::vector<int32_t> candidates = QueryRows(index, noisy.Row(i));
     if (std::find(candidates.begin(), candidates.end(), i) !=
         candidates.end()) {
       ++recalled;
@@ -295,6 +327,135 @@ TEST(LshTest, NearNeighborsRecall) {
   }
   // Slightly-perturbed points should collide nearly always.
   EXPECT_GT(recalled, static_cast<int>(0.9 * n));
+}
+
+TEST(LshTest, QueryBitsetMatchesKeyDistanceOracle) {
+  // Row counts on both sides of a 64-row bitset word; both radii; stored
+  // and unseen query vectors.
+  for (const int32_t rows : {1, 63, 64, 65, 130}) {
+    const Matrix data = [&] {
+      Rng rng(61 + rows);
+      Matrix m(rows, 12);
+      m.GlorotInit(rng);
+      return m;
+    }();
+    Rng rng(67);
+    Matrix queries(8, 12);
+    queries.GlorotInit(rng);
+    for (const int32_t radius : {0, 1}) {
+      const LshIndex index(data, LshOptions{.num_tables = 4,
+                                            .bits_per_table = 5,
+                                            .probe_radius = radius,
+                                            .seed = 9});
+      ASSERT_EQ(index.num_rows(), rows);
+      for (int32_t q = 0; q < queries.rows(); ++q) {
+        EXPECT_EQ(QueryRows(index, queries.Row(q)),
+                  KeyOracle(index, data, queries.Row(q)))
+            << "rows=" << rows << " radius=" << radius << " q=" << q;
+      }
+      const int32_t last = rows - 1;
+      EXPECT_EQ(QueryRows(index, data.Row(last)),
+                KeyOracle(index, data, data.Row(last)));
+    }
+  }
+}
+
+TEST(LshTest, QueryOrsIntoTheCallersBitset) {
+  Rng rng(71);
+  Matrix data(100, 8);
+  data.GlorotInit(rng);
+  const LshIndex index(data, LshOptions{.num_tables = 2, .bits_per_table = 6});
+  std::vector<uint64_t> bits(BitsetWords(index.num_rows()), 0);
+  bits.back() = uint64_t{1} << 35;  // row 99, set before the query
+  index.Query(data.Row(0), bits.data());
+  EXPECT_TRUE((bits.back() >> 35) & 1);
+  EXPECT_TRUE(bits.front() & 1);  // row 0 collides with itself
+}
+
+TEST(LshTest, IncrementalBuildMatchesOneShot) {
+  Rng rng(73);
+  Matrix data(150, 10);
+  data.GlorotInit(rng);
+  const LshOptions options{.num_tables = 5, .bits_per_table = 4, .seed = 2};
+  const LshIndex one_shot(data, options);
+  LshIndex incremental(static_cast<int32_t>(data.cols()), options);
+  for (int32_t r = 0; r < data.rows(); ++r) {
+    incremental.Insert(r, data.Row(r));
+  }
+  incremental.FinishBuild();
+  incremental.FinishBuild();  // idempotent
+  for (int32_t q = 0; q < data.rows(); q += 7) {
+    EXPECT_EQ(QueryRows(incremental, data.Row(q)),
+              QueryRows(one_shot, data.Row(q)));
+  }
+}
+
+// LshTopKInto against a scan with no bitset, no tiles and no blocks: the
+// key oracle's candidates, scored one by one, sorted by the heap's own
+// ranking and cut at k.
+TEST(LshTest, TopKMatchesOracleHeapsAcrossWordsTilesAndThreads) {
+  const int32_t saved_threads = par::ThreadPool::Get().num_threads();
+  constexpr int64_t kDim = 64;
+  const int64_t tile_rows = par::LshTileRows(kDim);
+  const LshOptions wide{.num_tables = 3, .bits_per_table = 3};
+  const TopKOptions topk{.k = 7, .metric = SimMetric::kManhattan};
+  const simd::KernelTable& kt = simd::Kernels();
+  for (const int64_t target_rows :
+       {int64_t{63}, int64_t{65}, tile_rows + 1, tile_rows + 70}) {
+    Rng rng(79);
+    Matrix target(target_rows, kDim);
+    target.GlorotInit(rng);
+    // Exact duplicates score identically against every source row, so
+    // the k-boundary and the drain order both go through the id
+    // tie-break.
+    for (int64_t r = 0; r + 1 < target_rows; r += 5) {
+      std::copy(target.Row(r), target.Row(r) + kDim, target.Row(r + 1));
+    }
+    // 130 rows make 8-row blocks, and at one thread ParallelFor's chunk
+    // cap merges them into chunks of more than one block.
+    Matrix source(130, kDim);
+    source.GlorotInit(rng);
+    const LshIndex index(target, wide);
+    std::vector<EntityId> row_ids(source.rows());
+    std::iota(row_ids.begin(), row_ids.end(), 0);
+    std::vector<EntityId> col_ids(target_rows);
+    std::iota(col_ids.begin(), col_ids.end(), 0);
+
+    std::vector<std::vector<std::pair<float, int32_t>>> expected;
+    int64_t ties = 0;
+    for (int32_t i = 0; i < source.rows(); ++i) {
+      std::vector<std::pair<float, int32_t>> scored;
+      for (const int32_t j : KeyOracle(index, target, source.Row(i))) {
+        scored.push_back({ScorePair(kt, source.Row(i), target.Row(j), kDim,
+                                    topk.metric),
+                          j});
+      }
+      std::sort(scored.begin(), scored.end(), TopKHeap::Better);
+      if (scored.size() > static_cast<size_t>(topk.k)) scored.resize(topk.k);
+      for (size_t e = 1; e < scored.size(); ++e) {
+        ties += scored[e].first == scored[e - 1].first;
+      }
+      expected.push_back(std::move(scored));
+    }
+    ASSERT_GT(ties, 0);
+
+    for (const int32_t threads : {1, 2, 8}) {
+      par::ThreadPool::Get().SetNumThreads(threads);
+      SparseSimMatrix out(static_cast<int32_t>(source.rows()),
+                          static_cast<int32_t>(target_rows), topk.k);
+      LshTopKInto(source, row_ids, target, col_ids, index, topk, out);
+      for (int32_t i = 0; i < source.rows(); ++i) {
+        const auto row = out.Row(i);
+        ASSERT_EQ(row.size(), expected[i].size())
+            << "target_rows=" << target_rows << " threads=" << threads;
+        for (size_t e = 0; e < row.size(); ++e) {
+          EXPECT_EQ(row[e].column, expected[i][e].second);
+          EXPECT_EQ(row[e].score, expected[i][e].first);
+        }
+      }
+    }
+  }
+  par::ThreadPool::Get().SetNumThreads(saved_threads);
 }
 
 TEST(LshTest, LshTopKFindsPlantedMatches) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -398,9 +399,11 @@ TEST_F(StreamedTopKTest, LshSearchPinsOnlyTilesHoldingCandidates) {
   stream::TileStore store(BudgetOfMb(1));
   const stream::TileMatrix one_row_tiles = TileCopy(store, target_, 1);
   const LshIndex index(target_, LshOptions{});
-  std::vector<int32_t> candidates;
-  index.Query(source_.Row(0), candidates);
-  ASSERT_LT(static_cast<int64_t>(candidates.size()), target_.rows() / 2);
+  std::vector<uint64_t> bits(BitsetWords(index.num_rows()), 0);
+  index.Query(source_.Row(0), bits.data());
+  int64_t candidates = 0;
+  for (const uint64_t word : bits) candidates += std::popcount(word);
+  ASSERT_LT(candidates, target_.rows() / 2);
 
   auto& misses = obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
   const int64_t misses_before = misses.Value();
@@ -408,8 +411,40 @@ TEST_F(StreamedTopKTest, LshSearchPinsOnlyTilesHoldingCandidates) {
   SparseSimMatrix out(1, static_cast<int32_t>(target_.rows()), 10);
   LshTopKStreamedInto(MatrixRowRange(source_, 0, 1), row_ids, one_row_tiles,
                       index, /*prefetch=*/false, TopKOptions{}, out);
-  EXPECT_LE(misses.Value() - misses_before,
-            static_cast<int64_t>(candidates.size()));
+  EXPECT_LE(misses.Value() - misses_before, candidates);
+}
+
+TEST_F(StreamedTopKTest, LshPlanTrackedBytesAreItsBitsetsAndHeaps) {
+  // A budget that caches every tile: after a warm-up call nothing reloads,
+  // so the only tracked growth during a call is the plan itself.
+  stream::TileStore store(BudgetOfMb(64));
+  const stream::TileMatrix tiles = TileCopy(store, target_, kTileRows);
+  const LshIndex index(target_, WideBuckets());
+  std::vector<EntityId> row_ids(source_.rows());
+  std::iota(row_ids.begin(), row_ids.end(), 0);
+  const TopKOptions topk{.k = 10};
+  const auto search = [&] {
+    SparseSimMatrix out(static_cast<int32_t>(source_.rows()),
+                        static_cast<int32_t>(target_.rows()), topk.k);
+    LshTopKStreamedInto(source_, row_ids, tiles, index, /*prefetch=*/false,
+                        topk, out);
+  };
+  search();
+  auto& misses = obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
+  const int64_t misses_before = misses.Value();
+  MemoryTracker& tracker = MemoryTracker::Get();
+  const int64_t before = tracker.CurrentBytes();
+  tracker.ResetPeak();
+  search();
+  ASSERT_EQ(misses.Value(), misses_before);
+  // One bit per target row, in whole 64-bit words, per source row; and
+  // k (score, id) entries per row's heap, reserved up front.
+  const int64_t bitsets = source_.rows() * BitsetWords(target_.rows()) * 8;
+  const int64_t heaps =
+      source_.rows() * topk.k *
+      static_cast<int64_t>(sizeof(std::pair<float, int32_t>));
+  EXPECT_EQ(tracker.PeakBytes() - before, bitsets + heaps);
+  EXPECT_EQ(tracker.CurrentBytes(), before);
 }
 
 TEST_F(StreamedTopKTest, LshSearchPrefetchesOnlyWhenAsked) {

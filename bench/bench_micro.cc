@@ -12,8 +12,9 @@
 //     --threads-list=1,2,4,8 and --min-time=0.3 tune the sweep;
 //   * --json-out=FILE --mode=backend — a SIMD backend x kernel matrix at
 //     one thread: every available backend (scalar, sse2, avx2) times
-//     {dot, manhattan, gemm, gemm_tb, topk, levenshtein} on
-//     identical inputs, rows carry speedup vs the scalar backend. The
+//     {dot, manhattan, dot4, manhattan4, gemm, gemm_tb, topk,
+//     levenshtein} on identical inputs, rows carry speedup vs the
+//     scalar backend. The
 //     perf trajectory invokes it as
 //     `--mode=backend --json-out=BENCH_simd.json`;
 //   * --json-out=FILE --mode=stream — a memory-budget sweep of the
@@ -533,6 +534,36 @@ int RunBackendMatrix(const Flags& flags) {
          float acc = 0.0f;
          for (int32_t r = 0; r < kVecRows; ++r) {
            acc += ManhattanDistance(vec_a.Row(r), vec_b.Row(r), kVecDim);
+         }
+         benchmark::DoNotOptimize(acc);
+       },
+       nullptr},
+      // The four-pair kernels over as many pairs as the rows above:
+      // source row r against target rows r..r+3.
+      {"dot4", int64_t{kVecRows} * kVecDim,
+       [&] {
+         const simd::KernelTable& kt = simd::Kernels();
+         float acc = 0.0f;
+         float out[4];
+         for (int32_t r = 0; r < kVecRows; r += 4) {
+           const float* rows[4] = {vec_b.Row(r), vec_b.Row(r + 1),
+                                   vec_b.Row(r + 2), vec_b.Row(r + 3)};
+           kt.dot4(vec_a.Row(r), rows, kVecDim, out);
+           acc += (out[0] + out[1]) + (out[2] + out[3]);
+         }
+         benchmark::DoNotOptimize(acc);
+       },
+       nullptr},
+      {"manhattan4", int64_t{kVecRows} * kVecDim,
+       [&] {
+         const simd::KernelTable& kt = simd::Kernels();
+         float acc = 0.0f;
+         float out[4];
+         for (int32_t r = 0; r < kVecRows; r += 4) {
+           const float* rows[4] = {vec_b.Row(r), vec_b.Row(r + 1),
+                                   vec_b.Row(r + 2), vec_b.Row(r + 3)};
+           kt.manhattan4(vec_a.Row(r), rows, kVecDim, out);
+           acc += (out[0] + out[1]) + (out[2] + out[3]);
          }
          benchmark::DoNotOptimize(acc);
        },

@@ -78,13 +78,7 @@ int64_t NormRowGrain(int64_t rows) {
   return grain < 16 ? 16 : grain;
 }
 
-int64_t TopKRowGrain(int64_t rows) {
-  if (rows <= 8) return 8;
-  const int64_t grain = CeilDiv(rows, kTargetChunks);
-  return grain < 8 ? 8 : grain;
-}
-
-int64_t LshBlockRows(int64_t rows, int64_t dim) {
+int64_t TopKBlockRows(int64_t rows, int64_t dim) {
   // Each tile is read from beyond L2 once per block, so bigger blocks
   // share it more; the cap keeps the block's source rows within the
   // half of L2 the tile leaves free.
@@ -92,7 +86,7 @@ int64_t LshBlockRows(int64_t rows, int64_t dim) {
   return Clamp(CeilDiv(rows, kTargetChunks), 8, cap < 8 ? 8 : cap);
 }
 
-int64_t LshTileRows(int64_t dim) {
+int64_t TopKTileRows(int64_t dim) {
   const int64_t words = (Cache().l2_bytes / 2) / (4 * (dim > 0 ? dim : 1) * 64);
   return (words < 1 ? 1 : words) * 64;
 }

@@ -4,7 +4,7 @@
 //
 // Two kinds, and the difference is the determinism contract:
 //
-// * Order-neutral grains (GemmRowGrain ... LshTileRows) only split
+// * Order-neutral grains (GemmRowGrain ... TopKTileRows) only split
 //   loops whose bodies write chunk- or element-private state (§8), so
 //   any value gives the same bytes. They target ~kTargetChunks chunks
 //   per job.
@@ -34,15 +34,14 @@ int64_t GemmTileCols(int64_t k);
 int64_t ElemGrain(int64_t size);
 /// L2NormalizeRows row grain.
 int64_t NormRowGrain(int64_t rows);
-/// Top-k search source-row grain.
-int64_t TopKRowGrain(int64_t rows);
-/// LSH top-k source rows per block: the rows that plan their candidate
-/// bitsets together and then share each target tile. ~kTargetChunks
-/// blocks, at least 8 rows, at most the `dim`-float rows of half an L2.
-int64_t LshBlockRows(int64_t rows, int64_t dim);
-/// LSH top-k target rows per tile: `dim`-float rows filling half an L2,
+/// Top-k source rows per block (exact and LSH): the rows that share
+/// each target tile while it is L2-resident (and, for LSH, plan their
+/// candidate bitsets together). ~kTargetChunks blocks, at least 8 rows,
+/// at most the `dim`-float rows of half an L2.
+int64_t TopKBlockRows(int64_t rows, int64_t dim);
+/// Top-k target rows per tile: `dim`-float rows filling half an L2,
 /// rounded down to whole 64-row bitset words.
-int64_t LshTileRows(int64_t dim);
+int64_t TopKTileRows(int64_t dim);
 
 // --- Reduction-topology function: shape only.
 

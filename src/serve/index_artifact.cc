@@ -180,12 +180,12 @@ void ServeIndex::ExactTopK(std::span<const float> query, int32_t k,
                            std::vector<SimEntry>& out) const {
   LARGEEA_CHECK_EQ(static_cast<int64_t>(query.size()),
                    target_embeddings_.cols());
-  const simd::KernelTable& kt = simd::Kernels();
+  const int64_t rows = target_embeddings_.rows();
   TopKHeap heap(k);
-  for (int64_t j = 0; j < target_embeddings_.rows(); ++j) {
-    heap.Offer(static_cast<int32_t>(j),
-               ScorePair(kt, query.data(), target_embeddings_.Row(j),
-                         target_embeddings_.cols(), options_.metric));
+  if (rows > 0) {
+    OfferRows(simd::Kernels(), query.data(), 0, rows,
+              target_embeddings_.Row(0), target_embeddings_.cols(),
+              options_.metric, /*streaming=*/true, heap);
   }
   std::vector<std::pair<float, int32_t>> drained;
   heap.Drain(drained);

@@ -6,6 +6,7 @@
 #include "src/common/macros.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
+#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
@@ -29,10 +30,19 @@ HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
 
   obs::Span span("hnsw/build");
   span.AddAttr("rows", n);
+  obs::ProfileScope prof("sim.hnsw.build");
+  const simd::KernelTable& kt = simd::Kernels();
+  const int64_t dim = data.cols();
 
   VisitedSet visited;
   std::vector<std::pair<float, int32_t>> best;
   std::vector<int32_t> selected;
+  std::vector<const float*> link_rows;
+  std::vector<float> link_scores;
+  std::vector<std::pair<float, int32_t>> scored;
+  std::vector<int32_t> pruned;
+  // Pair scores computed, summed locally and published once.
+  int64_t scores = 0;
   // Sequential ascending-row insertion: the graph is a fold over rows
   // 0..n-1, which together with the pure level function makes the
   // finished structure a deterministic function of (data, options).
@@ -51,33 +61,40 @@ HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
     int32_t ep = entry_point_;
     // Greedy descent through layers above the new node's top level.
     for (int32_t lc = max_level_; lc > level; --lc) {
-      SearchLayer(query, ep, /*ef=*/1, lc, best, visited);
+      scores += SearchLayer(query, ep, /*ef=*/1, lc, best, visited);
       if (!best.empty()) ep = best.front().second;
     }
     // Connect on every shared layer, top down.
     for (int32_t lc = std::min(level, max_level_); lc >= 0; --lc) {
-      SearchLayer(query, ep, options_.ef_construction, lc, best, visited);
+      scores +=
+          SearchLayer(query, ep, options_.ef_construction, lc, best, visited);
       const int32_t m = lc == 0 ? 2 * options_.max_neighbors
                                 : options_.max_neighbors;
-      SelectNeighbors(best, m, selected);
+      scores += SelectNeighbors(best, m, selected);
       links_[node][lc] = selected;
       if (!best.empty()) ep = best.front().second;
       // Back-links, pruning any neighbor that now exceeds its cap with
-      // the same heuristic (scored relative to that neighbor).
+      // the same heuristic (rescored in fours relative to that neighbor).
       for (const int32_t nb : selected) {
         std::vector<int32_t>& nb_links = links_[nb][lc];
         nb_links.push_back(node);
         if (static_cast<int32_t>(nb_links.size()) > m) {
-          const float* nb_vec = data_->Row(nb);
-          std::vector<std::pair<float, int32_t>> scored;
-          scored.reserve(nb_links.size());
+          link_rows.clear();
           for (const int32_t cand : nb_links) {
-            scored.push_back({Score(nb_vec, cand), cand});
+            link_rows.push_back(data_->Row(cand));
+          }
+          link_scores.resize(nb_links.size());
+          ScoreRows(kt, data_->Row(nb), link_rows.data(),
+                    static_cast<int64_t>(nb_links.size()), dim, metric_,
+                    link_scores.data());
+          scores += static_cast<int64_t>(nb_links.size());
+          scored.clear();
+          for (size_t t = 0; t < nb_links.size(); ++t) {
+            scored.push_back({link_scores[t], nb_links[t]});
           }
           std::sort(scored.begin(), scored.end(), TopKHeap::Better);
-          std::vector<int32_t> pruned;
-          SelectNeighbors(scored, m, pruned);
-          nb_links = std::move(pruned);
+          scores += SelectNeighbors(scored, m, pruned);
+          nb_links = pruned;
         }
       }
     }
@@ -86,7 +103,11 @@ HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
       max_level_ = level;
     }
   }
-  obs::MetricsRegistry::Get().GetCounter("hnsw.nodes_built").Add(n);
+  prof.AddBytes(4 * scores * dim, 0);
+  prof.AddFlops(2 * scores * dim);
+  auto& registry = obs::MetricsRegistry::Get();
+  registry.GetCounter("hnsw.nodes_built").Add(n);
+  registry.GetCounter("hnsw.build_scores").Add(scores);
 }
 
 int32_t HnswIndex::RandomLevel(int32_t node) const {
@@ -100,15 +121,12 @@ int32_t HnswIndex::RandomLevel(int32_t node) const {
   return static_cast<int32_t>(std::min(draw, 32.0));
 }
 
-float HnswIndex::Score(const float* query, int32_t node) const {
-  return ScorePair(simd::Kernels(), query, data_->Row(node), data_->cols(),
-                   metric_);
-}
-
-void HnswIndex::SearchLayer(const float* query, int32_t entry, int32_t ef,
-                            int32_t level,
-                            std::vector<std::pair<float, int32_t>>& best,
-                            VisitedSet& visited) const {
+int64_t HnswIndex::SearchLayer(const float* query, int32_t entry,
+                               int32_t ef, int32_t level,
+                               std::vector<std::pair<float, int32_t>>& best,
+                               VisitedSet& visited) const {
+  const simd::KernelTable& kt = simd::Kernels();
+  const int64_t dim = data_->cols();
   visited.NewEpoch(levels_.size());
   visited.TestAndSet(entry);
 
@@ -127,11 +145,15 @@ void HnswIndex::SearchLayer(const float* query, int32_t entry, int32_t ef,
     return TopKHeap::Better(a, b);  // heap top = worst kept
   };
 
-  const std::pair<float, int32_t> start{Score(query, entry), entry};
+  const std::pair<float, int32_t> start{
+      ScorePair(kt, query, data_->Row(entry), dim, metric_), entry};
   frontier.push_back(start);
   kept.push_back(start);
+  int64_t scores = 1;
 
   std::vector<int32_t> unvisited;
+  std::vector<const float*> rows;
+  std::vector<float> scored;
   while (!frontier.empty()) {
     std::pop_heap(frontier.begin(), frontier.end(), frontier_less);
     const std::pair<float, int32_t> cur = frontier.back();
@@ -145,18 +167,26 @@ void HnswIndex::SearchLayer(const float* query, int32_t entry, int32_t ef,
     // The walk is bound by the latency of gathering random rows from a
     // matrix far larger than cache; mark this node's unvisited
     // neighbors first and start all their fetches before scoring the
-    // first one, so the misses overlap instead of serialising.
+    // first one, so the misses overlap instead of serialising. They
+    // are scored in fours, then offered in list order, so the beam
+    // sees the same sequence as a pair-at-a-time walk.
     unvisited.clear();
+    rows.clear();
     for (const int32_t nb : links_[cur.second][level]) {
       if (visited.TestAndSet(nb)) continue;
       unvisited.push_back(nb);
       const float* row = data_->Row(nb);
-      for (int64_t off = 0; off < data_->cols(); off += 16) {
+      rows.push_back(row);
+      for (int64_t off = 0; off < dim; off += 16) {
         __builtin_prefetch(row + off);
       }
     }
-    for (const int32_t nb : unvisited) {
-      const std::pair<float, int32_t> cand{Score(query, nb), nb};
+    const int64_t n = static_cast<int64_t>(unvisited.size());
+    scored.resize(unvisited.size());
+    ScoreRows(kt, query, rows.data(), n, dim, metric_, scored.data());
+    scores += n;
+    for (int64_t t = 0; t < n; ++t) {
+      const std::pair<float, int32_t> cand{scored[t], unvisited[t]};
       if (static_cast<int32_t>(kept.size()) < ef ||
           TopKHeap::Better(cand, kept.front())) {
         frontier.push_back(cand);
@@ -172,29 +202,43 @@ void HnswIndex::SearchLayer(const float* query, int32_t entry, int32_t ef,
   }
   best.swap(kept);
   std::sort(best.begin(), best.end(), TopKHeap::Better);
+  return scores;
 }
 
-void HnswIndex::SelectNeighbors(
+int64_t HnswIndex::SelectNeighbors(
     const std::vector<std::pair<float, int32_t>>& sorted, int32_t m,
     std::vector<int32_t>& out) const {
   out.clear();
   if (static_cast<int32_t>(sorted.size()) <= m) {
     for (const auto& [score, id] : sorted) out.push_back(id);
-    return;
+    return 0;
   }
+  const simd::KernelTable& kt = simd::Kernels();
+  const int64_t dim = data_->cols();
+  int64_t scores = 0;
   // Diversity heuristic from the HNSW paper: keep a candidate only if
   // the query is its closest anchor among the already-kept set, so the
-  // kept edges spread across clusters instead of piling into one.
+  // kept edges spread across clusters instead of piling into one. The
+  // kept set is checked in order, four per kernel call; the scores past
+  // the first failed check are discarded, so the decision is the
+  // pair-at-a-time one.
   std::vector<int32_t> pruned;
   for (const auto& [score, id] : sorted) {
     if (static_cast<int32_t>(out.size()) >= m) break;
     bool keep = true;
     const float* vec = data_->Row(id);
-    for (const int32_t s : out) {
-      if (Score(vec, s) > score) {
-        keep = false;
-        break;
-      }
+    size_t s = 0;
+    float four_scores[4];
+    for (; keep && s + 4 <= out.size(); s += 4) {
+      const float* four[4] = {data_->Row(out[s]), data_->Row(out[s + 1]),
+                              data_->Row(out[s + 2]), data_->Row(out[s + 3])};
+      ScorePair4(kt, vec, four, dim, metric_, four_scores);
+      scores += 4;
+      for (int q = 0; q < 4 && keep; ++q) keep = !(four_scores[q] > score);
+    }
+    for (; keep && s < out.size(); ++s) {
+      ++scores;
+      keep = !(ScorePair(kt, vec, data_->Row(out[s]), dim, metric_) > score);
     }
     if (keep) {
       out.push_back(id);
@@ -208,6 +252,7 @@ void HnswIndex::SelectNeighbors(
                      static_cast<int32_t>(out.size()) < m; ++i) {
     out.push_back(pruned[i]);
   }
+  return scores;
 }
 
 void HnswIndex::QueryTopK(

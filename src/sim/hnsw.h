@@ -16,10 +16,10 @@
 //     are bit-identical across runs, thread counts, and SIMD backends.
 //
 // Search returns exact scores: candidates surfaced by the graph walk
-// are scored with the same ScorePair kernel the batch scan uses, so the
-// "re-rank" of the shortlist is inherent — an HNSW answer can only
-// differ from the exact scan by *missing* a candidate (recall), never
-// by mis-ranking one it found.
+// are scored with the same ScorePair/ScorePair4 kernels the batch scan
+// uses, so the "re-rank" of the shortlist is inherent — an HNSW answer
+// can only differ from the exact scan by *missing* a candidate
+// (recall), never by mis-ranking one it found.
 #ifndef LARGEEA_SIM_HNSW_H_
 #define LARGEEA_SIM_HNSW_H_
 
@@ -105,19 +105,20 @@ class HnswIndex {
   };
 
   int32_t RandomLevel(int32_t node) const;
-  float Score(const float* query, int32_t node) const;
   /// Greedy beam search on one layer from `entry`; fills `best` with up
   /// to `ef` (score, id) pairs, best first. `visited` is caller scratch
-  /// and gets a fresh epoch here.
-  void SearchLayer(const float* query, int32_t entry, int32_t ef,
-                   int32_t level,
-                   std::vector<std::pair<float, int32_t>>& best,
-                   VisitedSet& visited) const;
+  /// and gets a fresh epoch here. Each expanded node's unvisited
+  /// neighbors are scored in fours. Returns the pair scores computed.
+  int64_t SearchLayer(const float* query, int32_t entry, int32_t ef,
+                      int32_t level,
+                      std::vector<std::pair<float, int32_t>>& best,
+                      VisitedSet& visited) const;
   /// The select-neighbors heuristic: keeps a candidate only if it is
   /// closer to the query than to every already-kept neighbor (then
-  /// fills from the pruned remainder, preserving connectivity).
-  void SelectNeighbors(const std::vector<std::pair<float, int32_t>>& sorted,
-                       int32_t m, std::vector<int32_t>& out) const;
+  /// fills from the pruned remainder, preserving connectivity). Returns
+  /// the pair scores computed.
+  int64_t SelectNeighbors(const std::vector<std::pair<float, int32_t>>& sorted,
+                          int32_t m, std::vector<int32_t>& out) const;
 
   const Matrix* data_;
   SimMetric metric_;

@@ -5,9 +5,9 @@
 
 #include "src/common/macros.h"
 #include "src/common/rng.h"
-#include "src/la/ops.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/simd/simd.h"
 
 namespace largeea {
 
@@ -94,13 +94,26 @@ void LshIndex::FinishBuild() {
 }
 
 uint32_t LshIndex::Key(const float* vec, int32_t table) const {
+  // Projects onto four hyperplanes per kernel call, `vec` as the
+  // shared row; a product's bits do not depend on operand order, so
+  // each projection equals Dot(plane, vec).
+  const simd::KernelTable& kt = simd::Kernels();
+  const int32_t bits = options_.bits_per_table;
+  const int64_t base = static_cast<int64_t>(table) * bits;
   uint32_t key = 0;
-  const int64_t base =
-      static_cast<int64_t>(table) * options_.bits_per_table;
-  for (int32_t b = 0; b < options_.bits_per_table; ++b) {
-    if (Dot(planes_.Row(base + b), vec, dim_) >= 0.0f) {
-      key |= (1u << b);
+  int32_t b = 0;
+  float dots[4];
+  for (; b + 4 <= bits; b += 4) {
+    const float* four[4] = {planes_.Row(base + b), planes_.Row(base + b + 1),
+                            planes_.Row(base + b + 2),
+                            planes_.Row(base + b + 3)};
+    kt.dot4(vec, four, dim_, dots);
+    for (int q = 0; q < 4; ++q) {
+      if (dots[q] >= 0.0f) key |= 1u << (b + q);
     }
+  }
+  for (; b < bits; ++b) {
+    if (kt.dot(vec, planes_.Row(base + b), dim_) >= 0.0f) key |= 1u << b;
   }
   return key;
 }

@@ -1,7 +1,6 @@
 #include "src/sim/sim_io.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <sstream>
 
 #include "src/common/string_util.h"
@@ -13,13 +12,22 @@ std::string SimMatrixToString(const SparseSimMatrix& m) {
   out += "largeea-sim v1 " + std::to_string(m.num_rows()) + ' ' +
          std::to_string(m.num_cols()) + ' ' +
          std::to_string(m.max_entries_per_row()) + '\n';
-  char line[64];
+  // to_chars(general, 9) of the score as a double writes what printf's
+  // %.9g does (the format's stated contract), without printf's format
+  // parsing and locale.
+  char field[32];
+  const auto append = [&](std::to_chars_result written, char sep) {
+    out.append(field, written.ptr);
+    out += sep;
+  };
   for (int32_t r = 0; r < m.num_rows(); ++r) {
     for (const SimEntry& e : m.Row(r)) {
-      // %.9g round-trips float exactly.
-      std::snprintf(line, sizeof(line), "%" PRId32 "\t%" PRId32 "\t%.9g\n",
-                    r, e.column, static_cast<double>(e.score));
-      out += line;
+      append(std::to_chars(field, field + sizeof(field), r), '\t');
+      append(std::to_chars(field, field + sizeof(field), e.column), '\t');
+      append(std::to_chars(field, field + sizeof(field),
+                           static_cast<double>(e.score),
+                           std::chars_format::general, 9),
+             '\n');
     }
   }
   return out;

@@ -5,9 +5,10 @@
 // them in this text format, so a resume or a served index never re-runs
 // training. Format: a text header
 // ("largeea-sim v1 <rows> <cols> <max_entries>") followed by one
-// "row<TAB>col<TAB>score" line per entry. Scores are printed with %.9g,
-// which round-trips float exactly — a serialise/parse cycle is
-// bit-identical, the property the checkpoint/resume layer depends on.
+// "row<TAB>col<TAB>score" line per entry. Scores are written as %.9g
+// prints them (std::to_chars, general format, precision 9), which
+// round-trips float exactly — a serialise/parse cycle is bit-identical,
+// the property the checkpoint/resume layer depends on.
 #ifndef LARGEEA_SIM_SIM_IO_H_
 #define LARGEEA_SIM_SIM_IO_H_
 

@@ -21,16 +21,47 @@
 
 namespace largeea {
 
-// Source rows per parallel chunk come from par::TopKRowGrain (exact)
-// and par::LshBlockRows (LSH). The scatter below writes each result
-// straight into its own SparseSimMatrix row from the parallel body, so
-// the output is a pure per-row function of the inputs — any grain (and
-// any thread count) produces identical bytes, which lets the kernels run
-// with no merge tail at all.
+// Both in-memory kernels sweep tile-major: each ParallelFor chunk walks
+// its source rows in blocks of par::TopKBlockRows, and a block visits
+// the target in L2-sized tiles of par::TopKTileRows rows, offering every
+// row its candidates inside the tile to a heap that lives across tiles.
+// The kept set is a pure function of the candidate set, so the bytes
+// match a row-at-a-time scan. Candidates are scored in fours
+// (ScorePair4) in ascending id order. Blocks write disjoint `out` rows
+// straight from the parallel body, so any grain (and any thread count)
+// produces identical bytes with no merge tail at all.
 //
-// ScorePair and TopKHeap live in src/sim/topk_util.h so the
-// single-query path (HNSW, serving) keeps byte-identical
-// keep-set semantics with these batch kernels.
+// ScorePair, ScorePair4, OfferRows and TopKHeap live in
+// src/sim/topk_util.h so the single-query path (HNSW, serving) keeps
+// byte-identical scores and keep-set semantics with these batch kernels.
+
+namespace {
+
+// Drains every row's heap into `out` (direct scatter: disjoint source
+// rows write disjoint `out` rows). `col_ids` maps target rows to
+// entity ids; empty means the identity.
+void DrainHeaps(std::span<TopKHeap> heaps, std::span<const EntityId> row_ids,
+                std::span<const EntityId> col_ids, SparseSimMatrix& out) {
+  std::vector<std::pair<float, int32_t>> drained;
+  for (size_t i = 0; i < heaps.size(); ++i) {
+    heaps[i].Drain(drained);
+    for (const auto& [score, j] : drained) {
+      out.Accumulate(row_ids[i], col_ids.empty() ? j : col_ids[j], score);
+    }
+  }
+}
+
+// One reserved heap per row of the largest block a chunk of `chunk_rows`
+// rows holds.
+std::vector<TopKHeap> BlockHeaps(int64_t block_rows, int64_t chunk_rows,
+                                 int32_t k) {
+  std::vector<TopKHeap> heaps(
+      static_cast<size_t>(std::min(block_rows, chunk_rows)), TopKHeap(k));
+  for (TopKHeap& heap : heaps) heap.Reserve();
+  return heaps;
+}
+
+}  // namespace
 
 void ExactTopKInto(const MatrixRowRange& source,
                    std::span<const EntityId> row_ids,
@@ -43,41 +74,39 @@ void ExactTopKInto(const MatrixRowRange& source,
   LARGEEA_CHECK_GT(options.k, 0);
   const int64_t dim = source.cols();
   const simd::KernelTable& kt = simd::Kernels();
+  const int64_t block_rows = par::TopKBlockRows(source.rows(), dim);
+  const int64_t tile_rows = par::TopKTileRows(dim);
 
-  // Every source row streams the full target once; the survivors are
-  // (score, id) pairs. The brute-force scan dominates, so this is the
-  // canonical bandwidth-bound kernel in a profile.
+  // Tile-major traffic: every source row is read once, and the whole
+  // target once per block of source rows (each tile from beyond L2,
+  // then from L2 for the rest of the block); the survivors are
+  // (score, id) pairs.
   obs::ProfileScope prof("sim.topk.exact");
-  prof.AddBytes(4 * (source.rows() * dim + source.rows() * target.rows() * dim),
+  const int64_t blocks = (source.rows() + block_rows - 1) / block_rows;
+  prof.AddBytes(4 * (source.rows() + blocks * target.rows()) * dim,
                 source.rows() * options.k * 8);
   prof.AddFlops(2 * source.rows() * target.rows() * dim);
 
-  // Chunks partition the source rows and row_ids are distinct, so each
-  // parallel body writes a disjoint set of `out` rows — the scatter
-  // happens in the body and the former serial result-merge tail is
-  // gone. Per-row entry order (heap drain order) is unchanged, so the
-  // output bytes match the merged version exactly.
-  const int64_t row_grain = par::TopKRowGrain(source.rows());
   par::ParallelFor(
-      0, source.rows(), row_grain, [&](const par::ChunkRange& rows) {
-        TopKHeap heap(options.k);
-        std::vector<std::pair<float, int32_t>> drained;
-        for (int64_t i = rows.begin; i < rows.end; ++i) {
+      0, source.rows(), block_rows, [&](const par::ChunkRange& chunk) {
+        std::vector<TopKHeap> heaps =
+            BlockHeaps(block_rows, chunk.end - chunk.begin, options.k);
+        for (int64_t begin = chunk.begin; begin < chunk.end;
+             begin += block_rows) {
           // Deliberately a hot-path no-op unless LARGEEA_OBS_HOT_TRACING
-          // is defined: per-row spans would dominate the scan they
-          // measure.
-          LARGEEA_TRACE_HOT_SPAN("topk/exact_row");
-          heap.Clear();
-          const float* src = source.Row(i);
-          for (int64_t j = 0; j < target.rows(); ++j) {
-            heap.Offer(
-                static_cast<int32_t>(j),
-                ScorePair(kt, src, target.Row(j), dim, options.metric));
+          // is defined: per-block spans would crowd the trace.
+          LARGEEA_TRACE_HOT_SPAN("topk/exact_block");
+          const int64_t rows = std::min(block_rows, chunk.end - begin);
+          for (int64_t tile = 0; tile < target.rows(); tile += tile_rows) {
+            const int64_t tile_end = std::min(tile + tile_rows, target.rows());
+            for (int64_t r = 0; r < rows; ++r) {
+              OfferRows(kt, source.Row(begin + r), tile, tile_end,
+                        target.Row(tile), dim, options.metric,
+                        /*streaming=*/false, heaps[r]);
+            }
           }
-          heap.Drain(drained);
-          for (const auto& [score, j] : drained) {
-            out.Accumulate(row_ids[i], col_ids[j], score);
-          }
+          DrainHeaps(std::span(heaps).first(rows),
+                     row_ids.subspan(begin, rows), col_ids, out);
         }
       });
   // Counters are accumulated outside the loop: one atomic add per call,
@@ -135,33 +164,32 @@ uint64_t WordInRange(const uint64_t* bits, int64_t w, int64_t begin,
 }
 
 // Offers `src` every candidate among target rows [begin, end) — the set
-// bits of `bits` in that range, ascending — scored against `rows`, which
-// points at target row `begin` with rows `dim` floats apart.
+// bits of `bits` in that range, ascending — scored in fours against
+// `rows`, which points at target row `begin` with rows `dim` floats
+// apart.
 void OfferCandidates(const simd::KernelTable& kt, const float* src,
                      const uint64_t* bits, int64_t begin, int64_t end,
                      const float* rows, int64_t dim, SimMetric metric,
                      TopKHeap& heap) {
+  int32_t ids[4];
+  const float* four[4];
+  float scores[4];
+  int n = 0;
   for (int64_t w = begin >> 6; begin < end && w <= (end - 1) >> 6; ++w) {
     for (uint64_t word = WordInRange(bits, w, begin, end); word != 0;
          word &= word - 1) {
       const int64_t j = w * 64 + std::countr_zero(word);
-      heap.Offer(static_cast<int32_t>(j),
-                 ScorePair(kt, src, rows + (j - begin) * dim, dim, metric));
+      ids[n] = static_cast<int32_t>(j);
+      four[n] = rows + (j - begin) * dim;
+      if (++n == 4) {
+        ScorePair4(kt, src, four, dim, metric, scores);
+        for (int q = 0; q < 4; ++q) heap.Offer(ids[q], scores[q]);
+        n = 0;
+      }
     }
   }
-}
-
-// Drains every row's heap into `out` (direct scatter: disjoint source
-// rows write disjoint `out` rows). `col_ids` maps target rows to
-// entity ids; empty means the identity.
-void DrainHeaps(std::span<TopKHeap> heaps, std::span<const EntityId> row_ids,
-                std::span<const EntityId> col_ids, SparseSimMatrix& out) {
-  std::vector<std::pair<float, int32_t>> drained;
-  for (size_t i = 0; i < heaps.size(); ++i) {
-    heaps[i].Drain(drained);
-    for (const auto& [score, j] : drained) {
-      out.Accumulate(row_ids[i], col_ids.empty() ? j : col_ids[j], score);
-    }
+  for (int q = 0; q < n; ++q) {
+    heap.Offer(ids[q], ScorePair(kt, src, four[q], dim, metric));
   }
 }
 
@@ -197,25 +225,20 @@ void LshTopKInto(const MatrixRowRange& source,
   obs::ProfileScope prof("sim.topk.lsh");
   prof.AddBytes(4 * source.rows() * dim, source.rows() * options.k * 8);
 
-  // Tile-major sweep per block of source rows: plan the block's
-  // candidate bitsets, then walk the target in L2-sized tiles and offer
-  // every row its candidates inside the tile, so the block shares each
-  // tile while it is cache-resident. Each heap lives across the tiles
-  // and the kept set is a pure function of the candidate set, so the
-  // bytes match a row-at-a-time scan. A parallel chunk may hold several
-  // blocks (ParallelFor caps the chunk count); blocks write disjoint
-  // `out` rows, and the candidate count is the only cross-chunk
-  // aggregate — one relaxed add per chunk.
+  // The exact kernel's tile-major sweep, with each block's candidate
+  // bitsets planned before its tiles are walked, so a row is offered
+  // only its set bits inside each tile. A parallel chunk may hold
+  // several blocks (ParallelFor caps the chunk count); the candidate
+  // count is the only cross-chunk aggregate — one relaxed add per
+  // chunk.
   std::atomic<int64_t> candidates_total{0};
-  const int64_t block_rows = par::LshBlockRows(source.rows(), dim);
-  const int64_t tile_rows = par::LshTileRows(dim);
+  const int64_t block_rows = par::TopKBlockRows(source.rows(), dim);
+  const int64_t tile_rows = par::TopKTileRows(dim);
   par::ParallelFor(
       0, source.rows(), block_rows, [&](const par::ChunkRange& chunk) {
-        const int64_t max_rows = std::min(block_rows, chunk.end - chunk.begin);
-        std::vector<uint64_t> bits(static_cast<size_t>(max_rows * words));
-        std::vector<TopKHeap> heaps(static_cast<size_t>(max_rows),
-                                    TopKHeap(options.k));
-        for (TopKHeap& heap : heaps) heap.Reserve();
+        std::vector<TopKHeap> heaps =
+            BlockHeaps(block_rows, chunk.end - chunk.begin, options.k);
+        std::vector<uint64_t> bits(heaps.size() * static_cast<size_t>(words));
         int64_t candidates = 0;
         for (int64_t begin = chunk.begin; begin < chunk.end;
              begin += block_rows) {
@@ -285,7 +308,7 @@ void LshTopKStreamedInto(const MatrixRowRange& source,
   // (prefetching the next one when asked), and offer every row its
   // candidates inside it. A call therefore pins each tile at most once,
   // however many rows it has.
-  const int64_t block_rows = par::LshBlockRows(rows, dim);
+  const int64_t block_rows = par::TopKBlockRows(rows, dim);
   std::vector<uint64_t> bits(static_cast<size_t>(rows * words), 0);
   std::atomic<int64_t> candidates_total{0};
   par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {

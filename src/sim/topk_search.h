@@ -40,8 +40,11 @@ struct TopKOptions {
 /// to entity ids in `out`. Both sides take row-range views (a whole
 /// Matrix converts implicitly), so callers can pass windows into the
 /// full embedding matrices instead of materialised row copies.
-/// Rows are scanned in parallel on the par::ThreadPool; results are
-/// merged in row order and are bit-identical at any thread count.
+/// Swept tile-major: parallel blocks of source rows
+/// (par::TopKBlockRows) walk the target in L2-sized tiles
+/// (par::TopKTileRows), scoring four target rows per kernel call into
+/// heaps kept across tiles. The output is bit-identical at any thread
+/// count and to a pair-at-a-time scan.
 void ExactTopKInto(const MatrixRowRange& source,
                    std::span<const EntityId> row_ids,
                    const MatrixRowRange& target,
@@ -59,10 +62,10 @@ class TileMatrix;
 }  // namespace stream
 
 /// Approximate variant: candidates come from `index` (built over `target`),
-/// then are scored exactly with `options.metric`. Swept tile-major: each
-/// parallel block of source rows plans its candidate bitsets, then walks
-/// the target in L2-sized tiles (par::LshBlockRows / par::LshTileRows)
-/// and offers every row its in-tile candidates to a heap kept across
+/// then are scored exactly with `options.metric`. Swept tile-major like
+/// ExactTopKInto: each parallel block of source rows plans its candidate
+/// bitsets, then walks the target in L2-sized tiles and offers every row
+/// its in-tile candidates, scored in fours, to a heap kept across
 /// tiles. Same deterministic tie-breaking as ExactTopKInto, so the
 /// output is bit-identical at any thread count; `target` stays a full
 /// Matrix because LSH candidate ids index its absolute rows.

@@ -34,6 +34,21 @@ struct Avx2Vec {
     const __m256 mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
     return _mm256_and_ps(a, mask);
   }
+
+  // Four lane trees at once, in LaneTreeSum's order. hadd(x, y) is
+  // [x0+x1, x2+x3, y0+y1, y2+y3, x4+x5, x6+x7, y4+y5, y6+y7], so round
+  // one gives every pair's (l0+l1), (l2+l3), (l4+l5), (l6+l7), round
+  // two gives (l0+l1)+(l2+l3) for q = 0..3 in the low half and
+  // (l4+l5)+(l6+l7) in the high half, and the 128-bit add joins them.
+  static void TreeSum4(const float lanes[4][8], float out[4]) {
+    const __m256 h01 =
+        _mm256_hadd_ps(_mm256_loadu_ps(lanes[0]), _mm256_loadu_ps(lanes[1]));
+    const __m256 h23 =
+        _mm256_hadd_ps(_mm256_loadu_ps(lanes[2]), _mm256_loadu_ps(lanes[3]));
+    const __m256 h = _mm256_hadd_ps(h01, h23);
+    _mm_storeu_ps(out, _mm_add_ps(_mm256_castps256_ps128(h),
+                                  _mm256_extractf128_ps(h, 1)));
+  }
 };
 
 }  // namespace

@@ -11,6 +11,9 @@
 //   V::Add / Sub / Mul / Div     lane-wise IEEE single ops
 //   V::Abs                       lane-wise |x| (sign-bit clear)
 //
+// and optionally V::TreeSum4(lanes, out), four LaneTreeSums in the same
+// addition order (see TreeSum4 below).
+//
 // The bodies are what make the backends bit-identical (DESIGN.md §9):
 // every reduction feeds eight accumulator lanes in stride-8 order, folds
 // the tail element i into lane i % 8, and horizontal-sums in the fixed
@@ -61,6 +64,72 @@ float ManhattanImpl(const float* a, const float* b, int64_t dim) {
   return LaneTreeSum(lanes);
 }
 
+/// out[q] = LaneTreeSum(lanes[q]) for the four spilled accumulators of
+/// a four-pair kernel. A trait may reduce all four at once through its
+/// own V::TreeSum4, provided each out[q] is summed in LaneTreeSum's
+/// order; the AVX2 one does it with two horizontal-add rounds and one
+/// 128-bit add.
+template <typename V>
+void TreeSum4(const float lanes[4][8], float out[4]) {
+  if constexpr (requires { V::TreeSum4(lanes, out); }) {
+    V::TreeSum4(lanes, out);
+  } else {
+    for (int q = 0; q < 4; ++q) out[q] = LaneTreeSum(lanes[q]);
+  }
+}
+
+// The four-pair reductions: DotImpl/ManhattanImpl for a against b[0..3]
+// with four independent accumulators, stride-8 order, tail element i
+// folded into lane i % 8 of each pair, and one lane tree per pair — so
+// out[q] equals the single-pair result bit for bit, on every backend.
+template <typename V>
+void Dot4Impl(const float* a, const float* const b[4], int64_t dim,
+              float out[4]) {
+  typename V::Reg acc0 = V::Zero(), acc1 = V::Zero(), acc2 = V::Zero(),
+                  acc3 = V::Zero();
+  int64_t i = 0;
+  for (; i + 8 <= dim; i += 8) {
+    const typename V::Reg va = V::LoadU(a + i);
+    acc0 = V::Add(acc0, V::Mul(va, V::LoadU(b[0] + i)));
+    acc1 = V::Add(acc1, V::Mul(va, V::LoadU(b[1] + i)));
+    acc2 = V::Add(acc2, V::Mul(va, V::LoadU(b[2] + i)));
+    acc3 = V::Add(acc3, V::Mul(va, V::LoadU(b[3] + i)));
+  }
+  alignas(32) float lanes[4][8];
+  V::Store(lanes[0], acc0);
+  V::Store(lanes[1], acc1);
+  V::Store(lanes[2], acc2);
+  V::Store(lanes[3], acc3);
+  for (int64_t lane = 0; i < dim; ++i, ++lane) {
+    for (int q = 0; q < 4; ++q) lanes[q][lane] += a[i] * b[q][i];
+  }
+  TreeSum4<V>(lanes, out);
+}
+
+template <typename V>
+void Manhattan4Impl(const float* a, const float* const b[4], int64_t dim,
+                    float out[4]) {
+  typename V::Reg acc0 = V::Zero(), acc1 = V::Zero(), acc2 = V::Zero(),
+                  acc3 = V::Zero();
+  int64_t i = 0;
+  for (; i + 8 <= dim; i += 8) {
+    const typename V::Reg va = V::LoadU(a + i);
+    acc0 = V::Add(acc0, V::Abs(V::Sub(va, V::LoadU(b[0] + i))));
+    acc1 = V::Add(acc1, V::Abs(V::Sub(va, V::LoadU(b[1] + i))));
+    acc2 = V::Add(acc2, V::Abs(V::Sub(va, V::LoadU(b[2] + i))));
+    acc3 = V::Add(acc3, V::Abs(V::Sub(va, V::LoadU(b[3] + i))));
+  }
+  alignas(32) float lanes[4][8];
+  V::Store(lanes[0], acc0);
+  V::Store(lanes[1], acc1);
+  V::Store(lanes[2], acc2);
+  V::Store(lanes[3], acc3);
+  for (int64_t lane = 0; i < dim; ++i, ++lane) {
+    for (int q = 0; q < 4; ++q) lanes[q][lane] += std::fabs(a[i] - b[q][i]);
+  }
+  TreeSum4<V>(lanes, out);
+}
+
 template <typename V>
 void AxpyImpl(float alpha, const float* x, float* y, int64_t n) {
   const typename V::Reg va = V::Broadcast(alpha);
@@ -94,8 +163,9 @@ void DivideImpl(float* x, float denom, int64_t n) {
 /// Assembles a KernelTable from one trait.
 template <typename V>
 constexpr KernelTable MakeKernelTable() {
-  return KernelTable{&DotImpl<V>,  &ManhattanImpl<V>, &AxpyImpl<V>,
-                     &ScaleImpl<V>, &DivideImpl<V>};
+  return KernelTable{&DotImpl<V>,   &ManhattanImpl<V>, &Dot4Impl<V>,
+                     &Manhattan4Impl<V>, &AxpyImpl<V>, &ScaleImpl<V>,
+                     &DivideImpl<V>};
 }
 
 }  // namespace largeea::simd

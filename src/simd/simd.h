@@ -63,6 +63,16 @@ struct KernelTable {
   float (*dot)(const float* a, const float* b, int64_t dim);
   /// Sum of |a[i] - b[i]| over the lane tree.
   float (*manhattan)(const float* a, const float* b, int64_t dim);
+  /// out[q] = dot(a, b[q], dim) for q in 0..3: one source row against
+  /// four target rows per call, so the four accumulator chains overlap
+  /// and `a` is loaded once per step. Each pair keeps its own eight
+  /// lanes, tail fold and lane tree, so every out[q] is bit-identical
+  /// to the single-pair call. Rows may repeat or alias `a`.
+  void (*dot4)(const float* a, const float* const b[4], int64_t dim,
+               float out[4]);
+  /// out[q] = manhattan(a, b[q], dim), under the same rules as dot4.
+  void (*manhattan4)(const float* a, const float* const b[4], int64_t dim,
+                     float out[4]);
   /// y[i] += alpha * x[i] (element-wise; one mul, one add per element).
   void (*axpy)(float alpha, const float* x, float* y, int64_t n);
   /// x[i] *= alpha.

@@ -189,36 +189,35 @@ TEST(GrainTest, AnalyticGrainsArePositiveAcrossShapes) {
     EXPECT_GT(GemmTileCols(shape), 0) << shape;
     EXPECT_GT(ElemGrain(shape), 0) << shape;
     EXPECT_GT(NormRowGrain(shape), 0) << shape;
-    EXPECT_GT(TopKRowGrain(shape), 0) << shape;
-    EXPECT_GT(LshBlockRows(shape, 192), 0) << shape;
-    EXPECT_GT(LshBlockRows(20000, shape), 0) << shape;
-    EXPECT_GT(LshTileRows(shape), 0) << shape;
+    EXPECT_GT(TopKBlockRows(shape, 192), 0) << shape;
+    EXPECT_GT(TopKBlockRows(20000, shape), 0) << shape;
+    EXPECT_GT(TopKTileRows(shape), 0) << shape;
     EXPECT_GT(GemmTransposeAGrain(shape), 0) << shape;
   }
 }
 
-TEST(GrainTest, LshBlocksAndTilesFollowTheirShapeRules) {
+TEST(GrainTest, TopKBlocksAndTilesFollowTheirShapeRules) {
   // Blocks: ~kTargetChunks of them, never under 8 rows, and no more
   // source rows than half an L2 holds, so wide rows cap them.
-  EXPECT_EQ(LshBlockRows(1, 192), 8);
-  EXPECT_EQ(LshBlockRows(1000, 192),
+  EXPECT_EQ(TopKBlockRows(1, 192), 8);
+  EXPECT_EQ(TopKBlockRows(1000, 192),
             (1000 + kTargetChunks - 1) / kTargetChunks);
-  EXPECT_EQ(LshBlockRows(int64_t{1} << 30, int64_t{1} << 20), 8);
-  EXPECT_LT(LshBlockRows(int64_t{1} << 30, 192),
-            LshBlockRows(int64_t{1} << 30, 16));
+  EXPECT_EQ(TopKBlockRows(int64_t{1} << 30, int64_t{1} << 20), 8);
+  EXPECT_LT(TopKBlockRows(int64_t{1} << 30, 192),
+            TopKBlockRows(int64_t{1} << 30, 16));
   // Tiles: whole 64-row bitset words, never longer as rows widen, and
   // floored at one word for rows too wide to fit 64 in half an L2.
-  int64_t previous = LshTileRows(1);
+  int64_t previous = TopKTileRows(1);
   for (const int64_t dim : {int64_t{16}, int64_t{64}, int64_t{192},
                             int64_t{1024}, int64_t{1} << 20}) {
-    const int64_t tile = LshTileRows(dim);
+    const int64_t tile = TopKTileRows(dim);
     EXPECT_EQ(tile % 64, 0) << dim;
     EXPECT_GE(tile, 64) << dim;
     EXPECT_LE(tile, previous) << dim;
     previous = tile;
   }
-  EXPECT_EQ(LshTileRows(int64_t{1} << 20), 64);
-  EXPECT_EQ(LshTileRows(0), LshTileRows(1));
+  EXPECT_EQ(TopKTileRows(int64_t{1} << 20), 64);
+  EXPECT_EQ(TopKTileRows(0), TopKTileRows(1));
 }
 
 TEST(ThreadPoolTest, LazyStartAndShutdown) {

@@ -12,12 +12,16 @@
 #include "src/core/large_ea.h"
 #include "src/gen/benchmark_gen.h"
 #include "src/la/ops.h"
+#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
 #include "src/obs/trace.h"
+#include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/par/thread_pool.h"
 #include "src/rt/io_util.h"
+#include "src/sim/hnsw.h"
+#include "src/sim/topk_search.h"
 
 namespace largeea {
 namespace {
@@ -283,6 +287,64 @@ TEST_F(ProfilerTest, KernelOutputsBitIdenticalWithProfilingOnAndOff) {
   }
   EXPECT_GT(gemm_ta_pool.jobs, 0);
   EXPECT_GT(gemm_ta_pool.chunks, gemm_ta_pool.jobs);
+}
+
+// The exact top-k sweep is tile-major: it declares each source row read
+// once and the whole target once per block of source rows, not once
+// per source row.
+TEST_F(ProfilerTest, ExactTopKDeclaresTileMajorTraffic) {
+  Rng rng(31);
+  constexpr int64_t kRows = 100, kTargets = 300, kDim = 16;
+  Matrix a(kRows, kDim), b(kTargets, kDim);
+  a.GlorotInit(rng);
+  b.GlorotInit(rng);
+  obs::Profiler::Get().Enable();
+  ExactTopK(a, b, TopKOptions{.k = 5});
+  obs::Profiler::Get().Disable();
+
+  const int64_t block_rows = par::TopKBlockRows(kRows, kDim);
+  const int64_t blocks = (kRows + block_rows - 1) / block_rows;
+  ASSERT_GT(blocks, 1);
+  ASSERT_LT(blocks, kRows);
+  bool seen = false;
+  for (const obs::KernelProfile& k : obs::Profiler::Get().KernelTotals()) {
+    if (k.kernel != "sim.topk.exact") continue;
+    seen = true;
+    EXPECT_EQ(k.calls, 1);
+    EXPECT_EQ(k.bytes_read, 4 * (kRows + blocks * kTargets) * kDim);
+    EXPECT_EQ(k.bytes_written, kRows * 5 * 8);
+    EXPECT_EQ(k.flops, 2 * kRows * kTargets * kDim);
+  }
+  EXPECT_TRUE(seen);
+}
+
+// index-build attributes the graph build: one sim.hnsw.build scope whose
+// declared traffic is the hnsw.build_scores pair scores it computed.
+TEST_F(ProfilerTest, HnswBuildRecordsScopeAndScoreCounter) {
+  Rng rng(37);
+  constexpr int64_t kDim = 12;
+  Matrix data(300, kDim);
+  data.GlorotInit(rng);
+  obs::Counter& scores =
+      obs::MetricsRegistry::Get().GetCounter("hnsw.build_scores");
+  const int64_t before = scores.Value();
+  obs::Profiler::Get().Enable();
+  const HnswIndex index(data, SimMetric::kManhattan, HnswOptions{});
+  obs::Profiler::Get().Disable();
+  const int64_t built = scores.Value() - before;
+  // Every node but the first scores at least its entry point.
+  EXPECT_GE(built, data.rows() - 1);
+
+  bool seen = false;
+  for (const obs::KernelProfile& k : obs::Profiler::Get().KernelTotals()) {
+    if (k.kernel != "sim.hnsw.build") continue;
+    seen = true;
+    EXPECT_EQ(k.calls, 1);
+    EXPECT_EQ(k.bytes_read, 4 * built * kDim);
+    EXPECT_EQ(k.flops, 2 * built * kDim);
+    EXPECT_GT(k.seconds, 0.0);
+  }
+  EXPECT_TRUE(seen);
 }
 
 TEST_F(ProfilerTest, FusedMatrixBitIdenticalWithProfilingOnAndOff) {

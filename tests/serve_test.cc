@@ -17,6 +17,8 @@
 
 #include "src/common/rng.h"
 #include "src/la/matrix.h"
+#include "src/rt/binary_io.h"
+#include "src/rt/io_util.h"
 #include "src/serve/index_artifact.h"
 #include "src/serve/index_manager.h"
 #include "src/serve/query_engine.h"
@@ -24,6 +26,7 @@
 #include "src/sim/hnsw.h"
 #include "src/sim/topk_search.h"
 #include "src/sim/topk_util.h"
+#include "src/simd/simd.h"
 
 namespace largeea {
 namespace {
@@ -222,6 +225,48 @@ TEST(HnswTest, BuildIsDeterministic) {
     b.QueryTopK(data.Row(q), 10, rb);
     EXPECT_EQ(ra, rb);
   }
+}
+
+// The build scores in fours, and every score keeps its bits, so the
+// graph cannot depend on the backend: the serialized bytes are equal
+// under every backend, and equal the bytes the pair-at-a-time build
+// wrote (the golden FNV-1a values were recorded from that build). Dim 20
+// leaves a kernel tail; M = 3 keeps the kept sets of SelectNeighbors
+// below, at and above four.
+TEST(HnswTest, SerializedGraphIdenticalAcrossBackendsAndToGolden) {
+  const Matrix data = RandomEmbeddings(400, 20, 13);
+  const simd::Backend saved = simd::ActiveBackend();
+  struct Case {
+    SimMetric metric;
+    HnswOptions options;
+    uint64_t golden_fnv;
+  };
+  const Case cases[] = {
+      {SimMetric::kManhattan, HnswOptions{}, 0x29bf4add417a6f14ULL},
+      {SimMetric::kDot, HnswOptions{}, 0x1f96631bc710a302ULL},
+      {SimMetric::kManhattan,
+       HnswOptions{.max_neighbors = 3, .ef_construction = 16},
+       0xaf582f5b68306df9ULL},
+  };
+  for (const Case& c : cases) {
+    std::string reference;
+    for (const simd::Backend backend : simd::AvailableBackends()) {
+      simd::SetBackend(backend);
+      const HnswIndex index(data, c.metric, c.options);
+      rt::BinaryWriter w;
+      index.Serialize(w);
+      std::string bytes = w.TakeBytes();
+      if (reference.empty()) {
+        reference = std::move(bytes);
+      } else {
+        EXPECT_EQ(bytes, reference) << simd::BackendName(backend);
+      }
+    }
+    EXPECT_EQ(rt::Fnv1a64(reference), c.golden_fnv)
+        << "metric=" << static_cast<int>(c.metric)
+        << " M=" << c.options.max_neighbors;
+  }
+  simd::SetBackend(saved);
 }
 
 TEST(HnswTest, RecallAgainstExactScan) {

@@ -3,8 +3,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "src/la/ops.h"
 #include "src/par/grain.h"
@@ -179,6 +184,80 @@ TEST(SimIoTest, RoundTripPreservesEverything) {
   }
 }
 
+// The writer formats scores with std::to_chars; the format is defined
+// as %.9g. Both must print the same bytes for every float the writer can
+// see: signed zeros, subnormals, FLT_MIN/FLT_MAX, and random bit
+// patterns (non-finite ones included for the raw comparison), and the
+// text must parse back to the same bits.
+TEST(SimIoTest, ScoresPrintAsPercentNineGAndRoundTripBitwise) {
+  std::vector<float> scores = {0.0f,
+                               -0.0f,
+                               std::numeric_limits<float>::denorm_min(),
+                               -std::numeric_limits<float>::denorm_min(),
+                               std::nextafter(FLT_MIN, 0.0f),
+                               FLT_MIN,
+                               FLT_MAX,
+                               -FLT_MAX,
+                               1.0f,
+                               0.1f,
+                               1e-5f,
+                               123456789.0f,
+                               1e9f,
+                               std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(89);
+  for (int i = 0; i < 200000; ++i) {
+    scores.push_back(std::bit_cast<float>(static_cast<uint32_t>(rng.Next())));
+  }
+  char printed[64];
+  char converted[64];
+  for (const float score : scores) {
+    std::snprintf(printed, sizeof(printed), "%.9g",
+                  static_cast<double>(score));
+    const auto result =
+        std::to_chars(converted, converted + sizeof(converted),
+                      static_cast<double>(score), std::chars_format::general,
+                      9);
+    ASSERT_EQ(std::string(converted, result.ptr), std::string(printed))
+        << "bits=" << std::bit_cast<uint32_t>(score);
+  }
+
+  // Through the writer: finite scores, eight per row, checked against a
+  // printf rendering of the same entries and parsed back bit for bit.
+  std::vector<float> finite;
+  for (const float score : scores) {
+    if (std::isfinite(score)) finite.push_back(score);
+  }
+  const int32_t rows = static_cast<int32_t>(finite.size() / 8);
+  SparseSimMatrix m(rows, 8, 8);
+  for (int32_t r = 0; r < rows; ++r) {
+    for (int32_t c = 0; c < 8; ++c) m.Accumulate(r, c, finite[r * 8 + c]);
+  }
+  std::string want = "largeea-sim v1 " + std::to_string(rows) + " 8 8\n";
+  for (int32_t r = 0; r < rows; ++r) {
+    for (const SimEntry& e : m.Row(r)) {
+      std::snprintf(printed, sizeof(printed), "%d\t%d\t%.9g\n", r, e.column,
+                    static_cast<double>(e.score));
+      want += printed;
+    }
+  }
+  const std::string text = SimMatrixToString(m);
+  EXPECT_EQ(text, want);
+  const auto loaded = SimMatrixFromString(text);
+  ASSERT_TRUE(loaded.ok());
+  for (int32_t r = 0; r < rows; ++r) {
+    const auto a = m.Row(r);
+    const auto b = loaded->Row(r);
+    ASSERT_EQ(a.size(), b.size()) << "row " << r;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].column, b[i].column);
+      EXPECT_EQ(std::bit_cast<uint32_t>(a[i].score),
+                std::bit_cast<uint32_t>(b[i].score));
+    }
+  }
+}
+
 TEST(SimIoTest, RejectsMalformedDocuments) {
   EXPECT_EQ(SimMatrixFromString("not-a-sim-file\n").status().code(),
             StatusCode::kInvalidArgument);
@@ -250,6 +329,74 @@ TEST(TopKTest, IdMapsRespected) {
     EXPECT_GE(e.column, 5);
     EXPECT_LE(e.column, 8);
   }
+}
+
+// ExactTopKInto against a pair-at-a-time oracle: every pair scored
+// through ScorePair, offered in ascending id order to one TopKHeap per
+// row, drained and scattered into a matrix. Target sizes cover the
+// four-pair remainders (1-3, 4n +/- 1) and both sides of the tile edge
+// (TopKTileRows +/- 1..3); duplicated target rows make ties at the
+// k-boundary; the dim leaves a kernel tail. The text form compares the
+// two matrices byte for byte (%.9g round-trips every float).
+TEST(TopKTest, ExactMatchesPairAtATimeOracleAcrossRemaindersTilesAndThreads) {
+  const int32_t saved_threads = par::ThreadPool::Get().num_threads();
+  constexpr int64_t kDim = 60;
+  const int64_t tile_rows = par::TopKTileRows(kDim);
+  const simd::KernelTable& kt = simd::Kernels();
+  for (const SimMetric metric : {SimMetric::kManhattan, SimMetric::kDot}) {
+    const TopKOptions topk{.k = 7, .metric = metric};
+    for (const int64_t target_rows :
+         {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{63}, int64_t{65},
+          tile_rows - 3, tile_rows - 2, tile_rows - 1, tile_rows + 1,
+          tile_rows + 2, tile_rows + 3}) {
+      Rng rng(83);
+      Matrix target(target_rows, kDim);
+      target.GlorotInit(rng);
+      for (int64_t r = 0; r + 1 < target_rows; r += 5) {
+        std::copy(target.Row(r), target.Row(r) + kDim, target.Row(r + 1));
+      }
+      // 130 rows make 8-row blocks, and at one thread ParallelFor's
+      // chunk cap merges them into chunks of more than one block.
+      Matrix source(130, kDim);
+      source.GlorotInit(rng);
+      std::vector<EntityId> row_ids(source.rows());
+      std::iota(row_ids.begin(), row_ids.end(), 0);
+      std::vector<EntityId> col_ids(target_rows);
+      std::iota(col_ids.begin(), col_ids.end(), 0);
+
+      SparseSimMatrix expected(static_cast<int32_t>(source.rows()),
+                               static_cast<int32_t>(target_rows), topk.k);
+      std::vector<std::pair<float, int32_t>> drained;
+      int64_t ties = 0;
+      for (int32_t i = 0; i < source.rows(); ++i) {
+        TopKHeap heap(topk.k);
+        for (int32_t j = 0; j < target_rows; ++j) {
+          heap.Offer(j, ScorePair(kt, source.Row(i), target.Row(j), kDim,
+                                  metric));
+        }
+        heap.Drain(drained);
+        for (size_t e = 0; e < drained.size(); ++e) {
+          expected.Accumulate(i, drained[e].second, drained[e].first);
+          ties += e > 0 && drained[e].first == drained[e - 1].first;
+        }
+      }
+      if (target_rows > 5) {
+        ASSERT_GT(ties, 0) << target_rows;
+      }
+      const std::string want = SimMatrixToString(expected);
+
+      for (const int32_t threads : {1, 2, 8}) {
+        par::ThreadPool::Get().SetNumThreads(threads);
+        SparseSimMatrix out(static_cast<int32_t>(source.rows()),
+                            static_cast<int32_t>(target_rows), topk.k);
+        ExactTopKInto(source, row_ids, target, col_ids, topk, out);
+        EXPECT_EQ(SimMatrixToString(out), want)
+            << "metric=" << static_cast<int>(metric)
+            << " target_rows=" << target_rows << " threads=" << threads;
+      }
+    }
+  }
+  par::ThreadPool::Get().SetNumThreads(saved_threads);
 }
 
 // The rows set in a Query() bitset, ascending.
@@ -396,7 +543,7 @@ TEST(LshTest, IncrementalBuildMatchesOneShot) {
 TEST(LshTest, TopKMatchesOracleHeapsAcrossWordsTilesAndThreads) {
   const int32_t saved_threads = par::ThreadPool::Get().num_threads();
   constexpr int64_t kDim = 64;
-  const int64_t tile_rows = par::LshTileRows(kDim);
+  const int64_t tile_rows = par::TopKTileRows(kDim);
   const LshOptions wide{.num_tables = 3, .bits_per_table = 3};
   const TopKOptions topk{.k = 7, .metric = SimMetric::kManhattan};
   const simd::KernelTable& kt = simd::Kernels();

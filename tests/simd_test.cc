@@ -131,6 +131,52 @@ TEST_F(SimdEquivalenceTest, ReductionsBitIdenticalAcrossBackends) {
   }
 }
 
+// The four-pair kernels against the scalar single-pair ones, pair by
+// pair. The target sets mix distinct rows, a repeated row and the
+// source row itself, so neither repetition nor aliasing can move a
+// pair's bits.
+TEST_F(SimdEquivalenceTest, FourPairReductionsMatchSinglePairBitwise) {
+  const simd::KernelTable& scalar =
+      simd::KernelsFor(simd::Backend::kScalar);
+  Rng rng(37);
+  for (const simd::Backend backend : simd::AvailableBackends()) {
+    const simd::KernelTable& kt = simd::KernelsFor(backend);
+    for (const int64_t dim : Dims()) {
+      for (const int64_t offset : {int64_t{0}, int64_t{1}, int64_t{3}}) {
+        std::vector<AlignedBuffer> buffers;
+        for (int r = 0; r < 4; ++r) {
+          buffers.emplace_back(static_cast<size_t>(dim + offset));
+          FillRandom(buffers.back().data(), dim + offset, rng);
+        }
+        const float* a = buffers[0].data() + offset;
+        const float* b1 = buffers[1].data() + offset;
+        const float* b2 = buffers[2].data() + offset;
+        const float* b3 = buffers[3].data() + offset;
+        const float* const sets[][4] = {{b1, b2, b3, a},
+                                        {b1, b1, b2, b2},
+                                        {a, a, a, a},
+                                        {b3, a, b1, b3}};
+        SCOPED_TRACE(std::string(simd::BackendName(backend)) + " dim=" +
+                     std::to_string(dim) + " offset=" +
+                     std::to_string(offset));
+        for (const auto& rows : sets) {
+          float dots[4], distances[4];
+          kt.dot4(a, rows, dim, dots);
+          kt.manhattan4(a, rows, dim, distances);
+          for (int q = 0; q < 4; ++q) {
+            EXPECT_EQ(FloatBits(dots[q]),
+                      FloatBits(scalar.dot(a, rows[q], dim)))
+                << "q=" << q;
+            EXPECT_EQ(FloatBits(distances[q]),
+                      FloatBits(scalar.manhattan(a, rows[q], dim)))
+                << "q=" << q;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(SimdEquivalenceTest, ElementwiseBitIdenticalAcrossBackends) {
   const simd::KernelTable& scalar =
       simd::KernelsFor(simd::Backend::kScalar);

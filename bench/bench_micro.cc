@@ -152,7 +152,7 @@ void BM_LshTopK(benchmark::State& state) {
   const TopKOptions options{.k = 50, .metric = SimMetric::kManhattan};
   for (auto _ : state) {
     SparseSimMatrix out(n, n, options.k);
-    LshTopKInto(a, ids, b, ids, index, options, out);
+    TopKInto(a, ids, b, ids, &index, options, out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * int64_t{n} * n);
@@ -344,8 +344,8 @@ struct ScalingBench {
          [this] {
            SparseSimMatrix out(kScaleLshSourceRows, kScaleLshTargetRows,
                                topk.k);
-           LshTopKInto(lsh_a, lsh_row_ids, lsh_b, lsh_col_ids, *lsh_index,
-                       topk, out);
+           TopKInto(lsh_a, lsh_row_ids, lsh_b, lsh_col_ids, &*lsh_index,
+                    topk, out);
            benchmark::DoNotOptimize(out);
          }},
         {"minhash", "bench.minhash", kScaleMinHashNames, [this] {

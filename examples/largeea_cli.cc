@@ -172,6 +172,21 @@ EaDataset LoadDatasetOrDie(const Flags& flags, bool need_seeds,
   return std::move(dataset).value();
 }
 
+// Large graphs default to the approximate LSH path (the DBP1M-tier
+// setting); an explicit --use-lsh in either direction wins. `run` and
+// `index-build` both apply this one rule: the decision enters the config
+// fingerprint, so an artifact's stamped fingerprint matches the one an
+// equivalent `run` reports.
+void ApplyAutoLsh(const Flags& flags, const EaDataset& dataset,
+                  Config& config) {
+  constexpr int32_t kAutoLshEntities = 8000;
+  if (!flags.Has("use-lsh") &&
+      std::max(dataset.source.num_entities(),
+               dataset.target.num_entities()) > kAutoLshEntities) {
+    config.pipeline.name_channel.nff.sens.use_lsh = true;
+  }
+}
+
 int CmdGenerate(const Flags& flags) {
   const std::string tier = flags.GetString("tier", "ids15k");
   const LanguagePair pair = flags.GetString("pair", "enfr") == "ende"
@@ -369,16 +384,10 @@ int CmdRun(const Flags& flags, Config config, int argc, char** argv) {
 
   const EaDataset dataset =
       LoadDatasetOrDie(flags, /*need_seeds=*/false, config.strict_io);
-  // Large graphs default to the approximate LSH path (the DBP1M-tier
-  // setting); an explicit --use-lsh in either direction wins. This runs
-  // before the shard-worker branch on purpose: the decision enters the
-  // config fingerprint, and orchestrator and workers see the same
-  // dataset and flags, so they land on the same fingerprint.
-  if (!flags.Has("use-lsh") &&
-      std::max(dataset.source.num_entities(),
-               dataset.target.num_entities()) > 8000) {
-    config.pipeline.name_channel.nff.sens.use_lsh = true;
-  }
+  // Before the shard-worker branch on purpose: orchestrator and workers
+  // see the same dataset and flags, so they land on the same
+  // fingerprint.
+  ApplyAutoLsh(flags, dataset, config);
   const LargeEaOptions& options = config.pipeline;
 
   if (config.shard_worker >= 0) {
@@ -515,13 +524,7 @@ int CmdIndexBuild(const Flags& flags, Config config) {
 
   const EaDataset dataset =
       LoadDatasetOrDie(flags, /*need_seeds=*/false, config.strict_io);
-  // Same auto-LSH decision as `run`, so the fingerprint stamped into
-  // the artifact matches the one an equivalent `run` reports.
-  if (!flags.Has("use-lsh") &&
-      std::max(dataset.source.num_entities(),
-               dataset.target.num_entities()) > 8000) {
-    config.pipeline.name_channel.nff.sens.use_lsh = true;
-  }
+  ApplyAutoLsh(flags, dataset, config);
 
   auto run = RunLargeEa(dataset, config.pipeline);
   if (!run.ok()) {

@@ -123,8 +123,6 @@ void Config::Register(FlagRegistry& r) {
           "rows per spilled tile (0 = sized from the budget)");
   r.String("stream-dir", &pipeline.stream.spill_dir,
            "tile spill directory (empty = unique temp dir)");
-  r.Bool("stream-prefetch", &pipeline.stream.prefetch,
-         "prefetch the next tile on a background thread");
   r.Bool("stream-release-inputs", &pipeline.stream.release_inputs,
          "free intermediate matrices as the fusion consumes them");
 

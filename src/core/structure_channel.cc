@@ -214,8 +214,8 @@ StatusOr<StructureChannelResult> TrainStructureChannel(
                           options.top_k);
     {
       LARGEEA_TRACE_SPAN("structure/topk");
-      ExactTopKInto(embeddings.source, local_source.global_ids,
-                    embeddings.target, local_target.global_ids, topk, block);
+      TopKInto(embeddings.source, local_source.global_ids, embeddings.target,
+               local_target.global_ids, /*index=*/nullptr, topk, block);
     }
     return block;
   };

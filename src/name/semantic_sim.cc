@@ -28,34 +28,37 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
     // fly — neither whole-graph embedding matrix ever exists. Per-name
     // encoding and order-independent top-k make this bit-identical to
     // the in-memory path below.
-    const bool prefetch = stream_ctx->options().prefetch;
     const int64_t dim = encoder.dim();
     const int64_t tile_rows = stream_ctx->budget().TileRowsFor(
         target.num_entities(), dim * static_cast<int64_t>(sizeof(float)));
     stream::TileMatrix tiles(&stream_ctx->store(), target.num_entities(), dim,
                              tile_rows);
-    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-      tiles.Append(encoder.EncodeNameRange(
-          target, static_cast<EntityId>(tiles.TileBegin(t)),
-          static_cast<EntityId>(tiles.TileEnd(t))));
-    }
-    // Incremental LSH build, one tile resident at a time. Rows arrive in
-    // ascending order exactly as in the one-shot constructor, so the
-    // finished index is identical to LshIndex(target_emb, options.lsh).
+    // The LSH index is built while the target is encoded: each fresh
+    // tile's rows are inserted before the tile is spilled, in ascending
+    // order exactly as in the one-shot constructor, so the finished
+    // index is identical to LshIndex(target_emb, options.lsh). The span
+    // therefore covers the tiles' encoding too.
     std::optional<LshIndex> index;
+    std::optional<obs::Span> build_span;
     if (options.use_lsh) {
       index.emplace(static_cast<int32_t>(dim), options.lsh);
-      obs::Span build_span("lsh/build_index");
-      build_span.AddAttr("streamed", int64_t{1});
-      for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-        if (prefetch) tiles.Prefetch(t + 1);
-        const std::shared_ptr<const Matrix> tile = tiles.Tile(t);
-        const int32_t base = static_cast<int32_t>(tiles.TileBegin(t));
-        for (int64_t r = 0; r < tile->rows(); ++r) {
-          index->Insert(base + static_cast<int32_t>(r), tile->Row(r));
+      build_span.emplace("lsh/build_index");
+      build_span->AddAttr("streamed", int64_t{1});
+    }
+    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
+      const int32_t base = static_cast<int32_t>(tiles.TileBegin(t));
+      Matrix tile = encoder.EncodeNameRange(
+          target, base, static_cast<EntityId>(tiles.TileEnd(t)));
+      if (index.has_value()) {
+        for (int64_t r = 0; r < tile.rows(); ++r) {
+          index->Insert(base + static_cast<int32_t>(r), tile.Row(r));
         }
       }
+      tiles.Append(std::move(tile));
+    }
+    if (index.has_value()) {
       index->FinishBuild();
+      build_span->End();
     }
     for (int64_t sb = 0; sb < source.num_entities(); sb += tile_rows) {
       const int64_t se =
@@ -64,12 +67,8 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
           source, static_cast<EntityId>(sb), static_cast<EntityId>(se));
       std::vector<EntityId> row_ids(se - sb);
       std::iota(row_ids.begin(), row_ids.end(), static_cast<EntityId>(sb));
-      if (index.has_value()) {
-        LshTopKStreamedInto(block, row_ids, tiles, *index, prefetch, topk,
-                            m_se);
-      } else {
-        ExactTopKStreamedInto(block, row_ids, tiles, prefetch, topk, m_se);
-      }
+      TopKInto(block, row_ids, tiles, index.has_value() ? &*index : nullptr,
+               topk, m_se);
     }
     m_se.RefreshMemoryTracking();
     return m_se;
@@ -83,9 +82,10 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
   std::iota(col_ids.begin(), col_ids.end(), 0);
   if (options.use_lsh) {
     const LshIndex index(target_emb, options.lsh);
-    LshTopKInto(source_emb, row_ids, target_emb, col_ids, index, topk, m_se);
+    TopKInto(source_emb, row_ids, target_emb, col_ids, &index, topk, m_se);
   } else {
-    ExactTopKInto(source_emb, row_ids, target_emb, col_ids, topk, m_se);
+    TopKInto(source_emb, row_ids, target_emb, col_ids, /*index=*/nullptr,
+             topk, m_se);
   }
   m_se.RefreshMemoryTracking();
   return m_se;

@@ -51,7 +51,7 @@ class BackgroundWorker {
 
   /// Enqueues `task` and returns immediately. The worker thread is
   /// started lazily on the first submission, so an idle worker (e.g.
-  /// prefetch disabled) costs nothing. Returns (and clears) the first
+  /// the prefetcher of a store nothing reloads from) costs nothing. Returns (and clears) the first
   /// captured failure of a *previous* task; the new task is enqueued
   /// either way.
   Status Submit(std::function<void()> task);

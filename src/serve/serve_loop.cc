@@ -246,29 +246,31 @@ ServeLoop::ServeLoop(IndexManager* manager, const ServeLoopOptions& options)
 ServeLoopStats ServeLoop::Run(std::istream& in, std::ostream& out,
                               const std::atomic<int>* stop) {
   ServeLoopStats stats;
-  std::vector<std::string> pending;
+  // Accepted query lines, each parsed once on arrival; a parse error is
+  // answered from the batch, in order.
+  using Fields = StatusOr<std::map<std::string, std::string>>;
+  std::vector<Fields> pending;
   pending.reserve(options_.batch_size);
 
-  // Executes the pending query lines as one ParallelFor batch and emits
+  // Executes the pending queries as one ParallelFor batch and emits
   // responses in input order. Each query snapshots the index manager
   // independently inside the engine.
   const auto flush = [&] {
     if (pending.empty()) return;
-    std::vector<std::string> lines;
-    lines.swap(pending);
-    std::vector<std::string> responses(lines.size());
+    std::vector<Fields> batch;
+    batch.swap(pending);
+    std::vector<std::string> responses(batch.size());
     par::ParallelFor(
-        0, static_cast<int64_t>(lines.size()), /*grain=*/1,
+        0, static_cast<int64_t>(batch.size()), /*grain=*/1,
         [&](par::ChunkRange range) {
           for (int64_t i = range.begin; i < range.end; ++i) {
-            const auto fields = ParseFlatObject(lines[i]);
-            if (!fields.ok()) {
-              responses[i] = ErrorLine(fields.status());
+            if (!batch[i].ok()) {
+              responses[i] = ErrorLine(batch[i].status());
               continue;
             }
             QueryRequest request;
             const Status built =
-                BuildQuery(fields.value(), options_.default_k, request);
+                BuildQuery(batch[i].value(), options_.default_k, request);
             if (!built.ok()) {
               responses[i] = ErrorLine(built);
               continue;
@@ -280,7 +282,7 @@ ServeLoopStats ServeLoop::Run(std::istream& in, std::ostream& out,
       out << response << '\n';
       if (response.starts_with("{\"ok\":false")) ++stats.failed;
     }
-    stats.queries += static_cast<int64_t>(lines.size());
+    stats.queries += static_cast<int64_t>(batch.size());
     ++stats.batches;
     out.flush();
   };
@@ -293,10 +295,8 @@ ServeLoopStats ServeLoop::Run(std::istream& in, std::ostream& out,
   while (!stopped() && std::getline(in, line)) {
     if (line.empty()) continue;
 
-    // Peek at the op without committing to a full parse: control ops
-    // are rare, so queries go straight into the batch and any parse
-    // error is reported from the worker, in order.
-    const auto fields = ParseFlatObject(line);
+    // A line that does not parse, or names no op, is a query.
+    Fields fields = ParseFlatObject(line);
     const std::string op = [&] {
       if (!fields.ok()) return std::string("query");
       const auto it = fields.value().find("op");
@@ -304,7 +304,7 @@ ServeLoopStats ServeLoop::Run(std::istream& in, std::ostream& out,
     }();
 
     if (op == "query") {
-      pending.push_back(line);
+      pending.push_back(std::move(fields));
       // Batch only what is already buffered: a lone request executes
       // immediately, a burst amortises pool wakeups.
       if (static_cast<int32_t>(pending.size()) >= options_.batch_size ||

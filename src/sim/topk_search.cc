@@ -21,19 +21,21 @@
 
 namespace largeea {
 
-// Both in-memory kernels sweep tile-major: each ParallelFor chunk walks
-// its source rows in blocks of par::TopKBlockRows, and a block visits
-// the target in L2-sized tiles of par::TopKTileRows rows, offering every
-// row its candidates inside the tile to a heap that lives across tiles.
+// Both entries sweep tile-major through one block step (OfferBlock): a
+// block of source rows visits a target range in L2-sized tiles of
+// par::TopKTileRows rows, offering every row its candidates inside the
+// tile to a heap that lives across tiles. Without an index every target
+// row is a candidate (OfferRows); with one, each row's candidates are
+// the set bits of its plan, one bit per target row (OfferCandidates).
 // The kept set is a pure function of the candidate set, so the bytes
 // match a row-at-a-time scan. Candidates are scored in fours
-// (ScorePair4) in ascending id order. Blocks write disjoint `out` rows
-// straight from the parallel body, so any grain (and any thread count)
-// produces identical bytes with no merge tail at all.
+// (ScorePair4) in ascending id order. Rows drain into disjoint `out`
+// rows, so any grain (and any thread count) produces identical bytes
+// with no merge tail at all.
 //
 // ScorePair, ScorePair4, OfferRows and TopKHeap live in
 // src/sim/topk_util.h so the single-query path (HNSW, serving) keeps
-// byte-identical scores and keep-set semantics with these batch kernels.
+// byte-identical scores and keep-set semantics with this batch sweep.
 
 namespace {
 
@@ -51,91 +53,17 @@ void DrainHeaps(std::span<TopKHeap> heaps, std::span<const EntityId> row_ids,
   }
 }
 
-// One reserved heap per row of the largest block a chunk of `chunk_rows`
-// rows holds.
-std::vector<TopKHeap> BlockHeaps(int64_t block_rows, int64_t chunk_rows,
-                                 int32_t k) {
-  std::vector<TopKHeap> heaps(
-      static_cast<size_t>(std::min(block_rows, chunk_rows)), TopKHeap(k));
+// `rows` heaps of capacity `k`, reserved up front.
+std::vector<TopKHeap> ReservedHeaps(int64_t rows, int32_t k) {
+  std::vector<TopKHeap> heaps(static_cast<size_t>(rows), TopKHeap(k));
   for (TopKHeap& heap : heaps) heap.Reserve();
   return heaps;
 }
 
-}  // namespace
-
-void ExactTopKInto(const MatrixRowRange& source,
-                   std::span<const EntityId> row_ids,
-                   const MatrixRowRange& target,
-                   std::span<const EntityId> col_ids,
-                   const TopKOptions& options, SparseSimMatrix& out) {
-  LARGEEA_CHECK_EQ(source.cols(), target.cols());
-  LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
-  LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
-  LARGEEA_CHECK_GT(options.k, 0);
-  const int64_t dim = source.cols();
-  const simd::KernelTable& kt = simd::Kernels();
-  const int64_t block_rows = par::TopKBlockRows(source.rows(), dim);
-  const int64_t tile_rows = par::TopKTileRows(dim);
-
-  // Tile-major traffic: every source row is read once, and the whole
-  // target once per block of source rows (each tile from beyond L2,
-  // then from L2 for the rest of the block); the survivors are
-  // (score, id) pairs.
-  obs::ProfileScope prof("sim.topk.exact");
-  const int64_t blocks = (source.rows() + block_rows - 1) / block_rows;
-  prof.AddBytes(4 * (source.rows() + blocks * target.rows()) * dim,
-                source.rows() * options.k * 8);
-  prof.AddFlops(2 * source.rows() * target.rows() * dim);
-
-  par::ParallelFor(
-      0, source.rows(), block_rows, [&](const par::ChunkRange& chunk) {
-        std::vector<TopKHeap> heaps =
-            BlockHeaps(block_rows, chunk.end - chunk.begin, options.k);
-        for (int64_t begin = chunk.begin; begin < chunk.end;
-             begin += block_rows) {
-          // Deliberately a hot-path no-op unless LARGEEA_OBS_HOT_TRACING
-          // is defined: per-block spans would crowd the trace.
-          LARGEEA_TRACE_HOT_SPAN("topk/exact_block");
-          const int64_t rows = std::min(block_rows, chunk.end - begin);
-          for (int64_t tile = 0; tile < target.rows(); tile += tile_rows) {
-            const int64_t tile_end = std::min(tile + tile_rows, target.rows());
-            for (int64_t r = 0; r < rows; ++r) {
-              OfferRows(kt, source.Row(begin + r), tile, tile_end,
-                        target.Row(tile), dim, options.metric,
-                        /*streaming=*/false, heaps[r]);
-            }
-          }
-          DrainHeaps(std::span(heaps).first(rows),
-                     row_ids.subspan(begin, rows), col_ids, out);
-        }
-      });
-  // Counters are accumulated outside the loop: one atomic add per call,
-  // nothing per row or per candidate.
-  auto& registry = obs::MetricsRegistry::Get();
-  registry.GetCounter("topk.exact.rows").Add(source.rows());
-  registry.GetCounter("topk.exact.candidates_scanned")
-      .Add(source.rows() * target.rows());
-}
-
-SparseSimMatrix ExactTopK(const Matrix& source, const Matrix& target,
-                          const TopKOptions& options) {
-  std::vector<EntityId> row_ids(source.rows());
-  std::vector<EntityId> col_ids(target.rows());
-  std::iota(row_ids.begin(), row_ids.end(), 0);
-  std::iota(col_ids.begin(), col_ids.end(), 0);
-  SparseSimMatrix out(static_cast<int32_t>(source.rows()),
-                      static_cast<int32_t>(target.rows()), options.k);
-  ExactTopKInto(source, row_ids, target, col_ids, options, out);
-  out.RefreshMemoryTracking();
-  return out;
-}
-
-namespace {
-
-// A block's candidate plan: one bitset of BitsetWords(target rows) words
-// per source row, filled by LshIndex::Query. Set bits are the row's
-// candidates in ascending order, already de-duplicated. Returns the
-// number of candidates planned.
+// Plans source rows [begin, end): one bitset of `words` words per row,
+// filled by LshIndex::Query. Set bits are the row's candidates in
+// ascending order, already de-duplicated. Returns the number of
+// candidates planned.
 int64_t PlanCandidates(const MatrixRowRange& source, int64_t begin,
                        int64_t end, const LshIndex& index, int64_t words,
                        uint64_t* bits) {
@@ -193,170 +121,193 @@ void OfferCandidates(const simd::KernelTable& kt, const float* src,
   }
 }
 
-void RecordLshScan(obs::ProfileScope& prof, int64_t rows, int64_t dim,
-                   int64_t candidates_scanned) {
-  prof.AddBytes(4 * candidates_scanned * dim, 0);
-  prof.AddFlops(2 * candidates_scanned * dim);
+// The block step. Offers the rows of `heaps` — source rows from `begin`
+// on — their candidates among the target rows that `range` holds, the
+// first of which is target row `range_begin`: every row when `plan` is
+// null, else the set bits of the heap's row plan, `words` words apiece.
+// The range is walked in tiles of `tile_rows` rows, so each tile stays
+// L2-resident while every row of the block scores against it.
+void OfferBlock(const simd::KernelTable& kt, const MatrixRowRange& source,
+                int64_t begin, std::span<TopKHeap> heaps,
+                const uint64_t* plan, int64_t words,
+                const MatrixRowRange& range, int64_t range_begin,
+                int64_t tile_rows, SimMetric metric) {
+  // Deliberately a hot-path no-op unless LARGEEA_OBS_HOT_TRACING is
+  // defined: per-block spans would crowd the trace.
+  LARGEEA_TRACE_HOT_SPAN("topk/block");
+  const int64_t dim = source.cols();
+  for (int64_t tile = 0; tile < range.rows(); tile += tile_rows) {
+    const int64_t tile_begin = range_begin + tile;
+    const int64_t tile_end =
+        range_begin + std::min(tile + tile_rows, range.rows());
+    const float* rows = range.Row(tile);
+    for (size_t r = 0; r < heaps.size(); ++r) {
+      const float* src = source.Row(begin + static_cast<int64_t>(r));
+      if (plan == nullptr) {
+        OfferRows(kt, src, tile_begin, tile_end, rows, dim, metric,
+                  /*streaming=*/false, heaps[r]);
+      } else {
+        OfferCandidates(kt, src, plan + r * words, tile_begin, tile_end,
+                        rows, dim, metric, heaps[r]);
+      }
+    }
+  }
+}
+
+void CheckSweep(const MatrixRowRange& source,
+                std::span<const EntityId> row_ids, int64_t target_rows,
+                int64_t target_cols, const LshIndex* index,
+                const TopKOptions& options) {
+  LARGEEA_CHECK_EQ(source.cols(), target_cols);
+  LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
+  LARGEEA_CHECK_GT(options.k, 0);
+  if (index != nullptr) {
+    LARGEEA_CHECK_EQ(source.cols(), index->dim());
+    LARGEEA_CHECK_LE(index->num_rows(), target_rows);
+  }
+}
+
+const char* ScopeName(const LshIndex* index) {
+  return index == nullptr ? "sim.topk.exact" : "sim.topk.lsh";
+}
+
+// Declares a finished sweep's traffic and counts it. The traffic model:
+// every source row is read once; an exact sweep reads the whole target
+// from beyond L2 once per block of `block_rows` rows and scores every
+// pair, a planned one reads and scores each of its `planned`
+// candidates; every row writes its k (score, id) pairs. The counters
+// take one atomic add per call, nothing per row or per candidate.
+void RecordSweep(obs::ProfileScope& prof, const LshIndex* index,
+                 int64_t rows, int64_t block_rows, int64_t target_rows,
+                 int64_t dim, int32_t k, int64_t planned) {
+  const bool exact = index == nullptr;
+  const int64_t scanned = exact ? rows * target_rows : planned;
+  const int64_t target_reads =
+      exact ? (rows + block_rows - 1) / block_rows * target_rows : planned;
+  prof.AddBytes(4 * (rows + target_reads) * dim, rows * k * 8);
+  prof.AddFlops(2 * scanned * dim);
   auto& registry = obs::MetricsRegistry::Get();
-  registry.GetCounter("topk.lsh.rows").Add(rows);
-  registry.GetCounter("topk.lsh.candidates_scanned").Add(candidates_scanned);
+  registry.GetCounter(exact ? "topk.exact.rows" : "topk.lsh.rows").Add(rows);
+  registry
+      .GetCounter(exact ? "topk.exact.candidates_scanned"
+                        : "topk.lsh.candidates_scanned")
+      .Add(scanned);
 }
 
 }  // namespace
 
-void LshTopKInto(const MatrixRowRange& source,
-                 std::span<const EntityId> row_ids, const Matrix& target,
-                 std::span<const EntityId> col_ids, const LshIndex& index,
-                 const TopKOptions& options, SparseSimMatrix& out) {
-  LARGEEA_CHECK_EQ(source.cols(), target.cols());
-  LARGEEA_CHECK_EQ(source.cols(), index.dim());
-  LARGEEA_CHECK_LE(index.num_rows(), target.rows());
-  LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
+void TopKInto(const MatrixRowRange& source, std::span<const EntityId> row_ids,
+              const MatrixRowRange& target, std::span<const EntityId> col_ids,
+              const LshIndex* index, const TopKOptions& options,
+              SparseSimMatrix& out) {
+  CheckSweep(source, row_ids, target.rows(), target.cols(), index, options);
   LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
-  LARGEEA_CHECK_GT(options.k, 0);
   const int64_t dim = source.cols();
-  const int64_t words = BitsetWords(target.rows());
+  const int64_t words = index == nullptr ? 0 : BitsetWords(target.rows());
   const simd::KernelTable& kt = simd::Kernels();
-
-  // LSH candidate counts are data-dependent: the fixed source-read and
-  // result-write traffic is declared up front, and the scored-candidate
-  // traffic is added after the loop once candidates_scanned is known
-  // (ProfileScope accumulators are caller-thread-only by design).
-  obs::ProfileScope prof("sim.topk.lsh");
-  prof.AddBytes(4 * source.rows() * dim, source.rows() * options.k * 8);
-
-  // The exact kernel's tile-major sweep, with each block's candidate
-  // bitsets planned before its tiles are walked, so a row is offered
-  // only its set bits inside each tile. A parallel chunk may hold
-  // several blocks (ParallelFor caps the chunk count); the candidate
-  // count is the only cross-chunk aggregate — one relaxed add per
-  // chunk.
-  std::atomic<int64_t> candidates_total{0};
   const int64_t block_rows = par::TopKBlockRows(source.rows(), dim);
   const int64_t tile_rows = par::TopKTileRows(dim);
+  obs::ProfileScope prof(ScopeName(index));
+
+  // Parallel blocks that each plan, sweep and drain their own rows. A
+  // parallel chunk may hold several blocks (ParallelFor caps the chunk
+  // count); the planned candidate count is the only cross-chunk
+  // aggregate — one relaxed add per chunk.
+  std::atomic<int64_t> planned{0};
   par::ParallelFor(
       0, source.rows(), block_rows, [&](const par::ChunkRange& chunk) {
-        std::vector<TopKHeap> heaps =
-            BlockHeaps(block_rows, chunk.end - chunk.begin, options.k);
-        std::vector<uint64_t> bits(heaps.size() * static_cast<size_t>(words));
+        std::vector<TopKHeap> heaps = ReservedHeaps(
+            std::min(block_rows, chunk.end - chunk.begin), options.k);
+        std::vector<uint64_t> plan(heaps.size() * static_cast<size_t>(words));
         int64_t candidates = 0;
         for (int64_t begin = chunk.begin; begin < chunk.end;
              begin += block_rows) {
           const int64_t rows = std::min(block_rows, chunk.end - begin);
-          std::fill(bits.begin(), bits.end(), 0);
-          candidates += PlanCandidates(source, begin, begin + rows, index,
-                                       words, bits.data());
-          for (int64_t tile = 0; tile < target.rows(); tile += tile_rows) {
-            const int64_t tile_end = std::min(tile + tile_rows, target.rows());
-            for (int64_t r = 0; r < rows; ++r) {
-              OfferCandidates(kt, source.Row(begin + r),
-                              bits.data() + r * words, tile, tile_end,
-                              target.Row(tile), dim, options.metric,
-                              heaps[r]);
-            }
+          if (index != nullptr) {
+            std::fill(plan.begin(), plan.end(), 0);
+            candidates += PlanCandidates(source, begin, begin + rows, *index,
+                                         words, plan.data());
           }
+          OfferBlock(kt, source, begin, std::span(heaps).first(rows),
+                     index == nullptr ? nullptr : plan.data(), words, target,
+                     /*range_begin=*/0, tile_rows, options.metric);
           DrainHeaps(std::span(heaps).first(rows),
                      row_ids.subspan(begin, rows), col_ids, out);
         }
-        candidates_total.fetch_add(candidates, std::memory_order_relaxed);
+        planned.fetch_add(candidates, std::memory_order_relaxed);
       });
-  RecordLshScan(prof, source.rows(), dim,
-                candidates_total.load(std::memory_order_relaxed));
+  RecordSweep(prof, index, source.rows(), block_rows, target.rows(), dim,
+              options.k, planned.load(std::memory_order_relaxed));
 }
 
-void ExactTopKStreamedInto(const MatrixRowRange& source,
-                           std::span<const EntityId> row_ids,
-                           const stream::TileMatrix& target, bool prefetch,
-                           const TopKOptions& options, SparseSimMatrix& out) {
+void TopKInto(const MatrixRowRange& source, std::span<const EntityId> row_ids,
+              const stream::TileMatrix& target, const LshIndex* index,
+              const TopKOptions& options, SparseSimMatrix& out) {
   LARGEEA_CHECK(target.complete());
-  LARGEEA_CHECK_EQ(source.cols(), target.cols());
-  // Tiles partition the target's rows, and the kept top-k per source row
-  // is independent of candidate order, so this accumulation over tiles
-  // equals one pass over the whole target.
-  for (int64_t t = 0; t < target.num_tiles(); ++t) {
-    if (prefetch) target.Prefetch(t + 1);
-    const std::shared_ptr<const Matrix> tile = target.Tile(t);
-    std::vector<EntityId> col_ids(tile->rows());
-    std::iota(col_ids.begin(), col_ids.end(),
-              static_cast<EntityId>(target.TileBegin(t)));
-    ExactTopKInto(source, row_ids, *tile, col_ids, options, out);
-  }
-}
-
-void LshTopKStreamedInto(const MatrixRowRange& source,
-                         std::span<const EntityId> row_ids,
-                         const stream::TileMatrix& target,
-                         const LshIndex& index, bool prefetch,
-                         const TopKOptions& options, SparseSimMatrix& out) {
-  LARGEEA_CHECK(target.complete());
-  LARGEEA_CHECK_EQ(source.cols(), target.cols());
-  LARGEEA_CHECK_EQ(source.cols(), index.dim());
-  LARGEEA_CHECK_LE(index.num_rows(), target.rows());
-  LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
-  LARGEEA_CHECK_GT(options.k, 0);
-  const int64_t dim = source.cols();
+  CheckSweep(source, row_ids, target.rows(), target.cols(), index, options);
   const int64_t rows = source.rows();
-  const int64_t words = BitsetWords(target.rows());
+  const int64_t dim = source.cols();
+  const int64_t words = index == nullptr ? 0 : BitsetWords(target.rows());
   const simd::KernelTable& kt = simd::Kernels();
-
-  obs::ProfileScope prof("sim.topk.lsh");
-  prof.AddBytes(4 * rows * dim, rows * options.k * 8);
-
-  // The same tile-major sweep as LshTopKInto, with the whole call as one
-  // block and the spilled tiles as its tiles: plan every row's candidate
-  // bitset in parallel, then pin each needed tile once, in order
-  // (prefetching the next one when asked), and offer every row its
-  // candidates inside it. A call therefore pins each tile at most once,
-  // however many rows it has.
   const int64_t block_rows = par::TopKBlockRows(rows, dim);
-  std::vector<uint64_t> bits(static_cast<size_t>(rows * words), 0);
-  std::atomic<int64_t> candidates_total{0};
-  par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
-    candidates_total.fetch_add(
-        PlanCandidates(source, chunk.begin, chunk.end, index, words,
-                       bits.data() + chunk.begin * words),
-        std::memory_order_relaxed);
-  });
-  std::vector<TopKHeap> heaps(static_cast<size_t>(rows), TopKHeap(options.k));
-  for (TopKHeap& heap : heaps) heap.Reserve();
-  // The bitsets and the filled heaps stay live for the whole sweep;
+  const int64_t tile_rows = par::TopKTileRows(dim);
+  obs::ProfileScope prof(ScopeName(index));
+
+  // Pinned tiles on the outside, with the whole call as one block: plan
+  // every row's candidates in parallel, then pin each spilled tile that
+  // holds a candidate once, in order, prefetching the next one, and run
+  // the block step over it for every block of rows. A call therefore
+  // pins each tile at most once, however many rows it has.
+  std::vector<uint64_t> plan(static_cast<size_t>(rows * words), 0);
+  std::atomic<int64_t> planned{0};
+  if (index != nullptr) {
+    par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
+      planned.fetch_add(
+          PlanCandidates(source, chunk.begin, chunk.end, *index, words,
+                         plan.data() + chunk.begin * words),
+          std::memory_order_relaxed);
+    });
+  }
+  std::vector<TopKHeap> heaps = ReservedHeaps(rows, options.k);
+  // The plan and the filled heaps stay live for the whole sweep;
   // tracking them lets the tile cache's headroom and the budget's peak
   // see them.
   const TrackedAllocation tracked_plan(
-      rows * words * static_cast<int64_t>(sizeof(uint64_t)) +
+      static_cast<int64_t>(plan.size() * sizeof(uint64_t)) +
       rows * options.k *
           static_cast<int64_t>(sizeof(std::pair<float, int32_t>)));
 
-  // Tiles no row of the block has a candidate in are never pinned, so a
-  // small block (tiny tiles) reads no more tiles than its candidates
-  // touch.
+  // Every tile without a plan; with one, only the tiles where some row
+  // has a candidate, so a small block (tiny tiles) reads no more tiles
+  // than its candidates touch.
+  std::vector<int64_t> tiles;
   std::vector<uint64_t> any(static_cast<size_t>(words), 0);
   for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t w = 0; w < words; ++w) any[w] |= bits[i * words + w];
+    for (int64_t w = 0; w < words; ++w) any[w] |= plan[i * words + w];
   }
-  std::vector<int64_t> tiles;
   for (int64_t t = 0; t < target.num_tiles(); ++t) {
     const int64_t begin = target.TileBegin(t);
     const int64_t end = target.TileEnd(t);
-    for (int64_t w = begin >> 6; w <= (end - 1) >> 6; ++w) {
-      if (WordInRange(any.data(), w, begin, end) != 0) {
-        tiles.push_back(t);
-        break;
-      }
+    bool needed = index == nullptr;
+    for (int64_t w = begin >> 6; !needed && w <= (end - 1) >> 6; ++w) {
+      needed = WordInRange(any.data(), w, begin, end) != 0;
     }
+    if (needed) tiles.push_back(t);
   }
 
   for (size_t n = 0; n < tiles.size(); ++n) {
-    if (prefetch && n + 1 < tiles.size()) target.Prefetch(tiles[n + 1]);
+    if (n + 1 < tiles.size()) target.Prefetch(tiles[n + 1]);
     const int64_t t = tiles[n];
     const std::shared_ptr<const Matrix> tile = target.Tile(t);
-    const int64_t tile_begin = target.TileBegin(t);
-    const int64_t tile_end = target.TileEnd(t);
     par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
-      for (int64_t i = chunk.begin; i < chunk.end; ++i) {
-        OfferCandidates(kt, source.Row(i), bits.data() + i * words,
-                        tile_begin, tile_end, tile->Row(0), dim,
-                        options.metric, heaps[i]);
+      for (int64_t begin = chunk.begin; begin < chunk.end;
+           begin += block_rows) {
+        OfferBlock(kt, source, begin,
+                   std::span(heaps).subspan(
+                       begin, std::min(block_rows, chunk.end - begin)),
+                   index == nullptr ? nullptr : plan.data() + begin * words,
+                   words, *tile, target.TileBegin(t), tile_rows,
+                   options.metric);
       }
     });
   }
@@ -366,8 +317,21 @@ void LshTopKStreamedInto(const MatrixRowRange& source,
                row_ids.subspan(chunk.begin, chunk.end - chunk.begin), {},
                out);
   });
-  RecordLshScan(prof, rows, dim,
-                candidates_total.load(std::memory_order_relaxed));
+  RecordSweep(prof, index, rows, block_rows, target.rows(), dim, options.k,
+              planned.load(std::memory_order_relaxed));
+}
+
+SparseSimMatrix ExactTopK(const Matrix& source, const Matrix& target,
+                          const TopKOptions& options) {
+  std::vector<EntityId> row_ids(source.rows());
+  std::vector<EntityId> col_ids(target.rows());
+  std::iota(row_ids.begin(), row_ids.end(), 0);
+  std::iota(col_ids.begin(), col_ids.end(), 0);
+  SparseSimMatrix out(static_cast<int32_t>(source.rows()),
+                      static_cast<int32_t>(target.rows()), options.k);
+  TopKInto(source, row_ids, target, col_ids, /*index=*/nullptr, options, out);
+  out.RefreshMemoryTracking();
+  return out;
 }
 
 }  // namespace largeea

@@ -35,9 +35,6 @@ struct StreamOptions {
   /// Directory for spilled tiles; empty creates (and removes) a unique
   /// directory under the system temp path.
   std::string spill_dir;
-  /// Prefetch the next tile on the background worker while the current
-  /// block computes.
-  bool prefetch = true;
   /// Release whole-graph intermediates (M_se, M_st, the per-channel
   /// matrices) as soon as they are fused; the corresponding result
   /// fields come back empty. Off keeps them, trading budget headroom

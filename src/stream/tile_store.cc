@@ -134,10 +134,17 @@ TileId TileStore::Put(Matrix tile) {
 }
 
 std::shared_ptr<const Matrix> TileStore::Get(TileId id) {
+  return Load(id, /*prefetch=*/false);
+}
+
+std::shared_ptr<const Matrix> TileStore::Load(TileId id, bool prefetch) {
   std::unique_lock<std::mutex> lock(mu_);
   LARGEEA_CHECK_GE(id, 0);
   LARGEEA_CHECK_LT(id, static_cast<TileId>(tiles_.size()));
   Tile& t = tiles_[id];
+  // A consumer that asks first makes a queued prefetch stale.
+  if (prefetch && !t.queued) return nullptr;
+  t.queued = false;
   auto& metrics = obs::MetricsRegistry::Get();
   while (true) {
     if (t.resident) {
@@ -175,14 +182,15 @@ void TileStore::Prefetch(TileId id) {
     std::lock_guard<std::mutex> lock(mu_);
     LARGEEA_CHECK_GE(id, 0);
     LARGEEA_CHECK_LT(id, static_cast<TileId>(tiles_.size()));
-    const Tile& t = tiles_[id];
-    if (t.resident || t.loading || !t.on_disk) return;
+    Tile& t = tiles_[id];
+    if (t.resident || t.loading || t.queued || !t.on_disk) return;
+    t.queued = true;
   }
   obs::MetricsRegistry::Get().GetCounter("stream.prefetch.issued").Increment();
   // The loaded tile lands in the cache; the value is dropped here and
   // picked up by the consumer's Get(), which counts as a hit.
   const Status submitted =
-      prefetcher_.Submit([this, id] { (void)Get(id); });
+      prefetcher_.Submit([this, id] { (void)Load(id, /*prefetch=*/true); });
   if (!submitted.ok()) {
     // A failed earlier prefetch costs its cache miss; nothing to do but
     // make the loss visible.

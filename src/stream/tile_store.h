@@ -68,7 +68,9 @@ class TileStore {
   std::shared_ptr<const Matrix> Get(TileId id);
 
   /// Starts loading the tile on the background worker if it is on disk
-  /// and not already resident or loading. Never blocks.
+  /// and not already resident, loading or queued. Never blocks. A queued
+  /// load is dropped if a Get() of the tile comes first, so a worker
+  /// that lags behind its consumer never reloads a tile already used.
   void Prefetch(TileId id);
 
   /// Blocks until outstanding prefetches finish (test hook).
@@ -88,8 +90,13 @@ class TileStore {
     std::shared_ptr<const Matrix> resident;
     bool on_disk = false;  ///< spill succeeded; tile may be evicted
     bool loading = false;  ///< a thread is reading it from disk
+    bool queued = false;   ///< a Prefetch() load waits on the worker
     int64_t lru = 0;       ///< last-touch stamp from lru_clock_
   };
+
+  /// Get(), or with `prefetch` the worker's queued load, which returns
+  /// null without loading if a Get() has claimed the tile since.
+  std::shared_ptr<const Matrix> Load(TileId id, bool prefetch);
 
   /// Evicts least-recently-used unpinned on-disk tiles until resident
   /// bytes fit CacheCapacityBytes(). Requires mu_ held.

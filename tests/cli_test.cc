@@ -56,6 +56,8 @@ TEST(CliTest, UnknownFlagsExitTwoNamingTheFlag) {
       {{"query", "--tier", "ids15k"}, "unknown flag --tier"},
       // The SENS segment count, removed with the search strategy layer.
       {{"run", "--segments", "4"}, "unknown flag --segments"},
+      // The tile prefetch switch: the spilled sweep always prefetches.
+      {{"run", "--stream-prefetch=false"}, "unknown flag --stream-prefetch"},
   };
   for (const auto& c : cases) {
     const CliOutcome outcome = RunCli(c.args);

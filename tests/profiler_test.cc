@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -298,8 +299,14 @@ TEST_F(ProfilerTest, ExactTopKDeclaresTileMajorTraffic) {
   Matrix a(kRows, kDim), b(kTargets, kDim);
   a.GlorotInit(rng);
   b.GlorotInit(rng);
+  std::vector<EntityId> row_ids(kRows);
+  std::iota(row_ids.begin(), row_ids.end(), 0);
+  std::vector<EntityId> col_ids(kTargets);
+  std::iota(col_ids.begin(), col_ids.end(), 0);
+  SparseSimMatrix out(kRows, kTargets, 5);
   obs::Profiler::Get().Enable();
-  ExactTopK(a, b, TopKOptions{.k = 5});
+  TopKInto(a, row_ids, b, col_ids, /*index=*/nullptr, TopKOptions{.k = 5},
+           out);
   obs::Profiler::Get().Disable();
 
   const int64_t block_rows = par::TopKBlockRows(kRows, kDim);

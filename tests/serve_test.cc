@@ -310,7 +310,7 @@ TEST(HnswTest, RecallAgainstExactScan) {
   EXPECT_GE(top1_match, (n / 3) * 9 / 10);
 }
 
-TEST(ServeIndexTest, ExactTopKMatchesExactTopKInto) {
+TEST(ServeIndexTest, ExactTopKMatchesTopKInto) {
   // The serve index's single-query scan keeps the batch kernel's
   // entries, in the same order, with the same scores.
   const int32_t ns = 40, nt = 60, k = 7;
@@ -325,9 +325,9 @@ TEST(ServeIndexTest, ExactTopKMatchesExactTopKInto) {
   std::vector<EntityId> col_ids(nt);
   std::iota(col_ids.begin(), col_ids.end(), 0);
   SparseSimMatrix batch(ns, nt, k);
-  ExactTopKInto(source, row_ids, index->target_embeddings(), col_ids,
-                TopKOptions{.k = k, .metric = index->options().metric},
-                batch);
+  TopKInto(source, row_ids, index->target_embeddings(), col_ids,
+           /*index=*/nullptr,
+           TopKOptions{.k = k, .metric = index->options().metric}, batch);
 
   std::vector<SimEntry> single;
   for (int32_t s = 0; s < ns; ++s) {

@@ -321,7 +321,8 @@ TEST(TopKTest, IdMapsRespected) {
   const std::vector<EntityId> row_ids{10, 20, 30};
   const std::vector<EntityId> col_ids{5, 6, 7, 8};
   SparseSimMatrix out(40, 10, 2);
-  ExactTopKInto(a, row_ids, b, col_ids, TopKOptions{.k = 2}, out);
+  TopKInto(a, row_ids, b, col_ids, /*index=*/nullptr, TopKOptions{.k = 2},
+           out);
   EXPECT_EQ(out.Row(10).size(), 2u);
   EXPECT_EQ(out.Row(20).size(), 2u);
   EXPECT_EQ(out.Row(0).size(), 0u);
@@ -331,7 +332,7 @@ TEST(TopKTest, IdMapsRespected) {
   }
 }
 
-// ExactTopKInto against a pair-at-a-time oracle: every pair scored
+// Exact TopKInto against a pair-at-a-time oracle: every pair scored
 // through ScorePair, offered in ascending id order to one TopKHeap per
 // row, drained and scattered into a matrix. Target sizes cover the
 // four-pair remainders (1-3, 4n +/- 1) and both sides of the tile edge
@@ -389,7 +390,8 @@ TEST(TopKTest, ExactMatchesPairAtATimeOracleAcrossRemaindersTilesAndThreads) {
         par::ThreadPool::Get().SetNumThreads(threads);
         SparseSimMatrix out(static_cast<int32_t>(source.rows()),
                             static_cast<int32_t>(target_rows), topk.k);
-        ExactTopKInto(source, row_ids, target, col_ids, topk, out);
+        TopKInto(source, row_ids, target, col_ids, /*index=*/nullptr, topk,
+                 out);
         EXPECT_EQ(SimMatrixToString(out), want)
             << "metric=" << static_cast<int>(metric)
             << " target_rows=" << target_rows << " threads=" << threads;
@@ -537,9 +539,9 @@ TEST(LshTest, IncrementalBuildMatchesOneShot) {
   }
 }
 
-// LshTopKInto against a scan with no bitset, no tiles and no blocks: the
-// key oracle's candidates, scored one by one, sorted by the heap's own
-// ranking and cut at k.
+// TopKInto through an LSH index against a scan with no bitset, no tiles
+// and no blocks: the key oracle's candidates, scored one by one, sorted
+// by the heap's own ranking and cut at k.
 TEST(LshTest, TopKMatchesOracleHeapsAcrossWordsTilesAndThreads) {
   const int32_t saved_threads = par::ThreadPool::Get().num_threads();
   constexpr int64_t kDim = 64;
@@ -590,7 +592,7 @@ TEST(LshTest, TopKMatchesOracleHeapsAcrossWordsTilesAndThreads) {
       par::ThreadPool::Get().SetNumThreads(threads);
       SparseSimMatrix out(static_cast<int32_t>(source.rows()),
                           static_cast<int32_t>(target_rows), topk.k);
-      LshTopKInto(source, row_ids, target, col_ids, index, topk, out);
+      TopKInto(source, row_ids, target, col_ids, &index, topk, out);
       for (int32_t i = 0; i < source.rows(); ++i) {
         const auto row = out.Row(i);
         ASSERT_EQ(row.size(), expected[i].size())
@@ -618,8 +620,8 @@ TEST(LshTest, LshTopKFindsPlantedMatches) {
   std::vector<EntityId> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
   SparseSimMatrix out(n, n, 5);
-  LshTopKInto(source, ids, target, ids, index,
-              TopKOptions{.k = 5, .metric = SimMetric::kManhattan}, out);
+  TopKInto(source, ids, target, ids, &index,
+           TopKOptions{.k = 5, .metric = SimMetric::kManhattan}, out);
   int hits = 0;
   for (int32_t i = 0; i < n; ++i) {
     if (out.ArgmaxOfRow(i) == i) ++hits;

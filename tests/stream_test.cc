@@ -1,8 +1,8 @@
 // The memory-budgeted streaming layer (DESIGN.md §10): tile spill and
 // reload round-trip bit-exactly, the LRU cache evicts under a tiny
-// budget and transparently reloads, the tile-major streamed LSH kernel
-// matches the in-memory one byte for byte while reading each tile at
-// most once per source block, FuseStreamed matches Fuse entry for
+// budget and transparently reloads, the spilled top-k sweep (exact and
+// LSH) matches the in-memory one byte for byte while reading each tile
+// at most once per source block, FuseStreamed matches Fuse entry for
 // entry, and the full budgeted pipeline reproduces the unbudgeted fused
 // matrix and metrics bit-identically — at any thread count and on every
 // SIMD backend this CPU has.
@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -255,8 +257,9 @@ TEST(TileMatrixTest, AppendAndTileViewsCoverAllRows) {
 }
 
 // ---------------------------------------------------------------------
-// The streamed LSH kernel: tile-major over the target, bit-identical to
-// the in-memory kernel, and reading each tile at most once per block.
+// The spilled top-k sweep, exact and LSH: tile-major over the target,
+// bit-identical to the in-memory sweep, and reading each tile at most
+// once per block.
 
 // Cuts `full` into `tile_rows`-row tiles appended to a TileMatrix.
 stream::TileMatrix TileCopy(stream::TileStore& store, const Matrix& full,
@@ -285,7 +288,11 @@ void ExpectSparseEq(const SparseSimMatrix& a, const SparseSimMatrix& b) {
   }
 }
 
-class StreamedTopKTest : public ::testing::Test {
+// Where a search's candidates come from: the parameter of the sweep
+// tests that hold for both kinds.
+enum class Candidates { kExact, kLsh };
+
+class StreamedTopKTest : public ::testing::TestWithParam<Candidates> {
  protected:
   static constexpr int64_t kTileRows = 32;
   static constexpr int64_t kNumTiles = 10;
@@ -306,12 +313,23 @@ class StreamedTopKTest : public ::testing::Test {
     return lsh;
   }
 
-  // One LshTopKStreamedInto of source_ (a single block) against tiles_.
-  // Returns the result; `misses` and `issued` receive the call's
-  // stream.cache.misses and stream.prefetch.issued.
-  SparseSimMatrix SearchBlock(bool prefetch, int64_t* misses,
-                              int64_t* issued) const {
-    const LshIndex index(target_, WideBuckets());
+  // The index a parameterized search runs through: wide buckets over
+  // `target` for LSH, none for exact search.
+  static std::optional<LshIndex> IndexOver(const Matrix& target) {
+    std::optional<LshIndex> index;
+    if (GetParam() == Candidates::kLsh) index.emplace(target, WideBuckets());
+    return index;
+  }
+  static const LshIndex* Ptr(const std::optional<LshIndex>& index) {
+    return index.has_value() ? &*index : nullptr;
+  }
+
+  // One spilled search of source_ (a single block) against tiles_, with
+  // the parameter's candidates. Returns the result; `misses` and
+  // `issued` receive the call's stream.cache.misses and
+  // stream.prefetch.issued.
+  SparseSimMatrix SearchBlock(int64_t* misses, int64_t* issued) const {
+    const std::optional<LshIndex> index = IndexOver(target_);
     auto& metrics = obs::MetricsRegistry::Get();
     const int64_t misses_before =
         metrics.GetCounter("stream.cache.misses").Value();
@@ -321,8 +339,7 @@ class StreamedTopKTest : public ::testing::Test {
     std::iota(row_ids.begin(), row_ids.end(), 0);
     SparseSimMatrix out(static_cast<int32_t>(source_.rows()),
                         static_cast<int32_t>(target_.rows()), 10);
-    LshTopKStreamedInto(source_, row_ids, tiles_, index, prefetch,
-                        TopKOptions{}, out);
+    TopKInto(source_, row_ids, tiles_, Ptr(index), TopKOptions{}, out);
     *misses = metrics.GetCounter("stream.cache.misses").Value() -
               misses_before;
     *issued = metrics.GetCounter("stream.prefetch.issued").Value() -
@@ -340,7 +357,14 @@ class StreamedTopKTest : public ::testing::Test {
   const stream::TileMatrix tiles_ = TileCopy(store_, target_, kTileRows);
 };
 
-TEST_F(StreamedTopKTest, LshMatchesInMemoryAcrossTileRowsAndThreads) {
+INSTANTIATE_TEST_SUITE_P(
+    , StreamedTopKTest,
+    ::testing::Values(Candidates::kExact, Candidates::kLsh),
+    [](const ::testing::TestParamInfo<Candidates>& info) {
+      return std::string(info.param == Candidates::kLsh ? "Lsh" : "Exact");
+    });
+
+TEST_P(StreamedTopKTest, MatchesInMemoryAcrossTileRowsAndThreads) {
   constexpr int64_t kTargetRows = 150;
   constexpr int64_t kDim = 16;
   Matrix target = RandomMatrix(kTargetRows, kDim, 21);
@@ -355,11 +379,11 @@ TEST_F(StreamedTopKTest, LshMatchesInMemoryAcrossTileRowsAndThreads) {
   std::iota(row_ids.begin(), row_ids.end(), 3);
   std::vector<EntityId> col_ids(kTargetRows);
   std::iota(col_ids.begin(), col_ids.end(), 0);
-  const LshIndex index(target, WideBuckets());
+  const std::optional<LshIndex> index = IndexOver(target);
   const TopKOptions topk{.k = 7, .metric = SimMetric::kManhattan};
 
   SparseSimMatrix expected(50, kTargetRows, topk.k);
-  LshTopKInto(source, row_ids, target, col_ids, index, topk, expected);
+  TopKInto(source, row_ids, target, col_ids, Ptr(index), topk, expected);
   int64_t ties = 0;
   for (int32_t r = 0; r < expected.num_rows(); ++r) {
     const auto row = expected.Row(r);
@@ -375,8 +399,7 @@ TEST_F(StreamedTopKTest, LshMatchesInMemoryAcrossTileRowsAndThreads) {
     for (const int32_t threads : {1, 2, 8}) {
       par::ThreadPool::Get().SetNumThreads(threads);
       SparseSimMatrix streamed(50, kTargetRows, topk.k);
-      LshTopKStreamedInto(source, row_ids, tiles, index, /*prefetch=*/true,
-                          topk, streamed);
+      TopKInto(source, row_ids, tiles, Ptr(index), topk, streamed);
       SCOPED_TRACE(testing::Message() << "tile_rows=" << tile_rows
                                       << " threads=" << threads);
       ExpectSparseEq(expected, streamed);
@@ -384,18 +407,71 @@ TEST_F(StreamedTopKTest, LshMatchesInMemoryAcrossTileRowsAndThreads) {
   }
 }
 
-TEST_F(StreamedTopKTest, LshSearchReadsEachTileAtMostOncePerBlock) {
+TEST_P(StreamedTopKTest, SearchReadsEachTileAtMostOncePerBlock) {
   int64_t misses = 0;
   int64_t issued = 0;
-  const SparseSimMatrix out = SearchBlock(/*prefetch=*/false, &misses, &issued);
+  const SparseSimMatrix out = SearchBlock(&misses, &issued);
   EXPECT_EQ(out.TotalEntries(), source_.rows() * 10);
   EXPECT_LE(misses, kNumTiles);
-  EXPECT_EQ(issued, 0);
+}
+
+TEST_P(StreamedTopKTest, SearchPrefetchesEveryTileAfterTheFirst) {
+  // Every tile holds a candidate of some row (for exact search, of every
+  // row), so the sweep pins all of them in order and prefetches each
+  // next one. The cache holds three tiles, so each tile was evicted
+  // after its spill long before the sweep reaches it: every prefetch is
+  // a real one.
+  const std::optional<LshIndex> index = IndexOver(target_);
+  if (index.has_value()) {
+    std::vector<uint64_t> any(BitsetWords(target_.rows()), 0);
+    for (int64_t i = 0; i < source_.rows(); ++i) {
+      index->Query(source_.Row(i), any.data());
+    }
+    for (int64_t t = 0; t < kNumTiles; ++t) {
+      int64_t in_tile = 0;
+      for (int64_t j = t * kTileRows; j < (t + 1) * kTileRows; ++j) {
+        in_tile += (any[j >> 6] >> (j & 63)) & 1;
+      }
+      ASSERT_GT(in_tile, 0) << "tile " << t;
+    }
+  }
+  int64_t misses = 0;
+  int64_t issued = 0;
+  const SparseSimMatrix out = SearchBlock(&misses, &issued);
+  EXPECT_EQ(issued, kNumTiles - 1);
+
+  std::vector<EntityId> ids(target_.rows());
+  std::iota(ids.begin(), ids.end(), 0);
+  SparseSimMatrix in_memory(static_cast<int32_t>(source_.rows()),
+                            static_cast<int32_t>(target_.rows()), 10);
+  TopKInto(source_, std::span(ids).first(source_.rows()), target_, ids,
+           Ptr(index), TopKOptions{}, in_memory);
+  ExpectSparseEq(in_memory, out);
+}
+
+TEST_P(StreamedTopKTest, CountsEachRowOncePerSpilledCall) {
+  // tiles_ spans ten tiles; the counters still see one pass per row.
+  const std::string kind =
+      GetParam() == Candidates::kLsh ? "topk.lsh." : "topk.exact.";
+  auto& metrics = obs::MetricsRegistry::Get();
+  obs::Counter& rows = metrics.GetCounter(kind + "rows");
+  obs::Counter& scanned = metrics.GetCounter(kind + "candidates_scanned");
+  const int64_t rows_before = rows.Value();
+  const int64_t scanned_before = scanned.Value();
+  int64_t misses = 0;
+  int64_t issued = 0;
+  SearchBlock(&misses, &issued);
+  EXPECT_EQ(rows.Value() - rows_before, source_.rows());
+  if (GetParam() == Candidates::kExact) {
+    EXPECT_EQ(scanned.Value() - scanned_before,
+              source_.rows() * target_.rows());
+  }
 }
 
 TEST_F(StreamedTopKTest, LshSearchPinsOnlyTilesHoldingCandidates) {
   // One-row tiles and a one-row block: the row's candidates are a small
-  // share of the target, and no other tile may be read.
+  // share of the target, and no other tile may be read, prefetches
+  // included.
   stream::TileStore store(BudgetOfMb(1));
   const stream::TileMatrix one_row_tiles = TileCopy(store, target_, 1);
   const LshIndex index(target_, LshOptions{});
@@ -409,25 +485,25 @@ TEST_F(StreamedTopKTest, LshSearchPinsOnlyTilesHoldingCandidates) {
   const int64_t misses_before = misses.Value();
   const std::vector<EntityId> row_ids = {0};
   SparseSimMatrix out(1, static_cast<int32_t>(target_.rows()), 10);
-  LshTopKStreamedInto(MatrixRowRange(source_, 0, 1), row_ids, one_row_tiles,
-                      index, /*prefetch=*/false, TopKOptions{}, out);
+  TopKInto(MatrixRowRange(source_, 0, 1), row_ids, one_row_tiles, &index,
+           TopKOptions{}, out);
+  store.DrainPrefetches();
   EXPECT_LE(misses.Value() - misses_before, candidates);
 }
 
-TEST_F(StreamedTopKTest, LshPlanTrackedBytesAreItsBitsetsAndHeaps) {
+TEST_P(StreamedTopKTest, PlanTrackedBytesAreItsBitsetsAndHeaps) {
   // A budget that caches every tile: after a warm-up call nothing reloads,
   // so the only tracked growth during a call is the plan itself.
   stream::TileStore store(BudgetOfMb(64));
   const stream::TileMatrix tiles = TileCopy(store, target_, kTileRows);
-  const LshIndex index(target_, WideBuckets());
+  const std::optional<LshIndex> index = IndexOver(target_);
   std::vector<EntityId> row_ids(source_.rows());
   std::iota(row_ids.begin(), row_ids.end(), 0);
   const TopKOptions topk{.k = 10};
   const auto search = [&] {
     SparseSimMatrix out(static_cast<int32_t>(source_.rows()),
                         static_cast<int32_t>(target_.rows()), topk.k);
-    LshTopKStreamedInto(source_, row_ids, tiles, index, /*prefetch=*/false,
-                        topk, out);
+    TopKInto(source_, row_ids, tiles, Ptr(index), topk, out);
   };
   search();
   auto& misses = obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
@@ -437,27 +513,17 @@ TEST_F(StreamedTopKTest, LshPlanTrackedBytesAreItsBitsetsAndHeaps) {
   tracker.ResetPeak();
   search();
   ASSERT_EQ(misses.Value(), misses_before);
-  // One bit per target row, in whole 64-bit words, per source row; and
-  // k (score, id) entries per row's heap, reserved up front.
-  const int64_t bitsets = source_.rows() * BitsetWords(target_.rows()) * 8;
+  // With an index, one bit per target row, in whole 64-bit words, per
+  // source row; and k (score, id) entries per row's heap, reserved up
+  // front. Exact search plans nothing: the heaps are all.
+  const int64_t bitsets =
+      index.has_value() ? source_.rows() * BitsetWords(target_.rows()) * 8
+                        : 0;
   const int64_t heaps =
       source_.rows() * topk.k *
       static_cast<int64_t>(sizeof(std::pair<float, int32_t>));
   EXPECT_EQ(tracker.PeakBytes() - before, bitsets + heaps);
   EXPECT_EQ(tracker.CurrentBytes(), before);
-}
-
-TEST_F(StreamedTopKTest, LshSearchPrefetchesOnlyWhenAsked) {
-  int64_t misses = 0;
-  int64_t issued_off = 0;
-  int64_t issued_on = 0;
-  const SparseSimMatrix off = SearchBlock(/*prefetch=*/false, &misses,
-                                          &issued_off);
-  const SparseSimMatrix on = SearchBlock(/*prefetch=*/true, &misses,
-                                         &issued_on);
-  EXPECT_EQ(issued_off, 0);
-  EXPECT_GT(issued_on, 0);
-  ExpectSparseEq(off, on);
 }
 
 SparseSimMatrix RandomSparse(int32_t rows, int32_t cols, int32_t per_row,
@@ -588,18 +654,9 @@ TEST_F(StreamPipelineTest, LshPathStreamsBitIdentically) {
 
   options.stream.memory_budget_mb = 1;
   options.stream.tile_rows = 64;
-  auto& issued =
-      obs::MetricsRegistry::Get().GetCounter("stream.prefetch.issued");
-  for (const bool prefetch : {true, false}) {
-    options.stream.prefetch = prefetch;
-    const int64_t issued_before = issued.Value();
-    const auto streamed = RunLargeEa(dataset, options);
-    ASSERT_TRUE(streamed.ok()) << "prefetch=" << prefetch;
-    ExpectSameResult(*baseline, *streamed);
-    if (!prefetch) {
-      EXPECT_EQ(issued.Value(), issued_before);
-    }
-  }
+  const auto streamed = RunLargeEa(dataset, options);
+  ASSERT_TRUE(streamed.ok());
+  ExpectSameResult(*baseline, *streamed);
 }
 
 TEST_F(StreamPipelineTest, HalfBudgetRunStaysUnderBudgetBitIdentically) {

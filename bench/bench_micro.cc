@@ -6,7 +6,7 @@
 // Three modes:
 //   * default — the google-benchmark suite below, all its flags intact;
 //   * --json-out=FILE — a hand-timed kernel-scaling harness instead:
-//     threads x {gemm, topk, lsh, minhash} rows (seconds,
+//     threads x {gemm, topk, lsh, minhash, hnsw} rows (seconds,
 //     items/sec, speedup vs 1 thread), written through BenchJson. The
 //     perf trajectory invokes it as `--json-out=BENCH_par.json`;
 //     --threads-list=1,2,4,8 and --min-time=0.3 tune the sweep;
@@ -91,6 +91,7 @@
 #include "src/serve/index_artifact.h"
 #include "src/serve/index_manager.h"
 #include "src/serve/query_engine.h"
+#include "src/sim/hnsw.h"
 #include "src/sim/lsh.h"
 #include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
@@ -277,6 +278,8 @@ std::vector<int32_t> ParseThreadsList(const std::string& list) {
 // candidate sets (the full graphs go through LSH). The LSH top-k row is
 // SENS at DBP1M EN-FR's shape — 20k targets at the encoder's dim 192,
 // the CLI's default tables — over a 2,000-row slice of the source side.
+// The hnsw row builds index-build's graph over those 20k targets with
+// the serve defaults.
 constexpr int64_t kScaleGemmRows = 20000;
 constexpr int64_t kScaleGemmDim = 128;
 constexpr int64_t kScaleTopKRows = 4000;
@@ -305,7 +308,7 @@ struct ScalingBench {
   Matrix topk_b{kScaleTopKRows, kScaleTopKDim};
   TopKOptions topk{.k = 50, .metric = SimMetric::kManhattan};
   Matrix lsh_a{kScaleLshSourceRows, kScaleLshDim};
-  Matrix lsh_b{kScaleLshTargetRows, kScaleLshDim};
+  Matrix lsh_b{kScaleLshTargetRows, kScaleLshDim};  // also the hnsw rows
   std::vector<EntityId> lsh_row_ids;
   std::vector<EntityId> lsh_col_ids;
   std::optional<LshIndex> lsh_index;
@@ -361,6 +364,10 @@ struct ScalingBench {
                  }
                });
            benchmark::DoNotOptimize(signatures);
+         }},
+        {"hnsw", "sim.hnsw.build", kScaleLshTargetRows, [this] {
+           const HnswIndex graph(lsh_b, SimMetric::kManhattan, HnswOptions{});
+           benchmark::DoNotOptimize(graph.num_edges());
          }}};
   }
 };

@@ -3,6 +3,9 @@
 namespace largeea::rt {
 
 Status BinaryReader::ReadRaw(void* out, size_t n) {
+  // An empty vector's data() may be null, and memcpy forbids a null
+  // pointer even for zero bytes.
+  if (n == 0) return OkStatus();
   if (n > data_.size() - pos_) {
     return DataLossError("binary payload truncated: need " +
                          std::to_string(n) + " bytes, have " +

@@ -7,6 +7,7 @@
 #include "src/common/macros.h"
 #include "src/name/tokenizer.h"
 #include "src/obs/trace.h"
+#include "src/par/parallel_for.h"
 #include "src/rt/binary_io.h"
 #include "src/rt/io_util.h"
 #include "src/sim/sim_io.h"
@@ -18,6 +19,8 @@ namespace {
 
 constexpr std::string_view kMagic = "largeea-index";
 constexpr int kFormatVersion = 1;
+/// Target names per chunk of the build's encode and signature loops.
+constexpr int64_t kTargetGrain = 256;
 
 std::string Hex64(uint64_t v) {
   char buf[17];
@@ -115,9 +118,13 @@ Status ServeIndex::Finish() {
   // (Build); Load keeps the deserialised bytes.
   if (target_embeddings_.rows() != num_targets) {
     Matrix embeddings(num_targets, encoder_->dim());
-    for (int64_t e = 0; e < num_targets; ++e) {
-      encoder_->EncodeName(target_names_[e], embeddings.Row(e));
-    }
+    par::ParallelFor(0, num_targets, kTargetGrain,
+                     [&](const par::ChunkRange& range) {
+                       for (int64_t e = range.begin; e < range.end; ++e) {
+                         encoder_->EncodeName(target_names_[e],
+                                              embeddings.Row(e));
+                       }
+                     });
     target_embeddings_ = std::move(embeddings);
   }
   if (target_embeddings_.cols() != encoder_->dim()) {
@@ -128,11 +135,15 @@ Status ServeIndex::Finish() {
   const int32_t num_perms = options_.num_bands * options_.rows_per_band;
   hasher_ = std::make_unique<MinHasher>(num_perms, options_.minhash_seed);
   if (target_signatures_.empty() && num_targets > 0) {
-    target_signatures_.reserve(num_targets);
-    for (int64_t e = 0; e < num_targets; ++e) {
-      target_signatures_.push_back(hasher_->Signature(
-          TokenizeName(target_names_[e], options_.minhash_tokenizer)));
-    }
+    target_signatures_.resize(num_targets);
+    par::ParallelFor(0, num_targets, kTargetGrain,
+                     [&](const par::ChunkRange& range) {
+                       for (int64_t e = range.begin; e < range.end; ++e) {
+                         target_signatures_[e] = hasher_->Signature(
+                             TokenizeName(target_names_[e],
+                                          options_.minhash_tokenizer));
+                       }
+                     });
   }
   if (static_cast<int64_t>(target_signatures_.size()) != num_targets) {
     return DataLossError("index: signature count does not match targets");

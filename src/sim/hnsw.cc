@@ -2,19 +2,60 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
+#include <tuple>
 
 #include "src/common/macros.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
+#include "src/par/parallel_for.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
 
 namespace largeea {
 
+namespace {
+
+/// RandomLevel's cap, and the highest level Deserialize accepts.
+constexpr int32_t kMaxLevel = 32;
+
+/// Nodes per build batch, as a pure function of how many the graph
+/// already holds: a batch searches a graph that knows none of its nodes,
+/// so a small graph grows nearly one node at a time, and the cap bounds
+/// the in-batch candidates each node scores directly.
+int64_t BatchSize(int64_t inserted) {
+  return std::clamp<int64_t>(inserted / 16, 1, 256);
+}
+
+}  // namespace
+
 HnswIndex::HnswIndex(const Matrix& data, SimMetric metric)
     : data_(&data), metric_(metric) {}
+
+/// One back-link a batch adds: `node` joins `nb`'s list at layer `lc`.
+struct HnswIndex::BackLink {
+  int32_t nb;
+  int32_t lc;
+  int32_t node;
+
+  bool operator<(const BackLink& o) const {
+    return std::tie(nb, lc, node) < std::tie(o.nb, o.lc, o.node);
+  }
+};
+
+/// Per-worker state of the parallel build phases. No field reaches the
+/// graph except through the node or list its task owns.
+struct HnswIndex::BuildScratch {
+  VisitedSet visited;
+  std::vector<std::pair<float, int32_t>> best;
+  std::vector<const float*> rows;
+  std::vector<float> row_scores;
+  std::vector<int32_t> pruned;
+  int64_t scores = 0;
+};
 
 HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
                      const HnswOptions& options)
@@ -31,83 +72,165 @@ HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
   obs::Span span("hnsw/build");
   span.AddAttr("rows", n);
   obs::ProfileScope prof("sim.hnsw.build");
-  const simd::KernelTable& kt = simd::Kernels();
-  const int64_t dim = data.cols();
-
-  VisitedSet visited;
-  std::vector<std::pair<float, int32_t>> best;
-  std::vector<int32_t> selected;
-  std::vector<const float*> link_rows;
-  std::vector<float> link_scores;
-  std::vector<std::pair<float, int32_t>> scored;
-  std::vector<int32_t> pruned;
-  // Pair scores computed, summed locally and published once.
-  int64_t scores = 0;
-  // Sequential ascending-row insertion: the graph is a fold over rows
-  // 0..n-1, which together with the pure level function makes the
-  // finished structure a deterministic function of (data, options).
   for (int32_t node = 0; node < n; ++node) {
-    const int32_t level = RandomLevel(node);
-    levels_[node] = level;
-    links_[node].resize(level + 1);
+    levels_[node] = RandomLevel(node);
+    links_[node].resize(levels_[node] + 1);
+  }
+  entry_point_ = 0;
+  max_level_ = levels_[0];
 
-    if (entry_point_ < 0) {
-      entry_point_ = node;
-      max_level_ = level;
-      continue;
-    }
-
-    const float* query = data_->Row(node);
-    int32_t ep = entry_point_;
-    // Greedy descent through layers above the new node's top level.
-    for (int32_t lc = max_level_; lc > level; --lc) {
-      scores += SearchLayer(query, ep, /*ef=*/1, lc, best, visited);
-      if (!best.empty()) ep = best.front().second;
-    }
-    // Connect on every shared layer, top down.
-    for (int32_t lc = std::min(level, max_level_); lc >= 0; --lc) {
-      scores +=
-          SearchLayer(query, ep, options_.ef_construction, lc, best, visited);
-      const int32_t m = lc == 0 ? 2 * options_.max_neighbors
-                                : options_.max_neighbors;
-      scores += SelectNeighbors(best, m, selected);
-      links_[node][lc] = selected;
-      if (!best.empty()) ep = best.front().second;
-      // Back-links, pruning any neighbor that now exceeds its cap with
-      // the same heuristic (rescored in fours relative to that neighbor).
-      for (const int32_t nb : selected) {
-        std::vector<int32_t>& nb_links = links_[nb][lc];
-        nb_links.push_back(node);
-        if (static_cast<int32_t>(nb_links.size()) > m) {
-          link_rows.clear();
-          for (const int32_t cand : nb_links) {
-            link_rows.push_back(data_->Row(cand));
-          }
-          link_scores.resize(nb_links.size());
-          ScoreRows(kt, data_->Row(nb), link_rows.data(),
-                    static_cast<int64_t>(nb_links.size()), dim, metric_,
-                    link_scores.data());
-          scores += static_cast<int64_t>(nb_links.size());
-          scored.clear();
-          for (size_t t = 0; t < nb_links.size(); ++t) {
-            scored.push_back({link_scores[t], nb_links[t]});
-          }
-          std::sort(scored.begin(), scored.end(), TopKHeap::Better);
-          scores += SelectNeighbors(scored, m, pruned);
-          nb_links = pruned;
+  // Per-worker scratch: a chunk takes a free one and gives it back, so
+  // no more exist than chunks run at once (each VisitedSet holds n
+  // stamps). Which one a chunk gets never reaches the graph.
+  std::mutex scratch_mu;
+  std::vector<std::unique_ptr<BuildScratch>> scratch;
+  const auto each_chunk = [&](int64_t begin, int64_t end, const auto& body) {
+    par::ParallelFor(begin, end, 1, [&](const par::ChunkRange& chunk) {
+      std::unique_ptr<BuildScratch> s;
+      {
+        std::lock_guard<std::mutex> lock(scratch_mu);
+        if (scratch.empty()) {
+          s = std::make_unique<BuildScratch>();
+        } else {
+          s = std::move(scratch.back());
+          scratch.pop_back();
         }
       }
+      for (int64_t i = chunk.begin; i < chunk.end; ++i) body(i, *s);
+      std::lock_guard<std::mutex> lock(scratch_mu);
+      scratch.push_back(std::move(s));
+    });
+  };
+
+  // Batched insertion of rows 1..n-1. Every phase is a pure function of
+  // the graph before the batch, so the graph is one at any thread count,
+  // and a batch of one node is exactly one serial insertion.
+  std::vector<BackLink> back_links;
+  std::vector<int64_t> list_starts;
+  int64_t batches = 1;  // row 0 alone
+  for (int64_t begin = 1; begin < n; ++batches) {
+    const int64_t end = std::min(n, begin + BatchSize(begin));
+    // Phase A: each node searches the graph before the batch and writes
+    // its own lists. No old node links to a new one until phase C, so
+    // no search of this batch reads a list another task writes.
+    each_chunk(begin, end, [&](int64_t node, BuildScratch& s) {
+      s.scores += Connect(static_cast<int32_t>(node),
+                          static_cast<int32_t>(begin), s);
+    });
+    // Phase B, serial in id order: the entry point moves to the first
+    // node that tops the graph, and the back-links are grouped by list.
+    back_links.clear();
+    for (int64_t node = begin; node < end; ++node) {
+      const int32_t level = levels_[node];
+      for (int32_t lc = 0; lc <= level; ++lc) {
+        for (const int32_t nb : links_[node][lc]) {
+          back_links.push_back({nb, lc, static_cast<int32_t>(node)});
+        }
+      }
+      if (level > max_level_) {
+        entry_point_ = static_cast<int32_t>(node);
+        max_level_ = level;
+      }
     }
-    if (level > max_level_) {
-      entry_point_ = node;
-      max_level_ = level;
+    std::sort(back_links.begin(), back_links.end());
+    list_starts.clear();
+    for (size_t i = 0; i < back_links.size(); ++i) {
+      if (i == 0 || back_links[i].nb != back_links[i - 1].nb ||
+          back_links[i].lc != back_links[i - 1].lc) {
+        list_starts.push_back(static_cast<int64_t>(i));
+      }
     }
+    list_starts.push_back(static_cast<int64_t>(back_links.size()));
+    // Phase C: one task per list appends its back-links and prunes once.
+    each_chunk(0, static_cast<int64_t>(list_starts.size()) - 1,
+               [&](int64_t list, BuildScratch& s) {
+                 s.scores += LinkBack(&back_links[list_starts[list]],
+                                      &back_links[list_starts[list + 1]], s);
+               });
+    begin = end;
   }
-  prof.AddBytes(4 * scores * dim, 0);
-  prof.AddFlops(2 * scores * dim);
+  int64_t scores = 0;
+  for (const auto& s : scratch) scores += s->scores;
+  span.AddAttr("batches", batches);
+  prof.AddBytes(4 * scores * data.cols(), 0);
+  prof.AddFlops(2 * scores * data.cols());
   auto& registry = obs::MetricsRegistry::Get();
   registry.GetCounter("hnsw.nodes_built").Add(n);
   registry.GetCounter("hnsw.build_scores").Add(scores);
+}
+
+int64_t HnswIndex::Connect(int32_t node, int32_t batch_begin,
+                           BuildScratch& s) {
+  const simd::KernelTable& kt = simd::Kernels();
+  const int64_t dim = data_->cols();
+  const float* query = data_->Row(node);
+  const int32_t level = levels_[node];
+  // The batch's earlier nodes are not in the graph yet: score them
+  // directly, once for every layer.
+  const int32_t earlier = node - batch_begin;
+  s.rows.clear();
+  for (int32_t j = batch_begin; j < node; ++j) s.rows.push_back(data_->Row(j));
+  s.row_scores.resize(static_cast<size_t>(earlier));
+  ScoreRows(kt, query, s.rows.data(), earlier, dim, metric_,
+            s.row_scores.data());
+  int64_t scores = earlier;
+
+  int32_t ep = entry_point_;
+  // Greedy descent through layers above the new node's top level.
+  for (int32_t lc = max_level_; lc > level; --lc) {
+    scores += SearchLayer(query, ep, /*ef=*/1, lc, s.best, s.visited);
+    ep = s.best.front().second;
+  }
+  // Connect on every layer, top down; above the graph's top layer only
+  // the batch's earlier nodes are candidates.
+  for (int32_t lc = level; lc >= 0; --lc) {
+    s.best.clear();
+    if (lc <= max_level_) {
+      scores += SearchLayer(query, ep, options_.ef_construction, lc, s.best,
+                            s.visited);
+      ep = s.best.front().second;
+    }
+    const size_t searched = s.best.size();
+    for (int32_t j = 0; j < earlier; ++j) {
+      if (levels_[batch_begin + j] >= lc) {
+        s.best.push_back({s.row_scores[j], batch_begin + j});
+      }
+    }
+    if (s.best.size() > searched) {
+      std::sort(s.best.begin(), s.best.end(), TopKHeap::Better);
+      if (static_cast<int32_t>(s.best.size()) > options_.ef_construction) {
+        s.best.resize(options_.ef_construction);
+      }
+    }
+    scores += SelectNeighbors(s.best, MaxLinks(lc), links_[node][lc]);
+  }
+  return scores;
+}
+
+int64_t HnswIndex::LinkBack(const BackLink* first, const BackLink* last,
+                            BuildScratch& s) {
+  const int32_t nb = first->nb;
+  const int32_t m = MaxLinks(first->lc);
+  std::vector<int32_t>& list = links_[nb][first->lc];
+  for (const BackLink* b = first; b != last; ++b) list.push_back(b->node);
+  if (static_cast<int32_t>(list.size()) <= m) return 0;
+  // Over its cap: rescore the list relative to `nb` (in fours) and keep
+  // what the select-neighbors heuristic keeps.
+  s.rows.clear();
+  for (const int32_t cand : list) s.rows.push_back(data_->Row(cand));
+  s.row_scores.resize(list.size());
+  ScoreRows(simd::Kernels(), data_->Row(nb), s.rows.data(),
+            static_cast<int64_t>(list.size()), data_->cols(), metric_,
+            s.row_scores.data());
+  s.best.clear();
+  for (size_t t = 0; t < list.size(); ++t) {
+    s.best.push_back({s.row_scores[t], list[t]});
+  }
+  std::sort(s.best.begin(), s.best.end(), TopKHeap::Better);
+  const int64_t scores =
+      static_cast<int64_t>(list.size()) + SelectNeighbors(s.best, m, s.pruned);
+  list.swap(s.pruned);
+  return scores;
 }
 
 int32_t HnswIndex::RandomLevel(int32_t node) const {
@@ -117,8 +240,8 @@ int32_t HnswIndex::RandomLevel(int32_t node) const {
   const double u = rng.UniformDouble();
   // u == 0 would give log(0); the generator's smallest nonzero value
   // caps the level at a sane bound anyway, but guard explicitly.
-  const double draw = u > 0.0 ? -std::log(u) * level_mult_ : 32.0;
-  return static_cast<int32_t>(std::min(draw, 32.0));
+  const double draw = u > 0.0 ? -std::log(u) * level_mult_ : kMaxLevel;
+  return static_cast<int32_t>(std::min(draw, double{kMaxLevel}));
 }
 
 int64_t HnswIndex::SearchLayer(const float* query, int32_t entry,
@@ -324,21 +447,35 @@ StatusOr<HnswIndex> HnswIndex::Deserialize(rt::BinaryReader& r,
                          " nodes but data matrix has " +
                          std::to_string(data.rows()) + " rows");
   }
-  if (n > 0 && (index.entry_point_ < 0 || index.entry_point_ >= n)) {
+  for (const int32_t level : index.levels_) {
+    if (level < 0 || level > std::min(index.max_level_, kMaxLevel)) {
+      return DataLossError("hnsw: node level out of range");
+    }
+  }
+  // QueryTopK starts at the entry point on the top layer and only
+  // follows a layer-lc list to nodes that have a layer lc, so the entry
+  // point must top the graph and every neighbor must reach its layer.
+  if (n == 0) {
+    if (index.entry_point_ != -1 || index.max_level_ != -1) {
+      return DataLossError("hnsw: empty graph with an entry point");
+    }
+  } else if (index.entry_point_ < 0 || index.entry_point_ >= n) {
     return DataLossError("hnsw: entry point out of range");
+  } else if (index.levels_[index.entry_point_] != index.max_level_) {
+    return DataLossError("hnsw: entry point is not on the top layer");
   }
   index.links_.resize(n);
   for (int64_t node = 0; node < n; ++node) {
     const int32_t level = index.levels_[node];
-    if (level < 0 || level > index.max_level_) {
-      return DataLossError("hnsw: node level out of range");
-    }
     index.links_[node].resize(level + 1);
     for (int32_t lc = 0; lc <= level; ++lc) {
       LARGEEA_RETURN_IF_ERROR(r.I32Array(&index.links_[node][lc]));
       for (const int32_t nb : index.links_[node][lc]) {
         if (nb < 0 || nb >= n) {
           return DataLossError("hnsw: neighbor id out of range");
+        }
+        if (index.levels_[nb] < lc) {
+          return DataLossError("hnsw: neighbor listed above its top layer");
         }
       }
     }

@@ -9,7 +9,11 @@
 // Determinism contract (same as every other sim:: component):
 //   * level assignment is a pure function of (seed, row id) — not of
 //     insertion timing;
-//   * nodes insert sequentially in ascending row order;
+//   * nodes insert in batches of consecutive row ids whose sizes depend
+//     only on how many nodes the graph already holds. A batch's nodes
+//     search the graph as it stood before the batch, in parallel, each
+//     writing only its own lists; then, one list per task, the back-links
+//     land in id order and each list is pruned at most once;
 //   * every priority decision (beam ordering, neighbor selection,
 //     pruning) breaks score ties towards the smaller id via
 //     TopKHeap::Better, so the finished graph and every query answer
@@ -80,12 +84,16 @@ class HnswIndex {
   /// Deserialization constructor: graph fields are filled by the caller.
   HnswIndex(const Matrix& data, SimMetric metric);
 
+  struct BuildScratch;
+  struct BackLink;
+
   /// Epoch-stamped visited marks: NewEpoch() invalidates every mark in
   /// O(1) instead of an O(n) clear, so a search only pays for the nodes
   /// it actually touches. One full zeroing happens on (re)size and on
   /// the rare stamp wrap-around; everything else is amortised O(1).
-  /// Build reuses one VisitedSet across all n insertions — with a plain
-  /// byte array that was n clears of n bytes, quadratic memset traffic.
+  /// Each build worker reuses one VisitedSet across its insertions —
+  /// with a plain byte array that was n clears of n bytes, quadratic
+  /// memset traffic.
   struct VisitedSet {
     std::vector<uint16_t> stamp;
     uint16_t epoch = 0;
@@ -105,6 +113,20 @@ class HnswIndex {
   };
 
   int32_t RandomLevel(int32_t node) const;
+  /// Link cap of layer `lc`: 2*M at layer 0, M above.
+  int32_t MaxLinks(int32_t lc) const {
+    return lc == 0 ? 2 * options_.max_neighbors : options_.max_neighbors;
+  }
+  /// Build phase A for `node` of the batch starting at `batch_begin`:
+  /// searches the graph as it stood before the batch, adds the batch's
+  /// earlier nodes as candidates, and writes the node's own lists.
+  /// Returns the pair scores computed.
+  int64_t Connect(int32_t node, int32_t batch_begin, BuildScratch& s);
+  /// Build phase C for one list: appends the batch's back-links
+  /// [first, last) (one list, ascending node) and prunes the list once
+  /// if it exceeds its cap. Returns the pair scores computed.
+  int64_t LinkBack(const BackLink* first, const BackLink* last,
+                   BuildScratch& s);
   /// Greedy beam search on one layer from `entry`; fills `best` with up
   /// to `ef` (score, id) pairs, best first. `visited` is caller scratch
   /// and gets a fresh epoch here. Each expanded node's unvisited

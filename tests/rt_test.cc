@@ -1,12 +1,15 @@
 // Unit tests for the fault-tolerant runtime layer (src/rt/): Status
-// propagation, atomic file IO, the fault injector, and the checkpoint
-// container (versioning, checksums, fingerprint invalidation).
+// propagation, atomic file IO, binary payloads, the fault injector, and
+// the checkpoint container (versioning, checksums, fingerprint
+// invalidation).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
+#include "src/rt/binary_io.h"
 #include "src/rt/checkpoint.h"
 #include "src/rt/fault_injection.h"
 #include "src/rt/io_util.h"
@@ -102,6 +105,30 @@ TEST(IoUtilTest, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(rt::Fnv1a64(""), 0xcbf29ce484222325ULL);
   EXPECT_EQ(rt::Fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_NE(rt::Fnv1a64("payload"), rt::Fnv1a64("payloae"));
+}
+
+// Empty arrays read into empty vectors, whose data() may be null: the
+// reader must not hand that pointer to memcpy (UBSan aborts on it).
+TEST(BinaryIoTest, EmptyArraysRoundTrip) {
+  rt::BinaryWriter w;
+  w.I32Array({});
+  w.U64Array({});
+  w.F32Array(nullptr, 0);
+  w.I32(7);
+  rt::BinaryReader r(w.bytes());
+  std::vector<int32_t> i32;
+  std::vector<uint64_t> u64;
+  std::vector<float> f32;
+  ASSERT_TRUE(r.I32Array(&i32).ok());
+  ASSERT_TRUE(r.U64Array(&u64).ok());
+  ASSERT_TRUE(r.F32Array(&f32).ok());
+  EXPECT_TRUE(i32.empty());
+  EXPECT_TRUE(u64.empty());
+  EXPECT_TRUE(f32.empty());
+  int32_t tail = 0;
+  ASSERT_TRUE(r.I32(&tail).ok());
+  EXPECT_EQ(tail, 7);
+  EXPECT_TRUE(r.exhausted());
 }
 
 class FaultInjectorTest : public ::testing::Test {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -17,6 +18,7 @@
 
 #include "src/common/rng.h"
 #include "src/la/matrix.h"
+#include "src/par/thread_pool.h"
 #include "src/rt/binary_io.h"
 #include "src/rt/io_util.h"
 #include "src/serve/index_artifact.h"
@@ -140,6 +142,31 @@ TEST(ServeIndexTest, SaveLoadRoundTripsQueries) {
   fs::remove(path);
 }
 
+// Build encodes, signs and links the targets on the pool; the artifact
+// must be the same bytes at any thread count. 5,000 targets span many
+// encode chunks and take the graph past 4,096 nodes, where its batches
+// reach their cap of 256.
+TEST(ServeIndexTest, BuildIsIdenticalAcrossThreads) {
+  const int32_t saved_threads = par::ThreadPool::Get().num_threads();
+  std::string reference;
+  for (const int32_t threads : {1, 4}) {
+    par::ThreadPool::Get().SetNumThreads(threads);
+    const auto built = BuildIndexOrDie(50, 5000, 41, 9);
+    const std::string path = TempPath("serve_threads.idx");
+    ASSERT_TRUE(built->Save(path).ok());
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    fs::remove(path);
+    if (reference.empty()) {
+      reference = bytes.str();
+    } else {
+      EXPECT_TRUE(bytes.str() == reference) << "threads=" << threads;
+    }
+  }
+  par::ThreadPool::Get().SetNumThreads(saved_threads);
+}
+
 TEST(ServeIndexTest, TamperedPayloadIsDataLoss) {
   const auto built = BuildIndexOrDie(10, 12, 21, 42);
   const std::string path = TempPath("serve_tamper.idx");
@@ -227,39 +254,44 @@ TEST(HnswTest, BuildIsDeterministic) {
   }
 }
 
-// The build scores in fours, and every score keeps its bits, so the
-// graph cannot depend on the backend: the serialized bytes are equal
-// under every backend, and equal the bytes the pair-at-a-time build
-// wrote (the golden FNV-1a values were recorded from that build). Dim 20
-// leaves a kernel tail; M = 3 keeps the kept sets of SelectNeighbors
-// below, at and above four.
+// The build scores in fours, and every score keeps its bits, and its
+// batches are sized by the graph alone, so the graph cannot depend on
+// the backend or the thread count: the serialized bytes are equal under
+// every backend at 1, 2, 4 and 8 threads, and equal the golden FNV-1a
+// values recorded from the batched build. Dim 20 leaves a kernel tail;
+// M = 3 keeps the kept sets of SelectNeighbors below, at and above four.
 TEST(HnswTest, SerializedGraphIdenticalAcrossBackendsAndToGolden) {
   const Matrix data = RandomEmbeddings(400, 20, 13);
   const simd::Backend saved = simd::ActiveBackend();
+  const int32_t saved_threads = par::ThreadPool::Get().num_threads();
   struct Case {
     SimMetric metric;
     HnswOptions options;
     uint64_t golden_fnv;
   };
   const Case cases[] = {
-      {SimMetric::kManhattan, HnswOptions{}, 0x29bf4add417a6f14ULL},
-      {SimMetric::kDot, HnswOptions{}, 0x1f96631bc710a302ULL},
+      {SimMetric::kManhattan, HnswOptions{}, 0x06bdb65ea1a0a391ULL},
+      {SimMetric::kDot, HnswOptions{}, 0x1d5146fa31d75cdbULL},
       {SimMetric::kManhattan,
        HnswOptions{.max_neighbors = 3, .ef_construction = 16},
-       0xaf582f5b68306df9ULL},
+       0xca364fb9affcaf7cULL},
   };
   for (const Case& c : cases) {
     std::string reference;
-    for (const simd::Backend backend : simd::AvailableBackends()) {
-      simd::SetBackend(backend);
-      const HnswIndex index(data, c.metric, c.options);
-      rt::BinaryWriter w;
-      index.Serialize(w);
-      std::string bytes = w.TakeBytes();
-      if (reference.empty()) {
-        reference = std::move(bytes);
-      } else {
-        EXPECT_EQ(bytes, reference) << simd::BackendName(backend);
+    for (const int32_t threads : {1, 2, 4, 8}) {
+      par::ThreadPool::Get().SetNumThreads(threads);
+      for (const simd::Backend backend : simd::AvailableBackends()) {
+        simd::SetBackend(backend);
+        const HnswIndex index(data, c.metric, c.options);
+        rt::BinaryWriter w;
+        index.Serialize(w);
+        std::string bytes = w.TakeBytes();
+        if (reference.empty()) {
+          reference = std::move(bytes);
+        } else {
+          EXPECT_EQ(bytes, reference)
+              << simd::BackendName(backend) << " threads=" << threads;
+        }
       }
     }
     EXPECT_EQ(rt::Fnv1a64(reference), c.golden_fnv)
@@ -267,19 +299,21 @@ TEST(HnswTest, SerializedGraphIdenticalAcrossBackendsAndToGolden) {
         << " M=" << c.options.max_neighbors;
   }
   simd::SetBackend(saved);
+  par::ThreadPool::Get().SetNumThreads(saved_threads);
 }
 
-TEST(HnswTest, RecallAgainstExactScan) {
-  const int32_t n = 500, dim = 24, k = 10;
+// Recall@10 and top-1 agreement of the graph walk against a full scan
+// through the shared scorer, with identical tie-breaks, over every
+// third row as a query.
+void ExpectRecallAgainstExactScan(int32_t n) {
+  const int32_t dim = 24, k = 10;
   const Matrix data = RandomEmbeddings(n, dim, 9);
   const HnswIndex ann(data, SimMetric::kManhattan, HnswOptions{});
   const auto& kt = simd::Kernels();
 
-  int64_t hits = 0, total = 0, top1_match = 0;
+  int64_t hits = 0, total = 0, queries = 0, top1_match = 0;
   std::vector<std::pair<float, int32_t>> approx;
-  for (int32_t q = 0; q < n; q += 3) {
-    // Exact reference: full scan through the shared scorer, identical
-    // tie-breaks.
+  for (int32_t q = 0; q < n; q += 3, ++queries) {
     TopKHeap heap(k);
     for (int32_t t = 0; t < n; ++t) {
       heap.Offer(t, ScorePair(kt, data.Row(q), data.Row(t), dim,
@@ -307,7 +341,127 @@ TEST(HnswTest, RecallAgainstExactScan) {
   EXPECT_GE(recall, 0.9) << "recall@" << k << " = " << recall;
   // Re-ranked top-1 matches the exact scan's top-1 on nearly every
   // query (ANN can only miss candidates, never mis-rank them).
-  EXPECT_GE(top1_match, (n / 3) * 9 / 10);
+  EXPECT_GE(top1_match, queries * 9 / 10);
+}
+
+TEST(HnswTest, RecallAgainstExactScan) { ExpectRecallAgainstExactScan(500); }
+
+// Past 4,096 nodes every batch holds 256 nodes that search a graph
+// knowing none of them; recall must hold there too.
+TEST(HnswTest, RecallAgainstExactScanAtTheBatchCap) {
+  ExpectRecallAgainstExactScan(8192);
+}
+
+// The fields of HnswIndex::Serialize's payload, in order, so a test can
+// damage one field and write a payload that is otherwise well formed.
+struct GraphPayload {
+  int32_t max_neighbors = 0, ef_construction = 0, ef_search = 0;
+  uint64_t seed = 0;
+  int32_t entry_point = 0, max_level = 0;
+  std::vector<int32_t> levels;
+  std::vector<std::vector<std::vector<int32_t>>> links;
+
+  static GraphPayload Of(const HnswIndex& index) {
+    rt::BinaryWriter w;
+    index.Serialize(w);
+    GraphPayload g;
+    rt::BinaryReader r(w.bytes());
+    EXPECT_TRUE(r.I32(&g.max_neighbors).ok());
+    EXPECT_TRUE(r.I32(&g.ef_construction).ok());
+    EXPECT_TRUE(r.I32(&g.ef_search).ok());
+    EXPECT_TRUE(r.U64(&g.seed).ok());
+    EXPECT_TRUE(r.I32(&g.entry_point).ok());
+    EXPECT_TRUE(r.I32(&g.max_level).ok());
+    EXPECT_TRUE(r.I32Array(&g.levels).ok());
+    g.links.resize(g.levels.size());
+    for (size_t node = 0; node < g.levels.size(); ++node) {
+      g.links[node].resize(g.levels[node] + 1);
+      for (auto& layer : g.links[node]) EXPECT_TRUE(r.I32Array(&layer).ok());
+    }
+    EXPECT_TRUE(r.exhausted());
+    return g;
+  }
+
+  StatusCode Deserialize(const Matrix& data) const {
+    rt::BinaryWriter w;
+    w.I32(max_neighbors);
+    w.I32(ef_construction);
+    w.I32(ef_search);
+    w.U64(seed);
+    w.I32(entry_point);
+    w.I32(max_level);
+    w.I32Array(levels);
+    for (const auto& node : links) {
+      for (const auto& layer : node) w.I32Array(layer);
+    }
+    rt::BinaryReader r(w.bytes());
+    return HnswIndex::Deserialize(r, data, SimMetric::kManhattan)
+        .status()
+        .code();
+  }
+
+  int32_t NodeAtLevel(int32_t level) const {
+    for (size_t node = 0; node < levels.size(); ++node) {
+      if (levels[node] == level) return static_cast<int32_t>(node);
+    }
+    ADD_FAILURE() << "no node at level " << level;
+    return 0;
+  }
+};
+
+// QueryTopK walks the entry point's top layer and a neighbor's layer-lc
+// list; a payload that breaks either would send it out of bounds, so
+// Deserialize refuses it. Each test damages one field.
+class HnswDeserializeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // The payload loads before a test damages it.
+    ASSERT_GE(graph_.max_level, 1);
+    ASSERT_EQ(graph_.Deserialize(data_), StatusCode::kOk);
+  }
+
+  const Matrix data_ = RandomEmbeddings(200, 16, 5);
+  const HnswIndex index_{data_, SimMetric::kManhattan, HnswOptions{}};
+  GraphPayload graph_ = GraphPayload::Of(index_);
+};
+
+TEST_F(HnswDeserializeTest, EntryPointBelowTheTopLayerIsDataLoss) {
+  graph_.entry_point = graph_.NodeAtLevel(0);
+  EXPECT_EQ(graph_.Deserialize(data_), StatusCode::kDataLoss);
+}
+
+TEST_F(HnswDeserializeTest, EntryPointOfAnEmptyGraphIsDataLoss) {
+  const Matrix empty(0, 16);
+  GraphPayload graph =
+      GraphPayload::Of(HnswIndex(empty, SimMetric::kManhattan, HnswOptions{}));
+  EXPECT_EQ(graph.Deserialize(empty), StatusCode::kOk);
+  graph.entry_point = 0;
+  EXPECT_EQ(graph.Deserialize(empty), StatusCode::kDataLoss);
+}
+
+TEST_F(HnswDeserializeTest, NeighborBelowItsLayerIsDataLoss) {
+  std::vector<int32_t>* layer1 = nullptr;
+  for (size_t node = 0; node < graph_.links.size() && !layer1; ++node) {
+    if (graph_.levels[node] >= 1 && !graph_.links[node][1].empty()) {
+      layer1 = &graph_.links[node][1];
+    }
+  }
+  ASSERT_NE(layer1, nullptr);
+  (*layer1)[0] = graph_.NodeAtLevel(0);
+  EXPECT_EQ(graph_.Deserialize(data_), StatusCode::kDataLoss);
+}
+
+TEST_F(HnswDeserializeTest, LevelAboveTheCapIsDataLoss) {
+  // Lift the entry point to level 33 with the lists that level needs,
+  // so the cap is the only thing wrong.
+  const int32_t ep = graph_.entry_point;
+  graph_.levels[ep] = graph_.max_level = 33;
+  graph_.links[ep].resize(34);
+  EXPECT_EQ(graph_.Deserialize(data_), StatusCode::kDataLoss);
+  // A level whose list count overflows int32 is refused before any list
+  // is read.
+  graph_.levels[ep] = graph_.max_level = std::numeric_limits<int32_t>::max();
+  EXPECT_EQ(graph_.Deserialize(data_), StatusCode::kDataLoss);
 }
 
 TEST(ServeIndexTest, ExactTopKMatchesTopKInto) {

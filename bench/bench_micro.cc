@@ -452,7 +452,7 @@ int RunProfileSweep(const Flags& flags) {
           seconds > 0.0 ? static_cast<double>(kernel.items) / seconds : 0.0;
       std::printf("%-10s %8d %12.6f %8.2f %8.2f %10.2f %10.2f %8.0f\n",
                   kernel.name, threads, seconds, pt.Utilization(),
-                  pt.max_imbalance, kp.GBPerSec(), kp.ArithmeticIntensity(),
+                  pt.Imbalance(), kp.GBPerSec(), kp.ArithmeticIntensity(),
                   chunks_per_job);
       bench::BenchJson::Row row;
       row.Set("kernel", kernel.name)
@@ -460,11 +460,11 @@ int RunProfileSweep(const Flags& flags) {
           .Set("seconds", seconds)
           .Set("items_per_sec", items_per_sec)
           .Set("utilization", pt.Utilization())
-          .Set("imbalance_ratio", pt.max_imbalance)
+          .Set("imbalance_ratio", pt.Imbalance())
           .Set("gb_per_sec", kp.GBPerSec())
           .Set("arithmetic_intensity", kp.ArithmeticIntensity())
           .Set("chunks_per_job", chunks_per_job)
-          .Set("chunk_cov", pt.max_chunk_cov)
+          .Set("chunk_cov", pt.ChunkCov())
           .Set("grain", pt.last_grain)
           .Set("merge_seconds", pt.merge_seconds);
       json.Add(std::move(row));

@@ -78,6 +78,7 @@
 #include "src/obs/trace_merge.h"
 #include "src/partition/metis_cps.h"
 #include "src/partition/vps.h"
+#include "src/rt/artifact.h"
 #include "src/rt/fault_injection.h"
 #include "src/rt/io_util.h"
 #include "src/serve/index_artifact.h"
@@ -303,7 +304,7 @@ void PrintProfileSummary() {
     std::printf("%-24s %8ld %10.4f %10.2f %10.2f\n",
                 t.kernel.empty() ? "(unattributed)" : t.kernel.c_str(),
                 static_cast<long>(t.jobs), t.busy_seconds, t.Utilization(),
-                t.max_imbalance);
+                t.Imbalance());
   }
 }
 
@@ -503,13 +504,16 @@ serve::ServeIndexOptions ServeOptionsFrom(const Config& config,
   return options;
 }
 
-// --expect-fingerprint=<hex16> -> value, empty/absent -> nullopt.
+// --expect-fingerprint=<1-16 hex digits> -> value, absent -> nullopt;
+// any other value (empty, too long, trailing bytes) exits 2.
 std::optional<uint64_t> ExpectedFingerprint(const Flags& flags) {
+  if (!flags.Has("expect-fingerprint")) return std::nullopt;
   const std::string hex = flags.GetString("expect-fingerprint", "");
-  if (hex.empty()) return std::nullopt;
-  uint64_t value = 0;
-  if (std::sscanf(hex.c_str(), "%" SCNx64, &value) != 1) {
-    std::fprintf(stderr, "error: --expect-fingerprint is not hex: %s\n",
+  const std::optional<uint64_t> value = rt::ParseHex64(hex);
+  if (!value) {
+    std::fprintf(stderr,
+                 "error: --expect-fingerprint must be 1 to 16 hex digits, "
+                 "got '%s'\n",
                  hex.c_str());
     std::exit(2);
   }

@@ -172,8 +172,14 @@ std::vector<PoolKernelTotal> Profiler::PoolTotals() const {
     it->busy_seconds += j.busy_seconds;
     it->capacity_seconds += j.wall_seconds * j.threads;
     it->merge_seconds += j.merge_seconds;
-    it->max_imbalance = std::max(it->max_imbalance, j.ImbalanceRatio());
-    it->max_chunk_cov = std::max(it->max_chunk_cov, j.ChunkCov());
+    // A job with no timed chunks reads imbalance 1 and CoV 0 and weighs
+    // nothing here.
+    if (j.threads > 0 && j.sum_chunk_seconds > 0.0) {
+      it->max_worker_seconds += j.max_worker_seconds;
+      it->fair_share_seconds += j.sum_chunk_seconds / j.threads;
+      it->chunk_seconds += j.sum_chunk_seconds;
+      it->chunk_cov_seconds += j.ChunkCov() * j.sum_chunk_seconds;
+    }
     it->last_grain = j.grain;
   }
   std::sort(totals.begin(), totals.end(),
@@ -213,8 +219,8 @@ void Profiler::WriteJson(JsonWriter& w) const {
     w.Key("busy_seconds").Double(t.busy_seconds);
     w.Key("merge_seconds").Double(t.merge_seconds);
     w.Key("utilization").Double(t.Utilization());
-    w.Key("max_imbalance").Double(t.max_imbalance);
-    w.Key("chunk_cov").Double(t.max_chunk_cov);
+    w.Key("imbalance").Double(t.Imbalance());
+    w.Key("chunk_cov").Double(t.ChunkCov());
     w.Key("grain").Int(t.last_grain);
     w.EndObject();
   }

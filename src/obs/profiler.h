@@ -121,6 +121,9 @@ struct PoolJobProfile {
 };
 
 /// Cross-job aggregate of the pool stream, per kernel attribution.
+/// Imbalance and chunk CoV are weighted by job time, so a kernel that
+/// also runs many tiny jobs (one chunk on one worker reads imbalance =
+/// threads) reads what its costly jobs do.
 struct PoolKernelTotal {
   std::string kernel;
   int64_t jobs = 0;
@@ -129,12 +132,23 @@ struct PoolKernelTotal {
   double busy_seconds = 0.0;
   double capacity_seconds = 0.0;  ///< sum of wall * threads
   double merge_seconds = 0.0;
-  double max_imbalance = 1.0;  ///< worst job's worker max/mean ratio
-  double max_chunk_cov = 0.0;  ///< worst job's per-chunk time CoV
-  int64_t last_grain = 0;      ///< grain of the most recent job (tuned)
+  double max_worker_seconds = 0.0;  ///< sum of each job's busiest worker
+  double fair_share_seconds = 0.0;  ///< sum of chunk time / threads
+  double chunk_seconds = 0.0;       ///< sum of chunk time
+  double chunk_cov_seconds = 0.0;   ///< sum of ChunkCov() * chunk time
+  int64_t last_grain = 0;           ///< grain of the most recent job
 
   double Utilization() const {
     return capacity_seconds > 0.0 ? busy_seconds / capacity_seconds : 0.0;
+  }
+  /// Σ busiest-worker seconds / Σ fair-share seconds over the jobs.
+  double Imbalance() const {
+    return fair_share_seconds > 0.0 ? max_worker_seconds / fair_share_seconds
+                                    : 1.0;
+  }
+  /// Per-job chunk CoV, weighted by each job's chunk time.
+  double ChunkCov() const {
+    return chunk_seconds > 0.0 ? chunk_cov_seconds / chunk_seconds : 0.0;
   }
 };
 

@@ -2,65 +2,47 @@
 
 namespace largeea::rt {
 
-Status BinaryReader::ReadRaw(void* out, size_t n) {
-  // An empty vector's data() may be null, and memcpy forbids a null
-  // pointer even for zero bytes.
-  if (n == 0) return OkStatus();
-  if (n > data_.size() - pos_) {
-    return DataLossError("binary payload truncated: need " +
-                         std::to_string(n) + " bytes, have " +
-                         std::to_string(data_.size() - pos_));
-  }
-  std::memcpy(out, data_.data() + pos_, n);
-  pos_ += n;
-  return OkStatus();
+Status BinaryReader::Truncated(uint64_t count, size_t element_bytes) const {
+  return DataLossError("binary payload truncated: need " +
+                       std::to_string(count) + " x " +
+                       std::to_string(element_bytes) + " bytes, have " +
+                       std::to_string(remaining()));
 }
 
-Status BinaryReader::CheckedLen(uint64_t* len, size_t element_size) {
-  LARGEEA_RETURN_IF_ERROR(U64(len));
-  if (element_size != 0 && *len > remaining() / element_size) {
-    return DataLossError("binary length prefix " + std::to_string(*len) +
+Status BinaryReader::Count(uint64_t* count, size_t min_element_bytes) {
+  LARGEEA_RETURN_IF_ERROR(U64(count));
+  if (min_element_bytes != 0 && *count > remaining() / min_element_bytes) {
+    return DataLossError("binary length prefix " + std::to_string(*count) +
                          " exceeds remaining payload");
   }
   return OkStatus();
 }
 
+Status BinaryReader::Skip(uint64_t bytes) {
+  if (bytes > remaining()) return Truncated(bytes, 1);
+  pos_ += bytes;
+  return OkStatus();
+}
+
 Status BinaryReader::Str(std::string* s) {
   uint64_t len = 0;
-  LARGEEA_RETURN_IF_ERROR(CheckedLen(&len, 1));
+  LARGEEA_RETURN_IF_ERROR(Count(&len, 1));
   s->resize(len);
-  return ReadRaw(s->data(), len);
-}
-
-Status BinaryReader::F32Array(std::vector<float>* v) {
-  uint64_t len = 0;
-  LARGEEA_RETURN_IF_ERROR(CheckedLen(&len, sizeof(float)));
-  v->resize(len);
-  return ReadRaw(v->data(), len * sizeof(float));
-}
-
-Status BinaryReader::U64Array(std::vector<uint64_t>* v) {
-  uint64_t len = 0;
-  LARGEEA_RETURN_IF_ERROR(CheckedLen(&len, sizeof(uint64_t)));
-  v->resize(len);
-  return ReadRaw(v->data(), len * sizeof(uint64_t));
-}
-
-Status BinaryReader::I32Array(std::vector<int32_t>* v) {
-  uint64_t len = 0;
-  LARGEEA_RETURN_IF_ERROR(CheckedLen(&len, sizeof(int32_t)));
-  v->resize(len);
-  return ReadRaw(v->data(), len * sizeof(int32_t));
+  return Raw(s->data(), len);
 }
 
 Status BinaryReader::StrArray(std::vector<std::string>* v) {
-  uint64_t len = 0;
+  uint64_t count = 0;
   // Each string costs at least its 8-byte length prefix.
-  LARGEEA_RETURN_IF_ERROR(CheckedLen(&len, sizeof(uint64_t)));
-  v->resize(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    LARGEEA_RETURN_IF_ERROR(Str(&(*v)[i]));
+  LARGEEA_RETURN_IF_ERROR(Count(&count, sizeof(uint64_t)));
+  BinaryReader walk = *this;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t len = 0;
+    LARGEEA_RETURN_IF_ERROR(walk.Count(&len, 1));
+    LARGEEA_RETURN_IF_ERROR(walk.Skip(len));
   }
+  v->resize(count);
+  for (std::string& s : *v) LARGEEA_RETURN_IF_ERROR(Str(&s));
   return OkStatus();
 }
 

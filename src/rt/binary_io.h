@@ -1,16 +1,21 @@
-// Little-endian binary serialisation for runtime artifacts.
+// Little-endian binary serialisation for every persisted payload.
 //
-// The checkpoint layer's text formats round-trip floats via %.9g, which
-// is fine for row-sparse matrices but wasteful for the serving layer's
-// dense sections (embedding matrices, MinHash signatures, graph
-// adjacency). BinaryWriter/BinaryReader give those artifacts a compact
-// fixed-width little-endian encoding with Status-propagating bounds
-// checks, so a truncated or bit-rotted payload surfaces as a precise
-// error instead of undefined behaviour.
+// Checkpoints, the serve index and spilled tiles all carry their
+// payloads in this encoding inside the one artifact container
+// (src/rt/artifact.h): sparse similarity matrices
+// (SparseSimMatrix::Serialize), entity-pair lists and mini-batch sets
+// (src/rt/checkpoint.cc), the index's dense sections (embedding rows,
+// MinHash signatures, graph adjacency) and tile floats.
+// BinaryWriter/BinaryReader give them a compact fixed-width encoding —
+// floats as their IEEE-754 bits, so a round trip is bit-identical,
+// NaN payloads and signed zeros included — with Status-propagating
+// bounds checks, so a truncated or bit-rotted payload surfaces as a
+// precise error instead of undefined behaviour.
 //
-// The encoding has no self-description: reader and writer must agree on
-// the section order (the serve index artifact versions that agreement
-// through its header, src/serve/index_artifact.h).
+// Values are written in host byte order, which is little-endian on every
+// target this project builds for. The encoding has no self-description:
+// reader and writer must agree on the field order, which the container
+// header versions.
 #ifndef LARGEEA_RT_BINARY_IO_H_
 #define LARGEEA_RT_BINARY_IO_H_
 
@@ -18,6 +23,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/rt/status.h"
@@ -27,82 +33,98 @@ namespace largeea::rt {
 /// Appends fixed-width little-endian values to a growing byte string.
 class BinaryWriter {
  public:
-  void U32(uint32_t v) { AppendRaw(&v, sizeof(v)); }
-  void U64(uint64_t v) { AppendRaw(&v, sizeof(v)); }
-  void I32(int32_t v) { AppendRaw(&v, sizeof(v)); }
-  void I64(int64_t v) { AppendRaw(&v, sizeof(v)); }
-  void F32(float v) { AppendRaw(&v, sizeof(v)); }
-  void F64(double v) { AppendRaw(&v, sizeof(v)); }
+  void U32(uint32_t v) { Raw(&v, 1); }
+  void U64(uint64_t v) { Raw(&v, 1); }
+  void I32(int32_t v) { Raw(&v, 1); }
+  void I64(int64_t v) { Raw(&v, 1); }
+  void F32(float v) { Raw(&v, 1); }
 
   /// Length-prefixed (u64) byte string.
   void Str(std::string_view s) {
     U64(s.size());
-    out_.append(s.data(), s.size());
-  }
-
-  /// Length-prefixed (u64 element count) flat arrays.
-  void F32Array(const float* data, int64_t count) {
-    U64(static_cast<uint64_t>(count));
-    AppendRaw(data, static_cast<size_t>(count) * sizeof(float));
-  }
-  void U64Array(const std::vector<uint64_t>& v) {
-    U64(v.size());
-    AppendRaw(v.data(), v.size() * sizeof(uint64_t));
-  }
-  void I32Array(const std::vector<int32_t>& v) {
-    U64(v.size());
-    AppendRaw(v.data(), v.size() * sizeof(int32_t));
+    Raw(s.data(), s.size());
   }
   void StrArray(const std::vector<std::string>& v) {
     U64(v.size());
     for (const std::string& s : v) Str(s);
   }
 
+  /// `count` trivially copyable values as their bytes, with no length
+  /// prefix: the reader knows the count (a shape written before them).
+  template <typename T>
+  void Raw(const T* data, size_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    out_.append(reinterpret_cast<const char*>(data), count * sizeof(T));
+  }
+  /// Length-prefixed (u64 element count) array of trivially copyable
+  /// values.
+  template <typename T>
+  void Array(const std::vector<T>& v) {
+    U64(v.size());
+    Raw(v.data(), v.size());
+  }
+
   const std::string& bytes() const { return out_; }
   std::string TakeBytes() { return std::move(out_); }
 
  private:
-  void AppendRaw(const void* data, size_t n) {
-    out_.append(static_cast<const char*>(data), n);
-  }
-
   std::string out_;
 };
 
 /// Consumes a byte view written by BinaryWriter. Every read is bounds-
-/// checked; running off the end is kDataLoss (truncation), an absurd
-/// length prefix is kDataLoss too (bit rot in a length field would
-/// otherwise ask for an allocation of garbage size).
+/// checked: running off the end is kDataLoss (truncation), and so is a
+/// count the remaining bytes cannot hold, which is refused before any
+/// allocation (bit rot in a length field would otherwise ask for an
+/// allocation of garbage size). Copyable, so a decoder can walk ahead
+/// on a copy before it allocates.
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
-  Status U32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status U64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status I32(int32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status I64(int64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status F32(float* v) { return ReadRaw(v, sizeof(*v)); }
-  Status F64(double* v) { return ReadRaw(v, sizeof(*v)); }
+  Status U32(uint32_t* v) { return Raw(v, 1); }
+  Status U64(uint64_t* v) { return Raw(v, 1); }
+  Status I32(int32_t* v) { return Raw(v, 1); }
+  Status I64(int64_t* v) { return Raw(v, 1); }
+  Status F32(float* v) { return Raw(v, 1); }
 
   Status Str(std::string* s);
-  Status F32Array(std::vector<float>* v);
-  Status U64Array(std::vector<uint64_t>* v);
-  Status I32Array(std::vector<int32_t>* v);
+  /// Walks the strings before sizing `v`, so a damaged count allocates
+  /// nothing for strings the payload does not hold.
   Status StrArray(std::vector<std::string>* v);
 
-  /// Reads `count` floats straight into `out` (caller-sized, no length
-  /// prefix involved — used for matrix rows whose shape is known).
-  Status F32Into(float* out, int64_t count) {
-    return ReadRaw(out, static_cast<size_t>(count) * sizeof(float));
+  /// Reads `count` values straight into caller-sized memory (no length
+  /// prefix: the count comes from a shape read before them).
+  template <typename T>
+  Status Raw(T* out, size_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (count > remaining() / sizeof(T)) return Truncated(count, sizeof(T));
+    // An empty vector's data() may be null, and memcpy forbids a null
+    // pointer even for zero bytes.
+    if (count == 0) return OkStatus();
+    std::memcpy(out, data_.data() + pos_, count * sizeof(T));
+    pos_ += count * sizeof(T);
+    return OkStatus();
   }
+  /// Reads an array written by BinaryWriter::Array.
+  template <typename T>
+  Status Array(std::vector<T>* v) {
+    uint64_t count = 0;
+    LARGEEA_RETURN_IF_ERROR(Count(&count, sizeof(T)));
+    v->resize(count);
+    return Raw(v->data(), count);
+  }
+
+  /// Reads a u64 element count and refuses one that the remaining bytes
+  /// cannot hold at `min_element_bytes` per element.
+  Status Count(uint64_t* count, size_t min_element_bytes);
+  /// Steps over `bytes` bytes.
+  Status Skip(uint64_t bytes);
 
   size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return remaining() == 0; }
 
  private:
-  Status ReadRaw(void* out, size_t n);
-  /// Validates a length prefix against the bytes actually left.
-  Status CheckedLen(uint64_t* len, size_t element_size);
+  Status Truncated(uint64_t count, size_t element_bytes) const;
 
   std::string_view data_;
   size_t pos_ = 0;

@@ -1,186 +1,50 @@
 #include "src/rt/checkpoint.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
-#include <sstream>
 
-#include "src/common/string_util.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
+#include "src/rt/artifact.h"
 #include "src/rt/fault_injection.h"
-#include "src/rt/io_util.h"
-#include "src/sim/sim_io.h"
 
 namespace largeea::rt {
 namespace {
 
-constexpr std::string_view kMagic = "largeea-ckpt";
-constexpr std::string_view kVersion = "v1";
-
-std::string HexU64(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return buf;
-}
-
-}  // namespace
-
-std::string EntityPairsToString(const EntityPairList& pairs) {
-  std::string out = "largeea-pairs v1 " + std::to_string(pairs.size()) + '\n';
-  for (const EntityPair& p : pairs) {
-    out += std::to_string(p.source) + '\t' + std::to_string(p.target) + '\n';
-  }
-  return out;
-}
-
-StatusOr<EntityPairList> EntityPairsFromString(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string header;
-  if (!std::getline(in, header)) {
-    return InvalidArgumentError("empty pair-list document");
-  }
-  std::istringstream header_stream(header);
-  std::string magic, version;
-  int64_t count = -1;
-  header_stream >> magic >> version >> count;
-  if (!header_stream || magic != "largeea-pairs" || version != "v1" ||
-      count < 0) {
-    return InvalidArgumentError("bad pair-list header '" + header + "'");
-  }
+// Entity-pair lists: a counted array of (i32 source, i32 target).
+StatusOr<EntityPairList> ReadPairs(BinaryReader& r) {
   EntityPairList pairs;
-  pairs.reserve(static_cast<size_t>(count));
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string_view stripped = StripAsciiWhitespace(line);
-    if (stripped.empty()) continue;
-    const std::vector<std::string> fields = Split(stripped, '\t');
-    if (fields.size() != 2) {
-      return InvalidArgumentError("pair line with " +
-                                  std::to_string(fields.size()) + " fields");
-    }
-    const auto s = ParseInt(fields[0]);
-    const auto t = ParseInt(fields[1]);
-    if (!s || !t) return InvalidArgumentError("non-numeric pair entry");
-    pairs.push_back(EntityPair{static_cast<EntityId>(*s),
-                               static_cast<EntityId>(*t)});
-  }
-  if (static_cast<int64_t>(pairs.size()) != count) {
-    return InvalidArgumentError(
-        "pair count mismatch: header says " + std::to_string(count) +
-        ", found " + std::to_string(pairs.size()));
-  }
+  LARGEEA_RETURN_IF_ERROR(r.Array(&pairs));
   return pairs;
 }
 
-std::string MiniBatchesToString(const MiniBatchSet& batches) {
-  std::string out =
-      "largeea-batches v1 " + std::to_string(batches.size()) + '\n';
-  for (size_t i = 0; i < batches.size(); ++i) {
-    const MiniBatch& b = batches[i];
-    out += "batch " + std::to_string(i) + ' ' +
-           std::to_string(b.source_entities.size()) + ' ' +
-           std::to_string(b.target_entities.size()) + ' ' +
-           std::to_string(b.seeds.size()) + '\n';
-    for (size_t j = 0; j < b.source_entities.size(); ++j) {
-      if (j) out += ' ';
-      out += std::to_string(b.source_entities[j]);
-    }
-    out += '\n';
-    for (size_t j = 0; j < b.target_entities.size(); ++j) {
-      if (j) out += ' ';
-      out += std::to_string(b.target_entities[j]);
-    }
-    out += '\n';
-    for (size_t j = 0; j < b.seeds.size(); ++j) {
-      if (j) out += ' ';
-      out += std::to_string(b.seeds[j].source) + ':' +
-             std::to_string(b.seeds[j].target);
-    }
-    out += '\n';
+// Mini-batch sets: a u64 batch count, then per batch its source ids,
+// target ids and seed pairs, each a counted array.
+void WriteBatches(const MiniBatchSet& batches, BinaryWriter& w) {
+  w.U64(batches.size());
+  for (const MiniBatch& b : batches) {
+    w.Array(b.source_entities);
+    w.Array(b.target_entities);
+    w.Array(b.seeds);
   }
-  return out;
 }
 
-StatusOr<MiniBatchSet> MiniBatchesFromString(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string header;
-  if (!std::getline(in, header)) {
-    return InvalidArgumentError("empty batch-set document");
-  }
-  std::istringstream header_stream(header);
-  std::string magic, version;
-  int64_t count = -1;
-  header_stream >> magic >> version >> count;
-  if (!header_stream || magic != "largeea-batches" || version != "v1" ||
-      count < 0) {
-    return InvalidArgumentError("bad batch-set header '" + header + "'");
-  }
-  const auto parse_ids = [&in](size_t expected,
-                               std::vector<EntityId>* out) -> Status {
-    std::string line;
-    if (!std::getline(in, line)) {
-      return InvalidArgumentError("truncated batch body");
-    }
-    for (const std::string& token : SplitWhitespace(line)) {
-      const auto id = ParseInt(token);
-      if (!id) return InvalidArgumentError("non-numeric id '" + token + "'");
-      out->push_back(static_cast<EntityId>(*id));
-    }
-    if (out->size() != expected) {
-      return InvalidArgumentError(
-          "id count mismatch: expected " + std::to_string(expected) +
-          ", found " + std::to_string(out->size()));
-    }
-    return OkStatus();
-  };
-
+StatusOr<MiniBatchSet> ReadBatches(BinaryReader& r) {
+  uint64_t count = 0;
+  // A batch costs at least its three 8-byte counts. The set grows batch
+  // by batch rather than being sized from the count, so a damaged count
+  // fails at the first missing batch without allocating for the rest.
+  LARGEEA_RETURN_IF_ERROR(r.Count(&count, 3 * sizeof(uint64_t)));
   MiniBatchSet batches;
-  batches.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    std::string batch_header;
-    if (!std::getline(in, batch_header)) {
-      return InvalidArgumentError("truncated batch-set: missing batch " +
-                                  std::to_string(i));
-    }
-    std::istringstream bh(batch_header);
-    std::string tag;
-    int64_t index = -1, num_source = -1, num_target = -1, num_seeds = -1;
-    bh >> tag >> index >> num_source >> num_target >> num_seeds;
-    if (!bh || tag != "batch" || index != i || num_source < 0 ||
-        num_target < 0 || num_seeds < 0) {
-      return InvalidArgumentError("bad batch header '" + batch_header + "'");
-    }
-    MiniBatch batch;
-    LARGEEA_RETURN_IF_ERROR(parse_ids(static_cast<size_t>(num_source),
-                                      &batch.source_entities));
-    LARGEEA_RETURN_IF_ERROR(parse_ids(static_cast<size_t>(num_target),
-                                      &batch.target_entities));
-    std::string seed_line;
-    if (!std::getline(in, seed_line)) {
-      return InvalidArgumentError("truncated batch body (seeds)");
-    }
-    for (const std::string& token : SplitWhitespace(seed_line)) {
-      const std::vector<std::string> parts = Split(token, ':');
-      if (parts.size() != 2) {
-        return InvalidArgumentError("bad seed token '" + token + "'");
-      }
-      const auto s = ParseInt(parts[0]);
-      const auto t = ParseInt(parts[1]);
-      if (!s || !t) {
-        return InvalidArgumentError("non-numeric seed '" + token + "'");
-      }
-      batch.seeds.push_back(EntityPair{static_cast<EntityId>(*s),
-                                       static_cast<EntityId>(*t)});
-    }
-    if (batch.seeds.size() != static_cast<size_t>(num_seeds)) {
-      return InvalidArgumentError("seed count mismatch in batch " +
-                                  std::to_string(i));
-    }
-    batches.push_back(std::move(batch));
+  for (uint64_t i = 0; i < count; ++i) {
+    MiniBatch& b = batches.emplace_back();
+    LARGEEA_RETURN_IF_ERROR(r.Array(&b.source_entities));
+    LARGEEA_RETURN_IF_ERROR(r.Array(&b.target_entities));
+    LARGEEA_RETURN_IF_ERROR(r.Array(&b.seeds));
   }
   return batches;
 }
+
+}  // namespace
 
 CheckpointManager::CheckpointManager(std::string dir,
                                      uint64_t config_fingerprint,
@@ -223,7 +87,6 @@ uint64_t CheckpointManager::FingerprintFor(std::string_view kind) const {
 
 Status CheckpointManager::SavePayload(std::string_view kind,
                                       std::string_view payload) {
-  if (!enabled()) return OkStatus();
   auto& registry = obs::MetricsRegistry::Get();
   const auto fail = [&](Status status) {
     registry.GetCounter("checkpoint.write_failures").Increment();
@@ -236,82 +99,61 @@ Status CheckpointManager::SavePayload(std::string_view kind,
     return OkStatus();
   }();
   if (!injected.ok()) return fail(std::move(injected));
-  std::string content(kMagic);
-  content += ' ';
-  content += kVersion;
-  content += ' ';
-  content += std::string(kind) + ' ' + HexU64(FingerprintFor(kind)) + ' ' +
-             std::to_string(payload.size()) + ' ' +
-             HexU64(Fnv1a64(payload)) + '\n';
-  content += payload;
-  Status written = AtomicallyWriteFile(PathFor(kind), content);
+  Status written = WriteArtifact(PathFor(kind), kCheckpointFamily, kind,
+                                 FingerprintFor(kind), payload);
   if (!written.ok()) return fail(std::move(written));
   registry.GetCounter("checkpoint.writes").Increment();
   return OkStatus();
 }
 
-StatusOr<std::string> CheckpointManager::LoadPayload(std::string_view kind) {
+template <typename T>
+StatusOr<T> CheckpointManager::LoadDecoded(
+    std::string_view kind, StatusOr<T> (*decode)(BinaryReader&)) {
   if (!enabled()) {
     return NotFoundError("checkpointing disabled");
   }
   const std::string path = PathFor(kind);
-  LARGEEA_ASSIGN_OR_RETURN(const std::string content,
-                           ReadFileToString(path));
-  const size_t newline = content.find('\n');
-  if (newline == std::string::npos) {
-    return DataLossError("'" + path + "': missing header line");
+  auto artifact =
+      ReadArtifact(path, kCheckpointFamily, kind, FingerprintFor(kind));
+  if (!artifact.ok()) return MaybeQuarantine(kind, artifact.status());
+  BinaryReader r(artifact->payload());
+  StatusOr<T> value = decode(r);
+  if (value.ok() && !r.exhausted()) {
+    value = DataLossError(std::to_string(r.remaining()) +
+                          " trailing bytes after the payload");
   }
-  std::istringstream header{content.substr(0, newline)};
-  std::string magic, version, stored_kind, fingerprint_hex, hash_hex;
-  int64_t payload_size = -1;
-  header >> magic >> version >> stored_kind >> fingerprint_hex >>
-      payload_size >> hash_hex;
-  if (!header || magic != kMagic) {
-    return DataLossError("'" + path + "': not a checkpoint file");
-  }
-  if (version != kVersion) {
-    return FailedPreconditionError("'" + path +
-                                   "': unsupported checkpoint version '" +
-                                   version + "'");
-  }
-  if (stored_kind != kind) {
-    return DataLossError("'" + path + "': artifact kind mismatch ('" +
-                         stored_kind + "' vs '" + std::string(kind) + "')");
-  }
-  const uint64_t expected = FingerprintFor(kind);
-  if (fingerprint_hex != HexU64(expected)) {
-    return FailedPreconditionError(
-        "'" + path + "': checkpoint was written under a different "
-        "configuration (fingerprint " + fingerprint_hex + ", expected " +
-        HexU64(expected) + ")");
-  }
-  const std::string payload = content.substr(newline + 1);
-  if (payload_size < 0 ||
-      payload.size() != static_cast<size_t>(payload_size)) {
-    return DataLossError("'" + path + "': truncated payload (" +
-                         std::to_string(payload.size()) + " of " +
-                         std::to_string(payload_size) + " bytes)");
-  }
-  if (HexU64(Fnv1a64(payload)) != hash_hex) {
-    return DataLossError("'" + path + "': payload checksum mismatch");
+  if (!value.ok()) {
+    // A payload that passed the checksum but fails to decode means the
+    // writer and reader disagree — treat as corruption, not bad input.
+    return MaybeQuarantine(
+        kind, DataLossError("'" + path + "': " + value.status().message()));
   }
   obs::MetricsRegistry::Get().GetCounter("checkpoint.loads").Increment();
-  return payload;
+  return value;
 }
 
 Status CheckpointManager::SaveMatrix(std::string_view kind,
                                      const SparseSimMatrix& m) {
-  return SavePayload(kind, SimMatrixToString(m));
+  if (!enabled()) return OkStatus();
+  BinaryWriter w;
+  m.Serialize(w);
+  return SavePayload(kind, w.bytes());
 }
 
 Status CheckpointManager::SavePairs(std::string_view kind,
                                     const EntityPairList& pairs) {
-  return SavePayload(kind, EntityPairsToString(pairs));
+  if (!enabled()) return OkStatus();
+  BinaryWriter w;
+  w.Array(pairs);
+  return SavePayload(kind, w.bytes());
 }
 
 Status CheckpointManager::SaveBatches(std::string_view kind,
                                       const MiniBatchSet& batches) {
-  return SavePayload(kind, MiniBatchesToString(batches));
+  if (!enabled()) return OkStatus();
+  BinaryWriter w;
+  WriteBatches(batches, w);
+  return SavePayload(kind, w.bytes());
 }
 
 Status CheckpointManager::MaybeQuarantine(std::string_view kind,
@@ -337,41 +179,15 @@ Status CheckpointManager::MaybeQuarantine(std::string_view kind,
 
 StatusOr<SparseSimMatrix> CheckpointManager::LoadMatrix(
     std::string_view kind) {
-  auto payload = LoadPayload(kind);
-  if (!payload.ok()) return MaybeQuarantine(kind, payload.status());
-  auto m = SimMatrixFromString(*payload);
-  if (!m.ok()) {
-    // A payload that passed the checksum but fails to parse means the
-    // writer and reader disagree — treat as corruption, not bad input.
-    return MaybeQuarantine(
-        kind, DataLossError("'" + PathFor(kind) +
-                            "': " + m.status().message()));
-  }
-  return m;
+  return LoadDecoded<SparseSimMatrix>(kind, SparseSimMatrix::Deserialize);
 }
 
 StatusOr<EntityPairList> CheckpointManager::LoadPairs(std::string_view kind) {
-  auto payload = LoadPayload(kind);
-  if (!payload.ok()) return MaybeQuarantine(kind, payload.status());
-  auto pairs = EntityPairsFromString(*payload);
-  if (!pairs.ok()) {
-    return MaybeQuarantine(
-        kind, DataLossError("'" + PathFor(kind) +
-                            "': " + pairs.status().message()));
-  }
-  return pairs;
+  return LoadDecoded<EntityPairList>(kind, ReadPairs);
 }
 
 StatusOr<MiniBatchSet> CheckpointManager::LoadBatches(std::string_view kind) {
-  auto payload = LoadPayload(kind);
-  if (!payload.ok()) return MaybeQuarantine(kind, payload.status());
-  auto batches = MiniBatchesFromString(*payload);
-  if (!batches.ok()) {
-    return MaybeQuarantine(
-        kind, DataLossError("'" + PathFor(kind) +
-                            "': " + batches.status().message()));
-  }
-  return batches;
+  return LoadDecoded<MiniBatchSet>(kind, ReadBatches);
 }
 
 }  // namespace largeea::rt

@@ -7,15 +7,17 @@
 // unit whose artifact is present and intact, so a crash mid-run costs
 // only the unit that was in flight.
 //
-// Artifact container ("<kind>.ckpt"):
-//
-//   largeea-ckpt v1 <kind> <fingerprint-hex> <payload-bytes> <hash-hex>\n
-//   <payload>
+// Each artifact ("<kind>.ckpt") is a `largeea-ckpt` file of the one
+// artifact container (src/rt/artifact.h) whose kind is the unit's name:
 //
 // * fingerprint — FNV-1a of the run configuration (dataset shape + the
 //   options that affect results). A checkpoint taken under different
-//   options is FAILED_PRECONDITION at load, never silently reused.
-// * hash — FNV-1a of the payload; truncation or corruption is DATA_LOSS.
+//   options, or by a build of another container version, is
+//   FAILED_PRECONDITION at load, never silently reused.
+// * payload — the unit's value in the binary codec of its type
+//   (SparseSimMatrix::Serialize, or the pair-list and mini-batch codecs
+//   in checkpoint.cc); truncation, corruption, or a payload that does
+//   not decode is DATA_LOSS.
 // * every write is atomic (temp file + rename, rt/io_util.h), so a crash
 //   mid-write leaves the previous artifact (or none), never a torn one.
 //
@@ -32,17 +34,11 @@
 #include <vector>
 
 #include "src/partition/mini_batch.h"
+#include "src/rt/binary_io.h"
 #include "src/rt/status.h"
 #include "src/sim/sparse_sim.h"
 
 namespace largeea::rt {
-
-/// Serialisers for the non-matrix payloads (exposed for tests; matrices
-/// use sim_io's SimMatrixToString/FromString).
-std::string EntityPairsToString(const EntityPairList& pairs);
-StatusOr<EntityPairList> EntityPairsFromString(std::string_view text);
-std::string MiniBatchesToString(const MiniBatchSet& batches);
-StatusOr<MiniBatchSet> MiniBatchesFromString(std::string_view text);
 
 /// Handle on one checkpoint directory, bound to one run configuration.
 class CheckpointManager {
@@ -95,7 +91,12 @@ class CheckpointManager {
 
  private:
   Status SavePayload(std::string_view kind, std::string_view payload);
-  StatusOr<std::string> LoadPayload(std::string_view kind);
+  /// Reads `kind`'s artifact and decodes its payload with `decode`,
+  /// which must consume all of it; any failure that is DATA_LOSS is
+  /// quarantined.
+  template <typename T>
+  StatusOr<T> LoadDecoded(std::string_view kind,
+                          StatusOr<T> (*decode)(BinaryReader&));
   /// Renames `kind`'s artifact to "<path>.corrupt" when `status` is
   /// DATA_LOSS; passes every status through unchanged otherwise.
   Status MaybeQuarantine(std::string_view kind, Status status);

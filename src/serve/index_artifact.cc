@@ -1,32 +1,23 @@
 #include "src/serve/index_artifact.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 #include "src/common/macros.h"
 #include "src/name/tokenizer.h"
 #include "src/obs/trace.h"
 #include "src/par/parallel_for.h"
+#include "src/rt/artifact.h"
 #include "src/rt/binary_io.h"
-#include "src/rt/io_util.h"
-#include "src/sim/sim_io.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
 
 namespace largeea::serve {
 namespace {
 
-constexpr std::string_view kMagic = "largeea-index";
-constexpr int kFormatVersion = 1;
+/// The container kind of an index artifact's payload.
+constexpr std::string_view kIndexKind = "serve";
 /// Target names per chunk of the build's encode and signature loops.
 constexpr int64_t kTargetGrain = 256;
-
-std::string Hex64(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return std::string(buf);
-}
 
 void WriteTokenizer(rt::BinaryWriter& w, const TokenizerOptions& t) {
   w.I32(t.ngram_size);
@@ -245,22 +236,15 @@ std::string ServeIndex::SerializePayload() const {
   // Entity tables.
   w.StrArray(source_names_);
   w.StrArray(target_names_);
-  // Fused matrix: the %.9g text format round-trips floats exactly and
-  // is shared with the checkpoint layer.
-  w.Str(SimMatrixToString(fused_));
-  // Target embeddings, row-major.
-  w.U64(static_cast<uint64_t>(target_embeddings_.rows()));
-  w.U64(static_cast<uint64_t>(target_embeddings_.cols()));
-  for (int64_t r = 0; r < target_embeddings_.rows(); ++r) {
-    w.F32Array(target_embeddings_.Row(r), target_embeddings_.cols());
-  }
-  // HNSW graph.
+  fused_.Serialize(w);
+  // Target embeddings, one row-major block (the shape is the target
+  // count by the encoder dim, both written above).
+  w.Raw(target_embeddings_.data(),
+        static_cast<size_t>(target_embeddings_.size()));
   graph_->Serialize(w);
-  // MinHash signatures.
-  w.U64(target_signatures_.size());
-  for (const auto& sig : target_signatures_) {
-    w.U64Array(sig);
-  }
+  // MinHash signatures, one block of num_bands * rows_per_band values per
+  // target.
+  for (const auto& sig : target_signatures_) w.Raw(sig.data(), sig.size());
   return w.TakeBytes();
 }
 
@@ -272,6 +256,12 @@ Status ServeIndex::DeserializePayload(std::string_view payload) {
   LARGEEA_RETURN_IF_ERROR(ReadTokenizer(r, &options_.encoder.tokenizer));
   LARGEEA_RETURN_IF_ERROR(r.U64(&options_.encoder.seed));
   LARGEEA_RETURN_IF_ERROR(r.F32(&options_.encoder.epsilon));
+  // The encoder CHECKs its shape, so a damaged one must stop here.
+  if (options_.encoder.dim <= 0 ||
+      options_.encoder.active_slots_per_token <= 0 ||
+      options_.encoder.active_slots_per_token > options_.encoder.dim) {
+    return DataLossError("index: implausible encoder shape");
+  }
   int32_t metric = 0;
   LARGEEA_RETURN_IF_ERROR(r.I32(&metric));
   if (metric != static_cast<int32_t>(SimMetric::kManhattan) &&
@@ -281,7 +271,12 @@ Status ServeIndex::DeserializePayload(std::string_view payload) {
   options_.metric = static_cast<SimMetric>(metric);
   LARGEEA_RETURN_IF_ERROR(r.I32(&options_.num_bands));
   LARGEEA_RETURN_IF_ERROR(r.I32(&options_.rows_per_band));
-  if (options_.num_bands <= 0 || options_.rows_per_band <= 0) {
+  const int64_t num_perms =
+      static_cast<int64_t>(options_.num_bands) * options_.rows_per_band;
+  // The hasher allocates its permutations before any signature is read,
+  // so their count is held to the payload's size here.
+  if (options_.num_bands <= 0 || options_.rows_per_band <= 0 ||
+      num_perms > static_cast<int64_t>(payload.size() / sizeof(uint64_t))) {
     return DataLossError("index: implausible banding shape");
   }
   LARGEEA_RETURN_IF_ERROR(r.U64(&options_.minhash_seed));
@@ -289,39 +284,22 @@ Status ServeIndex::DeserializePayload(std::string_view payload) {
 
   LARGEEA_RETURN_IF_ERROR(r.StrArray(&source_names_));
   LARGEEA_RETURN_IF_ERROR(r.StrArray(&target_names_));
+  const int64_t num_targets = num_target_entities();
 
-  std::string fused_text;
-  LARGEEA_RETURN_IF_ERROR(r.Str(&fused_text));
-  auto fused = SimMatrixFromString(fused_text);
-  if (!fused.ok()) {
-    // The checksum already passed, so malformed embedded text is
-    // corruption of the container, not a user-input problem.
-    return DataLossError("index: embedded fused matrix unparsable: " +
-                         fused.status().message());
-  }
-  fused_ = std::move(fused).value();
-  if (fused_.num_rows() != static_cast<int32_t>(source_names_.size()) ||
-      fused_.num_cols() != static_cast<int32_t>(target_names_.size())) {
+  LARGEEA_ASSIGN_OR_RETURN(fused_, SparseSimMatrix::Deserialize(r));
+  if (fused_.num_rows() != num_source_entities() ||
+      fused_.num_cols() != num_targets) {
     return DataLossError("index: fused matrix shape does not match tables");
   }
 
-  uint64_t rows = 0, cols = 0;
-  LARGEEA_RETURN_IF_ERROR(r.U64(&rows));
-  LARGEEA_RETURN_IF_ERROR(r.U64(&cols));
-  if (rows != target_names_.size() ||
-      cols != static_cast<uint64_t>(options_.encoder.dim)) {
-    return DataLossError("index: embedding shape does not match tables");
+  const int64_t dim = options_.encoder.dim;
+  if (num_targets > 0 &&
+      dim > static_cast<int64_t>(r.remaining() / sizeof(float)) / num_targets) {
+    return DataLossError("index: embedding block truncated");
   }
-  Matrix embeddings(static_cast<int64_t>(rows), static_cast<int64_t>(cols));
-  std::vector<float> row;
-  for (uint64_t i = 0; i < rows; ++i) {
-    LARGEEA_RETURN_IF_ERROR(r.F32Array(&row));
-    if (row.size() != cols) {
-      return DataLossError("index: embedding row length mismatch");
-    }
-    std::copy(row.begin(), row.end(), embeddings.Row(static_cast<int64_t>(i)));
-  }
-  target_embeddings_ = std::move(embeddings);
+  target_embeddings_ = Matrix(num_targets, dim);
+  LARGEEA_RETURN_IF_ERROR(r.Raw(target_embeddings_.data(),
+                                static_cast<size_t>(num_targets * dim)));
 
   // The graph borrows target_embeddings_, whose address is final: this
   // object already lives at its heap home when Load calls us.
@@ -330,14 +308,15 @@ Status ServeIndex::DeserializePayload(std::string_view payload) {
                                                   options_.metric));
   graph_.emplace(std::move(graph));
 
-  uint64_t num_signatures = 0;
-  LARGEEA_RETURN_IF_ERROR(r.U64(&num_signatures));
-  if (num_signatures != target_names_.size()) {
-    return DataLossError("index: signature count mismatch");
+  if (num_targets > 0 &&
+      num_perms > static_cast<int64_t>(r.remaining() / sizeof(uint64_t)) /
+                      num_targets) {
+    return DataLossError("index: signature block truncated");
   }
-  target_signatures_.resize(num_signatures);
-  for (uint64_t i = 0; i < num_signatures; ++i) {
-    LARGEEA_RETURN_IF_ERROR(r.U64Array(&target_signatures_[i]));
+  target_signatures_.resize(num_targets);
+  for (std::vector<uint64_t>& sig : target_signatures_) {
+    sig.resize(num_perms);
+    LARGEEA_RETURN_IF_ERROR(r.Raw(sig.data(), sig.size()));
   }
   if (!r.exhausted()) {
     return DataLossError("index: " + std::to_string(r.remaining()) +
@@ -348,69 +327,24 @@ Status ServeIndex::DeserializePayload(std::string_view payload) {
 
 Status ServeIndex::Save(const std::string& path) const {
   obs::Span span("serve/index_save");
-  const std::string payload = SerializePayload();
-  std::string content = std::string(kMagic) + " v" +
-                        std::to_string(kFormatVersion) + " " +
-                        Hex64(fingerprint_) + " " +
-                        std::to_string(payload.size()) + " " +
-                        Hex64(rt::Fnv1a64(payload)) + "\n";
-  content += payload;
-  return rt::AtomicallyWriteFile(path, content)
+  return rt::WriteArtifact(path, rt::kIndexFamily, kIndexKind, fingerprint_,
+                           SerializePayload())
       .WithContext("serve index save: " + path);
 }
 
 StatusOr<std::shared_ptr<const ServeIndex>> ServeIndex::Load(
     const std::string& path, std::optional<uint64_t> expected_fingerprint) {
   obs::Span span("serve/index_load");
-  auto content_or = rt::ReadFileToString(path);
-  if (!content_or.ok()) {
-    return content_or.status().WithContext("serve index load");
+  auto artifact = rt::ReadArtifact(path, rt::kIndexFamily, kIndexKind,
+                                   expected_fingerprint);
+  if (!artifact.ok()) {
+    return artifact.status().WithContext("serve index load");
   }
-  const std::string content = std::move(content_or).value();
-  const size_t newline = content.find('\n');
-  if (newline == std::string::npos) {
-    return DataLossError("serve index " + path + ": missing header line");
-  }
-  const std::string_view header(content.data(), newline);
-  char magic[24] = {0};
-  int version = 0;
-  uint64_t fingerprint = 0, hash = 0;
-  uint64_t payload_bytes = 0;
-  // Field widths: magic is 13 chars + NUL; hex fields are 16 digits.
-  if (std::sscanf(std::string(header).c_str(),
-                  "%23s v%d %16" SCNx64 " %" SCNu64 " %16" SCNx64, magic,
-                  &version, &fingerprint, &payload_bytes, &hash) != 5 ||
-      kMagic != magic) {
-    return DataLossError("serve index " + path + ": malformed header");
-  }
-  if (version != kFormatVersion) {
-    return FailedPreconditionError("serve index " + path +
-                                   ": unsupported format version v" +
-                                   std::to_string(version));
-  }
-  const std::string_view payload(content.data() + newline + 1,
-                                 content.size() - newline - 1);
-  if (payload.size() != payload_bytes) {
-    return DataLossError("serve index " + path + ": payload is " +
-                         std::to_string(payload.size()) +
-                         " bytes, header promises " +
-                         std::to_string(payload_bytes));
-  }
-  if (rt::Fnv1a64(payload) != hash) {
-    return DataLossError("serve index " + path + ": payload checksum mismatch");
-  }
-  if (expected_fingerprint.has_value() &&
-      fingerprint != *expected_fingerprint) {
-    return FailedPreconditionError(
-        "serve index " + path + ": pipeline fingerprint " +
-        Hex64(fingerprint) + " does not match expected " +
-        Hex64(*expected_fingerprint));
-  }
-
   std::shared_ptr<ServeIndex> index(new ServeIndex());
-  index->fingerprint_ = fingerprint;
-  LARGEEA_RETURN_IF_ERROR(index->DeserializePayload(payload).WithContext(
-      "serve index " + path));
+  index->fingerprint_ = artifact->fingerprint;
+  LARGEEA_RETURN_IF_ERROR(
+      index->DeserializePayload(artifact->payload())
+          .WithContext("serve index " + path));
   LARGEEA_RETURN_IF_ERROR(index->Finish().WithContext("serve index " + path));
   return std::shared_ptr<const ServeIndex>(std::move(index));
 }

@@ -15,14 +15,18 @@
 //   * both entity id↔name tables (the name→id direction is rebuilt at
 //     load, it is derived data).
 //
-// File format, mirroring the checkpoint container (src/rt/checkpoint.h):
-//   largeea-index v1 <fingerprint-hex> <payload-bytes> <payload-hash-hex>\n
-//   <binary payload, little-endian, written by rt::BinaryWriter>
-// The fingerprint is the producing pipeline's fused-artifact fingerprint
+// The file is a `largeea-index` artifact of kind "serve" in the one
+// artifact container (src/rt/artifact.h), its payload written by
+// rt::BinaryWriter end to end: options, name tables, the fused matrix
+// (SparseSimMatrix::Serialize), one block of target embeddings, the
+// graph, one block of signatures. The header fingerprint is the
+// producing pipeline's fused-artifact fingerprint
 // (PipelineFingerprints.fused), so an index is traceable to the exact
 // run that produced it; Load() with an expected fingerprint rejects a
-// mismatched artifact with kFailedPrecondition, and any checksum or
-// truncation damage is kDataLoss (the file is never half-trusted).
+// mismatched artifact with kFailedPrecondition, an index of another
+// container version is kFailedPrecondition too, and any checksum,
+// truncation or decode damage is kDataLoss (the file is never
+// half-trusted).
 //
 // A loaded index is immutable and internally self-referential (the HNSW
 // graph borrows the embedding matrix), so it is neither copyable nor

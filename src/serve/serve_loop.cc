@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -13,6 +11,7 @@
 #include "src/obs/json_writer.h"
 #include "src/obs/metrics.h"
 #include "src/par/parallel_for.h"
+#include "src/rt/artifact.h"
 
 namespace largeea::serve {
 namespace {
@@ -156,12 +155,6 @@ StatusOr<std::map<std::string, std::string>> ParseFlatObject(
 
 namespace {
 
-std::string Hex64(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
 std::string ErrorLine(const Status& status) {
   obs::JsonWriter w;
   w.BeginObject()
@@ -178,7 +171,7 @@ std::string ResponseLine(const QueryResponse& response) {
   w.BeginObject()
       .Key("ok").Bool(true)
       .Key("version").Int(response.index_version)
-      .Key("fingerprint").String(Hex64(response.index_fingerprint))
+      .Key("fingerprint").String(rt::Hex64(response.index_fingerprint))
       .Key("candidates").BeginArray();
   for (const Candidate& c : response.candidates) {
     w.BeginObject()
@@ -342,7 +335,7 @@ ServeLoopStats ServeLoop::Run(std::istream& in, std::ostream& out,
           w.BeginObject()
               .Key("ok").Bool(true)
               .Key("version").Int(manager_->version())
-              .Key("fingerprint").String(Hex64(index->fingerprint()))
+              .Key("fingerprint").String(rt::Hex64(index->fingerprint()))
               .EndObject();
           out << w.str() << '\n';
           ++stats.swaps;

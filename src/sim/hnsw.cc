@@ -417,10 +417,10 @@ void HnswIndex::Serialize(rt::BinaryWriter& w) const {
   w.U64(options_.seed);
   w.I32(entry_point_);
   w.I32(max_level_);
-  w.I32Array(levels_);
+  w.Array(levels_);
   for (size_t node = 0; node < links_.size(); ++node) {
     for (const std::vector<int32_t>& layer : links_[node]) {
-      w.I32Array(layer);
+      w.Array(layer);
     }
   }
 }
@@ -440,7 +440,7 @@ StatusOr<HnswIndex> HnswIndex::Deserialize(rt::BinaryReader& r,
       1.0 / std::log(static_cast<double>(index.options_.max_neighbors));
   LARGEEA_RETURN_IF_ERROR(r.I32(&index.entry_point_));
   LARGEEA_RETURN_IF_ERROR(r.I32(&index.max_level_));
-  LARGEEA_RETURN_IF_ERROR(r.I32Array(&index.levels_));
+  LARGEEA_RETURN_IF_ERROR(r.Array(&index.levels_));
   const int64_t n = static_cast<int64_t>(index.levels_.size());
   if (n != data.rows()) {
     return DataLossError("hnsw: graph has " + std::to_string(n) +
@@ -469,7 +469,7 @@ StatusOr<HnswIndex> HnswIndex::Deserialize(rt::BinaryReader& r,
     const int32_t level = index.levels_[node];
     index.links_[node].resize(level + 1);
     for (int32_t lc = 0; lc <= level; ++lc) {
-      LARGEEA_RETURN_IF_ERROR(r.I32Array(&index.links_[node][lc]));
+      LARGEEA_RETURN_IF_ERROR(r.Array(&index.links_[node][lc]));
       for (const int32_t nb : index.links_[node][lc]) {
         if (nb < 0 || nb >= n) {
           return DataLossError("hnsw: neighbor id out of range");

@@ -206,4 +206,54 @@ void SparseSimMatrix::RefreshMemoryTracking() {
   tracked_.Resize(MemoryBytes());
 }
 
+void SparseSimMatrix::Serialize(rt::BinaryWriter& w) const {
+  w.I32(num_rows());
+  w.I32(num_cols_);
+  w.I32(max_entries_per_row_);
+  for (const std::vector<SimEntry>& row : rows_) {
+    w.U32(static_cast<uint32_t>(row.size()));
+    w.Raw(row.data(), row.size());
+  }
+}
+
+StatusOr<SparseSimMatrix> SparseSimMatrix::Deserialize(rt::BinaryReader& r) {
+  int32_t rows = 0, cols = 0, max_entries = 0;
+  LARGEEA_RETURN_IF_ERROR(r.I32(&rows));
+  LARGEEA_RETURN_IF_ERROR(r.I32(&cols));
+  LARGEEA_RETURN_IF_ERROR(r.I32(&max_entries));
+  if (rows < 0 || cols < 0) {
+    return DataLossError("sim matrix: negative shape " +
+                         std::to_string(rows) + " x " + std::to_string(cols));
+  }
+  // A damaged row count must not allocate row headers the payload does
+  // not hold, so the lengths are walked on a copy of the reader first.
+  rt::BinaryReader walk = r;
+  for (int32_t i = 0; i < rows; ++i) {
+    uint32_t length = 0;
+    LARGEEA_RETURN_IF_ERROR(walk.U32(&length));
+    if (max_entries > 0 && length > static_cast<uint32_t>(max_entries)) {
+      return DataLossError("sim matrix: row " + std::to_string(i) + " holds " +
+                           std::to_string(length) + " entries, cap " +
+                           std::to_string(max_entries));
+    }
+    LARGEEA_RETURN_IF_ERROR(walk.Skip(uint64_t{length} * sizeof(SimEntry)));
+  }
+  SparseSimMatrix m(rows, cols, max_entries);
+  for (std::vector<SimEntry>& row : m.rows_) {
+    uint32_t length = 0;
+    LARGEEA_RETURN_IF_ERROR(r.U32(&length));
+    row.resize(length);
+    LARGEEA_RETURN_IF_ERROR(r.Raw(row.data(), length));
+    for (const SimEntry& e : row) {
+      if (e.column < 0 || e.column >= cols) {
+        return DataLossError("sim matrix: column " + std::to_string(e.column) +
+                             " out of range [0, " + std::to_string(cols) +
+                             ")");
+      }
+    }
+  }
+  m.RefreshMemoryTracking();
+  return m;
+}
+
 }  // namespace largeea

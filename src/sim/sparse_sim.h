@@ -14,6 +14,8 @@
 
 #include "src/common/memory_tracker.h"
 #include "src/common/types.h"
+#include "src/rt/binary_io.h"
+#include "src/rt/status.h"
 
 namespace largeea {
 
@@ -22,6 +24,7 @@ struct SimEntry {
   EntityId column = kInvalidEntity;
   float score = 0.0f;
 };
+static_assert(sizeof(SimEntry) == 8, "SimEntry is serialised as its bytes");
 
 /// Row-sparse similarity matrix. Rows index source entities, columns index
 /// target entities. Each row holds at most `max_entries_per_row` entries,
@@ -91,6 +94,17 @@ class SparseSimMatrix {
   /// Accumulate() does not track per-call (too hot); bulk builders call
   /// this once after filling the matrix.
   void RefreshMemoryTracking();
+
+  /// The payload codec of checkpoints and the serve index: the shape
+  /// (rows, cols, max entries per row as i32), then each row's length
+  /// (u32) and its entries in stored order as (i32 column, f32 score).
+  void Serialize(rt::BinaryWriter& w) const;
+  /// Reads what Serialize wrote straight into the rows, so the matrix is
+  /// bit-identical to the one written, NaN and signed-zero scores
+  /// included. DATA_LOSS on a negative shape, a row longer than its cap
+  /// or than the bytes left, or a column out of range. The row lengths
+  /// are walked before the rows are allocated.
+  static StatusOr<SparseSimMatrix> Deserialize(rt::BinaryReader& r);
 
  private:
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <unistd.h>
 
 #include <filesystem>
@@ -15,34 +14,17 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/trace.h"
+#include "src/rt/artifact.h"
+#include "src/rt/binary_io.h"
 #include "src/rt/fault_injection.h"
-#include "src/rt/io_util.h"
 
 namespace largeea::stream {
 
 namespace {
 
-constexpr std::string_view kTileMagic = "largeea-tile v1";
-
-std::string SerializeTile(const Matrix& tile, uint64_t* payload_hash) {
-  const size_t payload_bytes =
-      static_cast<size_t>(tile.size()) * sizeof(float);
-  std::string_view payload(reinterpret_cast<const char*>(tile.data()),
-                           payload_bytes);
-  *payload_hash = rt::Fnv1a64(payload);
-  char header[128];
-  const int n = std::snprintf(
-      header, sizeof(header),
-      "%s %" PRId64 " %" PRId64 " %zu %016" PRIx64 "\n",
-      kTileMagic.data(), tile.rows(), tile.cols(), payload_bytes,
-      *payload_hash);
-  LARGEEA_CHECK(n > 0 && n < static_cast<int>(sizeof(header)));
-  std::string blob;
-  blob.reserve(static_cast<size_t>(n) + payload_bytes);
-  blob.append(header, static_cast<size_t>(n));
-  blob.append(payload);
-  return blob;
-}
+/// The container kind of a tile's payload: its shape (rows, cols as
+/// i64), then rows * cols floats, row-major.
+constexpr std::string_view kTileKind = "dense";
 
 std::string UniqueSpillDir() {
   static std::atomic<int64_t> counter{0};
@@ -94,20 +76,24 @@ TileId TileStore::Put(Matrix tile) {
 
   obs::Span span("stream/spill");
   span.AddAttr("tile", id);
-  uint64_t hash = 0;
-  // Tile IO bytes are the actual blob size (header + payload), so a
+  // Tile IO bytes are the actual file size (header + payload), so a
   // profile's stream.tile_write GB/s is real disk write throughput.
   obs::ProfileScope prof("stream.tile_write");
-  const std::string blob = SerializeTile(tile, &hash);
-  prof.AddBytes(tile.size() * static_cast<int64_t>(sizeof(float)),
-                static_cast<int64_t>(blob.size()));
+  rt::BinaryWriter w;
+  w.I64(tile.rows());
+  w.I64(tile.cols());
+  w.Raw(tile.data(), static_cast<size_t>(tile.size()));
+  int64_t file_bytes = 0;
   // The named fault point simulates a full scratch disk: a failed spill
   // write leaves the tile pinned in RAM (on_disk=false below), which
   // breaks the budget but never the results.
   const Status write_status = [&]() -> Status {
     LARGEEA_INJECT_FAULT("stream.spill.write");
-    return rt::AtomicallyWriteFile(path, blob);
+    return rt::WriteArtifact(path, rt::kTileFamily, kTileKind,
+                             /*fingerprint=*/0, w.bytes(), &file_bytes);
   }();
+  prof.AddBytes(tile.size() * static_cast<int64_t>(sizeof(float)),
+                file_bytes);
   span.End();
 
   auto& metrics = obs::MetricsRegistry::Get();
@@ -125,7 +111,7 @@ TileId TileStore::Put(Matrix tile) {
   if (bytes > max_tile_bytes_) max_tile_bytes_ = bytes;
   if (t.on_disk) {
     metrics.GetCounter("stream.spill.tiles").Increment();
-    metrics.GetCounter("stream.spill.bytes").Add(static_cast<int64_t>(blob.size()));
+    metrics.GetCounter("stream.spill.bytes").Add(file_bytes);
   } else {
     metrics.GetCounter("stream.spill_failures").Increment();
   }
@@ -234,43 +220,40 @@ void TileStore::EvictLocked() {
   }
 }
 
+StatusOr<Matrix> ReadTileFile(const std::string& path, int64_t rows,
+                              int64_t cols) {
+  LARGEEA_ASSIGN_OR_RETURN(
+      const rt::Artifact file,
+      rt::ReadArtifact(path, rt::kTileFamily, kTileKind, /*fingerprint=*/0));
+  rt::BinaryReader r(file.payload());
+  int64_t stored_rows = 0, stored_cols = 0;
+  LARGEEA_RETURN_IF_ERROR(r.I64(&stored_rows));
+  LARGEEA_RETURN_IF_ERROR(r.I64(&stored_cols));
+  if (stored_rows != rows || stored_cols != cols ||
+      r.remaining() != static_cast<size_t>(rows * cols) * sizeof(float)) {
+    return DataLossError("'" + path + "': tile of " +
+                         std::to_string(stored_rows) + " x " +
+                         std::to_string(stored_cols) + " in " +
+                         std::to_string(r.remaining()) +
+                         " payload bytes, expected " + std::to_string(rows) +
+                         " x " + std::to_string(cols));
+  }
+  Matrix m(rows, cols);
+  LARGEEA_RETURN_IF_ERROR(r.Raw(m.data(), static_cast<size_t>(m.size())));
+  return m;
+}
+
 Matrix TileStore::LoadTileFile(const Tile& tile) const {
   obs::ProfileScope prof("stream.tile_read");
-  StatusOr<std::string> blob = rt::ReadFileToString(tile.path);
-  if (!blob.ok()) {
+  StatusOr<Matrix> m = ReadTileFile(tile.path, tile.rows, tile.cols);
+  if (!m.ok()) {
     std::fprintf(stderr, "stream: cannot reload tile %s: %s\n",
-                 tile.path.c_str(), blob.status().ToString().c_str());
-    LARGEEA_CHECK(blob.ok());
+                 tile.path.c_str(), m.status().ToString().c_str());
+    LARGEEA_CHECK(m.ok());
   }
-  const std::string& data = *blob;
-  const size_t header_end = data.find('\n');
-  LARGEEA_CHECK(header_end != std::string::npos);
-
-  int64_t rows = 0;
-  int64_t cols = 0;
-  size_t payload_bytes = 0;
-  uint64_t stored_hash = 0;
-  char magic[32] = {0};
-  char version[16] = {0};
-  const int fields = std::sscanf(
-      data.c_str(), "%31s %15s %" SCNd64 " %" SCNd64 " %zu %" SCNx64,
-      magic, version, &rows, &cols, &payload_bytes, &stored_hash);
-  LARGEEA_CHECK_EQ(fields, 6);
-  LARGEEA_CHECK(std::string(magic) + " " + version == kTileMagic);
-  LARGEEA_CHECK_EQ(rows, tile.rows);
-  LARGEEA_CHECK_EQ(cols, tile.cols);
-  LARGEEA_CHECK_EQ(data.size() - header_end - 1, payload_bytes);
-  LARGEEA_CHECK_EQ(payload_bytes,
-                   static_cast<size_t>(rows * cols) * sizeof(float));
-
-  std::string_view payload(data.data() + header_end + 1, payload_bytes);
-  LARGEEA_CHECK_EQ(rt::Fnv1a64(payload), stored_hash);  // DATA_LOSS
-
-  prof.AddBytes(static_cast<int64_t>(data.size()),
-                static_cast<int64_t>(payload_bytes));
-  Matrix m(rows, cols);
-  std::memcpy(m.data(), payload.data(), payload_bytes);
-  return m;
+  const int64_t bytes = m->size() * static_cast<int64_t>(sizeof(float));
+  prof.AddBytes(bytes, bytes);
+  return std::move(m).value();
 }
 
 TileMatrix::TileMatrix(TileStore* store, int64_t rows, int64_t cols,

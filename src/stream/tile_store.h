@@ -2,8 +2,8 @@
 //
 // The TileStore is the mechanism behind `--memory-budget-mb`: a dense
 // matrix too large for the budget is cut into fixed-size row tiles,
-// each spilled to disk once (checksummed, atomically written with the
-// checkpoint plumbing from src/rt/) and re-loaded on demand through an
+// each spilled to disk once (checksummed, atomically written through the
+// artifact container of src/rt/) and re-loaded on demand through an
 // LRU cache whose capacity follows the live MemoryBudget headroom.
 // Sequential consumers overlap I/O with compute by prefetching the next
 // tile on a background worker (src/par/background_worker.h).
@@ -13,11 +13,12 @@
 // any computed value — the streamed path is bit-identical to the
 // in-memory path by construction (DESIGN.md §10).
 //
-// Tile file format (version "largeea-tile v1"):
-//   largeea-tile v1 <rows> <cols> <payload_bytes> <fnv1a64-hex>\n
-//   <rows*cols little-endian IEEE-754 floats>
-// The checksum covers the payload; a mismatch at load is DATA_LOSS and
-// aborts (a silently corrupt tile would poison a deterministic run).
+// A tile file is a `largeea-tile` artifact of kind "dense"
+// (src/rt/artifact.h) whose payload is the shape (rows, cols as i64)
+// and then rows * cols little-endian IEEE-754 floats. Any damage found
+// at reload (checksum, truncation, another shape or version) is
+// DATA_LOSS and aborts: a silently corrupt tile would poison a
+// deterministic run.
 #ifndef LARGEEA_STREAM_TILE_STORE_H_
 #define LARGEEA_STREAM_TILE_STORE_H_
 
@@ -31,12 +32,20 @@
 
 #include "src/la/matrix.h"
 #include "src/par/background_worker.h"
+#include "src/rt/status.h"
 #include "src/stream/memory_budget.h"
 
 namespace largeea::stream {
 
 /// Index of a tile within its TileStore, assigned by Put() in order.
 using TileId = int64_t;
+
+/// Reads one spilled tile file and checks it holds a `rows` x `cols`
+/// tile. DATA_LOSS on any damage, NOT_FOUND if it is gone. TileStore
+/// aborts on any error; the reader returns it so that it can be tested
+/// against damaged files.
+StatusOr<Matrix> ReadTileFile(const std::string& path, int64_t rows,
+                              int64_t cols);
 
 /// Spill/reload store for dense matrix tiles. All methods are
 /// thread-safe; Get() may be called concurrently with Put() and with

@@ -1,8 +1,8 @@
 // The largeea_cli front end as a real subprocess: every command accepts
 // the Config flags plus its own, and any other flag — a typo, or a flag
 // that no longer exists — or an out-of-range size exits 2 naming the
-// flag, before any input is read; index-build writes the same trace and
-// report as run.
+// flag, before any input is read; a malformed --expect-fingerprint exits
+// 2 too; index-build writes the same trace and report as run.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -76,6 +76,23 @@ TEST(CliTest, OutOfRangeSizeFlagsExitTwoNamingTheFlag) {
   EXPECT_EQ(outcome.status.exit_code, 2) << outcome.output;
   EXPECT_NE(outcome.output.find("--sens-top-k"), std::string::npos)
       << outcome.output;
+}
+
+// The fingerprint is 1 to 16 hex digits and nothing else, checked before
+// the index is read: trailing bytes, a 17th digit (which a saturating
+// parse would turn into ffffffffffffffff) and an empty value all exit 2.
+TEST(CliTest, ExpectFingerprintMustBeOneToSixteenHexDigits) {
+  for (const std::string value :
+       {"be6b49c28e06172czz", "be6b49c28e06172c0", ""}) {
+    const CliOutcome outcome =
+        RunCli({"query", "--index", "/nonexistent/serve.idx", "--entity",
+                "0", "--expect-fingerprint=" + value});
+    EXPECT_EQ(outcome.status.state, shard::ProcessStatus::State::kExited)
+        << value;
+    EXPECT_EQ(outcome.status.exit_code, 2) << value << ": " << outcome.output;
+    EXPECT_NE(outcome.output.find("--expect-fingerprint"), std::string::npos)
+        << outcome.output;
+  }
 }
 
 TEST(CliTest, IndexBuildWritesTraceAndReportWithItsSpans) {

@@ -155,6 +155,47 @@ TEST_F(ProfilerTest, PoolJobRecordsChunkingAndUtilization) {
   EXPECT_EQ(totals[0].chunks, job.chunks);
 }
 
+// A kernel's imbalance and chunk CoV weigh its jobs by their time: one
+// large balanced job plus many one-chunk jobs (each alone reads
+// imbalance = threads) reads ~1, not the tiny jobs' 4.
+TEST_F(ProfilerTest, PoolImbalanceAndChunkCovAreWeightedByJobTime) {
+  obs::PoolJobProfile large;
+  large.kernel = "test.weighted_kernel";
+  large.chunks = 16;
+  large.threads = 4;
+  large.wall_seconds = 1.0;
+  large.busy_seconds = 4.0;
+  large.sum_chunk_seconds = 4.0;
+  large.max_worker_seconds = 1.0;
+  // 16 chunks of 0.25 s: CoV 0.
+  large.sum_chunk_seconds_sq = 16 * 0.25 * 0.25;
+  large.max_chunk_seconds = 0.25;
+  obs::Profiler::Get().RecordPoolJob(large);
+  for (int i = 0; i < 100; ++i) {
+    obs::PoolJobProfile tiny;
+    tiny.kernel = "test.weighted_kernel";
+    tiny.chunks = 2;
+    tiny.threads = 4;
+    tiny.wall_seconds = 1e-4;
+    tiny.busy_seconds = 1e-4;
+    // Two chunks of 0 and 1e-4 s on one worker: imbalance 4, CoV 1.
+    tiny.sum_chunk_seconds = 1e-4;
+    tiny.sum_chunk_seconds_sq = 1e-8;
+    tiny.max_chunk_seconds = 1e-4;
+    tiny.max_worker_seconds = 1e-4;
+    ASSERT_DOUBLE_EQ(tiny.ImbalanceRatio(), 4.0);
+    ASSERT_DOUBLE_EQ(tiny.ChunkCov(), 1.0);
+    obs::Profiler::Get().RecordPoolJob(tiny);
+  }
+  const std::vector<obs::PoolKernelTotal> totals =
+      obs::Profiler::Get().PoolTotals();
+  ASSERT_EQ(totals.size(), 1u);
+  EXPECT_EQ(totals[0].jobs, 101);
+  // (1.0 + 100 * 1e-4) / (1.0 + 100 * 0.25e-4) and 100 * 1e-4 / 4.01.
+  EXPECT_NEAR(totals[0].Imbalance(), 1.0075, 1e-3);
+  EXPECT_NEAR(totals[0].ChunkCov(), 0.0025, 1e-3);
+}
+
 TEST_F(ProfilerTest, OrderedReduceRecordsMergeTime) {
   obs::Profiler::Get().Enable();
   par::ThreadPool::Get().SetNumThreads(2);

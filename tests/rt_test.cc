@@ -1,14 +1,17 @@
 // Unit tests for the fault-tolerant runtime layer (src/rt/): Status
-// propagation, atomic file IO, binary payloads, the fault injector, and
-// the checkpoint container (versioning, checksums, fingerprint
-// invalidation).
+// propagation, atomic file IO, binary payloads, the fault injector, the
+// artifact container (versioning, checksums, kinds, fingerprints) and
+// checkpoints on top of it.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <vector>
 
+#include "src/rt/artifact.h"
 #include "src/rt/binary_io.h"
 #include "src/rt/checkpoint.h"
 #include "src/rt/fault_injection.h"
@@ -111,17 +114,19 @@ TEST(IoUtilTest, Fnv1a64MatchesReferenceVectors) {
 // reader must not hand that pointer to memcpy (UBSan aborts on it).
 TEST(BinaryIoTest, EmptyArraysRoundTrip) {
   rt::BinaryWriter w;
-  w.I32Array({});
-  w.U64Array({});
-  w.F32Array(nullptr, 0);
+  w.Array(std::vector<int32_t>{});
+  w.Array(std::vector<uint64_t>{});
+  w.Raw(static_cast<const float*>(nullptr), 0);
+  w.Array(std::vector<float>{});
   w.I32(7);
   rt::BinaryReader r(w.bytes());
   std::vector<int32_t> i32;
   std::vector<uint64_t> u64;
   std::vector<float> f32;
-  ASSERT_TRUE(r.I32Array(&i32).ok());
-  ASSERT_TRUE(r.U64Array(&u64).ok());
-  ASSERT_TRUE(r.F32Array(&f32).ok());
+  ASSERT_TRUE(r.Array(&i32).ok());
+  ASSERT_TRUE(r.Array(&u64).ok());
+  ASSERT_TRUE(r.Raw(f32.data(), 0).ok());
+  ASSERT_TRUE(r.Array(&f32).ok());
   EXPECT_TRUE(i32.empty());
   EXPECT_TRUE(u64.empty());
   EXPECT_TRUE(f32.empty());
@@ -129,6 +134,130 @@ TEST(BinaryIoTest, EmptyArraysRoundTrip) {
   ASSERT_TRUE(r.I32(&tail).ok());
   EXPECT_EQ(tail, 7);
   EXPECT_TRUE(r.exhausted());
+}
+
+// A count the remaining bytes cannot hold is refused before anything is
+// sized from it, for arrays and for string arrays alike.
+TEST(BinaryIoTest, InflatedCountsAreDataLossBeforeAllocating) {
+  rt::BinaryWriter w;
+  w.U64(uint64_t{1} << 60);
+  w.I32(1);
+  {
+    rt::BinaryReader r(w.bytes());
+    std::vector<int32_t> v;
+    EXPECT_EQ(r.Array(&v).code(), StatusCode::kDataLoss);
+    EXPECT_TRUE(v.empty());
+  }
+  // Four strings would fit the 33 bytes after the count by size alone
+  // (8 bytes each at least), but only two are there: the walk finds out
+  // before the vector is sized.
+  rt::BinaryWriter strings;
+  strings.StrArray({"abcdefghijklmnop", "q"});
+  std::string bytes = strings.TakeBytes();
+  const uint64_t inflated = 4;
+  std::memcpy(bytes.data(), &inflated, sizeof(inflated));
+  rt::BinaryReader r(bytes);
+  std::vector<std::string> v;
+  EXPECT_EQ(r.StrArray(&v).code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(ArtifactTest, Hex64RoundTripsAndParsesOnlyWholeValues) {
+  EXPECT_EQ(rt::Hex64(0), "0000000000000000");
+  EXPECT_EQ(rt::Hex64(0xbe6b49c28e06172cULL), "be6b49c28e06172c");
+  EXPECT_EQ(rt::ParseHex64("be6b49c28e06172c"), 0xbe6b49c28e06172cULL);
+  EXPECT_EQ(rt::ParseHex64("BE6B49C28E06172C"), 0xbe6b49c28e06172cULL);
+  EXPECT_EQ(rt::ParseHex64("1"), 1u);
+  for (const char* bad : {"", "be6b49c28e06172czz", "be6b49c28e06172c0",
+                          "0x12", "-1", "+1", " 1", "1 ", "g"}) {
+    EXPECT_FALSE(rt::ParseHex64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(ArtifactTest, HeaderCarriesFamilyVersionKindFingerprintLengthAndHash) {
+  EXPECT_EQ(rt::ArtifactHeader("largeea-ckpt", "seeds", 0xabc, "payload"),
+            "largeea-ckpt v2 seeds 0000000000000abc 7 " +
+                rt::Hex64(rt::Fnv1a64("payload")) + "\n");
+}
+
+class ArtifactFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = TempDir("largeea_rt_artifact");
+    fs::create_directories(dir_);
+    path_ = dir_ + "/a.bin";
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  void WriteRaw(const std::string& content) const {
+    std::ofstream out(path_, std::ios::trunc | std::ios::binary);
+    out << content;
+  }
+  StatusCode Read(std::optional<uint64_t> fingerprint = 7) const {
+    return rt::ReadArtifact(path_, rt::kCheckpointFamily, "k", fingerprint)
+        .status()
+        .code();
+  }
+
+  std::string dir_;
+  std::string path_;
+};
+
+TEST_F(ArtifactFileTest, RoundTripReturnsPayloadAndFingerprint) {
+  int64_t written = 0;
+  ASSERT_TRUE(rt::WriteArtifact(path_, rt::kCheckpointFamily, "k", 7,
+                                std::string("a\0b\n", 4), &written)
+                  .ok());
+  EXPECT_EQ(written, static_cast<int64_t>(fs::file_size(path_)));
+  const auto read =
+      rt::ReadArtifact(path_, rt::kCheckpointFamily, "k", std::nullopt);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->fingerprint, 7u);
+  EXPECT_EQ(read->payload(), std::string_view("a\0b\n", 4));
+}
+
+TEST_F(ArtifactFileTest, Taxonomy) {
+  const std::string payload = "xyz";
+  const std::string hash = rt::Hex64(rt::Fnv1a64(payload));
+  const std::string fp = rt::Hex64(7);
+  const auto with_header = [&](const std::string& header) {
+    WriteRaw(header + "\n" + payload);
+    return Read();
+  };
+  EXPECT_EQ(with_header("largeea-ckpt v2 k " + fp + " 3 " + hash),
+            StatusCode::kOk);
+  // Another version of a well-formed header, the v1 layout included.
+  EXPECT_EQ(with_header("largeea-ckpt v1 k " + fp + " 3 " + hash),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(with_header("largeea-ckpt v3 k " + fp + " 3 " + hash),
+            StatusCode::kFailedPrecondition);
+  // Another fingerprint.
+  EXPECT_EQ(with_header("largeea-ckpt v2 k " + rt::Hex64(8) + " 3 " + hash),
+            StatusCode::kFailedPrecondition);
+  // Damage: family, version spelling, field count, number spellings,
+  // length, checksum, kind.
+  for (const std::string& header :
+       {"largeea-index v2 k " + fp + " 3 " + hash,
+        "largeea-ckpt 2 k " + fp + " 3 " + hash,
+        "largeea-ckpt vx k " + fp + " 3 " + hash,
+        "largeea-ckpt v2 k " + fp + " 3",
+        "largeea-ckpt v2 k " + fp + " 3 " + hash + " extra",
+        "largeea-ckpt v2 k " + fp + "  3 " + hash,
+        "largeea-ckpt v2 k zz " + std::string("3 ") + hash,
+        "largeea-ckpt v2 k " + fp + " 3x " + hash,
+        "largeea-ckpt v2 k " + fp + " 4 " + hash,
+        "largeea-ckpt v2 k " + fp + " 2 " + hash,
+        "largeea-ckpt v2 k " + fp + " 3 " + rt::Hex64(1),
+        "largeea-ckpt v2 other " + fp + " 3 " + hash}) {
+    EXPECT_EQ(with_header(header), StatusCode::kDataLoss) << header;
+  }
+  // No header line at all, or none within the header bound.
+  WriteRaw("largeea-ckpt v2");
+  EXPECT_EQ(Read(), StatusCode::kDataLoss);
+  WriteRaw(std::string(300, 'x') + "\n");
+  EXPECT_EQ(Read(), StatusCode::kDataLoss);
+  fs::remove(path_);
+  EXPECT_EQ(Read(), StatusCode::kNotFound);
 }
 
 class FaultInjectorTest : public ::testing::Test {
@@ -358,17 +487,61 @@ TEST_F(CheckpointTest, InjectedWriteFailureIsBestEffort) {
 }
 #endif
 
-TEST(SerializerTest, EntityPairsRejectCountMismatch) {
-  const auto bad = rt::EntityPairsFromString("largeea-pairs v1 3\n1\t2\n");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+// A checkpoint of an older container version is a clean refusal: the
+// node recomputes and overwrites it, and the file is not quarantined.
+TEST_F(CheckpointTest, VersionOneArtifactIsFailedPreconditionNotQuarantined) {
+  rt::CheckpointManager ckpt(dir_, 9, true);
+  fs::create_directories(dir_);
+  const std::string path = ckpt.PathFor("m");
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    const std::string payload = "largeea-sim v1 1 1 1\n0\t0\t0.5\n";
+    out << "largeea-ckpt v1 m " << rt::Hex64(9) << ' ' << payload.size()
+        << ' ' << rt::Hex64(rt::Fnv1a64(payload)) << '\n'
+        << payload;
+  }
+  EXPECT_EQ(ckpt.LoadMatrix("m").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(path + ".corrupt"));
+  ASSERT_TRUE(ckpt.SaveMatrix("m", SampleMatrix()).ok());
+  EXPECT_TRUE(ckpt.LoadMatrix("m").ok());
 }
 
-TEST(SerializerTest, MiniBatchesRejectGarbage) {
-  EXPECT_FALSE(rt::MiniBatchesFromString("nope").ok());
-  EXPECT_FALSE(
-      rt::MiniBatchesFromString("largeea-batches v1 1\nbatch 0 x y z\n")
-          .ok());
+// A payload that passes the checksum but does not decode — here a
+// resealed payload whose counts disagree with its bytes — is DATA_LOSS
+// and quarantined, for every codec.
+TEST_F(CheckpointTest, UndecodablePayloadsAreDataLoss) {
+  rt::CheckpointManager ckpt(dir_, 9, true);
+  fs::create_directories(dir_);
+  const auto reseal = [&](const std::string& kind,
+                          const std::string& payload) {
+    ASSERT_TRUE(rt::WriteArtifact(ckpt.PathFor(kind), rt::kCheckpointFamily,
+                                  kind, 9, payload)
+                    .ok());
+  };
+  rt::BinaryWriter pairs;
+  pairs.U64(3);  // three pairs promised, one present
+  pairs.I32(1);
+  pairs.I32(2);
+  reseal("seeds", pairs.bytes());
+  EXPECT_EQ(ckpt.LoadPairs("seeds").status().code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(fs::exists(ckpt.PathFor("seeds") + ".corrupt"));
+
+  rt::BinaryWriter batches;
+  batches.U64(1);
+  batches.Array(std::vector<int32_t>{0, 1});
+  batches.U64(5);  // five target ids promised, none present
+  reseal("partition", batches.bytes());
+  EXPECT_EQ(ckpt.LoadBatches("partition").status().code(),
+            StatusCode::kDataLoss);
+
+  // A matrix followed by trailing bytes.
+  rt::BinaryWriter matrix;
+  SampleMatrix().Serialize(matrix);
+  matrix.U32(0);
+  reseal("m", matrix.bytes());
+  EXPECT_EQ(ckpt.LoadMatrix("m").status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

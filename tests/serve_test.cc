@@ -19,6 +19,7 @@
 #include "src/common/rng.h"
 #include "src/la/matrix.h"
 #include "src/par/thread_pool.h"
+#include "src/rt/artifact.h"
 #include "src/rt/binary_io.h"
 #include "src/rt/io_util.h"
 #include "src/serve/index_artifact.h"
@@ -217,6 +218,24 @@ TEST(ServeIndexTest, FingerprintMismatchIsFailedPrecondition) {
   fs::remove(path);
 }
 
+// An index of the older container version is refused, not converted:
+// the v1 header layout (no kind field) with an intact checksum.
+TEST(ServeIndexTest, VersionOneIndexIsFailedPrecondition) {
+  const std::string path = TempPath("serve_v1.idx");
+  const std::string payload = "v1 payload bytes";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "largeea-index v1 " << rt::Hex64(42) << ' ' << payload.size()
+        << ' ' << rt::Hex64(rt::Fnv1a64(payload)) << '\n'
+        << payload;
+  }
+  EXPECT_EQ(serve::ServeIndex::Load(path).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(serve::ServeIndex::Load(path, 42).status().code(),
+            StatusCode::kFailedPrecondition);
+  fs::remove(path);
+}
+
 TEST(ServeIndexTest, LoadMissingFileIsNotFound) {
   EXPECT_EQ(serve::ServeIndex::Load(TempPath("serve_nope.idx"))
                 .status()
@@ -372,11 +391,11 @@ struct GraphPayload {
     EXPECT_TRUE(r.U64(&g.seed).ok());
     EXPECT_TRUE(r.I32(&g.entry_point).ok());
     EXPECT_TRUE(r.I32(&g.max_level).ok());
-    EXPECT_TRUE(r.I32Array(&g.levels).ok());
+    EXPECT_TRUE(r.Array(&g.levels).ok());
     g.links.resize(g.levels.size());
     for (size_t node = 0; node < g.levels.size(); ++node) {
       g.links[node].resize(g.levels[node] + 1);
-      for (auto& layer : g.links[node]) EXPECT_TRUE(r.I32Array(&layer).ok());
+      for (auto& layer : g.links[node]) EXPECT_TRUE(r.Array(&layer).ok());
     }
     EXPECT_TRUE(r.exhausted());
     return g;
@@ -390,9 +409,9 @@ struct GraphPayload {
     w.U64(seed);
     w.I32(entry_point);
     w.I32(max_level);
-    w.I32Array(levels);
+    w.Array(levels);
     for (const auto& node : links) {
-      for (const auto& layer : node) w.I32Array(layer);
+      for (const auto& layer : node) w.Array(layer);
     }
     rt::BinaryReader r(w.bytes());
     return HnswIndex::Deserialize(r, data, SimMetric::kManhattan)

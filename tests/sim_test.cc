@@ -4,9 +4,8 @@
 #include <algorithm>
 #include <bit>
 #include <cfloat>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -14,8 +13,8 @@
 #include "src/la/ops.h"
 #include "src/par/grain.h"
 #include "src/par/thread_pool.h"
+#include "src/rt/binary_io.h"
 #include "src/sim/csls.h"
-#include "src/sim/sim_io.h"
 #include "src/sim/lsh.h"
 #include "src/sim/sparse_sim.h"
 #include "src/sim/topk_search.h"
@@ -159,7 +158,40 @@ TEST(CslsTest, PreservesWithinRowRanking) {
   }
 }
 
-TEST(SimIoTest, RoundTripPreservesEverything) {
+// The codec's bytes: the matrices two runs produce are equal exactly
+// when these are.
+std::string MatrixBytes(const SparseSimMatrix& m) {
+  rt::BinaryWriter w;
+  m.Serialize(w);
+  return w.TakeBytes();
+}
+
+StatusOr<SparseSimMatrix> DecodeMatrix(std::string_view bytes) {
+  rt::BinaryReader r(bytes);
+  auto m = SparseSimMatrix::Deserialize(r);
+  if (m.ok() && !r.exhausted()) return DataLossError("trailing bytes");
+  return m;
+}
+
+void ExpectRowsBitIdentical(const SparseSimMatrix& a,
+                            const SparseSimMatrix& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  ASSERT_EQ(a.num_cols(), b.num_cols());
+  ASSERT_EQ(a.max_entries_per_row(), b.max_entries_per_row());
+  for (int32_t r = 0; r < a.num_rows(); ++r) {
+    const auto x = a.Row(r);
+    const auto y = b.Row(r);
+    ASSERT_EQ(x.size(), y.size()) << "row " << r;
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].column, y[i].column);
+      EXPECT_EQ(std::bit_cast<uint32_t>(x[i].score),
+                std::bit_cast<uint32_t>(y[i].score))
+          << "row " << r << " entry " << i;
+    }
+  }
+}
+
+TEST(SimMatrixCodecTest, RoundTripPreservesEverything) {
   SparseSimMatrix m(3, 5, 4);
   Rng rng(71);
   for (int32_t r = 0; r < 3; ++r) {
@@ -168,28 +200,22 @@ TEST(SimIoTest, RoundTripPreservesEverything) {
                    rng.UniformFloat() - 0.3f);  // include negative scores
     }
   }
-  const auto loaded = SimMatrixFromString(SimMatrixToString(m));
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->num_rows(), m.num_rows());
-  ASSERT_EQ(loaded->num_cols(), m.num_cols());
-  ASSERT_EQ(loaded->max_entries_per_row(), m.max_entries_per_row());
-  for (int32_t r = 0; r < m.num_rows(); ++r) {
-    const auto a = m.Row(r);
-    const auto b = loaded->Row(r);
-    ASSERT_EQ(a.size(), b.size()) << "row " << r;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].column, b[i].column);
-      EXPECT_FLOAT_EQ(a[i].score, b[i].score);
-    }
-  }
+  const auto loaded = DecodeMatrix(MatrixBytes(m));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectRowsBitIdentical(m, *loaded);
+  EXPECT_EQ(loaded->MemoryBytes(), m.MemoryBytes());
+  // Empty rows and an empty matrix round-trip too.
+  const SparseSimMatrix empty(4, 2, 0);
+  const auto loaded_empty = DecodeMatrix(MatrixBytes(empty));
+  ASSERT_TRUE(loaded_empty.ok());
+  ExpectRowsBitIdentical(empty, *loaded_empty);
 }
 
-// The writer formats scores with std::to_chars; the format is defined
-// as %.9g. Both must print the same bytes for every float the writer can
-// see: signed zeros, subnormals, FLT_MIN/FLT_MAX, and random bit
-// patterns (non-finite ones included for the raw comparison), and the
-// text must parse back to the same bits.
-TEST(SimIoTest, ScoresPrintAsPercentNineGAndRoundTripBitwise) {
+// Scores are stored as their bits, so every float a matrix can hold —
+// signed zeros, subnormals, FLT_MIN/FLT_MAX, infinities, NaNs with any
+// payload and random bit patterns — reads back with the same bits, in
+// the same order, with no re-sorting through Accumulate.
+TEST(SimMatrixCodecTest, RoundTripIsBitwiseForEveryScore) {
   std::vector<float> scores = {0.0f,
                                -0.0f,
                                std::numeric_limits<float>::denorm_min(),
@@ -200,72 +226,56 @@ TEST(SimIoTest, ScoresPrintAsPercentNineGAndRoundTripBitwise) {
                                -FLT_MAX,
                                1.0f,
                                0.1f,
-                               1e-5f,
-                               123456789.0f,
-                               1e9f,
                                std::numeric_limits<float>::infinity(),
                                -std::numeric_limits<float>::infinity(),
-                               std::numeric_limits<float>::quiet_NaN()};
+                               std::numeric_limits<float>::quiet_NaN(),
+                               -std::numeric_limits<float>::quiet_NaN(),
+                               std::bit_cast<float>(0x7fa00001u),  // sNaN
+                               std::bit_cast<float>(0xffc0beefu)};
   Rng rng(89);
-  for (int i = 0; i < 200000; ++i) {
+  for (int i = 0; i < 20000; ++i) {
     scores.push_back(std::bit_cast<float>(static_cast<uint32_t>(rng.Next())));
   }
-  char printed[64];
-  char converted[64];
-  for (const float score : scores) {
-    std::snprintf(printed, sizeof(printed), "%.9g",
-                  static_cast<double>(score));
-    const auto result =
-        std::to_chars(converted, converted + sizeof(converted),
-                      static_cast<double>(score), std::chars_format::general,
-                      9);
-    ASSERT_EQ(std::string(converted, result.ptr), std::string(printed))
-        << "bits=" << std::bit_cast<uint32_t>(score);
-  }
-
-  // Through the writer: finite scores, eight per row, checked against a
-  // printf rendering of the same entries and parsed back bit for bit.
-  std::vector<float> finite;
-  for (const float score : scores) {
-    if (std::isfinite(score)) finite.push_back(score);
-  }
-  const int32_t rows = static_cast<int32_t>(finite.size() / 8);
+  const int32_t rows = static_cast<int32_t>(scores.size() / 8);
   SparseSimMatrix m(rows, 8, 8);
   for (int32_t r = 0; r < rows; ++r) {
-    for (int32_t c = 0; c < 8; ++c) m.Accumulate(r, c, finite[r * 8 + c]);
+    for (int32_t c = 0; c < 8; ++c) m.Accumulate(r, c, scores[r * 8 + c]);
   }
-  std::string want = "largeea-sim v1 " + std::to_string(rows) + " 8 8\n";
-  for (int32_t r = 0; r < rows; ++r) {
-    for (const SimEntry& e : m.Row(r)) {
-      std::snprintf(printed, sizeof(printed), "%d\t%d\t%.9g\n", r, e.column,
-                    static_cast<double>(e.score));
-      want += printed;
-    }
-  }
-  const std::string text = SimMatrixToString(m);
-  EXPECT_EQ(text, want);
-  const auto loaded = SimMatrixFromString(text);
-  ASSERT_TRUE(loaded.ok());
-  for (int32_t r = 0; r < rows; ++r) {
-    const auto a = m.Row(r);
-    const auto b = loaded->Row(r);
-    ASSERT_EQ(a.size(), b.size()) << "row " << r;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].column, b[i].column);
-      EXPECT_EQ(std::bit_cast<uint32_t>(a[i].score),
-                std::bit_cast<uint32_t>(b[i].score));
-    }
-  }
+  const std::string bytes = MatrixBytes(m);
+  // Shape, then per row its length and 8-byte entries.
+  EXPECT_EQ(bytes.size(), 12u + static_cast<size_t>(rows) * (4 + 8 * 8));
+  const auto loaded = DecodeMatrix(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectRowsBitIdentical(m, *loaded);
+  EXPECT_EQ(MatrixBytes(*loaded), bytes);
 }
 
-TEST(SimIoTest, RejectsMalformedDocuments) {
-  EXPECT_EQ(SimMatrixFromString("not-a-sim-file\n").status().code(),
-            StatusCode::kInvalidArgument);
-  // Row out of range.
-  EXPECT_EQ(SimMatrixFromString("largeea-sim v1 2 2 2\n9\t0\t1.0\n")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+TEST(SimMatrixCodecTest, RejectsDamagedPayloads) {
+  SparseSimMatrix m(2, 3, 2);
+  m.Accumulate(0, 1, 0.5f);
+  m.Accumulate(1, 2, 0.25f);
+  m.Accumulate(1, 0, 0.75f);
+  const std::string good = MatrixBytes(m);
+  ASSERT_TRUE(DecodeMatrix(good).ok());
+  const auto with_i32 = [&good](size_t offset, int32_t value) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return DecodeMatrix(bytes).status().code();
+  };
+  // Layout: rows @0, cols @4, cap @8, row 0 length @12, its entry @16,
+  // row 1 length @24, its entries @28.
+  EXPECT_EQ(with_i32(0, -1), StatusCode::kDataLoss);          // rows < 0
+  EXPECT_EQ(with_i32(4, -1), StatusCode::kDataLoss);          // cols < 0
+  EXPECT_EQ(with_i32(0, 1 << 30), StatusCode::kDataLoss);     // rows inflated
+  EXPECT_EQ(with_i32(8, 1), StatusCode::kDataLoss);           // row 1 > cap
+  EXPECT_EQ(with_i32(12, 1 << 20), StatusCode::kDataLoss);    // length inflated
+  EXPECT_EQ(with_i32(16, 3), StatusCode::kDataLoss);          // column = cols
+  EXPECT_EQ(with_i32(28, -1), StatusCode::kDataLoss);         // column < 0
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    EXPECT_EQ(DecodeMatrix(good.substr(0, cut)).status().code(),
+              StatusCode::kDataLoss)
+        << "cut at " << cut;
+  }
 }
 
 // Brute-force reference for top-k.
@@ -384,7 +394,7 @@ TEST(TopKTest, ExactMatchesPairAtATimeOracleAcrossRemaindersTilesAndThreads) {
       if (target_rows > 5) {
         ASSERT_GT(ties, 0) << target_rows;
       }
-      const std::string want = SimMatrixToString(expected);
+      const std::string want = MatrixBytes(expected);
 
       for (const int32_t threads : {1, 2, 8}) {
         par::ThreadPool::Get().SetNumThreads(threads);
@@ -392,7 +402,7 @@ TEST(TopKTest, ExactMatchesPairAtATimeOracleAcrossRemaindersTilesAndThreads) {
                             static_cast<int32_t>(target_rows), topk.k);
         TopKInto(source, row_ids, target, col_ids, /*index=*/nullptr, topk,
                  out);
-        EXPECT_EQ(SimMatrixToString(out), want)
+        EXPECT_EQ(MatrixBytes(out), want)
             << "metric=" << static_cast<int>(metric)
             << " target_rows=" << target_rows << " threads=" << threads;
       }

@@ -12,6 +12,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -38,6 +40,8 @@
 
 namespace largeea {
 namespace {
+
+namespace fs = std::filesystem;
 
 stream::MemoryBudget BudgetOfMb(int64_t mb, int32_t tile_rows = 0) {
   stream::StreamOptions options;
@@ -190,6 +194,38 @@ TEST(TileStoreTest, EvictsUnderTinyBudgetAndReloadsEvictedTiles) {
     ASSERT_NE(tile, nullptr);
     ExpectMatrixEq(*tile, originals[i]);
   }
+}
+
+// DESIGN.md §10: a spilled tile that fails its checksum at reload aborts
+// the run rather than feed it wrong floats. Sixteen 128 KiB tiles under a
+// 1 MiB budget evict at least the oldest, so its reload reads the
+// damaged file.
+TEST(TileStoreDeathTest, FlippedByteInASpilledTileAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The aborting child never runs the store's destructor, so the spill
+  // directory is named here and removed by the parent.
+  const std::string dir =
+      (fs::temp_directory_path() / "largeea_tile_death_test").string();
+  const auto reload_damaged_tile = [&dir] {
+    const stream::MemoryBudget budget = BudgetOfMb(1);
+    stream::TileStore store(budget, dir);
+    std::vector<stream::TileId> ids;
+    for (int i = 0; i < 16; ++i) {
+      ids.push_back(store.Put(RandomMatrix(128, 256, 3000 + i)));
+    }
+    for (const auto& entry : fs::directory_iterator(store.spill_dir())) {
+      std::fstream f(entry.path(),
+                     std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(-5, std::ios::end);
+      const char byte = static_cast<char>(f.get());
+      f.seekp(-5, std::ios::end);
+      f.put(static_cast<char>(byte ^ 0x10));
+    }
+    for (const stream::TileId id : ids) (void)store.Get(id);
+  };
+  EXPECT_DEATH(reload_damaged_tile(),
+               "cannot reload tile .*DATA_LOSS.*checksum mismatch");
+  fs::remove_all(dir);
 }
 
 TEST(TileStoreTest, PinnedTilesSurviveEvictionPressure) {

@@ -960,7 +960,7 @@ int RunServeSweep(const Flags& flags) {
     // Entity path correctness: every served top-1 is the batch fused
     // row's top-1 — serving re-serves the pipeline answer exactly.
     for (int32_t s = 0; s < sources; ++s) {
-      const auto row = index->fused().Row(s);
+      const auto row = index->FusedRow(s);
       if (row.empty()) continue;
       serve::QueryRequest request;
       request.kind = serve::QueryRequest::Kind::kEntity;

@@ -562,7 +562,7 @@ int CmdIndexBuild(const Flags& flags, Config config) {
   }
   std::printf(
       "wrote serve index to %s: %ld+%ld entities, fingerprint %016" PRIx64
-      ", %.1fMB resident\n",
+      ", %.1fMB image\n",
       out.c_str(), static_cast<long>((*index)->num_source_entities()),
       static_cast<long>((*index)->num_target_entities()),
       fingerprints.fused,
@@ -594,17 +594,29 @@ int CmdServe(const Flags& flags, const Config& config) {
   }
 
   serve::IndexManager manager;
+  const auto load_start = std::chrono::steady_clock::now();
   const Status loaded = manager.LoadAndSwap(path, ExpectedFingerprint(flags));
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.ToString().c_str());
     return 1;
   }
-  const auto index = manager.Current();
-  std::fprintf(stderr,
-               "largeea_cli serve: index %016" PRIx64
-               " (%ld targets), ready on stdin\n",
-               index->fingerprint(),
-               static_cast<long>(index->num_target_entities()));
+  const double load_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() -
+                                  load_start)
+                                  .count();
+  {
+    // Scoped: a snapshot held here would keep the first version mapped
+    // across every swap.
+    const auto index = manager.Current();
+    std::fprintf(stderr,
+                 "largeea_cli serve: index %016" PRIx64
+                 " (%ld targets, %.1fMB image) loaded in %.3f s, ready on "
+                 "stdin\n",
+                 index->fingerprint(),
+                 static_cast<long>(index->num_target_entities()),
+                 static_cast<double>(index->MemoryBytes()) / (1 << 20),
+                 load_seconds);
+  }
 
   serve::ServeLoopOptions loop_options;
   loop_options.batch_size =

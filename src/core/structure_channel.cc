@@ -71,7 +71,8 @@ bool StructureBatchTrainable(const MiniBatch& batch) {
 StatusOr<MiniBatchSet> PrepareStructureBatches(
     const KnowledgeGraph& source, const KnowledgeGraph& target,
     const EntityPairList& seeds, const StructureChannelOptions& options,
-    rt::CheckpointManager* checkpoint, double* partition_seconds) {
+    rt::CheckpointManager* checkpoint, double* partition_seconds,
+    bool* from_checkpoint) {
   auto& registry = obs::MetricsRegistry::Get();
   // The span is the single timing source for partition_seconds (no
   // separate Timer). The batch set is checkpointed so a resumed run
@@ -118,6 +119,7 @@ StatusOr<MiniBatchSet> PrepareStructureBatches(
   }
   const double seconds = partition_span.End();
   if (partition_seconds != nullptr) *partition_seconds = seconds;
+  if (from_checkpoint != nullptr) *from_checkpoint = loaded;
   return result;
 }
 

@@ -103,11 +103,13 @@ bool StructureBatchTrainable(const MiniBatch& batch);
 /// structure_train node spawns workers. With options.shard_count > 0
 /// (a worker) the partition is load-only and a missing artifact is
 /// FAILED_PRECONDITION (see the field comment).
-/// `partition_seconds`, when non-null, receives the phase wall time.
+/// `partition_seconds`, when non-null, receives the phase wall time, and
+/// `from_checkpoint` whether the batch set was loaded rather than made.
 StatusOr<MiniBatchSet> PrepareStructureBatches(
     const KnowledgeGraph& source, const KnowledgeGraph& target,
     const EntityPairList& seeds, const StructureChannelOptions& options,
-    rt::CheckpointManager* checkpoint, double* partition_seconds = nullptr);
+    rt::CheckpointManager* checkpoint, double* partition_seconds = nullptr,
+    bool* from_checkpoint = nullptr);
 
 /// The training phase alone: trains (or resumes) every trainable batch
 /// of an already-materialised partition and merges the blocks into M_s.

@@ -252,12 +252,14 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         });
     graph.AddNode(
         "partition", {v_seeds}, {v_batches}, all_rows * 32,
-        [&](NodeContext&) -> Status {
+        [&](NodeContext& ctx) -> Status {
+          bool loaded = false;
           auto batches = PrepareStructureBatches(
               source, target, state.result.effective_seeds, s, &checkpoint,
-              &state.partition_seconds);
+              &state.partition_seconds, &loaded);
           if (!batches.ok()) return batches.status();
           state.batches = std::move(batches).value();
+          if (loaded) ctx.MarkFromCheckpoint();
           return OkStatus();
         });
     graph.AddNode(

@@ -142,6 +142,33 @@ class MatrixRowRange {
   int64_t row_end_;
 };
 
+/// Non-owning view of dense row-major float rows, whether a Matrix holds
+/// them or they sit in a mapped file (the serve index, DESIGN.md §15).
+/// Implicitly constructible from a Matrix. The rows must outlive the view.
+class RowsView {
+ public:
+  RowsView(const Matrix& m)  // NOLINT: implicit by design
+      : data_(m.data()), rows_(m.rows()), cols_(m.cols()) {}
+  RowsView(const float* data, int64_t rows, int64_t cols)
+      : data_(data), rows_(rows), cols_(cols) {
+    LARGEEA_CHECK_GE(rows, 0);
+    LARGEEA_CHECK_GE(cols, 0);
+  }
+
+  int64_t rows() const { return rows_; }
+  int64_t cols() const { return cols_; }
+  const float* Row(int64_t r) const {
+    LARGEEA_CHECK_GE(r, 0);
+    LARGEEA_CHECK_LT(r, rows_);
+    return data_ + r * cols_;
+  }
+
+ private:
+  const float* data_;
+  int64_t rows_;
+  int64_t cols_;
+};
+
 }  // namespace largeea
 
 #endif  // LARGEEA_LA_MATRIX_H_

@@ -9,10 +9,12 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/flat_array.h"
+#include "src/name/key_table.h"
 #include "src/name/tokenizer.h"
+#include "src/rt/status.h"
 
 namespace largeea {
 
@@ -42,14 +44,34 @@ class MinHasher {
 
 /// LSH banding over MinHash signatures: signatures are split into
 /// `num_bands` bands of `rows_per_band` values; two items collide if any
-/// band hashes identically.
+/// band hashes identically. Each band is a flat table (key_table.h) of
+/// (band key, item) pairs sorted by key, then item, built once over all
+/// items — STNS bands the target names, and the serve index stores the
+/// tables in its image and borrows them from the mapping.
 class MinHashLsh {
  public:
-  /// num_bands * rows_per_band must equal the signature length used.
-  MinHashLsh(int32_t num_bands, int32_t rows_per_band);
+  /// The band tables as flat arrays. Band b's pairs sit at
+  /// [b * num_items, (b + 1) * num_items) of `keys` and `items`, and its
+  /// directory at [b * d, (b + 1) * d) of `starts`, for d =
+  /// KeyTable::DirectorySize(num_items).
+  struct Tables {
+    FlatArray<uint64_t> keys;
+    FlatArray<int32_t> items;
+    FlatArray<uint32_t> starts;
+  };
 
-  /// Inserts an item with the given signature.
-  void Insert(int32_t id, const std::vector<uint64_t>& signature);
+  /// Bands items 0..n-1, item i with `signatures[i]`; each signature is
+  /// num_bands * rows_per_band long.
+  MinHashLsh(int32_t num_bands, int32_t rows_per_band,
+             const std::vector<std::vector<uint64_t>>& signatures);
+
+  /// Tables laid out earlier (the serve index's, borrowed from its image).
+  /// DATA_LOSS unless every array has its size, each band's keys ascend
+  /// with its items ascending within a key, every item is in
+  /// [0, num_items), and each directory matches its band.
+  static StatusOr<MinHashLsh> FromTables(int32_t num_bands,
+                                         int32_t rows_per_band,
+                                         int32_t num_items, Tables tables);
 
   /// Returns the de-duplicated ids colliding with `signature`.
   std::vector<int32_t> Query(const std::vector<uint64_t>& signature) const;
@@ -63,13 +85,21 @@ class MinHashLsh {
   std::vector<int32_t> QueryTop(const std::vector<uint64_t>& signature,
                                 int32_t limit) const;
 
+  const Tables& tables() const { return tables_; }
+
  private:
-  uint64_t BandKey(const std::vector<uint64_t>& signature,
-                   int32_t band) const;
+  MinHashLsh(int32_t num_bands, int32_t rows_per_band, int32_t num_items,
+             Tables tables);
+
+  /// One entry per (band, item) collision with `signature`, unsorted.
+  std::vector<int32_t> Collisions(const std::vector<uint64_t>& signature) const;
 
   int32_t num_bands_;
   int32_t rows_per_band_;
-  std::vector<std::unordered_map<uint64_t, std::vector<int32_t>>> buckets_;
+  int32_t num_items_;
+  Tables tables_;
+  /// One lookup per band over tables_ (valid across moves: see FlatArray).
+  std::vector<KeyTable> bands_;
 };
 
 }  // namespace largeea

@@ -32,39 +32,56 @@ SemanticEncoder::SemanticEncoder(const SemanticEncoderOptions& options)
   LARGEEA_CHECK_LE(options.active_slots_per_token, options.dim);
 }
 
+StatusOr<SemanticEncoder> SemanticEncoder::WithIdf(
+    const SemanticEncoderOptions& options, IdfTable idf) {
+  LARGEEA_RETURN_IF_ERROR(KeyTable::Check(idf.hashes.span(), idf.starts.span(),
+                                          /*unique=*/true, "idf table"));
+  if (idf.weights.size() != idf.hashes.size()) {
+    return DataLossError("idf table: weight count does not match hashes");
+  }
+  if (idf.documents < 0) {
+    return DataLossError("idf table: negative document count");
+  }
+  SemanticEncoder encoder(options);
+  encoder.idf_ = std::move(idf);
+  encoder.idf_keys_ = KeyTable(encoder.idf_.hashes.span(),
+                               encoder.idf_.starts.span());
+  return encoder;
+}
+
 void SemanticEncoder::FitIdf(const std::vector<const KnowledgeGraph*>& kgs) {
   std::unordered_map<uint64_t, int64_t> document_frequency;
-  idf_documents_ = 0;
   std::unordered_set<uint64_t> seen_in_name;
+  int64_t documents = 0;
   for (const KnowledgeGraph* kg : kgs) {
     LARGEEA_CHECK(kg != nullptr);
-    for (EntityId e = 0; e < kg->num_entities(); ++e) {
+    for (EntityId e = 0; e < kg->num_entities(); ++e, ++documents) {
       CountNameFrequencies(kg->EntityName(e), document_frequency,
                            seen_in_name);
     }
   }
-  FinishIdf(document_frequency);
+  FinishIdf(document_frequency, documents);
 }
 
 void SemanticEncoder::FitIdfFromNames(
     const std::vector<const std::vector<std::string>*>& corpora) {
   std::unordered_map<uint64_t, int64_t> document_frequency;
-  idf_documents_ = 0;
   std::unordered_set<uint64_t> seen_in_name;
+  int64_t documents = 0;
   for (const std::vector<std::string>* names : corpora) {
     LARGEEA_CHECK(names != nullptr);
     for (const std::string& name : *names) {
       CountNameFrequencies(name, document_frequency, seen_in_name);
+      ++documents;
     }
   }
-  FinishIdf(document_frequency);
+  FinishIdf(document_frequency, documents);
 }
 
 void SemanticEncoder::CountNameFrequencies(
     std::string_view name,
     std::unordered_map<uint64_t, int64_t>& document_frequency,
-    std::unordered_set<uint64_t>& seen_in_name) {
-  ++idf_documents_;
+    std::unordered_set<uint64_t>& seen_in_name) const {
   seen_in_name.clear();
   for (const std::string& token : TokenizeName(name, options_.tokenizer)) {
     const uint64_t h = TokenHash(token);
@@ -73,14 +90,27 @@ void SemanticEncoder::CountNameFrequencies(
 }
 
 void SemanticEncoder::FinishIdf(
-    const std::unordered_map<uint64_t, int64_t>& document_frequency) {
-  idf_.clear();
-  idf_.reserve(document_frequency.size());
-  for (const auto& [hash, df] : document_frequency) {
-    idf_[hash] = static_cast<float>(
-        std::log(1.0 + static_cast<double>(idf_documents_) /
-                           (1.0 + static_cast<double>(df))));
+    const std::unordered_map<uint64_t, int64_t>& document_frequency,
+    int64_t documents) {
+  std::vector<std::pair<uint64_t, int64_t>> sorted(document_frequency.begin(),
+                                                   document_frequency.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<uint64_t> hashes;
+  std::vector<float> weights;
+  hashes.reserve(sorted.size());
+  weights.reserve(sorted.size());
+  for (const auto& [hash, df] : sorted) {
+    hashes.push_back(hash);
+    weights.push_back(static_cast<float>(
+        std::log(1.0 + static_cast<double>(documents) /
+                           (1.0 + static_cast<double>(df)))));
   }
+  std::vector<uint32_t> starts = KeyTable::Directory(hashes);
+  idf_.hashes = FlatArray<uint64_t>(std::move(hashes));
+  idf_.weights = FlatArray<float>(std::move(weights));
+  idf_.starts = FlatArray<uint32_t>(std::move(starts));
+  idf_.documents = documents;
+  idf_keys_ = KeyTable(idf_.hashes.span(), idf_.starts.span());
 }
 
 void SemanticEncoder::AddTokenFeature(uint64_t token_hash, float weight,
@@ -104,14 +134,14 @@ void SemanticEncoder::EncodeName(std::string_view name, float* out) const {
   for (const std::string& token : tokens) {
     const uint64_t h = TokenHash(token);
     float weight = IsWordToken(token) ? options_.word_token_weight : 1.0f;
-    if (!idf_.empty()) {
-      const auto it = idf_.find(h);
+    if (!idf_.hashes.empty()) {
+      const auto [first, last] = idf_keys_.Find(h);
       // Unseen tokens get the maximal IDF (they are maximally rare).
-      weight *= it != idf_.end()
-                    ? it->second
+      weight *= first != last
+                    ? idf_.weights[first]
                     : static_cast<float>(
                           std::log(1.0 + static_cast<double>(
-                                             idf_documents_)));
+                                             idf_.documents)));
     }
     AddTokenFeature(h, weight, out);
   }

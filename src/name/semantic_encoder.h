@@ -22,9 +22,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/common/flat_array.h"
 #include "src/common/types.h"
 #include "src/la/matrix.h"
+#include "src/name/key_table.h"
 #include "src/name/tokenizer.h"
+#include "src/rt/status.h"
 
 namespace largeea {
 
@@ -44,6 +47,18 @@ struct SemanticEncoderOptions {
   float epsilon = 1e-6f;
 };
 
+/// Token hash -> IDF weight as a flat table (src/name/key_table.h): the
+/// token hashes ascending, the weight of each at its hash's position, and
+/// the hashes' directory. Empty when no IDF was fit.
+struct IdfTable {
+  FlatArray<uint64_t> hashes;
+  FlatArray<float> weights;
+  FlatArray<uint32_t> starts;
+  /// Names the weights were fit over; a token outside the table weighs
+  /// log(1 + documents), the weight of a maximally rare one.
+  int64_t documents = 0;
+};
+
 /// Deterministic, training-free name embedder.
 ///
 /// Optionally IDF-weighted: FitIdf() counts token document frequencies
@@ -53,6 +68,11 @@ struct SemanticEncoderOptions {
 class SemanticEncoder {
  public:
   explicit SemanticEncoder(const SemanticEncoderOptions& options);
+  /// An encoder weighted by a table fit earlier — the serve index's, which
+  /// it borrows from its mapped image. DATA_LOSS unless the hashes ascend
+  /// strictly, the weights match them and `starts` is their directory.
+  static StatusOr<SemanticEncoder> WithIdf(
+      const SemanticEncoderOptions& options, IdfTable idf);
 
   /// Computes IDF weights from the entity names of the given KGs.
   /// Call before encoding; both aligned KGs should be passed.
@@ -60,9 +80,9 @@ class SemanticEncoder {
 
   /// Same statistic computed from bare name lists (order across corpora
   /// must match the FitIdf call being reproduced: source then target).
-  /// The serve index artifact stores name tables, not KGs, and refits
-  /// the query-side encoder at load — document frequency is a multiset
-  /// statistic, so the result is bit-identical to the pipeline's fit.
+  /// An index build fits the query-side encoder from its name tables and
+  /// stores the table it fit — document frequency is a multiset
+  /// statistic, so the weights are bit-identical to the pipeline's fit.
   void FitIdfFromNames(
       const std::vector<const std::vector<std::string>*>& corpora);
 
@@ -81,6 +101,7 @@ class SemanticEncoder {
                          EntityId end) const;
 
   int32_t dim() const { return options_.dim; }
+  const IdfTable& idf() const { return idf_; }
 
  private:
   /// Adds `weight` times the signed hashed feature of `token_hash`.
@@ -90,14 +111,16 @@ class SemanticEncoder {
   void CountNameFrequencies(
       std::string_view name,
       std::unordered_map<uint64_t, int64_t>& document_frequency,
-      std::unordered_set<uint64_t>& seen_in_name);
+      std::unordered_set<uint64_t>& seen_in_name) const;
+  /// Lays the weights of `documents` names out as the flat table.
   void FinishIdf(
-      const std::unordered_map<uint64_t, int64_t>& document_frequency);
+      const std::unordered_map<uint64_t, int64_t>& document_frequency,
+      int64_t documents);
 
   SemanticEncoderOptions options_;
-  /// token hash -> IDF weight; empty when FitIdf was not called.
-  std::unordered_map<uint64_t, float> idf_;
-  int64_t idf_documents_ = 0;
+  IdfTable idf_;
+  /// Lookup over idf_.hashes (its spans stay valid when the encoder moves).
+  KeyTable idf_keys_;
 };
 
 }  // namespace largeea

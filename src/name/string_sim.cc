@@ -39,11 +39,10 @@ SparseSimMatrix ComputeStringSimilarity(const KnowledgeGraph& source,
   LARGEEA_CHECK_GT(options.jaccard_threshold, 0.0);
   const int32_t signature_length = options.num_bands * options.rows_per_band;
   const MinHasher hasher(signature_length, options.seed);
-  MinHashLsh lsh(options.num_bands, options.rows_per_band);
 
   // Index the target names. Signatures are independent, so they build in
-  // parallel (each task writes its own slot); the LSH inserts mutate
-  // shared buckets and stay serial, in id order.
+  // parallel (each task writes its own slot); the band tables are then
+  // sorted once over all of them.
   std::vector<std::vector<uint64_t>> target_signatures(
       target.num_entities());
   {
@@ -62,9 +61,8 @@ SparseSimMatrix ComputeStringSimilarity(const KnowledgeGraph& source,
           }
         });
   }
-  for (EntityId t = 0; t < target.num_entities(); ++t) {
-    lsh.Insert(t, target_signatures[t]);
-  }
+  const MinHashLsh lsh(options.num_bands, options.rows_per_band,
+                       target_signatures);
 
   // Score source entities against their LSH candidates in parallel:
   // every chunk collects its (s, t, sim) hits privately, and chunks

@@ -1,7 +1,16 @@
 #include "src/rt/artifact.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <charconv>
+#include <memory>
+#include <utility>
 
 #include "src/rt/io_util.h"
 
@@ -12,6 +21,9 @@ namespace {
 /// kind has a bounded spelling, and the writers keep kinds short.
 constexpr size_t kMaxHeaderBytes = 256;
 constexpr size_t kHeaderFields = 6;
+/// The most the mapped reader holds of the file at once while it hashes:
+/// small enough that the heap keeps no large block resident after it.
+constexpr size_t kHashChunkBytes = size_t{64} << 10;
 
 /// Parses a whole field as an unsigned number in `base`.
 std::optional<uint64_t> ParseU64(std::string_view text, int base) {
@@ -22,58 +34,37 @@ std::optional<uint64_t> ParseU64(std::string_view text, int base) {
   return value;
 }
 
-}  // namespace
-
-std::string Hex64(uint64_t value) {
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, value >>= 4) {
-    out[i] = "0123456789abcdef"[value & 0xf];
-  }
-  return out;
+size_t PayloadOffset(size_t header_line_bytes) {
+  return (header_line_bytes + kPayloadAlignment - 1) / kPayloadAlignment *
+         kPayloadAlignment;
 }
 
-std::optional<uint64_t> ParseHex64(std::string_view text) {
-  if (text.size() > 16) return std::nullopt;
-  return ParseU64(text, 16);
-}
+/// What a header line says about its file.
+struct Header {
+  std::string kind;
+  uint64_t fingerprint = 0;
+  uint64_t payload_bytes = 0;
+  uint64_t hash = 0;
+  size_t payload_offset = 0;
+};
 
-std::string ArtifactHeader(std::string_view family, std::string_view kind,
-                           uint64_t fingerprint, std::string_view payload) {
-  return std::string(family) + " v" + std::to_string(kArtifactVersion) +
-         ' ' + std::string(kind) + ' ' + Hex64(fingerprint) + ' ' +
-         std::to_string(payload.size()) + ' ' + Hex64(Fnv1a64(payload)) +
-         '\n';
-}
-
-Status WriteArtifact(const std::string& path, std::string_view family,
-                     std::string_view kind, uint64_t fingerprint,
-                     std::string_view payload, int64_t* bytes_written) {
-  const std::string header =
-      ArtifactHeader(family, kind, fingerprint, payload);
-  LARGEEA_RETURN_IF_ERROR(AtomicallyWriteFile(path, {header, payload}));
-  if (bytes_written != nullptr) {
-    *bytes_written = static_cast<int64_t>(header.size() + payload.size());
-  }
-  return OkStatus();
-}
-
-StatusOr<Artifact> ReadArtifact(const std::string& path,
-                                std::string_view family,
-                                std::string_view kind,
-                                std::optional<uint64_t> fingerprint) {
-  LARGEEA_ASSIGN_OR_RETURN(std::string file, ReadFileToString(path));
+/// Parses the header at the start of `head`, the file's first bytes (at
+/// least kMaxHeaderBytes + kPayloadAlignment of them, or the whole file),
+/// and checks the padding and the file's size against it.
+StatusOr<Header> ParseHeader(std::string_view head, uint64_t file_bytes,
+                             const std::string& path,
+                             std::string_view family) {
   const auto damaged = [&path](const std::string& what) {
     return DataLossError("'" + path + "': " + what);
   };
-  const size_t newline =
-      std::string_view(file).substr(0, kMaxHeaderBytes).find('\n');
-  if (newline == std::string::npos) return damaged("no header line");
+  const size_t newline = head.substr(0, kMaxHeaderBytes).find('\n');
+  if (newline == std::string_view::npos) return damaged("no header line");
 
   // Split at single spaces; one field too many marks the header
   // malformed.
   std::array<std::string_view, kHeaderFields + 1> fields;
   size_t num_fields = 0;
-  for (std::string_view rest(file.data(), newline);
+  for (std::string_view rest = head.substr(0, newline);
        num_fields < fields.size();) {
     const size_t space = rest.find(' ');
     fields[num_fields++] = rest.substr(0, space);
@@ -96,29 +87,218 @@ StatusOr<Artifact> ReadArtifact(const std::string& path,
   if (num_fields != kHeaderFields || fields[2].empty()) {
     return damaged("malformed header");
   }
-  const std::optional<uint64_t> stored_fingerprint = ParseHex64(fields[3]);
+  const std::optional<uint64_t> fingerprint = ParseHex64(fields[3]);
   const std::optional<uint64_t> payload_bytes = ParseU64(fields[4], 10);
   const std::optional<uint64_t> hash = ParseHex64(fields[5]);
-  if (!stored_fingerprint || !payload_bytes || !hash) {
+  if (!fingerprint || !payload_bytes || !hash) {
     return damaged("malformed header");
   }
 
-  const std::string_view payload = std::string_view(file).substr(newline + 1);
-  if (payload.size() != *payload_bytes) {
-    return damaged("payload is " + std::to_string(payload.size()) +
-                   " bytes, header says " + std::to_string(*payload_bytes));
+  Header header{std::string(fields[2]), *fingerprint, *payload_bytes, *hash,
+                PayloadOffset(newline + 1)};
+  if (file_bytes < header.payload_offset) {
+    return damaged("truncated before the payload");
   }
-  if (Fnv1a64(payload) != *hash) return damaged("payload checksum mismatch");
-  if (fields[2] != kind) {
-    return damaged("artifact kind '" + std::string(fields[2]) +
-                   "', expected '" + std::string(kind) + "'");
+  const std::string_view padding =
+      head.substr(newline + 1, header.payload_offset - newline - 1);
+  if (std::any_of(padding.begin(), padding.end(),
+                  [](char c) { return c != '\0'; })) {
+    return damaged("header padding is not NUL");
   }
-  if (fingerprint.has_value() && *stored_fingerprint != *fingerprint) {
+  if (file_bytes - header.payload_offset != header.payload_bytes) {
+    return damaged("payload is " +
+                   std::to_string(file_bytes - header.payload_offset) +
+                   " bytes, header says " +
+                   std::to_string(header.payload_bytes));
+  }
+  return header;
+}
+
+/// The checks after the checksum: the kind, then the fingerprint.
+Status CheckIdentity(const Header& header, const std::string& path,
+                     std::string_view kind,
+                     std::optional<uint64_t> fingerprint) {
+  if (header.kind != kind) {
+    return DataLossError("'" + path + "': artifact kind '" + header.kind +
+                         "', expected '" + std::string(kind) + "'");
+  }
+  if (fingerprint.has_value() && header.fingerprint != *fingerprint) {
     return FailedPreconditionError(
         "'" + path + "': written under fingerprint " +
-        Hex64(*stored_fingerprint) + ", expected " + Hex64(*fingerprint));
+        Hex64(header.fingerprint) + ", expected " + Hex64(*fingerprint));
   }
-  return Artifact{*stored_fingerprint, std::move(file), newline + 1};
+  return OkStatus();
+}
+
+/// Reads up to `bytes` bytes at `offset` into `out`; the count read.
+StatusOr<size_t> ReadAt(int fd, char* out, size_t bytes, uint64_t offset,
+                        const std::string& path) {
+  size_t filled = 0;
+  while (filled < bytes) {
+    const ssize_t n = ::pread(fd, out + filled, bytes - filled,
+                              static_cast<off_t>(offset + filled));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return UnavailableError("read error on '" + path + "'");
+    }
+    if (n == 0) break;
+    filled += static_cast<size_t>(n);
+  }
+  return filled;
+}
+
+/// Closes a descriptor when it goes out of scope.
+struct FdCloser {
+  int fd;
+  ~FdCloser() { ::close(fd); }
+};
+
+}  // namespace
+
+std::string Hex64(uint64_t value) {
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, value >>= 4) {
+    out[i] = "0123456789abcdef"[value & 0xf];
+  }
+  return out;
+}
+
+std::optional<uint64_t> ParseHex64(std::string_view text) {
+  if (text.size() > 16) return std::nullopt;
+  return ParseU64(text, 16);
+}
+
+std::string ArtifactHeader(std::string_view family, std::string_view kind,
+                           uint64_t fingerprint, std::string_view payload) {
+  std::string header = std::string(family) + " v" +
+                       std::to_string(kArtifactVersion) + ' ' +
+                       std::string(kind) + ' ' + Hex64(fingerprint) + ' ' +
+                       std::to_string(payload.size()) + ' ' +
+                       Hex64(Fnv1a64(payload)) + '\n';
+  header.resize(PayloadOffset(header.size()), '\0');
+  return header;
+}
+
+Status WriteArtifact(const std::string& path, std::string_view family,
+                     std::string_view kind, uint64_t fingerprint,
+                     std::string_view payload, int64_t* bytes_written) {
+  const std::string header =
+      ArtifactHeader(family, kind, fingerprint, payload);
+  LARGEEA_RETURN_IF_ERROR(AtomicallyWriteFile(path, {header, payload}));
+  if (bytes_written != nullptr) {
+    *bytes_written = static_cast<int64_t>(header.size() + payload.size());
+  }
+  return OkStatus();
+}
+
+StatusOr<Artifact> ReadArtifact(const std::string& path,
+                                std::string_view family,
+                                std::string_view kind,
+                                std::optional<uint64_t> fingerprint) {
+  LARGEEA_ASSIGN_OR_RETURN(std::string file, ReadFileToString(path));
+  LARGEEA_ASSIGN_OR_RETURN(const Header header,
+                           ParseHeader(file, file.size(), path, family));
+  const std::string_view payload =
+      std::string_view(file).substr(header.payload_offset);
+  if (Fnv1a64(payload) != header.hash) {
+    return DataLossError("'" + path + "': payload checksum mismatch");
+  }
+  LARGEEA_RETURN_IF_ERROR(CheckIdentity(header, path, kind, fingerprint));
+  return Artifact{header.fingerprint, std::move(file), header.payload_offset};
+}
+
+MappedArtifact::MappedArtifact(MappedArtifact&& other) noexcept
+    : base_(std::exchange(other.base_, nullptr)),
+      reserved_bytes_(std::exchange(other.reserved_bytes_, 0)),
+      file_bytes_(std::exchange(other.file_bytes_, 0)),
+      fingerprint_(other.fingerprint_),
+      payload_(std::exchange(other.payload_, {})) {}
+
+MappedArtifact& MappedArtifact::operator=(MappedArtifact&& other) noexcept {
+  if (this != &other) {
+    if (base_ != nullptr) ::munmap(base_, reserved_bytes_);
+    base_ = std::exchange(other.base_, nullptr);
+    reserved_bytes_ = std::exchange(other.reserved_bytes_, 0);
+    file_bytes_ = std::exchange(other.file_bytes_, 0);
+    fingerprint_ = other.fingerprint_;
+    payload_ = std::exchange(other.payload_, {});
+  }
+  return *this;
+}
+
+MappedArtifact::~MappedArtifact() {
+  if (base_ != nullptr) ::munmap(base_, reserved_bytes_);
+}
+
+StatusOr<MappedArtifact> MapArtifact(const std::string& path,
+                                     std::string_view family,
+                                     std::string_view kind,
+                                     std::optional<uint64_t> fingerprint) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return NotFoundError("cannot open '" + path + "'");
+  const FdCloser closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    return UnavailableError("cannot stat '" + path + "'");
+  }
+  const uint64_t file_bytes = static_cast<uint64_t>(st.st_size);
+
+  std::array<char, kMaxHeaderBytes + kPayloadAlignment> head_bytes{};
+  LARGEEA_ASSIGN_OR_RETURN(
+      const size_t head_size,
+      ReadAt(fd, head_bytes.data(), head_bytes.size(), 0, path));
+  const std::string_view head(head_bytes.data(), head_size);
+  LARGEEA_ASSIGN_OR_RETURN(const Header header,
+                           ParseHeader(head, file_bytes, path, family));
+
+  // The checksum by streaming read: the page cache holds the file, and
+  // only what the reader later touches through the mapping is resident.
+  uint64_t hash = kFnv1a64Basis;
+  const size_t chunk_bytes =
+      static_cast<size_t>(std::min<uint64_t>(kHashChunkBytes,
+                                             header.payload_bytes));
+  std::unique_ptr<char[]> chunk(new char[std::max<size_t>(chunk_bytes, 1)]);
+  for (uint64_t done = 0; done < header.payload_bytes;) {
+    const size_t want = static_cast<size_t>(
+        std::min<uint64_t>(chunk_bytes, header.payload_bytes - done));
+    LARGEEA_ASSIGN_OR_RETURN(
+        const size_t got,
+        ReadAt(fd, chunk.get(), want, header.payload_offset + done, path));
+    if (got != want) {
+      return DataLossError("'" + path + "': shrank while it was read");
+    }
+    hash = Fnv1a64(std::string_view(chunk.get(), got), hash);
+    done += got;
+  }
+  chunk.reset();
+  if (hash != header.hash) {
+    return DataLossError("'" + path + "': payload checksum mismatch");
+  }
+  LARGEEA_RETURN_IF_ERROR(CheckIdentity(header, path, kind, fingerprint));
+
+  // Reserve the mapping plus one guard page, then map the file over the
+  // front of the reservation.
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  const size_t mapped = static_cast<size_t>(file_bytes);
+  const size_t reserved = (mapped + page - 1) / page * page + page;
+  void* base = ::mmap(nullptr, reserved, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) {
+    return UnavailableError("cannot reserve a mapping for '" + path + "'");
+  }
+  if (::mmap(base, mapped, PROT_READ, MAP_SHARED | MAP_FIXED, fd, 0) ==
+      MAP_FAILED) {
+    ::munmap(base, reserved);
+    return UnavailableError("cannot map '" + path + "'");
+  }
+  MappedArtifact artifact;
+  artifact.base_ = base;
+  artifact.reserved_bytes_ = reserved;
+  artifact.file_bytes_ = mapped;
+  artifact.fingerprint_ = header.fingerprint;
+  artifact.payload_ = std::string_view(static_cast<const char*>(base), mapped)
+                          .substr(header.payload_offset);
+  return artifact;
 }
 
 }  // namespace largeea::rt

@@ -2,8 +2,9 @@
 // pipeline checkpoints (src/rt/checkpoint.h), the serve index
 // (src/serve/index_artifact.h) and spilled tiles (src/stream/tile_store.h).
 //
-//   largeea-<family> v2 <kind> <fingerprint> <payload-bytes> <payload-hash>\n
-//   <payload: little-endian binary, written by rt::BinaryWriter>
+//   largeea-<family> v3 <kind> <fingerprint> <payload-bytes> <payload-hash>\n
+//   <NUL bytes up to the next multiple of 64>
+//   <payload: little-endian binary>
 //
 // * family — the header's magic: which kind of file this is at all.
 // * kind — what the payload encodes: a checkpoint's unit ("fused",
@@ -16,12 +17,23 @@
 //   still checks each count against the bytes that remain before it
 //   allocates.
 //
-// The reader's taxonomy: a malformed header, a payload shorter or longer
-// than its header says, a checksum mismatch or the wrong kind is
+// The payload starts 64-byte aligned, so a mapped payload can hold arrays
+// that are read in place (the serve index's sections).
+//
+// Two readers share one header parser and one taxonomy. ReadArtifact
+// copies the file into memory (checkpoints and tiles decode their payload
+// into their own structures anyway); MapArtifact checksums the file by
+// streaming read and maps it read-only, for the serve index, which reads
+// its sections in the mapping. A mapping stays valid only because
+// artifacts are replaced by rename and never rewritten in place: a file
+// truncated under a live mapping would SIGBUS its reader.
+//
+// The taxonomy: a malformed header, non-NUL padding, a payload shorter or
+// longer than its header says, a checksum mismatch or the wrong kind is
 // DATA_LOSS; a well-formed header of another version, or a fingerprint
 // other than the expected one, is FAILED_PRECONDITION; a missing file is
-// NOT_FOUND. There is one version and one reader: a file of an older
-// version is refused, never converted.
+// NOT_FOUND. There is one version: a file of an older version is refused,
+// never converted.
 #ifndef LARGEEA_RT_ARTIFACT_H_
 #define LARGEEA_RT_ARTIFACT_H_
 
@@ -35,7 +47,9 @@
 namespace largeea::rt {
 
 /// The container version this build writes and the only one it reads.
-inline constexpr int kArtifactVersion = 2;
+inline constexpr int kArtifactVersion = 3;
+/// The payload's offset in the file is a multiple of this.
+inline constexpr size_t kPayloadAlignment = 64;
 
 /// Family magics.
 inline constexpr std::string_view kCheckpointFamily = "largeea-ckpt";
@@ -48,7 +62,8 @@ std::string Hex64(uint64_t value);
 /// Parses 1 to 16 hex digits and nothing else.
 std::optional<uint64_t> ParseHex64(std::string_view text);
 
-/// The header line of an artifact carrying `payload`, newline included.
+/// The bytes of an artifact carrying `payload` that precede it: the
+/// header line and the NUL padding up to the payload's aligned offset.
 std::string ArtifactHeader(std::string_view family, std::string_view kind,
                            uint64_t fingerprint, std::string_view payload);
 
@@ -76,6 +91,44 @@ StatusOr<Artifact> ReadArtifact(const std::string& path,
                                 std::string_view family,
                                 std::string_view kind,
                                 std::optional<uint64_t> fingerprint);
+
+/// A verified artifact file mapped read-only; unmapped when the object
+/// dies. An inaccessible guard page follows the mapping, so a read past
+/// its end faults instead of reading another mapping's memory.
+class MappedArtifact {
+ public:
+  MappedArtifact(MappedArtifact&& other) noexcept;
+  MappedArtifact& operator=(MappedArtifact&& other) noexcept;
+  MappedArtifact(const MappedArtifact&) = delete;
+  MappedArtifact& operator=(const MappedArtifact&) = delete;
+  ~MappedArtifact();
+
+  uint64_t fingerprint() const { return fingerprint_; }
+  /// The payload in the mapping, 64-byte aligned.
+  std::string_view payload() const { return payload_; }
+  /// The file's size, the bytes a fully touched mapping keeps resident.
+  size_t file_bytes() const { return file_bytes_; }
+
+ private:
+  friend StatusOr<MappedArtifact> MapArtifact(
+      const std::string& path, std::string_view family,
+      std::string_view kind, std::optional<uint64_t> fingerprint);
+  MappedArtifact() = default;
+
+  void* base_ = nullptr;
+  size_t reserved_bytes_ = 0;  ///< the mapping and its guard page
+  size_t file_bytes_ = 0;
+  uint64_t fingerprint_ = 0;
+  std::string_view payload_;
+};
+
+/// Verifies `path` like ReadArtifact — the checksum by a streaming read
+/// through a buffer of at most 64 KiB, never the whole file in memory —
+/// then maps it PROT_READ.
+StatusOr<MappedArtifact> MapArtifact(const std::string& path,
+                                     std::string_view family,
+                                     std::string_view kind,
+                                     std::optional<uint64_t> fingerprint);
 
 }  // namespace largeea::rt
 

@@ -24,26 +24,4 @@ Status BinaryReader::Skip(uint64_t bytes) {
   return OkStatus();
 }
 
-Status BinaryReader::Str(std::string* s) {
-  uint64_t len = 0;
-  LARGEEA_RETURN_IF_ERROR(Count(&len, 1));
-  s->resize(len);
-  return Raw(s->data(), len);
-}
-
-Status BinaryReader::StrArray(std::vector<std::string>* v) {
-  uint64_t count = 0;
-  // Each string costs at least its 8-byte length prefix.
-  LARGEEA_RETURN_IF_ERROR(Count(&count, sizeof(uint64_t)));
-  BinaryReader walk = *this;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t len = 0;
-    LARGEEA_RETURN_IF_ERROR(walk.Count(&len, 1));
-    LARGEEA_RETURN_IF_ERROR(walk.Skip(len));
-  }
-  v->resize(count);
-  for (std::string& s : *v) LARGEEA_RETURN_IF_ERROR(Str(&s));
-  return OkStatus();
-}
-
 }  // namespace largeea::rt

@@ -1,11 +1,11 @@
 // Little-endian binary serialisation for every persisted payload.
 //
-// Checkpoints, the serve index and spilled tiles all carry their
-// payloads in this encoding inside the one artifact container
-// (src/rt/artifact.h): sparse similarity matrices
-// (SparseSimMatrix::Serialize), entity-pair lists and mini-batch sets
-// (src/rt/checkpoint.cc), the index's dense sections (embedding rows,
-// MinHash signatures, graph adjacency) and tile floats.
+// Checkpoints and spilled tiles carry their payloads in this encoding
+// inside the one artifact container (src/rt/artifact.h): sparse
+// similarity matrices (SparseSimMatrix::Serialize), entity-pair lists and
+// mini-batch sets (src/rt/checkpoint.cc) and tile floats; the serve
+// index writes its meta section with it (its other sections are flat
+// arrays read in place).
 // BinaryWriter/BinaryReader give them a compact fixed-width encoding —
 // floats as their IEEE-754 bits, so a round trip is bit-identical,
 // NaN payloads and signed zeros included — with Status-propagating
@@ -38,16 +38,6 @@ class BinaryWriter {
   void I32(int32_t v) { Raw(&v, 1); }
   void I64(int64_t v) { Raw(&v, 1); }
   void F32(float v) { Raw(&v, 1); }
-
-  /// Length-prefixed (u64) byte string.
-  void Str(std::string_view s) {
-    U64(s.size());
-    Raw(s.data(), s.size());
-  }
-  void StrArray(const std::vector<std::string>& v) {
-    U64(v.size());
-    for (const std::string& s : v) Str(s);
-  }
 
   /// `count` trivially copyable values as their bytes, with no length
   /// prefix: the reader knows the count (a shape written before them).
@@ -86,11 +76,6 @@ class BinaryReader {
   Status I32(int32_t* v) { return Raw(v, 1); }
   Status I64(int64_t* v) { return Raw(v, 1); }
   Status F32(float* v) { return Raw(v, 1); }
-
-  Status Str(std::string* s);
-  /// Walks the strings before sizing `v`, so a damaged count allocates
-  /// nothing for strings the payload does not hold.
-  Status StrArray(std::vector<std::string>* v);
 
   /// Reads `count` values straight into caller-sized memory (no length
   /// prefix: the count comes from a shape read before them).

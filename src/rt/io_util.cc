@@ -68,8 +68,7 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   return content;
 }
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a64(std::string_view data, uint64_t hash) {
   for (const char c : data) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ULL;

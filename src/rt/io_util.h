@@ -30,7 +30,9 @@ StatusOr<std::string> ReadFileToString(const std::string& path);
 
 /// FNV-1a 64-bit hash — the checkpoint checksum/fingerprint primitive.
 /// Not cryptographic; it detects truncation and bit rot, not adversaries.
-uint64_t Fnv1a64(std::string_view data);
+/// Passing an earlier result as `hash` continues it over more bytes.
+inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a64(std::string_view data, uint64_t hash = kFnv1a64Basis);
 
 }  // namespace largeea::rt
 

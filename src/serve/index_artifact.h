@@ -4,34 +4,41 @@
 // checksummed file so a serving process can answer alignment queries
 // without the pipeline, the dataset, or a checkpoint directory:
 //
-//   * the fused sparse similarity matrix M — "top-k candidates for
+//   * the fused sparse similarity matrix M as CSR — "top-k candidates for
 //     source entity e" is a row read;
-//   * the target-side semantic embedding matrix plus a deterministic
-//     HNSW graph over it — "top-k candidates for raw name" is
-//     encode + graph walk + exact re-rank;
-//   * MinHash signatures of the target names with LSH banding — the
-//     string-channel shortlist, merged into the name path the same way
-//     NFF fuses the batch channels;
-//   * both entity id↔name tables (the name→id direction is rebuilt at
-//     load, it is derived data).
+//   * the target-side semantic embeddings plus a deterministic HNSW graph
+//     over them — "top-k candidates for raw name" is encode + graph walk
+//     + exact re-rank;
+//   * the 16 MinHash band tables of the target names — the string-channel
+//     shortlist, merged into the name path the same way NFF fuses the
+//     batch channels;
+//   * the query encoder's IDF table, and both entity id -> name tables.
 //
-// The file is a `largeea-index` artifact of kind "serve" in the one
-// artifact container (src/rt/artifact.h), its payload written by
-// rt::BinaryWriter end to end: options, name tables, the fused matrix
-// (SparseSimMatrix::Serialize), one block of target embeddings, the
-// graph, one block of signatures. The header fingerprint is the
-// producing pipeline's fused-artifact fingerprint
-// (PipelineFingerprints.fused), so an index is traceable to the exact
-// run that produced it; Load() with an expected fingerprint rejects a
-// mismatched artifact with kFailedPrecondition, an index of another
-// container version is kFailedPrecondition too, and any checksum,
-// truncation or decode damage is kDataLoss (the file is never
-// half-trusted).
+// The index is a read-only view over one flat image of sections. Build
+// lays the image out in memory, Save writes it verbatim as the payload of
+// a `largeea-index` artifact of kind "serve" (src/rt/artifact.h), and
+// Load maps the file read-only and reads every section in place: nothing
+// is copied, decoded or recomputed. The image starts with a section table
+// — a u32 section count, a u32 zero, then one {u64 offset, u64 bytes} per
+// IndexSection in order, offsets from the image's start — and each
+// section follows the one before at a 64-byte-aligned offset, the last
+// one ending the image.
 //
-// A loaded index is immutable and internally self-referential (the HNSW
-// graph borrows the embedding matrix), so it is neither copyable nor
-// movable; it lives on the heap behind shared_ptr<const ServeIndex>,
-// which is exactly the ownership the IndexManager's atomic swap needs.
+// Because FNV is not adversarially secure, a checksum that passes proves
+// nothing about the contents, so binding the image checks every section
+// offset and length, CSR offset, column, neighbor id, HNSW level rule and
+// table order before any query reads a byte; anything wrong is kDataLoss,
+// like checksum, truncation or header damage (the file is never
+// half-trusted). An index of another container version is
+// kFailedPrecondition, and so is a clean artifact whose fingerprint is not
+// the expected one. The header fingerprint is the producing pipeline's
+// fused-artifact fingerprint (PipelineFingerprints.fused), so an index is
+// traceable to the exact run that produced it.
+//
+// A ServeIndex views its own storage, so it is neither copyable nor
+// movable; it lives on the heap behind shared_ptr<const ServeIndex>, which
+// is exactly the ownership the IndexManager's atomic swap needs. A loaded
+// version is unmapped when its last snapshot drops.
 #ifndef LARGEEA_SERVE_INDEX_ARTIFACT_H_
 #define LARGEEA_SERVE_INDEX_ARTIFACT_H_
 
@@ -40,13 +47,13 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/la/matrix.h"
 #include "src/name/minhash.h"
 #include "src/name/semantic_encoder.h"
+#include "src/rt/artifact.h"
 #include "src/rt/status.h"
 #include "src/sim/hnsw.h"
 #include "src/sim/sparse_sim.h"
@@ -67,6 +74,29 @@ struct ServeIndexOptions {
       .ngram_size = 3, .include_words = false, .include_ngrams = true};
 };
 
+/// The image's sections, in file order. S and T are the source and
+/// target counts.
+enum class IndexSection : uint32_t {
+  kMeta,               ///< counts and options, as rt::BinaryWriter fields
+  kSourceNameOffsets,  ///< u64[S + 1] into kSourceNames
+  kSourceNames,        ///< the source names' bytes, back to back
+  kTargetNameOffsets,  ///< u64[T + 1] into kTargetNames
+  kTargetNames,        ///< the target names' bytes, back to back
+  kFusedRowOffsets,    ///< u64[S + 1] into kFusedEntries
+  kFusedEntries,       ///< SimEntry[], each row in its stored order
+  kTargetEmbeddings,   ///< f32[T * encoder dim], row-major
+  kGraphNodeSlots,     ///< HnswIndex::node_slots()
+  kGraphListOffsets,   ///< HnswIndex::list_offsets()
+  kGraphLinks,         ///< HnswIndex::links()
+  kBandKeys,           ///< MinHashLsh::Tables::keys
+  kBandItems,          ///< MinHashLsh::Tables::items
+  kBandStarts,         ///< MinHashLsh::Tables::starts
+  kIdfHashes,          ///< IdfTable::hashes
+  kIdfWeights,         ///< IdfTable::weights
+  kIdfStarts,          ///< IdfTable::starts
+  kCount,
+};
+
 class ServeIndex {
  public:
   ServeIndex(const ServeIndex&) = delete;
@@ -74,21 +104,21 @@ class ServeIndex {
 
   /// Builds an index from pipeline outputs: the fused matrix, the two
   /// name tables (index = dense entity id), and the fingerprint of the
-  /// run that fused them. Encodes target names, builds the HNSW graph
-  /// and MinHash/LSH structures. The inputs are copied/moved in; the
-  /// result owns everything.
+  /// run that fused them. Fits the encoder's IDF, encodes the target
+  /// names, builds the HNSW graph and the band tables, and lays all of
+  /// it out as the image.
   static StatusOr<std::shared_ptr<const ServeIndex>> Build(
       const SparseSimMatrix& fused, std::vector<std::string> source_names,
       std::vector<std::string> target_names, uint64_t pipeline_fingerprint,
       const ServeIndexOptions& options);
 
-  /// Serialises to `path` atomically (tmp + rename).
+  /// Writes the image to `path` atomically (tmp + rename).
   Status Save(const std::string& path) const;
 
-  /// Loads an artifact written by Save(). kNotFound if absent, kDataLoss
-  /// on any header/checksum/payload damage. When `expected_fingerprint`
-  /// is set, a clean artifact from a different pipeline run is rejected
-  /// with kFailedPrecondition.
+  /// Maps an artifact written by Save(). kNotFound if absent, kDataLoss
+  /// on any header, checksum or image damage. When
+  /// `expected_fingerprint` is set, a clean artifact from a different
+  /// pipeline run is rejected with kFailedPrecondition.
   static StatusOr<std::shared_ptr<const ServeIndex>> Load(
       const std::string& path,
       std::optional<uint64_t> expected_fingerprint = std::nullopt);
@@ -96,26 +126,20 @@ class ServeIndex {
   // -- Identity ------------------------------------------------------
   uint64_t fingerprint() const { return fingerprint_; }
   const ServeIndexOptions& options() const { return options_; }
-  int64_t num_source_entities() const {
-    return static_cast<int64_t>(source_names_.size());
-  }
-  int64_t num_target_entities() const {
-    return static_cast<int64_t>(target_names_.size());
-  }
+  int64_t num_source_entities() const { return num_sources_; }
+  int64_t num_target_entities() const { return num_targets_; }
 
   // -- Query surface (all const, all thread-safe) --------------------
   /// Fused candidates for a source entity, best first.
-  const SparseSimMatrix& fused() const { return fused_; }
-  const std::string& SourceName(EntityId e) const { return source_names_[e]; }
-  const std::string& TargetName(EntityId e) const { return target_names_[e]; }
-  /// Dense id for an exact source/target name, or nullopt.
-  std::optional<EntityId> SourceIdByName(const std::string& name) const;
-  std::optional<EntityId> TargetIdByName(const std::string& name) const;
+  std::span<const SimEntry> FusedRow(EntityId source) const;
+  std::string_view SourceName(EntityId e) const;
+  std::string_view TargetName(EntityId e) const;
 
   /// The query-side name encoder (shared space with the stored target
   /// embeddings).
   const SemanticEncoder& encoder() const { return *encoder_; }
-  const Matrix& target_embeddings() const { return target_embeddings_; }
+  /// Target `e`'s stored embedding (encoder dim floats).
+  const float* TargetEmbedding(EntityId e) const;
   /// Top-k targets for an encoded query (length encoder dim) by an
   /// HNSW walk over the target embeddings, as {target id, exact score}
   /// in (score desc, id asc) order. `out` is cleared first.
@@ -140,41 +164,43 @@ class ServeIndex {
   /// the re-rank scorer for shortlisted candidates.
   float ScoreAgainstTarget(const float* query, EntityId target) const;
 
-  /// Entry storage across all packed structures (telemetry).
-  int64_t MemoryBytes() const;
+  /// Bytes of the image: what the index keeps resident once every
+  /// section has been read.
+  int64_t MemoryBytes() const { return static_cast<int64_t>(image_.size()); }
 
  private:
   ServeIndex() = default;
 
-  /// Shared tail of Build and Load: derived structures (name→id maps,
-  /// encoder IDF, LSH banding) computed from the packed
-  /// state. The HNSW graph must already sit in graph_ (Load) or is
-  /// built here (Build).
-  Status Finish();
+  /// Points every view at `image` after checking all of it (file
+  /// comment); Build and Load both end here.
+  Status Bind(std::string_view image);
 
-  std::string SerializePayload() const;
-  Status DeserializePayload(std::string_view payload);
+  struct AlignedDelete {
+    void operator()(char* p) const;
+  };
+
+  // The image's storage, declared first so the views die before it: a
+  // built index owns its image, a loaded one maps it.
+  std::unique_ptr<char[], AlignedDelete> built_image_;
+  std::optional<rt::MappedArtifact> mapped_;
+  std::string_view image_;
 
   uint64_t fingerprint_ = 0;
   ServeIndexOptions options_;
-  SparseSimMatrix fused_;
-  std::vector<std::string> source_names_;
-  std::vector<std::string> target_names_;
-  Matrix target_embeddings_;
-  /// Graph over target_embeddings_ (borrows the matrix — one reason
-  /// this class is pinned to the heap). optional only because HnswIndex
-  /// has no empty state; engaged after Build/Load succeeds.
+  int64_t num_sources_ = 0;
+  int64_t num_targets_ = 0;
+  std::span<const uint64_t> source_name_offsets_;
+  std::string_view source_names_;
+  std::span<const uint64_t> target_name_offsets_;
+  std::string_view target_names_;
+  std::span<const uint64_t> fused_offsets_;
+  std::span<const SimEntry> fused_entries_;
+  const float* embeddings_ = nullptr;
+  std::optional<SemanticEncoder> encoder_;
+  std::optional<MinHasher> hasher_;
+  std::optional<MinHashLsh> lsh_;
+  /// Walks the graph sections over the embedding section.
   std::optional<HnswIndex> graph_;
-  /// Signatures are packed (rebuilding them needs only names, but they
-  /// are the expensive part of the string channel at DBP1M scale).
-  std::vector<std::vector<uint64_t>> target_signatures_;
-
-  // Derived at Build/Load time, never serialised.
-  std::unordered_map<std::string, EntityId> source_by_name_;
-  std::unordered_map<std::string, EntityId> target_by_name_;
-  std::unique_ptr<SemanticEncoder> encoder_;
-  std::unique_ptr<MinHasher> hasher_;
-  std::unique_ptr<MinHashLsh> lsh_;
 };
 
 }  // namespace largeea::serve

@@ -7,7 +7,8 @@
 //     entirely by one index version, never a torn mix;
 //   * Swap() publishes the next version in one critical section; the
 //     previous index stays alive (shared_ptr refcount) until its last
-//     in-flight reader drains, then frees on that reader's thread.
+//     in-flight reader drains, then is unmapped on that reader's thread,
+//     so a server holds two versions only while a swap is in flight.
 //
 // The snapshot is guarded by a plain mutex rather than
 // std::atomic<std::shared_ptr>: libstdc++ 12's lock-free _Sp_atomic is

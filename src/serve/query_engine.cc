@@ -86,12 +86,13 @@ void QueryEngine::ExecuteEntity(const ServeIndex& index,
   }
   // Fused rows are stored sorted (score desc, column asc): the batch
   // pipeline's own answer, served as a prefix read.
-  const std::span<const SimEntry> row = index.fused().Row(request.entity);
+  const std::span<const SimEntry> row = index.FusedRow(request.entity);
   const size_t n = std::min<size_t>(row.size(), request.k);
   response.candidates.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    response.candidates.push_back(
-        {row[i].column, index.TargetName(row[i].column), row[i].score});
+    response.candidates.push_back({row[i].column,
+                                   std::string(index.TargetName(row[i].column)),
+                                   row[i].score});
   }
 }
 
@@ -101,18 +102,24 @@ void QueryEngine::ExecuteName(const ServeIndex& index,
   std::vector<float> query(index.encoder().dim());
   index.encoder().EncodeName(request.name, query.data());
 
+  // No answer holds more than every target, so a larger k changes
+  // nothing but the sizes derived from it.
+  const int64_t targets = index.num_target_entities();
+  const int32_t k = static_cast<int32_t>(std::min<int64_t>(request.k, targets));
   std::vector<SimEntry> entries;
   if (request.exact) {
-    index.ExactTopK(query, request.k, entries);
+    index.ExactTopK(query, k, entries);
   } else {
     // ANN shortlist (graph walk) ∪ string shortlist (MinHash/LSH band
     // collisions) — the two name channels, fused per query. Both carry
     // or get exact scores, so the final cut is a deterministic top-k of
     // the union.
-    index.AnnTopK(query, request.k, entries);
+    index.AnnTopK(query, k, entries);
     // Band-count-capped shortlist: enough headroom over k to matter,
-    // bounded so a popular bucket cannot make this query O(n).
-    const int32_t cap = std::max(4 * request.k, 64);
+    // bounded so a popular bucket cannot make this query O(n). The cap
+    // is computed in 64 bits; no shortlist exceeds the target count.
+    const int32_t cap = static_cast<int32_t>(
+        std::min<int64_t>(std::max<int64_t>(4 * int64_t{k}, 64), targets));
     std::vector<int32_t> shortlist = index.StringShortlist(request.name, cap);
     if (!shortlist.empty()) {
       std::vector<int32_t> ids;
@@ -121,7 +128,7 @@ void QueryEngine::ExecuteName(const ServeIndex& index,
       ids.insert(ids.end(), shortlist.begin(), shortlist.end());
       std::sort(ids.begin(), ids.end());
       ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      TopKHeap heap(request.k);
+      TopKHeap heap(k);
       for (const int32_t id : ids) {
         heap.Offer(id, index.ScoreAgainstTarget(query.data(), id));
       }
@@ -135,7 +142,7 @@ void QueryEngine::ExecuteName(const ServeIndex& index,
   response.candidates.reserve(entries.size());
   for (const SimEntry& e : entries) {
     response.candidates.push_back(
-        {e.column, index.TargetName(e.column), e.score});
+        {e.column, std::string(index.TargetName(e.column)), e.score});
   }
 }
 

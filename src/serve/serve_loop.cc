@@ -4,6 +4,8 @@
 #include <charconv>
 #include <istream>
 #include <ostream>
+#include <streambuf>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -197,13 +199,13 @@ Status BuildQuery(const std::map<std::string, std::string>& fields,
   if (entity_it != fields.end()) {
     request.kind = QueryRequest::Kind::kEntity;
     const std::string& text = entity_it->second;
-    int64_t id = 0;
+    EntityId id = 0;
     const auto [ptr, ec] =
         std::from_chars(text.data(), text.data() + text.size(), id);
     if (ec != std::errc() || ptr != text.data() + text.size()) {
-      return InvalidArgumentError("\"entity\" is not an integer: " + text);
+      return InvalidArgumentError("\"entity\" is not an entity id: " + text);
     }
-    request.entity = static_cast<EntityId>(id);
+    request.entity = id;
   } else {
     request.kind = QueryRequest::Kind::kName;
     request.name = name_it->second;
@@ -226,6 +228,27 @@ Status BuildQuery(const std::map<std::string, std::string>& fields,
     request.exact = it->second == "true";
   }
   return OkStatus();
+}
+
+/// Reads one line, without its newline, into `line`, keeping at most
+/// kMaxRequestBytes of it and skipping the rest; `too_long` says whether
+/// there was a rest. False at the end of input with nothing read.
+bool ReadRequestLine(std::istream& in, std::string& line, bool& too_long) {
+  line.clear();
+  too_long = false;
+  std::streambuf* buffer = in.rdbuf();
+  bool read_any = false;
+  for (int c = buffer->sbumpc(); c != std::char_traits<char>::eof();
+       c = buffer->sbumpc()) {
+    read_any = true;
+    if (c == '\n') return true;
+    if (line.size() < kMaxRequestBytes) {
+      line.push_back(static_cast<char>(c));
+    } else {
+      too_long = true;
+    }
+  }
+  return read_any;
 }
 
 }  // namespace
@@ -285,11 +308,16 @@ ServeLoopStats ServeLoop::Run(std::istream& in, std::ostream& out,
   };
 
   std::string line;
-  while (!stopped() && std::getline(in, line)) {
+  bool too_long = false;
+  while (!stopped() && ReadRequestLine(in, line, too_long)) {
     if (line.empty()) continue;
 
     // A line that does not parse, or names no op, is a query.
-    Fields fields = ParseFlatObject(line);
+    Fields fields = too_long ? Fields(InvalidArgumentError(
+                                   "request line longer than " +
+                                   std::to_string(kMaxRequestBytes) +
+                                   " bytes"))
+                             : ParseFlatObject(line);
     const std::string op = [&] {
       if (!fields.ok()) return std::string("query");
       const auto it = fields.value().find("op");

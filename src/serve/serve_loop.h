@@ -15,6 +15,8 @@
 //   {"ok":true,"version":1,"fingerprint":"<hex16>",
 //    "candidates":[{"target":7,"name":"...","score":0.91},...]}
 // Failures carry the status: {"ok":false,"code":"...","error":"..."}.
+// A request line longer than kMaxRequestBytes is answered with
+// INVALID_ARGUMENT; the loop skips to the next newline and keeps serving.
 //
 // Execution model: the loop reads greedily while input is already
 // buffered (up to `batch_size` lines), then executes the batch on the
@@ -43,6 +45,10 @@
 #include "src/serve/query_engine.h"
 
 namespace largeea::serve {
+
+/// The longest request line the loop reads; the rest of a longer one is
+/// skipped unread into memory.
+inline constexpr size_t kMaxRequestBytes = size_t{64} << 10;
 
 /// Parses one flat (non-nested) JSON object into key -> decoded value.
 /// String values are unescaped; numbers/booleans keep their literal

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <tuple>
 
 #include "src/common/macros.h"
@@ -19,7 +20,7 @@ namespace largeea {
 
 namespace {
 
-/// RandomLevel's cap, and the highest level Deserialize accepts.
+/// RandomLevel's cap, and the highest level FromCsr accepts.
 constexpr int32_t kMaxLevel = 32;
 
 /// Nodes per build batch, as a pure function of how many the graph
@@ -32,8 +33,28 @@ int64_t BatchSize(int64_t inserted) {
 
 }  // namespace
 
-HnswIndex::HnswIndex(const Matrix& data, SimMetric metric)
-    : data_(&data), metric_(metric) {}
+/// The graph while it is built: each node's level and its lists, one
+/// per layer, which the constructor freezes into the CSR arrays.
+struct HnswIndex::Lists {
+  std::vector<int32_t> levels;
+  /// lists[node][level] = neighbor ids, for level in [0, levels[node]].
+  std::vector<std::vector<std::vector<int32_t>>> lists;
+};
+
+HnswIndex::HnswIndex(RowsView data, SimMetric metric,
+                     const HnswOptions& options, int32_t entry_point,
+                     int32_t max_level, FlatArray<uint64_t> node_slots,
+                     FlatArray<uint64_t> list_offsets,
+                     FlatArray<int32_t> links)
+    : data_(data),
+      metric_(metric),
+      options_(options),
+      level_mult_(1.0 / std::log(static_cast<double>(options.max_neighbors))),
+      entry_point_(entry_point),
+      max_level_(max_level),
+      node_slots_(std::move(node_slots)),
+      list_offsets_(std::move(list_offsets)),
+      links_(std::move(links)) {}
 
 /// One back-link a batch adds: `node` joins `nb`'s list at layer `lc`.
 struct HnswIndex::BackLink {
@@ -57,27 +78,31 @@ struct HnswIndex::BuildScratch {
   int64_t scores = 0;
 };
 
-HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
+HnswIndex::HnswIndex(RowsView data, SimMetric metric,
                      const HnswOptions& options)
-    : data_(&data), metric_(metric), options_(options) {
+    : data_(data), metric_(metric), options_(options) {
   LARGEEA_CHECK_GT(options.max_neighbors, 1);
   LARGEEA_CHECK_GT(options.ef_construction, 0);
   level_mult_ = 1.0 / std::log(static_cast<double>(options.max_neighbors));
 
   const int64_t n = data.rows();
-  levels_.resize(n);
-  links_.resize(n);
-  if (n == 0) return;
+  Lists g;
+  g.levels.resize(n);
+  g.lists.resize(n);
+  if (n == 0) {
+    Freeze(g);
+    return;
+  }
 
   obs::Span span("hnsw/build");
   span.AddAttr("rows", n);
   obs::ProfileScope prof("sim.hnsw.build");
   for (int32_t node = 0; node < n; ++node) {
-    levels_[node] = RandomLevel(node);
-    links_[node].resize(levels_[node] + 1);
+    g.levels[node] = RandomLevel(node);
+    g.lists[node].resize(g.levels[node] + 1);
   }
   entry_point_ = 0;
-  max_level_ = levels_[0];
+  max_level_ = g.levels[0];
 
   // Per-worker scratch: a chunk takes a free one and gives it back, so
   // no more exist than chunks run at once (each VisitedSet holds n
@@ -115,15 +140,15 @@ HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
     // no search of this batch reads a list another task writes.
     each_chunk(begin, end, [&](int64_t node, BuildScratch& s) {
       s.scores += Connect(static_cast<int32_t>(node),
-                          static_cast<int32_t>(begin), s);
+                          static_cast<int32_t>(begin), g, s);
     });
     // Phase B, serial in id order: the entry point moves to the first
     // node that tops the graph, and the back-links are grouped by list.
     back_links.clear();
     for (int64_t node = begin; node < end; ++node) {
-      const int32_t level = levels_[node];
+      const int32_t level = g.levels[node];
       for (int32_t lc = 0; lc <= level; ++lc) {
-        for (const int32_t nb : links_[node][lc]) {
+        for (const int32_t nb : g.lists[node][lc]) {
           back_links.push_back({nb, lc, static_cast<int32_t>(node)});
         }
       }
@@ -145,7 +170,8 @@ HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
     each_chunk(0, static_cast<int64_t>(list_starts.size()) - 1,
                [&](int64_t list, BuildScratch& s) {
                  s.scores += LinkBack(&back_links[list_starts[list]],
-                                      &back_links[list_starts[list + 1]], s);
+                                      &back_links[list_starts[list + 1]], g,
+                                      s);
                });
     begin = end;
   }
@@ -157,19 +183,110 @@ HnswIndex::HnswIndex(const Matrix& data, SimMetric metric,
   auto& registry = obs::MetricsRegistry::Get();
   registry.GetCounter("hnsw.nodes_built").Add(n);
   registry.GetCounter("hnsw.build_scores").Add(scores);
+  Freeze(g);
 }
 
-int64_t HnswIndex::Connect(int32_t node, int32_t batch_begin,
-                           BuildScratch& s) {
+void HnswIndex::Freeze(const Lists& g) {
+  std::vector<uint64_t> node_slots{0};
+  std::vector<uint64_t> list_offsets{0};
+  std::vector<int32_t> links;
+  node_slots.reserve(g.lists.size() + 1);
+  for (const std::vector<std::vector<int32_t>>& node : g.lists) {
+    for (const std::vector<int32_t>& list : node) {
+      links.insert(links.end(), list.begin(), list.end());
+      list_offsets.push_back(links.size());
+    }
+    node_slots.push_back(list_offsets.size() - 1);
+  }
+  node_slots_ = FlatArray<uint64_t>(std::move(node_slots));
+  list_offsets_ = FlatArray<uint64_t>(std::move(list_offsets));
+  links_ = FlatArray<int32_t>(std::move(links));
+}
+
+StatusOr<HnswIndex> HnswIndex::FromCsr(RowsView data, SimMetric metric,
+                                       const HnswOptions& options,
+                                       int32_t entry_point, int32_t max_level,
+                                       FlatArray<uint64_t> node_slots,
+                                       FlatArray<uint64_t> list_offsets,
+                                       FlatArray<int32_t> links) {
+  if (options.max_neighbors <= 1) {
+    return DataLossError("hnsw: implausible max_neighbors");
+  }
+  const uint64_t n = static_cast<uint64_t>(data.rows());
+  if (node_slots.size() != n + 1 || node_slots[0] != 0) {
+    return DataLossError("hnsw: node slots do not cover " +
+                         std::to_string(n) + " nodes");
+  }
+  // A node's slot count is its level plus one, so the levels are checked
+  // before any list is: QueryTopK only follows a layer-lc list to nodes
+  // that have a layer lc.
+  if (max_level > kMaxLevel) {
+    return DataLossError("hnsw: top layer above the level cap");
+  }
+  for (uint64_t node = 0; node < n; ++node) {
+    const uint64_t first = node_slots[node], last = node_slots[node + 1];
+    if (last <= first || last - first > uint64_t{kMaxLevel} + 1 ||
+        static_cast<int64_t>(last - first) - 1 > max_level) {
+      return DataLossError("hnsw: node level out of range");
+    }
+  }
+  const auto level_of = [&node_slots](uint64_t node) {
+    return static_cast<int64_t>(node_slots[node + 1] - node_slots[node]) - 1;
+  };
+  const uint64_t slots = node_slots[n];
+  if (list_offsets.size() != slots + 1 || list_offsets[0] != 0 ||
+      list_offsets[slots] != links.size()) {
+    return DataLossError("hnsw: list offsets do not cover the links");
+  }
+  for (uint64_t s = 0; s < slots; ++s) {
+    if (list_offsets[s] > list_offsets[s + 1]) {
+      return DataLossError("hnsw: list offsets out of order");
+    }
+  }
+  for (uint64_t node = 0; node < n; ++node) {
+    for (uint64_t slot = node_slots[node]; slot < node_slots[node + 1];
+         ++slot) {
+      const int64_t lc = static_cast<int64_t>(slot - node_slots[node]);
+      for (uint64_t i = list_offsets[slot]; i < list_offsets[slot + 1]; ++i) {
+        const int32_t nb = links[i];
+        if (nb < 0 || static_cast<uint64_t>(nb) >= n) {
+          return DataLossError("hnsw: neighbor id out of range");
+        }
+        if (level_of(static_cast<uint64_t>(nb)) < lc) {
+          return DataLossError("hnsw: neighbor listed above its top layer");
+        }
+      }
+    }
+  }
+  // QueryTopK starts at the entry point on the top layer.
+  if (n == 0) {
+    if (entry_point != -1 || max_level != -1) {
+      return DataLossError("hnsw: empty graph with an entry point");
+    }
+  } else if (entry_point < 0 || static_cast<uint64_t>(entry_point) >= n) {
+    return DataLossError("hnsw: entry point out of range");
+  } else if (level_of(static_cast<uint64_t>(entry_point)) != max_level) {
+    return DataLossError("hnsw: entry point is not on the top layer");
+  }
+  return HnswIndex(data, metric, options, entry_point, max_level,
+                   std::move(node_slots), std::move(list_offsets),
+                   std::move(links));
+}
+
+int64_t HnswIndex::Connect(int32_t node, int32_t batch_begin, Lists& g,
+                           BuildScratch& s) const {
   const simd::KernelTable& kt = simd::Kernels();
-  const int64_t dim = data_->cols();
-  const float* query = data_->Row(node);
-  const int32_t level = levels_[node];
+  const int64_t dim = data_.cols();
+  const float* query = data_.Row(node);
+  const int32_t level = g.levels[node];
+  const auto neighbors = [&g](int32_t v, int32_t lc) -> const auto& {
+    return g.lists[v][lc];
+  };
   // The batch's earlier nodes are not in the graph yet: score them
   // directly, once for every layer.
   const int32_t earlier = node - batch_begin;
   s.rows.clear();
-  for (int32_t j = batch_begin; j < node; ++j) s.rows.push_back(data_->Row(j));
+  for (int32_t j = batch_begin; j < node; ++j) s.rows.push_back(data_.Row(j));
   s.row_scores.resize(static_cast<size_t>(earlier));
   ScoreRows(kt, query, s.rows.data(), earlier, dim, metric_,
             s.row_scores.data());
@@ -178,7 +295,8 @@ int64_t HnswIndex::Connect(int32_t node, int32_t batch_begin,
   int32_t ep = entry_point_;
   // Greedy descent through layers above the new node's top level.
   for (int32_t lc = max_level_; lc > level; --lc) {
-    scores += SearchLayer(query, ep, /*ef=*/1, lc, s.best, s.visited);
+    scores +=
+        SearchLayer(query, ep, /*ef=*/1, lc, neighbors, s.best, s.visited);
     ep = s.best.front().second;
   }
   // Connect on every layer, top down; above the graph's top layer only
@@ -186,13 +304,13 @@ int64_t HnswIndex::Connect(int32_t node, int32_t batch_begin,
   for (int32_t lc = level; lc >= 0; --lc) {
     s.best.clear();
     if (lc <= max_level_) {
-      scores += SearchLayer(query, ep, options_.ef_construction, lc, s.best,
-                            s.visited);
+      scores += SearchLayer(query, ep, options_.ef_construction, lc,
+                            neighbors, s.best, s.visited);
       ep = s.best.front().second;
     }
     const size_t searched = s.best.size();
     for (int32_t j = 0; j < earlier; ++j) {
-      if (levels_[batch_begin + j] >= lc) {
+      if (g.levels[batch_begin + j] >= lc) {
         s.best.push_back({s.row_scores[j], batch_begin + j});
       }
     }
@@ -202,25 +320,25 @@ int64_t HnswIndex::Connect(int32_t node, int32_t batch_begin,
         s.best.resize(options_.ef_construction);
       }
     }
-    scores += SelectNeighbors(s.best, MaxLinks(lc), links_[node][lc]);
+    scores += SelectNeighbors(s.best, MaxLinks(lc), g.lists[node][lc]);
   }
   return scores;
 }
 
 int64_t HnswIndex::LinkBack(const BackLink* first, const BackLink* last,
-                            BuildScratch& s) {
+                            Lists& g, BuildScratch& s) const {
   const int32_t nb = first->nb;
   const int32_t m = MaxLinks(first->lc);
-  std::vector<int32_t>& list = links_[nb][first->lc];
+  std::vector<int32_t>& list = g.lists[nb][first->lc];
   for (const BackLink* b = first; b != last; ++b) list.push_back(b->node);
   if (static_cast<int32_t>(list.size()) <= m) return 0;
   // Over its cap: rescore the list relative to `nb` (in fours) and keep
   // what the select-neighbors heuristic keeps.
   s.rows.clear();
-  for (const int32_t cand : list) s.rows.push_back(data_->Row(cand));
+  for (const int32_t cand : list) s.rows.push_back(data_.Row(cand));
   s.row_scores.resize(list.size());
-  ScoreRows(simd::Kernels(), data_->Row(nb), s.rows.data(),
-            static_cast<int64_t>(list.size()), data_->cols(), metric_,
+  ScoreRows(simd::Kernels(), data_.Row(nb), s.rows.data(),
+            static_cast<int64_t>(list.size()), data_.cols(), metric_,
             s.row_scores.data());
   s.best.clear();
   for (size_t t = 0; t < list.size(); ++t) {
@@ -244,13 +362,15 @@ int32_t HnswIndex::RandomLevel(int32_t node) const {
   return static_cast<int32_t>(std::min(draw, double{kMaxLevel}));
 }
 
+template <typename NeighborsFn>
 int64_t HnswIndex::SearchLayer(const float* query, int32_t entry,
                                int32_t ef, int32_t level,
+                               const NeighborsFn& neighbors,
                                std::vector<std::pair<float, int32_t>>& best,
                                VisitedSet& visited) const {
   const simd::KernelTable& kt = simd::Kernels();
-  const int64_t dim = data_->cols();
-  visited.NewEpoch(levels_.size());
+  const int64_t dim = data_.cols();
+  visited.NewEpoch(static_cast<size_t>(data_.rows()));
   visited.TestAndSet(entry);
 
   // `frontier` pops the highest-similarity unexpanded node first;
@@ -269,7 +389,7 @@ int64_t HnswIndex::SearchLayer(const float* query, int32_t entry,
   };
 
   const std::pair<float, int32_t> start{
-      ScorePair(kt, query, data_->Row(entry), dim, metric_), entry};
+      ScorePair(kt, query, data_.Row(entry), dim, metric_), entry};
   frontier.push_back(start);
   kept.push_back(start);
   int64_t scores = 1;
@@ -295,10 +415,10 @@ int64_t HnswIndex::SearchLayer(const float* query, int32_t entry,
     // sees the same sequence as a pair-at-a-time walk.
     unvisited.clear();
     rows.clear();
-    for (const int32_t nb : links_[cur.second][level]) {
+    for (const int32_t nb : neighbors(cur.second, level)) {
       if (visited.TestAndSet(nb)) continue;
       unvisited.push_back(nb);
-      const float* row = data_->Row(nb);
+      const float* row = data_.Row(nb);
       rows.push_back(row);
       for (int64_t off = 0; off < dim; off += 16) {
         __builtin_prefetch(row + off);
@@ -337,7 +457,7 @@ int64_t HnswIndex::SelectNeighbors(
     return 0;
   }
   const simd::KernelTable& kt = simd::Kernels();
-  const int64_t dim = data_->cols();
+  const int64_t dim = data_.cols();
   int64_t scores = 0;
   // Diversity heuristic from the HNSW paper: keep a candidate only if
   // the query is its closest anchor among the already-kept set, so the
@@ -349,19 +469,19 @@ int64_t HnswIndex::SelectNeighbors(
   for (const auto& [score, id] : sorted) {
     if (static_cast<int32_t>(out.size()) >= m) break;
     bool keep = true;
-    const float* vec = data_->Row(id);
+    const float* vec = data_.Row(id);
     size_t s = 0;
     float four_scores[4];
     for (; keep && s + 4 <= out.size(); s += 4) {
-      const float* four[4] = {data_->Row(out[s]), data_->Row(out[s + 1]),
-                              data_->Row(out[s + 2]), data_->Row(out[s + 3])};
+      const float* four[4] = {data_.Row(out[s]), data_.Row(out[s + 1]),
+                              data_.Row(out[s + 2]), data_.Row(out[s + 3])};
       ScorePair4(kt, vec, four, dim, metric_, four_scores);
       scores += 4;
       for (int q = 0; q < 4 && keep; ++q) keep = !(four_scores[q] > score);
     }
     for (; keep && s < out.size(); ++s) {
       ++scores;
-      keep = !(ScorePair(kt, vec, data_->Row(out[s]), dim, metric_) > score);
+      keep = !(ScorePair(kt, vec, data_.Row(out[s]), dim, metric_) > score);
     }
     if (keep) {
       out.push_back(id);
@@ -385,102 +505,28 @@ void HnswIndex::QueryTopK(
   if (entry_point_ < 0 || k <= 0) return;
   LARGEEA_TRACE_HOT_SPAN("hnsw/query");
 
-  VisitedSet visited;
+  // One visited set per querying thread, as the build keeps one per
+  // worker: a fresh epoch replaces the n-stamp allocation and zero-fill
+  // a per-query set would cost. Stale stamps of an earlier index, or of
+  // one of another size, are never read as this epoch's.
+  thread_local VisitedSet visited;
+  const auto neighbors = [this](int32_t v, int32_t lc) {
+    return Neighbors(v, lc);
+  };
   std::vector<std::pair<float, int32_t>> best;
   int32_t ep = entry_point_;
   for (int32_t lc = max_level_; lc > 0; --lc) {
-    SearchLayer(query, ep, /*ef=*/1, lc, best, visited);
+    SearchLayer(query, ep, /*ef=*/1, lc, neighbors, best, visited);
     if (!best.empty()) ep = best.front().second;
   }
   const int32_t ef = std::max(options_.ef_search, k);
-  SearchLayer(query, ep, ef, /*level=*/0, best, visited);
+  SearchLayer(query, ep, ef, /*level=*/0, neighbors, best, visited);
 
   // Scores in `best` are already exact (ScorePair), so the re-rank is
   // a deterministic top-k cut of the shortlist.
   TopKHeap heap(k);
   for (const auto& [score, id] : best) heap.Offer(id, score);
   heap.Drain(out);
-}
-
-int64_t HnswIndex::num_edges() const {
-  int64_t edges = 0;
-  for (const auto& node : links_) {
-    for (const auto& layer : node) edges += static_cast<int64_t>(layer.size());
-  }
-  return edges;
-}
-
-void HnswIndex::Serialize(rt::BinaryWriter& w) const {
-  w.I32(options_.max_neighbors);
-  w.I32(options_.ef_construction);
-  w.I32(options_.ef_search);
-  w.U64(options_.seed);
-  w.I32(entry_point_);
-  w.I32(max_level_);
-  w.Array(levels_);
-  for (size_t node = 0; node < links_.size(); ++node) {
-    for (const std::vector<int32_t>& layer : links_[node]) {
-      w.Array(layer);
-    }
-  }
-}
-
-StatusOr<HnswIndex> HnswIndex::Deserialize(rt::BinaryReader& r,
-                                           const Matrix& data,
-                                           SimMetric metric) {
-  HnswIndex index(data, metric);
-  LARGEEA_RETURN_IF_ERROR(r.I32(&index.options_.max_neighbors));
-  LARGEEA_RETURN_IF_ERROR(r.I32(&index.options_.ef_construction));
-  LARGEEA_RETURN_IF_ERROR(r.I32(&index.options_.ef_search));
-  LARGEEA_RETURN_IF_ERROR(r.U64(&index.options_.seed));
-  if (index.options_.max_neighbors <= 1) {
-    return DataLossError("hnsw: implausible max_neighbors");
-  }
-  index.level_mult_ =
-      1.0 / std::log(static_cast<double>(index.options_.max_neighbors));
-  LARGEEA_RETURN_IF_ERROR(r.I32(&index.entry_point_));
-  LARGEEA_RETURN_IF_ERROR(r.I32(&index.max_level_));
-  LARGEEA_RETURN_IF_ERROR(r.Array(&index.levels_));
-  const int64_t n = static_cast<int64_t>(index.levels_.size());
-  if (n != data.rows()) {
-    return DataLossError("hnsw: graph has " + std::to_string(n) +
-                         " nodes but data matrix has " +
-                         std::to_string(data.rows()) + " rows");
-  }
-  for (const int32_t level : index.levels_) {
-    if (level < 0 || level > std::min(index.max_level_, kMaxLevel)) {
-      return DataLossError("hnsw: node level out of range");
-    }
-  }
-  // QueryTopK starts at the entry point on the top layer and only
-  // follows a layer-lc list to nodes that have a layer lc, so the entry
-  // point must top the graph and every neighbor must reach its layer.
-  if (n == 0) {
-    if (index.entry_point_ != -1 || index.max_level_ != -1) {
-      return DataLossError("hnsw: empty graph with an entry point");
-    }
-  } else if (index.entry_point_ < 0 || index.entry_point_ >= n) {
-    return DataLossError("hnsw: entry point out of range");
-  } else if (index.levels_[index.entry_point_] != index.max_level_) {
-    return DataLossError("hnsw: entry point is not on the top layer");
-  }
-  index.links_.resize(n);
-  for (int64_t node = 0; node < n; ++node) {
-    const int32_t level = index.levels_[node];
-    index.links_[node].resize(level + 1);
-    for (int32_t lc = 0; lc <= level; ++lc) {
-      LARGEEA_RETURN_IF_ERROR(r.Array(&index.links_[node][lc]));
-      for (const int32_t nb : index.links_[node][lc]) {
-        if (nb < 0 || nb >= n) {
-          return DataLossError("hnsw: neighbor id out of range");
-        }
-        if (index.levels_[nb] < lc) {
-          return DataLossError("hnsw: neighbor listed above its top layer");
-        }
-      }
-    }
-  }
-  return index;
 }
 
 }  // namespace largeea

@@ -24,15 +24,22 @@
 // uses, so the "re-rank" of the shortlist is inherent — an HNSW answer
 // can only differ from the exact scan by *missing* a candidate
 // (recall), never by mis-ranking one it found.
+//
+// The finished graph is CSR over (node, layer) slots: node v's layers
+// 0..level(v) are the slots [node_slots[v], node_slots[v + 1]), and slot
+// s lists links[list_offsets[s], list_offsets[s + 1]). The build freezes
+// its lists into these three arrays; the serve index stores them in its
+// image and a loaded index walks them in the mapping (FromCsr).
 #ifndef LARGEEA_SIM_HNSW_H_
 #define LARGEEA_SIM_HNSW_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_array.h"
 #include "src/la/matrix.h"
-#include "src/rt/binary_io.h"
 #include "src/rt/status.h"
 #include "src/sim/topk_search.h"
 
@@ -51,13 +58,27 @@ struct HnswOptions {
 };
 
 /// Layered proximity graph over the rows of a data matrix. Immutable
-/// after construction; Query/QueryTopK are const and thread-safe (each
-/// query carries its own scratch). The data matrix is borrowed, not
-/// copied — the caller keeps it alive for the index's lifetime.
+/// after construction; QueryTopK is const and thread-safe (each query
+/// carries its own scratch, its visited set reused per thread). The data
+/// rows are borrowed, not copied — the caller keeps them alive for the
+/// index's lifetime.
 class HnswIndex {
  public:
   /// Builds the graph over `data` rows with similarity `metric`.
-  HnswIndex(const Matrix& data, SimMetric metric, const HnswOptions& options);
+  HnswIndex(RowsView data, SimMetric metric, const HnswOptions& options);
+
+  /// A graph laid out earlier — the serve index's, borrowed from its
+  /// image — over `data`. DATA_LOSS for a graph QueryTopK could walk out
+  /// of bounds: a node with no layer or above RandomLevel's cap of 32, CSR
+  /// offsets that do not ascend from 0 to their array's end, a neighbor
+  /// id out of range or listed on a layer above its own top, or an entry
+  /// point that is not on the top layer.
+  static StatusOr<HnswIndex> FromCsr(RowsView data, SimMetric metric,
+                                     const HnswOptions& options,
+                                     int32_t entry_point, int32_t max_level,
+                                     FlatArray<uint64_t> node_slots,
+                                     FlatArray<uint64_t> list_offsets,
+                                     FlatArray<int32_t> links);
 
   /// Appends the exact-scored top-k rows for `query` (length dim()) to
   /// `out` as (score, row) pairs in deterministic (score desc, id asc)
@@ -65,25 +86,34 @@ class HnswIndex {
   void QueryTopK(const float* query, int32_t k,
                  std::vector<std::pair<float, int32_t>>& out) const;
 
-  int64_t size() const { return static_cast<int64_t>(levels_.size()); }
-  int64_t dim() const { return data_->cols(); }
+  int64_t size() const { return data_.rows(); }
+  int64_t dim() const { return data_.cols(); }
+  const HnswOptions& options() const { return options_; }
+  int32_t entry_point() const { return entry_point_; }
   int32_t max_level() const { return max_level_; }
   /// Total directed edges across all layers (graph-size telemetry).
-  int64_t num_edges() const;
+  int64_t num_edges() const { return static_cast<int64_t>(links_.size()); }
 
-  /// Appends the graph structure (options, levels, adjacency) to `w`.
-  /// The data matrix is serialised separately by the caller.
-  void Serialize(rt::BinaryWriter& w) const;
-
-  /// Rebuilds an index from Serialize() output over an already-loaded
-  /// data matrix. kDataLoss on truncated or inconsistent payloads.
-  static StatusOr<HnswIndex> Deserialize(rt::BinaryReader& r,
-                                         const Matrix& data, SimMetric metric);
+  // The CSR arrays (see the file comment).
+  std::span<const uint64_t> node_slots() const { return node_slots_.span(); }
+  std::span<const uint64_t> list_offsets() const {
+    return list_offsets_.span();
+  }
+  std::span<const int32_t> links() const { return links_.span(); }
+  /// Node `node`'s neighbors on layer `level` (<= its top layer).
+  std::span<const int32_t> Neighbors(int32_t node, int32_t level) const {
+    const uint64_t slot = node_slots_[static_cast<size_t>(node)] + level;
+    return links_.span().subspan(
+        list_offsets_[slot], list_offsets_[slot + 1] - list_offsets_[slot]);
+  }
 
  private:
-  /// Deserialization constructor: graph fields are filled by the caller.
-  HnswIndex(const Matrix& data, SimMetric metric);
+  HnswIndex(RowsView data, SimMetric metric, const HnswOptions& options,
+            int32_t entry_point, int32_t max_level,
+            FlatArray<uint64_t> node_slots, FlatArray<uint64_t> list_offsets,
+            FlatArray<int32_t> links);
 
+  struct Lists;
   struct BuildScratch;
   struct BackLink;
 
@@ -91,9 +121,9 @@ class HnswIndex {
   /// O(1) instead of an O(n) clear, so a search only pays for the nodes
   /// it actually touches. One full zeroing happens on (re)size and on
   /// the rare stamp wrap-around; everything else is amortised O(1).
-  /// Each build worker reuses one VisitedSet across its insertions —
+  /// Each build worker and each querying thread reuses one VisitedSet —
   /// with a plain byte array that was n clears of n bytes, quadratic
-  /// memset traffic.
+  /// memset traffic in the build and an n-stamp allocation per query.
   struct VisitedSet {
     std::vector<uint16_t> stamp;
     uint16_t epoch = 0;
@@ -113,6 +143,8 @@ class HnswIndex {
   };
 
   int32_t RandomLevel(int32_t node) const;
+  /// Lays the built lists out as the CSR arrays, in (node, layer) order.
+  void Freeze(const Lists& g);
   /// Link cap of layer `lc`: 2*M at layer 0, M above.
   int32_t MaxLinks(int32_t lc) const {
     return lc == 0 ? 2 * options_.max_neighbors : options_.max_neighbors;
@@ -121,18 +153,22 @@ class HnswIndex {
   /// searches the graph as it stood before the batch, adds the batch's
   /// earlier nodes as candidates, and writes the node's own lists.
   /// Returns the pair scores computed.
-  int64_t Connect(int32_t node, int32_t batch_begin, BuildScratch& s);
+  int64_t Connect(int32_t node, int32_t batch_begin, Lists& g,
+                  BuildScratch& s) const;
   /// Build phase C for one list: appends the batch's back-links
   /// [first, last) (one list, ascending node) and prunes the list once
   /// if it exceeds its cap. Returns the pair scores computed.
-  int64_t LinkBack(const BackLink* first, const BackLink* last,
-                   BuildScratch& s);
-  /// Greedy beam search on one layer from `entry`; fills `best` with up
-  /// to `ef` (score, id) pairs, best first. `visited` is caller scratch
-  /// and gets a fresh epoch here. Each expanded node's unvisited
-  /// neighbors are scored in fours. Returns the pair scores computed.
+  int64_t LinkBack(const BackLink* first, const BackLink* last, Lists& g,
+                   BuildScratch& s) const;
+  /// Greedy beam search on one layer from `entry` over the lists that
+  /// `neighbors(node, level)` returns (the build's or the CSR); fills
+  /// `best` with up to `ef` (score, id) pairs, best first. `visited` is
+  /// caller scratch and gets a fresh epoch here. Each expanded node's
+  /// unvisited neighbors are scored in fours. Returns the pair scores
+  /// computed.
+  template <typename NeighborsFn>
   int64_t SearchLayer(const float* query, int32_t entry, int32_t ef,
-                      int32_t level,
+                      int32_t level, const NeighborsFn& neighbors,
                       std::vector<std::pair<float, int32_t>>& best,
                       VisitedSet& visited) const;
   /// The select-neighbors heuristic: keeps a candidate only if it is
@@ -142,17 +178,17 @@ class HnswIndex {
   int64_t SelectNeighbors(const std::vector<std::pair<float, int32_t>>& sorted,
                           int32_t m, std::vector<int32_t>& out) const;
 
-  const Matrix* data_;
+  RowsView data_;
   SimMetric metric_;
   HnswOptions options_;
   /// 1 / ln(M): the level-assignment temperature from the HNSW paper.
   double level_mult_ = 0.0;
 
-  std::vector<int32_t> levels_;  ///< levels_[node] = top layer of node
-  /// links_[node][level] = neighbor ids, for level in [0, levels_[node]].
-  std::vector<std::vector<std::vector<int32_t>>> links_;
   int32_t entry_point_ = -1;
   int32_t max_level_ = -1;
+  FlatArray<uint64_t> node_slots_;
+  FlatArray<uint64_t> list_offsets_;
+  FlatArray<int32_t> links_;
 };
 
 }  // namespace largeea

@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -36,6 +37,8 @@
 #include "src/rt/checkpoint.h"
 #include "src/rt/io_util.h"
 #include "src/serve/index_artifact.h"
+#include "src/serve/index_manager.h"
+#include "src/serve/query_engine.h"
 #include "src/stream/memory_budget.h"
 #include "src/stream/stream_options.h"
 #include "src/stream/tile_store.h"
@@ -139,10 +142,13 @@ struct Target {
   std::string valid;
 };
 
-/// Splits a file into its header line (newline included) and payload.
+/// Splits a file into its header (the line and its NUL padding) and its
+/// payload, which starts at the first aligned offset past the newline.
 std::pair<std::string, std::string> Split(const std::string& file) {
   const size_t newline = file.find('\n');
-  return {file.substr(0, newline + 1), file.substr(newline + 1)};
+  const size_t payload = (newline + 1 + rt::kPayloadAlignment - 1) /
+                         rt::kPayloadAlignment * rt::kPayloadAlignment;
+  return {file.substr(0, payload), file.substr(payload)};
 }
 
 std::string Reseal(const Target& t, const std::string& payload,
@@ -370,37 +376,230 @@ TEST_F(ArtifactFuzzTest, KindSwapsAreDataLoss) {
   }
 }
 
-TEST_F(ArtifactFuzzTest, IndexReaderReturnsAStatusAndStaysWithinTheFile) {
-  serve::ServeIndexOptions options;
-  options.encoder.dim = 16;
-  auto built = serve::ServeIndex::Build(SampleMatrix(40, 60, 5),
-                                        Names(40, 6), Names(60, 7),
-                                        kFingerprint, options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const std::string path = dir_ + "/serve.idx";
-  ASSERT_TRUE((*built)->Save(path).ok());
-  auto valid = rt::ReadFileToString(path);
-  ASSERT_TRUE(valid.ok());
-  const Target index{"index",
-                     std::string(rt::kIndexFamily),
-                     "serve",
-                     kFingerprint,
-                     path,
-                     [path] {
-                       return serve::ServeIndex::Load(path).status().code();
-                     },
-                     *valid};
-  Fuzz(index, 201, 120);
+/// Loads the index at `path` and, when it loads, asks it every kind of
+/// question, so an image that passes the checks is also safe to read.
+StatusCode LoadAndQueryIndex(const std::string& path) {
+  auto loaded = serve::ServeIndex::Load(path);
+  if (!loaded.ok()) return loaded.status().code();
+  const serve::IndexManager manager(std::move(loaded).value());
+  const serve::QueryEngine engine(&manager);
+  const auto index = manager.Current();
+  serve::QueryRequest request;
+  request.k = 4;
+  for (EntityId s = 0; s < index->num_source_entities(); ++s) {
+    request.entity = s;
+    (void)engine.Execute(request);
+  }
+  request.kind = serve::QueryRequest::Kind::kName;
+  for (const char* name : {"alda brin 3", "gil", ""}) {
+    request.name = name;
+    for (const bool exact : {false, true}) {
+      request.exact = exact;
+      (void)engine.Execute(request);
+    }
+  }
+  for (EntityId t = 0; t < index->num_target_entities(); ++t) {
+    (void)index->TargetName(t);
+  }
+  return StatusCode::kOk;
+}
+
+class IndexFuzzTest : public ArtifactFuzzTest {
+ protected:
+  void SetUp() override {
+    ArtifactFuzzTest::SetUp();
+    serve::ServeIndexOptions options;
+    options.encoder.dim = 16;
+    auto built = serve::ServeIndex::Build(SampleMatrix(40, 60, 5),
+                                          Names(40, 6), Names(60, 7),
+                                          kFingerprint, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const std::string path = dir_ + "/serve.idx";
+    ASSERT_TRUE((*built)->Save(path).ok());
+    auto valid = rt::ReadFileToString(path);
+    ASSERT_TRUE(valid.ok());
+    index_ = Target{"index",
+                    std::string(rt::kIndexFamily),
+                    "serve",
+                    kFingerprint,
+                    path,
+                    [path] { return LoadAndQueryIndex(path); },
+                    *valid};
+    image_ = Split(*valid).second;
+  }
+
+  /// Where section `s` sits in the image, and its length.
+  std::pair<uint64_t, uint64_t> Section(serve::IndexSection s) const {
+    uint64_t at[2];
+    std::memcpy(at, image_.data() + 8 + 16 * static_cast<size_t>(s),
+                sizeof(at));
+    return {at[0], at[1]};
+  }
+  /// Element `i` of section `s` read as T.
+  template <typename T>
+  T Get(serve::IndexSection s, size_t i) const {
+    T value;
+    std::memcpy(&value, image_.data() + Section(s).first + i * sizeof(T),
+                sizeof(T));
+    return value;
+  }
+  /// The image with element `i` of section `s` set to `value`, resealed.
+  template <typename T>
+  std::string With(serve::IndexSection s, size_t i, T value) const {
+    std::string image = image_;
+    std::memcpy(image.data() + Section(s).first + i * sizeof(T), &value,
+                sizeof(T));
+    return Reseal(index_, image, "serve");
+  }
+  /// The image with table entry `field` (0 offset, 1 bytes) of section
+  /// `s` set to `value`, resealed.
+  std::string WithTable(serve::IndexSection s, int field,
+                        uint64_t value) const {
+    std::string image = image_;
+    std::memcpy(image.data() + 8 + 16 * static_cast<size_t>(s) + 8 * field,
+                &value, sizeof(value));
+    return Reseal(index_, image, "serve");
+  }
+  template <typename T>
+  size_t Count(serve::IndexSection s) const {
+    return Section(s).second / sizeof(T);
+  }
+
+  Target index_;
+  std::string image_;
+};
+
+TEST_F(IndexFuzzTest, ReaderReturnsAStatusAndStaysWithinTheFile) {
+  Fuzz(index_, 201, 120);
   // A tile is not an index, and neither is an index payload under the
   // tile kind.
-  const std::string payload = Split(*valid).second;
-  Check(index,
-        rt::ArtifactHeader(rt::kTileFamily, "serve", kFingerprint, payload) +
-            payload,
+  Check(index_,
+        rt::ArtifactHeader(rt::kTileFamily, "serve", kFingerprint, image_) +
+            image_,
         {StatusCode::kDataLoss}, "tile family");
-  Check(index, Reseal(index, payload, "dense"), {StatusCode::kDataLoss},
+  Check(index_, Reseal(index_, image_, "dense"), {StatusCode::kDataLoss},
         "kind dense");
   EXPECT_GT(loads_, 2500);
+}
+
+// Each section offset or length inflated, pointing past the file, or
+// misaligned, and the section count changed: the table check refuses
+// them before any section is read.
+TEST_F(IndexFuzzTest, DamagedSectionTableIsDataLoss) {
+  using S = serve::IndexSection;
+  for (uint32_t i = 0; i < static_cast<uint32_t>(S::kCount); ++i) {
+    const S s = static_cast<S>(i);
+    const auto [offset, bytes] = Section(s);
+    const std::string name = "section " + std::to_string(i);
+    for (const uint64_t bad :
+         {uint64_t{image_.size()}, uint64_t{image_.size()} + 64,
+          ~uint64_t{63}, offset + 8, offset + 1}) {
+      Check(index_, WithTable(s, 0, bad), {StatusCode::kDataLoss},
+            name + " offset " + std::to_string(bad));
+    }
+    for (const uint64_t bad : {bytes + 1, bytes + 64, uint64_t{image_.size()},
+                               ~uint64_t{0}}) {
+      Check(index_, WithTable(s, 1, bad), {StatusCode::kDataLoss},
+            name + " length " + std::to_string(bad));
+    }
+    if (bytes >= 8) {
+      Check(index_, WithTable(s, 1, bytes - 8), {StatusCode::kDataLoss},
+            name + " shortened");
+    }
+  }
+  std::string image = image_;
+  image[0] ^= 1;
+  Check(index_, Reseal(index_, image, "serve"), {StatusCode::kDataLoss},
+        "section count");
+  // The same image with one more zero byte at its end.
+  Check(index_, Reseal(index_, image_ + std::string(1, '\0'), "serve"),
+        {StatusCode::kDataLoss}, "trailing byte");
+}
+
+// Offsets that do not ascend, ids out of range, an entry point below the
+// top layer, and unsorted or misdirected band and IDF tables.
+TEST_F(IndexFuzzTest, DamagedSectionsAreDataLoss) {
+  using S = serve::IndexSection;
+  // CSR offsets: a middle entry raised past its successor, and the last
+  // one moved off the end of what it indexes.
+  for (const S s : {S::kSourceNameOffsets, S::kTargetNameOffsets,
+                    S::kFusedRowOffsets, S::kGraphNodeSlots,
+                    S::kGraphListOffsets}) {
+    const size_t n = Count<uint64_t>(s);
+    ASSERT_GE(n, 3u);
+    const std::string name = "offsets of section " +
+                             std::to_string(static_cast<uint32_t>(s));
+    Check(index_, With<uint64_t>(s, n / 2, Get<uint64_t>(s, n - 1) + 1),
+          {StatusCode::kDataLoss}, name + " not ascending");
+    Check(index_, With<uint64_t>(s, n - 1, Get<uint64_t>(s, n - 1) + 1),
+          {StatusCode::kDataLoss}, name + " past the end");
+    Check(index_, With<uint64_t>(s, 0, 1), {StatusCode::kDataLoss},
+          name + " not from 0");
+  }
+  // Fused columns, neighbor ids and band items out of range.
+  for (const int32_t bad : {-1, 60, std::numeric_limits<int32_t>::max()}) {
+    Check(index_,
+          With<SimEntry>(S::kFusedEntries, Count<SimEntry>(S::kFusedEntries) / 2,
+                         SimEntry{bad, 0.5f}),
+          {StatusCode::kDataLoss}, "fused column " + std::to_string(bad));
+    Check(index_,
+          With<int32_t>(S::kGraphLinks, Count<int32_t>(S::kGraphLinks) / 2,
+                        bad),
+          {StatusCode::kDataLoss}, "neighbor " + std::to_string(bad));
+    Check(index_,
+          With<int32_t>(S::kBandItems, Count<int32_t>(S::kBandItems) / 3, bad),
+          {StatusCode::kDataLoss}, "band item " + std::to_string(bad));
+  }
+  // The entry point moved to a node below the top layer: the meta
+  // section ends with the entry point and the top level (i32 each).
+  int32_t low_node = -1;
+  for (size_t v = 0; v + 1 < Count<uint64_t>(S::kGraphNodeSlots); ++v) {
+    if (Get<uint64_t>(S::kGraphNodeSlots, v + 1) -
+            Get<uint64_t>(S::kGraphNodeSlots, v) == 1) {
+      low_node = static_cast<int32_t>(v);
+      break;
+    }
+  }
+  ASSERT_GE(low_node, 0);
+  const size_t entry_at = Section(S::kMeta).second / 4 - 2;
+  ASSERT_GT(Get<int32_t>(S::kMeta, entry_at + 1), 0) << "a one-layer graph";
+  Check(index_, With<int32_t>(S::kMeta, entry_at, low_node),
+        {StatusCode::kDataLoss}, "entry point below the top layer");
+  // Unsorted tables: two neighbouring keys of band 0 and of the IDF
+  // table swapped where they differ, and a directory start moved.
+  for (const S s : {S::kBandKeys, S::kIdfHashes}) {
+    size_t i = 1;
+    while (Get<uint64_t>(s, i - 1) == Get<uint64_t>(s, i)) ++i;
+    std::string image = image_;
+    const uint64_t lo = Get<uint64_t>(s, i - 1), hi = Get<uint64_t>(s, i);
+    std::memcpy(image.data() + Section(s).first + (i - 1) * 8, &hi, 8);
+    std::memcpy(image.data() + Section(s).first + i * 8, &lo, 8);
+    Check(index_, Reseal(index_, image, "serve"), {StatusCode::kDataLoss},
+          "unsorted section " + std::to_string(static_cast<uint32_t>(s)));
+  }
+  for (const S s : {S::kBandStarts, S::kIdfStarts}) {
+    const size_t n = Count<uint32_t>(s);
+    Check(index_, With<uint32_t>(s, n / 2, Get<uint32_t>(s, n / 2) + 1),
+          {StatusCode::kDataLoss},
+          "directory of section " + std::to_string(static_cast<uint32_t>(s)));
+  }
+  // Items of one band key out of order: the first key shared by two
+  // items gets them swapped.
+  for (size_t i = 1; i < Count<uint64_t>(S::kBandKeys); ++i) {
+    if (Get<uint64_t>(S::kBandKeys, i - 1) != Get<uint64_t>(S::kBandKeys, i)) {
+      continue;
+    }
+    std::string image = image_;
+    const int32_t a = Get<int32_t>(S::kBandItems, i - 1);
+    const int32_t b = Get<int32_t>(S::kBandItems, i);
+    std::memcpy(image.data() + Section(S::kBandItems).first + (i - 1) * 4, &b,
+                4);
+    std::memcpy(image.data() + Section(S::kBandItems).first + i * 4, &a, 4);
+    Check(index_, Reseal(index_, image, "serve"), {StatusCode::kDataLoss},
+          "band items out of order");
+    break;
+  }
+  EXPECT_GE(loads_, 29);
 }
 
 TEST_F(ArtifactFuzzTest, TileReaderReturnsAStatusAndStaysWithinTheFile) {

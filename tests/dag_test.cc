@@ -418,6 +418,27 @@ TEST_F(DagPipelineTest, CheckpointsAreByteIdenticalAcrossSchedules) {
   fs::remove_all(second.fault_tolerance.checkpoint_dir);
 }
 
+// A resume of an unchanged run marks every node whose artifact loaded —
+// the partition node's batch set included — as from checkpoint, and only
+// those: the nodes that persist nothing run again.
+TEST_F(DagPipelineTest, ResumeMarksEveryNodeWhoseArtifactLoaded) {
+  LargeEaOptions options = BaseOptions();
+  options.fault_tolerance.checkpoint_dir = CheckpointDir("marks");
+  ASSERT_TRUE(RunLargeEa(dataset(), options).ok());
+  options.fault_tolerance.resume = true;
+  const auto resumed = RunLargeEa(dataset(), options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  std::vector<std::string> marked;
+  for (const DagNodeStats& node : resumed->dag_nodes) {
+    if (node.from_checkpoint) marked.push_back(node.name);
+  }
+  std::sort(marked.begin(), marked.end());
+  EXPECT_EQ(marked, (std::vector<std::string>{
+                        "fusion", "name_augmentation", "name_fuse",
+                        "name_semantic", "name_string", "partition",
+                        "structure_train"}));
+}
+
 TEST_F(DagPipelineTest, ResumeReExecutesOnlyTheDirtySubgraph) {
   LargeEaOptions options = BaseOptions();
   options.fault_tolerance.checkpoint_dir = CheckpointDir("dirty");

@@ -130,11 +130,15 @@ TEST(MinHashTest, DisjointSetsScoreNearZero) {
 TEST(MinHashLshTest, SimilarItemsCollide) {
   const int32_t bands = 16, rows = 4;
   const MinHasher hasher(bands * rows, 9);
-  MinHashLsh lsh(bands, rows);
   const std::vector<std::string> item{"foo", "bar", "baz", "qux", "quu"};
   std::vector<std::string> similar = item;
   similar[4] = "zzz";  // J = 4/6 = 0.67
-  lsh.Insert(7, hasher.Signature(item));
+  std::vector<std::vector<uint64_t>> signatures;
+  for (int i = 0; i < 8; ++i) {
+    signatures.push_back(i == 7 ? hasher.Signature(item)
+                                : hasher.Signature({"other" + std::to_string(i)}));
+  }
+  const MinHashLsh lsh(bands, rows, signatures);
   const auto candidates = lsh.Query(hasher.Signature(similar));
   EXPECT_NE(std::find(candidates.begin(), candidates.end(), 7),
             candidates.end());
@@ -143,12 +147,13 @@ TEST(MinHashLshTest, SimilarItemsCollide) {
 TEST(MinHashLshTest, DissimilarItemsRarelyCollide) {
   const int32_t bands = 8, rows = 8;  // steep threshold curve
   const MinHasher hasher(bands * rows, 11);
-  MinHashLsh lsh(bands, rows);
+  std::vector<std::vector<uint64_t>> signatures;
   for (int i = 0; i < 100; ++i) {
-    lsh.Insert(i, hasher.Signature({"item" + std::to_string(i),
-                                    "word" + std::to_string(i * 3),
-                                    "tok" + std::to_string(i * 7)}));
+    signatures.push_back(hasher.Signature({"item" + std::to_string(i),
+                                           "word" + std::to_string(i * 3),
+                                           "tok" + std::to_string(i * 7)}));
   }
+  const MinHashLsh lsh(bands, rows, signatures);
   const auto candidates =
       lsh.Query(hasher.Signature({"unrelated", "query", "tokens"}));
   EXPECT_LT(candidates.size(), 5u);

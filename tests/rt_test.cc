@@ -137,28 +137,14 @@ TEST(BinaryIoTest, EmptyArraysRoundTrip) {
 }
 
 // A count the remaining bytes cannot hold is refused before anything is
-// sized from it, for arrays and for string arrays alike.
+// sized from it.
 TEST(BinaryIoTest, InflatedCountsAreDataLossBeforeAllocating) {
   rt::BinaryWriter w;
   w.U64(uint64_t{1} << 60);
   w.I32(1);
-  {
-    rt::BinaryReader r(w.bytes());
-    std::vector<int32_t> v;
-    EXPECT_EQ(r.Array(&v).code(), StatusCode::kDataLoss);
-    EXPECT_TRUE(v.empty());
-  }
-  // Four strings would fit the 33 bytes after the count by size alone
-  // (8 bytes each at least), but only two are there: the walk finds out
-  // before the vector is sized.
-  rt::BinaryWriter strings;
-  strings.StrArray({"abcdefghijklmnop", "q"});
-  std::string bytes = strings.TakeBytes();
-  const uint64_t inflated = 4;
-  std::memcpy(bytes.data(), &inflated, sizeof(inflated));
-  rt::BinaryReader r(bytes);
-  std::vector<std::string> v;
-  EXPECT_EQ(r.StrArray(&v).code(), StatusCode::kDataLoss);
+  rt::BinaryReader r(w.bytes());
+  std::vector<int32_t> v;
+  EXPECT_EQ(r.Array(&v).code(), StatusCode::kDataLoss);
   EXPECT_TRUE(v.empty());
 }
 
@@ -174,10 +160,20 @@ TEST(ArtifactTest, Hex64RoundTripsAndParsesOnlyWholeValues) {
   }
 }
 
+/// A header line, its newline and the NUL padding to the payload's
+/// 64-byte-aligned offset.
+std::string Padded(const std::string& line) {
+  std::string header = line + "\n";
+  header.resize((header.size() + 63) / 64 * 64, '\0');
+  return header;
+}
+
 TEST(ArtifactTest, HeaderCarriesFamilyVersionKindFingerprintLengthAndHash) {
-  EXPECT_EQ(rt::ArtifactHeader("largeea-ckpt", "seeds", 0xabc, "payload"),
-            "largeea-ckpt v2 seeds 0000000000000abc 7 " +
-                rt::Hex64(rt::Fnv1a64("payload")) + "\n");
+  const std::string header =
+      rt::ArtifactHeader("largeea-ckpt", "seeds", 0xabc, "payload");
+  EXPECT_EQ(header, Padded("largeea-ckpt v3 seeds 0000000000000abc 7 " +
+                           rt::Hex64(rt::Fnv1a64("payload"))));
+  EXPECT_EQ(header.size() % rt::kPayloadAlignment, 0u);
 }
 
 class ArtifactFileTest : public ::testing::Test {
@@ -221,38 +217,51 @@ TEST_F(ArtifactFileTest, Taxonomy) {
   const std::string hash = rt::Hex64(rt::Fnv1a64(payload));
   const std::string fp = rt::Hex64(7);
   const auto with_header = [&](const std::string& header) {
-    WriteRaw(header + "\n" + payload);
+    WriteRaw(Padded(header) + payload);
     return Read();
   };
-  EXPECT_EQ(with_header("largeea-ckpt v2 k " + fp + " 3 " + hash),
+  EXPECT_EQ(with_header("largeea-ckpt v3 k " + fp + " 3 " + hash),
             StatusCode::kOk);
   // Another version of a well-formed header, the v1 layout included.
   EXPECT_EQ(with_header("largeea-ckpt v1 k " + fp + " 3 " + hash),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(with_header("largeea-ckpt v3 k " + fp + " 3 " + hash),
+  EXPECT_EQ(with_header("largeea-ckpt v2 k " + fp + " 3 " + hash),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(with_header("largeea-ckpt v4 k " + fp + " 3 " + hash),
             StatusCode::kFailedPrecondition);
   // Another fingerprint.
-  EXPECT_EQ(with_header("largeea-ckpt v2 k " + rt::Hex64(8) + " 3 " + hash),
+  EXPECT_EQ(with_header("largeea-ckpt v3 k " + rt::Hex64(8) + " 3 " + hash),
             StatusCode::kFailedPrecondition);
   // Damage: family, version spelling, field count, number spellings,
   // length, checksum, kind.
   for (const std::string& header :
-       {"largeea-index v2 k " + fp + " 3 " + hash,
-        "largeea-ckpt 2 k " + fp + " 3 " + hash,
+       {"largeea-index v3 k " + fp + " 3 " + hash,
+        "largeea-ckpt 3 k " + fp + " 3 " + hash,
         "largeea-ckpt vx k " + fp + " 3 " + hash,
-        "largeea-ckpt v2 k " + fp + " 3",
-        "largeea-ckpt v2 k " + fp + " 3 " + hash + " extra",
-        "largeea-ckpt v2 k " + fp + "  3 " + hash,
-        "largeea-ckpt v2 k zz " + std::string("3 ") + hash,
-        "largeea-ckpt v2 k " + fp + " 3x " + hash,
-        "largeea-ckpt v2 k " + fp + " 4 " + hash,
-        "largeea-ckpt v2 k " + fp + " 2 " + hash,
-        "largeea-ckpt v2 k " + fp + " 3 " + rt::Hex64(1),
-        "largeea-ckpt v2 other " + fp + " 3 " + hash}) {
+        "largeea-ckpt v3 k " + fp + " 3",
+        "largeea-ckpt v3 k " + fp + " 3 " + hash + " extra",
+        "largeea-ckpt v3 k " + fp + "  3 " + hash,
+        "largeea-ckpt v3 k zz " + std::string("3 ") + hash,
+        "largeea-ckpt v3 k " + fp + " 3x " + hash,
+        "largeea-ckpt v3 k " + fp + " 4 " + hash,
+        "largeea-ckpt v3 k " + fp + " 2 " + hash,
+        "largeea-ckpt v3 k " + fp + " 3 " + rt::Hex64(1),
+        "largeea-ckpt v3 other " + fp + " 3 " + hash}) {
     EXPECT_EQ(with_header(header), StatusCode::kDataLoss) << header;
   }
+  // The payload right after the newline (no padding), padding that is
+  // not NUL, and a file cut inside the padding.
+  const std::string good = "largeea-ckpt v3 k " + fp + " 3 " + hash;
+  WriteRaw(good + "\n" + payload);
+  EXPECT_EQ(Read(), StatusCode::kDataLoss);
+  std::string dirty = Padded(good);
+  dirty[dirty.size() - 1] = ' ';
+  WriteRaw(dirty + payload);
+  EXPECT_EQ(Read(), StatusCode::kDataLoss);
+  WriteRaw(Padded(good).substr(0, good.size() + 3));
+  EXPECT_EQ(Read(), StatusCode::kDataLoss);
   // No header line at all, or none within the header bound.
-  WriteRaw("largeea-ckpt v2");
+  WriteRaw("largeea-ckpt v3");
   EXPECT_EQ(Read(), StatusCode::kDataLoss);
   WriteRaw(std::string(300, 'x') + "\n");
   EXPECT_EQ(Read(), StatusCode::kDataLoss);

@@ -3,8 +3,10 @@
 // target), and the stdin/stdout serve protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -109,8 +111,8 @@ TEST(ServeIndexTest, SaveLoadRoundTripsQueries) {
 
   // Entity-path answers: identical fused rows.
   for (int32_t s = 0; s < 30; ++s) {
-    const auto a = built->fused().Row(s);
-    const auto b = loaded->fused().Row(s);
+    const auto a = built->FusedRow(s);
+    const auto b = loaded->FusedRow(s);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].column, b[i].column);
@@ -118,11 +120,10 @@ TEST(ServeIndexTest, SaveLoadRoundTripsQueries) {
     }
   }
 
-  // Name-path answers: the rebuilt encoder (IDF refit from the stored
-  // name tables) and the deserialised graph must reproduce the built
-  // index's answers bit-identically.
+  // Name-path answers: the mapped encoder (the stored IDF table) and the
+  // mapped graph must reproduce the built index's answers bit-identically.
   for (int32_t q = 0; q < 30; ++q) {
-    const std::string& name = built->SourceName(q);
+    const std::string name(built->SourceName(q));
     std::vector<float> va(built->encoder().dim());
     std::vector<float> vb(loaded->encoder().dim());
     built->encoder().EncodeName(name, va.data());
@@ -218,22 +219,128 @@ TEST(ServeIndexTest, FingerprintMismatchIsFailedPrecondition) {
   fs::remove(path);
 }
 
-// An index of the older container version is refused, not converted:
-// the v1 header layout (no kind field) with an intact checksum.
-TEST(ServeIndexTest, VersionOneIndexIsFailedPrecondition) {
-  const std::string path = TempPath("serve_v1.idx");
-  const std::string payload = "v1 payload bytes";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "largeea-index v1 " << rt::Hex64(42) << ' ' << payload.size()
-        << ' ' << rt::Hex64(rt::Fnv1a64(payload)) << '\n'
-        << payload;
+// An index of an older container version is refused, not converted: the
+// v1 header layout (no kind field), and a v2 index — the copied, decoded
+// layout — with an intact checksum.
+TEST(ServeIndexTest, OlderIndexVersionsAreFailedPrecondition) {
+  const std::string path = TempPath("serve_old.idx");
+  const std::string payload = "older payload bytes";
+  const std::string checksummed = std::to_string(payload.size()) + ' ' +
+                                  rt::Hex64(rt::Fnv1a64(payload)) + '\n';
+  for (const std::string& header :
+       {"largeea-index v1 " + rt::Hex64(42) + ' ' + checksummed,
+        "largeea-index v2 serve " + rt::Hex64(42) + ' ' + checksummed}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << header << payload;
+    }
+    EXPECT_EQ(serve::ServeIndex::Load(path).status().code(),
+              StatusCode::kFailedPrecondition)
+        << header;
+    EXPECT_EQ(serve::ServeIndex::Load(path, 42).status().code(),
+              StatusCode::kFailedPrecondition)
+        << header;
   }
-  EXPECT_EQ(serve::ServeIndex::Load(path).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(serve::ServeIndex::Load(path, 42).status().code(),
-            StatusCode::kFailedPrecondition);
   fs::remove(path);
+}
+
+/// A response as text: status, version-free identity and every
+/// candidate with its score's bits, so two responses compare whole.
+std::string Describe(const serve::QueryResponse& response) {
+  std::string out = response.status.ToString() + ' ' +
+                    rt::Hex64(response.index_fingerprint) + ':';
+  for (const serve::Candidate& c : response.candidates) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &c.score, sizeof(bits));
+    out += ' ' + std::to_string(c.target) + '/' + c.name + '/' +
+           std::to_string(bits);
+  }
+  return out + '\n';
+}
+
+// A mapped index answers exactly as the in-memory index Build made: a
+// fixed set of entity, ANN-name and exact-name requests, compared whole,
+// at 1 and 4 threads under every SIMD backend, and the answers are the
+// same in every one of those configurations.
+TEST(ServeIndexTest, MappedIndexAnswersAsTheBuiltOne) {
+  const simd::Backend saved = simd::ActiveBackend();
+  const int32_t saved_threads = par::ThreadPool::Get().num_threads();
+  const std::vector<std::string> names = MakeNames(20, 63);
+  std::vector<serve::QueryRequest> requests;
+  for (int32_t s = 0; s < 30; ++s) {
+    serve::QueryRequest& request = requests.emplace_back();
+    request.entity = s;
+    request.k = 1 + s % 8;
+  }
+  for (const std::string& name : names) {
+    for (const bool exact : {false, true}) {
+      serve::QueryRequest& request = requests.emplace_back();
+      request.kind = serve::QueryRequest::Kind::kName;
+      request.name = name;
+      request.k = 5;
+      request.exact = exact;
+    }
+  }
+  const std::string path = TempPath("serve_mapped_golden.idx");
+  std::string reference;
+  for (const int32_t threads : {1, 4}) {
+    par::ThreadPool::Get().SetNumThreads(threads);
+    for (const simd::Backend backend : simd::AvailableBackends()) {
+      simd::SetBackend(backend);
+      const auto built = BuildIndexOrDie(30, 600, 61, 0x5151);
+      ASSERT_TRUE(built->Save(path).ok());
+      auto loaded = serve::ServeIndex::Load(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      const serve::IndexManager built_manager(built);
+      const serve::IndexManager loaded_manager(std::move(loaded).value());
+      const serve::QueryEngine from_build(&built_manager);
+      const serve::QueryEngine from_map(&loaded_manager);
+      std::string answers;
+      for (const serve::QueryRequest& request : requests) {
+        const std::string built_answer =
+            Describe(from_build.Execute(request));
+        ASSERT_EQ(Describe(from_map.Execute(request)), built_answer)
+            << simd::BackendName(backend) << " threads=" << threads;
+        answers += built_answer;
+      }
+      if (reference.empty()) {
+        reference = answers;
+      } else {
+        EXPECT_EQ(answers, reference)
+            << simd::BackendName(backend) << " threads=" << threads;
+      }
+    }
+  }
+  // Two '/' per candidate: the requests are answered, not empty.
+  EXPECT_GT(std::count(reference.begin(), reference.end(), '/'),
+            static_cast<std::ptrdiff_t>(2 * requests.size()));
+  fs::remove(path);
+  simd::SetBackend(saved);
+  par::ThreadPool::Get().SetNumThreads(saved_threads);
+}
+
+// A k past the target count answers as k = the target count does. Every
+// size the engine derives from k is bounded by the targets and computed
+// in 64 bits: 4 * 600000000 overflowed int32 in the shortlist cap.
+TEST(QueryEngineTest, HugeKAnswersAsTheTargetCount) {
+  const auto index = BuildIndexOrDie(12, 40, 97, 0xF1);
+  const serve::IndexManager manager(index);
+  const serve::QueryEngine engine(&manager);
+  for (const bool exact : {false, true}) {
+    serve::QueryRequest request;
+    request.kind = serve::QueryRequest::Kind::kName;
+    request.name = std::string(index->TargetName(5));
+    request.k = 40;
+    request.exact = exact;
+    const serve::QueryResponse all = engine.Execute(request);
+    ASSERT_TRUE(all.status.ok());
+    EXPECT_EQ(all.candidates.size(), 40u);
+    for (const int32_t k : {41, 600000000, std::numeric_limits<int32_t>::max()}) {
+      request.k = k;
+      EXPECT_EQ(Describe(engine.Execute(request)), Describe(all))
+          << "k=" << k << " exact=" << exact;
+    }
+  }
 }
 
 TEST(ServeIndexTest, LoadMissingFileIsNotFound) {
@@ -273,49 +380,62 @@ TEST(HnswTest, BuildIsDeterministic) {
   }
 }
 
+/// FNV-1a of the adjacency in (node, layer, list) order: per list, its
+/// length as a u64, then its ids.
+uint64_t AdjacencyHash(const HnswIndex& index) {
+  std::string bytes;
+  for (int32_t node = 0; node < index.size(); ++node) {
+    const uint64_t layers =
+        index.node_slots()[node + 1] - index.node_slots()[node];
+    for (int32_t lc = 0; lc < static_cast<int32_t>(layers); ++lc) {
+      const std::span<const int32_t> list = index.Neighbors(node, lc);
+      const uint64_t length = list.size();
+      bytes.append(reinterpret_cast<const char*>(&length), sizeof(length));
+      bytes.append(reinterpret_cast<const char*>(list.data()),
+                   list.size_bytes());
+    }
+  }
+  return rt::Fnv1a64(bytes);
+}
+
 // The build scores in fours, and every score keeps its bits, and its
 // batches are sized by the graph alone, so the graph cannot depend on
-// the backend or the thread count: the serialized bytes are equal under
-// every backend at 1, 2, 4 and 8 threads, and equal the golden FNV-1a
-// values recorded from the batched build. Dim 20 leaves a kernel tail;
-// M = 3 keeps the kept sets of SelectNeighbors below, at and above four.
-TEST(HnswTest, SerializedGraphIdenticalAcrossBackendsAndToGolden) {
+// the backend or the thread count: the adjacency is equal under every
+// backend at 1, 2, 4 and 8 threads, and its hash equals the golden
+// values recorded from the batched build's nested lists, before the
+// build froze them into CSR. Dim 20 leaves a kernel tail; M = 3 keeps
+// the kept sets of SelectNeighbors below, at and above four.
+TEST(HnswTest, AdjacencyIdenticalAcrossBackendsAndToGolden) {
   const Matrix data = RandomEmbeddings(400, 20, 13);
   const simd::Backend saved = simd::ActiveBackend();
   const int32_t saved_threads = par::ThreadPool::Get().num_threads();
   struct Case {
     SimMetric metric;
     HnswOptions options;
-    uint64_t golden_fnv;
+    uint64_t golden_adjacency;
+    int32_t golden_max_level;
   };
   const Case cases[] = {
-      {SimMetric::kManhattan, HnswOptions{}, 0x06bdb65ea1a0a391ULL},
-      {SimMetric::kDot, HnswOptions{}, 0x1d5146fa31d75cdbULL},
+      {SimMetric::kManhattan, HnswOptions{}, 0x319b7114141f9c16ULL, 2},
+      {SimMetric::kDot, HnswOptions{}, 0xdfcc956335289e5cULL, 2},
       {SimMetric::kManhattan,
        HnswOptions{.max_neighbors = 3, .ef_construction = 16},
-       0xca364fb9affcaf7cULL},
+       0xae9727e9846485b7ULL, 5},
   };
   for (const Case& c : cases) {
-    std::string reference;
     for (const int32_t threads : {1, 2, 4, 8}) {
       par::ThreadPool::Get().SetNumThreads(threads);
       for (const simd::Backend backend : simd::AvailableBackends()) {
         simd::SetBackend(backend);
         const HnswIndex index(data, c.metric, c.options);
-        rt::BinaryWriter w;
-        index.Serialize(w);
-        std::string bytes = w.TakeBytes();
-        if (reference.empty()) {
-          reference = std::move(bytes);
-        } else {
-          EXPECT_EQ(bytes, reference)
-              << simd::BackendName(backend) << " threads=" << threads;
-        }
+        EXPECT_EQ(AdjacencyHash(index), c.golden_adjacency)
+            << simd::BackendName(backend) << " threads=" << threads
+            << " metric=" << static_cast<int>(c.metric)
+            << " M=" << c.options.max_neighbors;
+        EXPECT_EQ(index.entry_point(), 42);
+        EXPECT_EQ(index.max_level(), c.golden_max_level);
       }
     }
-    EXPECT_EQ(rt::Fnv1a64(reference), c.golden_fnv)
-        << "metric=" << static_cast<int>(c.metric)
-        << " M=" << c.options.max_neighbors;
   }
   simd::SetBackend(saved);
   par::ThreadPool::Get().SetNumThreads(saved_threads);
@@ -371,57 +491,40 @@ TEST(HnswTest, RecallAgainstExactScanAtTheBatchCap) {
   ExpectRecallAgainstExactScan(8192);
 }
 
-// The fields of HnswIndex::Serialize's payload, in order, so a test can
-// damage one field and write a payload that is otherwise well formed.
-struct GraphPayload {
-  int32_t max_neighbors = 0, ef_construction = 0, ef_search = 0;
-  uint64_t seed = 0;
+// A built graph's CSR arrays, copied so a test can damage one field and
+// hand the rest to FromCsr as they were.
+struct GraphCsr {
   int32_t entry_point = 0, max_level = 0;
-  std::vector<int32_t> levels;
-  std::vector<std::vector<std::vector<int32_t>>> links;
+  std::vector<uint64_t> node_slots, list_offsets;
+  std::vector<int32_t> links;
 
-  static GraphPayload Of(const HnswIndex& index) {
-    rt::BinaryWriter w;
-    index.Serialize(w);
-    GraphPayload g;
-    rt::BinaryReader r(w.bytes());
-    EXPECT_TRUE(r.I32(&g.max_neighbors).ok());
-    EXPECT_TRUE(r.I32(&g.ef_construction).ok());
-    EXPECT_TRUE(r.I32(&g.ef_search).ok());
-    EXPECT_TRUE(r.U64(&g.seed).ok());
-    EXPECT_TRUE(r.I32(&g.entry_point).ok());
-    EXPECT_TRUE(r.I32(&g.max_level).ok());
-    EXPECT_TRUE(r.Array(&g.levels).ok());
-    g.links.resize(g.levels.size());
-    for (size_t node = 0; node < g.levels.size(); ++node) {
-      g.links[node].resize(g.levels[node] + 1);
-      for (auto& layer : g.links[node]) EXPECT_TRUE(r.Array(&layer).ok());
-    }
-    EXPECT_TRUE(r.exhausted());
-    return g;
+  static GraphCsr Of(const HnswIndex& index) {
+    return {index.entry_point(), index.max_level(),
+            std::vector<uint64_t>(index.node_slots().begin(),
+                                  index.node_slots().end()),
+            std::vector<uint64_t>(index.list_offsets().begin(),
+                                  index.list_offsets().end()),
+            std::vector<int32_t>(index.links().begin(), index.links().end())};
   }
 
-  StatusCode Deserialize(const Matrix& data) const {
-    rt::BinaryWriter w;
-    w.I32(max_neighbors);
-    w.I32(ef_construction);
-    w.I32(ef_search);
-    w.U64(seed);
-    w.I32(entry_point);
-    w.I32(max_level);
-    w.Array(levels);
-    for (const auto& node : links) {
-      for (const auto& layer : node) w.Array(layer);
-    }
-    rt::BinaryReader r(w.bytes());
-    return HnswIndex::Deserialize(r, data, SimMetric::kManhattan)
+  StatusCode FromCsr(const Matrix& data) const {
+    return HnswIndex::FromCsr(data, SimMetric::kManhattan, HnswOptions{},
+                              entry_point, max_level,
+                              FlatArray<uint64_t>::Borrow(node_slots),
+                              FlatArray<uint64_t>::Borrow(list_offsets),
+                              FlatArray<int32_t>::Borrow(links))
         .status()
         .code();
   }
 
+  int32_t Level(int32_t node) const {
+    return static_cast<int32_t>(node_slots[node + 1] - node_slots[node]) - 1;
+  }
   int32_t NodeAtLevel(int32_t level) const {
-    for (size_t node = 0; node < levels.size(); ++node) {
-      if (levels[node] == level) return static_cast<int32_t>(node);
+    for (size_t node = 0; node + 1 < node_slots.size(); ++node) {
+      if (Level(static_cast<int32_t>(node)) == level) {
+        return static_cast<int32_t>(node);
+      }
     }
     ADD_FAILURE() << "no node at level " << level;
     return 0;
@@ -429,58 +532,93 @@ struct GraphPayload {
 };
 
 // QueryTopK walks the entry point's top layer and a neighbor's layer-lc
-// list; a payload that breaks either would send it out of bounds, so
-// Deserialize refuses it. Each test damages one field.
-class HnswDeserializeTest : public ::testing::Test {
+// list through the CSR offsets; a graph that breaks any of them would
+// send it out of bounds, so FromCsr refuses it. Each test damages one
+// field. tests/artifact_fuzz_test.cc damages the same fields in a whole
+// index image.
+class HnswCsrTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // The payload loads before a test damages it.
+    // The graph loads before a test damages it.
     ASSERT_GE(graph_.max_level, 1);
-    ASSERT_EQ(graph_.Deserialize(data_), StatusCode::kOk);
+    ASSERT_EQ(graph_.FromCsr(data_), StatusCode::kOk);
   }
 
   const Matrix data_ = RandomEmbeddings(200, 16, 5);
   const HnswIndex index_{data_, SimMetric::kManhattan, HnswOptions{}};
-  GraphPayload graph_ = GraphPayload::Of(index_);
+  GraphCsr graph_ = GraphCsr::Of(index_);
 };
 
-TEST_F(HnswDeserializeTest, EntryPointBelowTheTopLayerIsDataLoss) {
+TEST_F(HnswCsrTest, EntryPointBelowTheTopLayerIsDataLoss) {
   graph_.entry_point = graph_.NodeAtLevel(0);
-  EXPECT_EQ(graph_.Deserialize(data_), StatusCode::kDataLoss);
+  EXPECT_EQ(graph_.FromCsr(data_), StatusCode::kDataLoss);
 }
 
-TEST_F(HnswDeserializeTest, EntryPointOfAnEmptyGraphIsDataLoss) {
+TEST_F(HnswCsrTest, EntryPointOfAnEmptyGraphIsDataLoss) {
   const Matrix empty(0, 16);
-  GraphPayload graph =
-      GraphPayload::Of(HnswIndex(empty, SimMetric::kManhattan, HnswOptions{}));
-  EXPECT_EQ(graph.Deserialize(empty), StatusCode::kOk);
+  GraphCsr graph =
+      GraphCsr::Of(HnswIndex(empty, SimMetric::kManhattan, HnswOptions{}));
+  EXPECT_EQ(graph.FromCsr(empty), StatusCode::kOk);
   graph.entry_point = 0;
-  EXPECT_EQ(graph.Deserialize(empty), StatusCode::kDataLoss);
+  EXPECT_EQ(graph.FromCsr(empty), StatusCode::kDataLoss);
 }
 
-TEST_F(HnswDeserializeTest, NeighborBelowItsLayerIsDataLoss) {
-  std::vector<int32_t>* layer1 = nullptr;
-  for (size_t node = 0; node < graph_.links.size() && !layer1; ++node) {
-    if (graph_.levels[node] >= 1 && !graph_.links[node][1].empty()) {
-      layer1 = &graph_.links[node][1];
+TEST_F(HnswCsrTest, NeighborBelowItsLayerIsDataLoss) {
+  // The first non-empty layer-1 list gets a node that has no layer 1.
+  for (size_t node = 0; node + 1 < graph_.node_slots.size(); ++node) {
+    const uint64_t slot = graph_.node_slots[node] + 1;
+    if (graph_.Level(static_cast<int32_t>(node)) >= 1 &&
+        graph_.list_offsets[slot + 1] > graph_.list_offsets[slot]) {
+      graph_.links[graph_.list_offsets[slot]] = graph_.NodeAtLevel(0);
+      EXPECT_EQ(graph_.FromCsr(data_), StatusCode::kDataLoss);
+      return;
     }
   }
-  ASSERT_NE(layer1, nullptr);
-  (*layer1)[0] = graph_.NodeAtLevel(0);
-  EXPECT_EQ(graph_.Deserialize(data_), StatusCode::kDataLoss);
+  FAIL() << "no layer-1 list";
 }
 
-TEST_F(HnswDeserializeTest, LevelAboveTheCapIsDataLoss) {
-  // Lift the entry point to level 33 with the lists that level needs,
-  // so the cap is the only thing wrong.
-  const int32_t ep = graph_.entry_point;
-  graph_.levels[ep] = graph_.max_level = 33;
-  graph_.links[ep].resize(34);
-  EXPECT_EQ(graph_.Deserialize(data_), StatusCode::kDataLoss);
-  // A level whose list count overflows int32 is refused before any list
-  // is read.
-  graph_.levels[ep] = graph_.max_level = std::numeric_limits<int32_t>::max();
-  EXPECT_EQ(graph_.Deserialize(data_), StatusCode::kDataLoss);
+TEST_F(HnswCsrTest, NeighborOutOfRangeIsDataLoss) {
+  for (const int32_t bad : {-1, 200, std::numeric_limits<int32_t>::max()}) {
+    GraphCsr graph = graph_;
+    graph.links[graph.links.size() / 2] = bad;
+    EXPECT_EQ(graph.FromCsr(data_), StatusCode::kDataLoss) << bad;
+  }
+}
+
+TEST_F(HnswCsrTest, OffsetsThatDoNotAscendOrSpanAreDataLoss) {
+  GraphCsr graph = graph_;
+  std::swap(graph.list_offsets[10], graph.list_offsets[11]);
+  EXPECT_EQ(graph.FromCsr(data_), StatusCode::kDataLoss);
+  graph = graph_;
+  graph.list_offsets.back() += 1;
+  EXPECT_EQ(graph.FromCsr(data_), StatusCode::kDataLoss);
+  graph = graph_;
+  graph.node_slots.pop_back();
+  EXPECT_EQ(graph.FromCsr(data_), StatusCode::kDataLoss);
+  // A node with no layer at all.
+  graph = graph_;
+  graph.node_slots[1] = graph.node_slots[0];
+  EXPECT_EQ(graph.FromCsr(data_), StatusCode::kDataLoss);
+}
+
+TEST_F(HnswCsrTest, LevelAboveTheCapIsDataLoss) {
+  // Lift the last node to level 33 with the (empty) lists that level
+  // needs, and make it the entry point, so the cap is the only thing
+  // wrong.
+  GraphCsr graph = graph_;
+  const int32_t last = static_cast<int32_t>(graph.node_slots.size()) - 2;
+  const int32_t added = 33 - graph.Level(last);
+  graph.node_slots.back() += added;
+  graph.list_offsets.insert(graph.list_offsets.end(), added,
+                            graph.list_offsets.back());
+  graph.entry_point = last;
+  graph.max_level = 33;
+  EXPECT_EQ(graph.FromCsr(data_), StatusCode::kDataLoss);
+  // A slot count that wraps the offset arithmetic is refused before any
+  // list is read.
+  graph = graph_;
+  graph.node_slots.back() = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(graph.FromCsr(data_), StatusCode::kDataLoss);
 }
 
 TEST(ServeIndexTest, ExactTopKMatchesTopKInto) {
@@ -497,8 +635,12 @@ TEST(ServeIndexTest, ExactTopKMatchesTopKInto) {
   std::iota(row_ids.begin(), row_ids.end(), 0);
   std::vector<EntityId> col_ids(nt);
   std::iota(col_ids.begin(), col_ids.end(), 0);
+  Matrix target(nt, dim);
+  for (int32_t t = 0; t < nt; ++t) {
+    std::copy_n(index->TargetEmbedding(t), dim, target.Row(t));
+  }
   SparseSimMatrix batch(ns, nt, k);
-  TopKInto(source, row_ids, index->target_embeddings(), col_ids,
+  TopKInto(source, row_ids, target, col_ids,
            /*index=*/nullptr,
            TopKOptions{.k = k, .metric = index->options().metric}, batch);
 
@@ -536,8 +678,8 @@ TEST(IndexManagerTest, SwapUnderLoadNeverTearsAnswers) {
   // matches exactly the version whose fingerprint it reports.
   const auto v1 = BuildIndexOrDie(16, 16, 71, 0xA);
   const auto v2 = BuildIndexOrDie(16, 16, 72, 0xB);
-  const auto expect_a = v1->fused().Row(0);
-  const auto expect_b = v2->fused().Row(0);
+  const auto expect_a = v1->FusedRow(0);
+  const auto expect_b = v2->FusedRow(0);
 
   serve::IndexManager manager;
   manager.Swap(v1);
@@ -679,7 +821,7 @@ TEST(ServeLoopTest, NameQueryMatchesEngine) {
 
   serve::QueryRequest request;
   request.kind = serve::QueryRequest::Kind::kName;
-  request.name = v1->TargetName(3);
+  request.name = std::string(v1->TargetName(3));
   request.k = 3;
   const serve::QueryResponse direct = engine.Execute(request);
   ASSERT_TRUE(direct.status.ok());

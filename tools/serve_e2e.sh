@@ -15,7 +15,13 @@
 #      answers are identical across the swap, the version counter
 #      moved 1 -> 2, and the stats row counted exactly one swap;
 #   6. tamper with the artifact and assert the loader refuses it
-#      (DATA_LOSS), leaving the good index unaffected.
+#      (DATA_LOSS), leaving the good index unaffected;
+#   7. on a larger index (IDS15K at full scale, a ~6 MiB artifact), read
+#      the server's VmRSS after its first load and its VmHWM after two
+#      swaps to the same file, both from /proc/<pid>/status, and fail if
+#      the peak exceeds the post-load RSS by more than one artifact size
+#      plus RSS_SLACK_MIB (default 4): a mapped index costs what its
+#      sections touch, and a retired version is unmapped when it drops.
 #
 # Usage: tools/serve_e2e.sh   (BUILD_DIR=build, WORK_DIR=mktemp by
 # default; CI runs it as a visible step on the default preset.)
@@ -124,5 +130,54 @@ grep -q "DATA_LOSS" "${WORK_DIR}/tamper_out" || {
   cat "${WORK_DIR}/tamper_out" >&2
   exit 1
 }
+
+echo "=== serve e2e: resident memory across self-swaps ==="
+mkdir -p "${WORK_DIR}/rss"
+"${CLI}" generate --tier ids15k --pair enfr --scale 1.0 \
+  --out_dir "${WORK_DIR}/rss" > /dev/null
+"${CLI}" index-build --source "${WORK_DIR}/rss/source.tsv" \
+  --target "${WORK_DIR}/rss/target.tsv" --seeds "${WORK_DIR}/rss/train.tsv" \
+  --test "${WORK_DIR}/rss/test.tsv" --epochs 5 --batches 2 --log-level warn \
+  --index-out "${WORK_DIR}/rss/serve.idx" > /dev/null
+python3 - "${CLI}" "${WORK_DIR}/rss/serve.idx" "${RSS_SLACK_MIB:-4}" <<'EOF'
+import json, os, subprocess, sys
+cli, index, slack_mib = sys.argv[1], sys.argv[2], float(sys.argv[3])
+
+def status_bytes(pid, key):
+    for line in open(f"/proc/{pid}/status"):
+        if line.startswith(key + ":"):
+            return int(line.split()[1]) * 1024
+    raise SystemExit(f"serve_e2e.sh: FAIL: no {key} in /proc/{pid}/status")
+
+server = subprocess.Popen([cli, "serve", "--index", index, "--log-level", "warn"],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
+ready = server.stderr.readline().strip()
+
+def ask(request):
+    server.stdin.write(json.dumps(request) + "\n")
+    server.stdin.flush()
+    response = json.loads(server.stdout.readline())
+    assert response["ok"], response
+    return response
+
+ask({"op": "stats"})  # answered, so the first load is done
+rss = status_bytes(server.pid, "VmRSS")
+for version in (2, 3):
+    assert ask({"op": "swap", "index": index})["version"] == version
+peak = status_bytes(server.pid, "VmHWM")
+ask({"op": "quit"})
+assert server.wait() == 0
+
+mib = 1 << 20
+artifact = os.path.getsize(index)
+print(ready)
+print(f"serve e2e: artifact {artifact / mib:.1f} MiB, VmRSS after load "
+      f"{rss / mib:.1f} MiB, VmHWM after two swaps {peak / mib:.1f} MiB "
+      f"(+{(peak - rss) / mib:.1f} MiB, bound +{artifact / mib + slack_mib:.1f})")
+if peak - rss > artifact + slack_mib * mib:
+    raise SystemExit("serve_e2e.sh: FAIL: the server's peak RSS grew by more "
+                     "than one artifact across two swaps")
+EOF
 
 echo "serve_e2e.sh: PASS"

@@ -110,46 +110,25 @@ class Matrix {
   TrackedAllocation tracked_;
 };
 
-/// Non-owning view of a contiguous row range [row_begin, row_end) of a
-/// Matrix. Implicitly constructible from a whole Matrix, so APIs can
-/// migrate from `const Matrix&` to views without touching call sites.
-/// The viewed Matrix must outlive the view (same contract as a span).
+/// Non-owning view of dense row-major float rows: a whole Matrix, a
+/// contiguous row range [row_begin, row_end) of one, or rows that sit in a
+/// mapped file (the serve index, DESIGN.md §15). Implicitly constructible
+/// from a whole Matrix, so APIs can take views without touching call
+/// sites. The rows must outlive the view (same contract as a span).
 class MatrixRowRange {
  public:
   MatrixRowRange(const Matrix& m)  // NOLINT: implicit by design
-      : matrix_(&m), row_begin_(0), row_end_(m.rows()) {}
+      : MatrixRowRange(m, 0, m.rows()) {}
 
   MatrixRowRange(const Matrix& m, int64_t row_begin, int64_t row_end)
-      : matrix_(&m), row_begin_(row_begin), row_end_(row_end) {
+      : rows_(row_end - row_begin), cols_(m.cols()) {
     LARGEEA_CHECK_GE(row_begin, 0);
     LARGEEA_CHECK_LE(row_begin, row_end);
     LARGEEA_CHECK_LE(row_end, m.rows());
+    data_ = m.data() + row_begin * cols_;
   }
 
-  int64_t rows() const { return row_end_ - row_begin_; }
-  int64_t cols() const { return matrix_->cols(); }
-
-  /// Pointer to view-relative row `r` (row 0 is `row_begin` of the
-  /// underlying matrix).
-  const float* Row(int64_t r) const { return matrix_->Row(row_begin_ + r); }
-
-  const Matrix& matrix() const { return *matrix_; }
-  int64_t row_begin() const { return row_begin_; }
-
- private:
-  const Matrix* matrix_;
-  int64_t row_begin_;
-  int64_t row_end_;
-};
-
-/// Non-owning view of dense row-major float rows, whether a Matrix holds
-/// them or they sit in a mapped file (the serve index, DESIGN.md §15).
-/// Implicitly constructible from a Matrix. The rows must outlive the view.
-class RowsView {
- public:
-  RowsView(const Matrix& m)  // NOLINT: implicit by design
-      : data_(m.data()), rows_(m.rows()), cols_(m.cols()) {}
-  RowsView(const float* data, int64_t rows, int64_t cols)
+  MatrixRowRange(const float* data, int64_t rows, int64_t cols)
       : data_(data), rows_(rows), cols_(cols) {
     LARGEEA_CHECK_GE(rows, 0);
     LARGEEA_CHECK_GE(cols, 0);
@@ -157,6 +136,9 @@ class RowsView {
 
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
+
+  /// Pointer to view-relative row `r` (row 0 is `row_begin` of the
+  /// underlying matrix).
   const float* Row(int64_t r) const {
     LARGEEA_CHECK_GE(r, 0);
     LARGEEA_CHECK_LT(r, rows_);
@@ -164,7 +146,7 @@ class RowsView {
   }
 
  private:
-  const float* data_;
+  const float* data_ = nullptr;
   int64_t rows_;
   int64_t cols_;
 };

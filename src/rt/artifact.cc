@@ -210,7 +210,6 @@ StatusOr<Artifact> ReadArtifact(const std::string& path,
 MappedArtifact::MappedArtifact(MappedArtifact&& other) noexcept
     : base_(std::exchange(other.base_, nullptr)),
       reserved_bytes_(std::exchange(other.reserved_bytes_, 0)),
-      file_bytes_(std::exchange(other.file_bytes_, 0)),
       fingerprint_(other.fingerprint_),
       payload_(std::exchange(other.payload_, {})) {}
 
@@ -219,7 +218,6 @@ MappedArtifact& MappedArtifact::operator=(MappedArtifact&& other) noexcept {
     if (base_ != nullptr) ::munmap(base_, reserved_bytes_);
     base_ = std::exchange(other.base_, nullptr);
     reserved_bytes_ = std::exchange(other.reserved_bytes_, 0);
-    file_bytes_ = std::exchange(other.file_bytes_, 0);
     fingerprint_ = other.fingerprint_;
     payload_ = std::exchange(other.payload_, {});
   }
@@ -294,7 +292,6 @@ StatusOr<MappedArtifact> MapArtifact(const std::string& path,
   MappedArtifact artifact;
   artifact.base_ = base;
   artifact.reserved_bytes_ = reserved;
-  artifact.file_bytes_ = mapped;
   artifact.fingerprint_ = header.fingerprint;
   artifact.payload_ = std::string_view(static_cast<const char*>(base), mapped)
                           .substr(header.payload_offset);

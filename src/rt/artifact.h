@@ -106,8 +106,6 @@ class MappedArtifact {
   uint64_t fingerprint() const { return fingerprint_; }
   /// The payload in the mapping, 64-byte aligned.
   std::string_view payload() const { return payload_; }
-  /// The file's size, the bytes a fully touched mapping keeps resident.
-  size_t file_bytes() const { return file_bytes_; }
 
  private:
   friend StatusOr<MappedArtifact> MapArtifact(
@@ -117,7 +115,6 @@ class MappedArtifact {
 
   void* base_ = nullptr;
   size_t reserved_bytes_ = 0;  ///< the mapping and its guard page
-  size_t file_bytes_ = 0;
   uint64_t fingerprint_ = 0;
   std::string_view payload_;
 };

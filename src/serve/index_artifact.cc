@@ -395,8 +395,8 @@ Status ServeIndex::Bind(std::string_view image) {
 
   LARGEEA_ASSIGN_OR_RETURN(fused_offsets_,
                            u64(IndexSection::kFusedRowOffsets));
-  LARGEEA_ASSIGN_OR_RETURN(fused_entries_,
-                           ArrayOf<SimEntry>(sections, IndexSection::kFusedEntries));
+  LARGEEA_ASSIGN_OR_RETURN(
+      fused_entries_, ArrayOf<SimEntry>(sections, IndexSection::kFusedEntries));
   LARGEEA_RETURN_IF_ERROR(CheckOffsets(fused_offsets_, num_sources_,
                                        fused_entries_.size(), "fused row"));
   for (const SimEntry& entry : fused_entries_) {
@@ -406,8 +406,9 @@ Status ServeIndex::Bind(std::string_view image) {
   }
 
   const int64_t dim = options_.encoder.dim;
-  LARGEEA_ASSIGN_OR_RETURN(const std::span<const float> embeddings,
-                           ArrayOf<float>(sections, IndexSection::kTargetEmbeddings));
+  LARGEEA_ASSIGN_OR_RETURN(
+      const std::span<const float> embeddings,
+      ArrayOf<float>(sections, IndexSection::kTargetEmbeddings));
   if (embeddings.size() / static_cast<size_t>(dim) !=
           static_cast<size_t>(num_targets_) ||
       embeddings.size() % static_cast<size_t>(dim) != 0) {
@@ -421,23 +422,26 @@ Status ServeIndex::Bind(std::string_view image) {
                            u64(IndexSection::kGraphNodeSlots));
   LARGEEA_ASSIGN_OR_RETURN(const auto list_offsets,
                            u64(IndexSection::kGraphListOffsets));
-  LARGEEA_ASSIGN_OR_RETURN(const auto links,
-                           ArrayOf<int32_t>(sections, IndexSection::kGraphLinks));
+  LARGEEA_ASSIGN_OR_RETURN(
+      const auto links, ArrayOf<int32_t>(sections, IndexSection::kGraphLinks));
   LARGEEA_ASSIGN_OR_RETURN(
       HnswIndex graph,
-      HnswIndex::FromCsr(RowsView(embeddings_, num_targets_, dim),
+      HnswIndex::FromCsr(MatrixRowRange(embeddings_, num_targets_, dim),
                          options_.metric, options_.hnsw, meta.entry_point,
-                         meta.max_level, FlatArray<uint64_t>::Borrow(node_slots),
+                         meta.max_level,
+                         FlatArray<uint64_t>::Borrow(node_slots),
                          FlatArray<uint64_t>::Borrow(list_offsets),
                          FlatArray<int32_t>::Borrow(links)));
   graph_.emplace(std::move(graph));
 
   LARGEEA_ASSIGN_OR_RETURN(const auto band_keys,
                            u64(IndexSection::kBandKeys));
-  LARGEEA_ASSIGN_OR_RETURN(const auto band_items,
-                           ArrayOf<int32_t>(sections, IndexSection::kBandItems));
-  LARGEEA_ASSIGN_OR_RETURN(const auto band_starts,
-                           ArrayOf<uint32_t>(sections, IndexSection::kBandStarts));
+  LARGEEA_ASSIGN_OR_RETURN(
+      const auto band_items,
+      ArrayOf<int32_t>(sections, IndexSection::kBandItems));
+  LARGEEA_ASSIGN_OR_RETURN(
+      const auto band_starts,
+      ArrayOf<uint32_t>(sections, IndexSection::kBandStarts));
   LARGEEA_ASSIGN_OR_RETURN(
       MinHashLsh lsh,
       MinHashLsh::FromTables(options_.num_bands, options_.rows_per_band,
@@ -453,8 +457,9 @@ Status ServeIndex::Bind(std::string_view image) {
                            u64(IndexSection::kIdfHashes));
   LARGEEA_ASSIGN_OR_RETURN(const auto idf_weights,
                            ArrayOf<float>(sections, IndexSection::kIdfWeights));
-  LARGEEA_ASSIGN_OR_RETURN(const auto idf_starts,
-                           ArrayOf<uint32_t>(sections, IndexSection::kIdfStarts));
+  LARGEEA_ASSIGN_OR_RETURN(
+      const auto idf_starts,
+      ArrayOf<uint32_t>(sections, IndexSection::kIdfStarts));
   LARGEEA_ASSIGN_OR_RETURN(
       SemanticEncoder encoder,
       SemanticEncoder::WithIdf(

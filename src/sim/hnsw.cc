@@ -41,7 +41,7 @@ struct HnswIndex::Lists {
   std::vector<std::vector<std::vector<int32_t>>> lists;
 };
 
-HnswIndex::HnswIndex(RowsView data, SimMetric metric,
+HnswIndex::HnswIndex(MatrixRowRange data, SimMetric metric,
                      const HnswOptions& options, int32_t entry_point,
                      int32_t max_level, FlatArray<uint64_t> node_slots,
                      FlatArray<uint64_t> list_offsets,
@@ -78,7 +78,7 @@ struct HnswIndex::BuildScratch {
   int64_t scores = 0;
 };
 
-HnswIndex::HnswIndex(RowsView data, SimMetric metric,
+HnswIndex::HnswIndex(MatrixRowRange data, SimMetric metric,
                      const HnswOptions& options)
     : data_(data), metric_(metric), options_(options) {
   LARGEEA_CHECK_GT(options.max_neighbors, 1);
@@ -203,7 +203,7 @@ void HnswIndex::Freeze(const Lists& g) {
   links_ = FlatArray<int32_t>(std::move(links));
 }
 
-StatusOr<HnswIndex> HnswIndex::FromCsr(RowsView data, SimMetric metric,
+StatusOr<HnswIndex> HnswIndex::FromCsr(MatrixRowRange data, SimMetric metric,
                                        const HnswOptions& options,
                                        int32_t entry_point, int32_t max_level,
                                        FlatArray<uint64_t> node_slots,

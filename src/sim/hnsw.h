@@ -65,7 +65,7 @@ struct HnswOptions {
 class HnswIndex {
  public:
   /// Builds the graph over `data` rows with similarity `metric`.
-  HnswIndex(RowsView data, SimMetric metric, const HnswOptions& options);
+  HnswIndex(MatrixRowRange data, SimMetric metric, const HnswOptions& options);
 
   /// A graph laid out earlier — the serve index's, borrowed from its
   /// image — over `data`. DATA_LOSS for a graph QueryTopK could walk out
@@ -73,7 +73,7 @@ class HnswIndex {
   /// offsets that do not ascend from 0 to their array's end, a neighbor
   /// id out of range or listed on a layer above its own top, or an entry
   /// point that is not on the top layer.
-  static StatusOr<HnswIndex> FromCsr(RowsView data, SimMetric metric,
+  static StatusOr<HnswIndex> FromCsr(MatrixRowRange data, SimMetric metric,
                                      const HnswOptions& options,
                                      int32_t entry_point, int32_t max_level,
                                      FlatArray<uint64_t> node_slots,
@@ -88,7 +88,6 @@ class HnswIndex {
 
   int64_t size() const { return data_.rows(); }
   int64_t dim() const { return data_.cols(); }
-  const HnswOptions& options() const { return options_; }
   int32_t entry_point() const { return entry_point_; }
   int32_t max_level() const { return max_level_; }
   /// Total directed edges across all layers (graph-size telemetry).
@@ -108,7 +107,7 @@ class HnswIndex {
   }
 
  private:
-  HnswIndex(RowsView data, SimMetric metric, const HnswOptions& options,
+  HnswIndex(MatrixRowRange data, SimMetric metric, const HnswOptions& options,
             int32_t entry_point, int32_t max_level,
             FlatArray<uint64_t> node_slots, FlatArray<uint64_t> list_offsets,
             FlatArray<int32_t> links);
@@ -178,7 +177,7 @@ class HnswIndex {
   int64_t SelectNeighbors(const std::vector<std::pair<float, int32_t>>& sorted,
                           int32_t m, std::vector<int32_t>& out) const;
 
-  RowsView data_;
+  MatrixRowRange data_;
   SimMetric metric_;
   HnswOptions options_;
   /// 1 / ln(M): the level-assignment temperature from the HNSW paper.

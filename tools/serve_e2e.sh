@@ -20,8 +20,8 @@
 #      the server's VmRSS after its first load and its VmHWM after two
 #      swaps to the same file, both from /proc/<pid>/status, and fail if
 #      the peak exceeds the post-load RSS by more than one artifact size
-#      plus RSS_SLACK_MIB (default 4): a mapped index costs what its
-#      sections touch, and a retired version is unmapped when it drops.
+#      plus 4 MiB: a mapped index costs what its sections touch, and a
+#      retired version is unmapped when it drops.
 #
 # Usage: tools/serve_e2e.sh   (BUILD_DIR=build, WORK_DIR=mktemp by
 # default; CI runs it as a visible step on the default preset.)
@@ -139,9 +139,10 @@ mkdir -p "${WORK_DIR}/rss"
   --target "${WORK_DIR}/rss/target.tsv" --seeds "${WORK_DIR}/rss/train.tsv" \
   --test "${WORK_DIR}/rss/test.tsv" --epochs 5 --batches 2 --log-level warn \
   --index-out "${WORK_DIR}/rss/serve.idx" > /dev/null
-python3 - "${CLI}" "${WORK_DIR}/rss/serve.idx" "${RSS_SLACK_MIB:-4}" <<'EOF'
+python3 - "${CLI}" "${WORK_DIR}/rss/serve.idx" <<'EOF'
 import json, os, subprocess, sys
-cli, index, slack_mib = sys.argv[1], sys.argv[2], float(sys.argv[3])
+cli, index = sys.argv[1], sys.argv[2]
+slack_mib = 4
 
 def status_bytes(pid, key):
     for line in open(f"/proc/{pid}/status"):

@@ -13,8 +13,8 @@
 //   * --json-out=FILE --mode=backend — a SIMD backend x kernel matrix at
 //     one thread: every available backend (scalar, sse2, avx2) times
 //     {dot, manhattan, dot4, manhattan4, gemm, gemm_tb, topk,
-//     levenshtein} on identical inputs, rows carry speedup vs the
-//     scalar backend. The
+//     rrea_epoch, adam, levenshtein} on identical inputs, rows carry
+//     speedup vs the scalar backend. The
 //     perf trajectory invokes it as
 //     `--mode=backend --json-out=BENCH_simd.json`;
 //   * --json-out=FILE --mode=stream — a memory-budget sweep of the
@@ -80,6 +80,7 @@
 #include "src/name/minhash.h"
 #include "src/name/semantic_encoder.h"
 #include "src/nn/batch_graph.h"
+#include "src/nn/adam.h"
 #include "src/nn/ea_model.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -520,6 +521,42 @@ int RunBackendMatrix(const Flags& flags) {
     name_pairs.emplace_back(std::move(a), std::move(b));
   }
 
+  // One structure batch of a DBP1M EN-FR run's shape (~5.9k + 4.3k
+  // vertices, ~13k + 5k edges, ~1.4k seeds): the rrea_epoch row times
+  // Train at one epoch (set-up, the epoch and the final forward), the
+  // adam row one Adam step over the larger side's embeddings.
+  const auto random_graph = [&rng](int32_t vertices, int32_t edges,
+                                   int32_t relations) {
+    LocalGraph g;
+    g.global_ids.resize(static_cast<size_t>(vertices));
+    std::iota(g.global_ids.begin(), g.global_ids.end(), 0);
+    g.num_relations = relations;
+    g.degree.assign(static_cast<size_t>(vertices), 0);
+    for (int32_t e = 0; e < edges; ++e) {
+      const LocalEdge edge{static_cast<int32_t>(rng.Uniform(vertices)),
+                           static_cast<RelationId>(rng.Uniform(relations)),
+                           static_cast<int32_t>(rng.Uniform(vertices))};
+      g.edges.push_back(edge);
+      ++g.degree[static_cast<size_t>(edge.head)];
+      ++g.degree[static_cast<size_t>(edge.tail)];
+    }
+    return g;
+  };
+  const LocalGraph batch_source = random_graph(5900, 13000, 200);
+  const LocalGraph batch_target = random_graph(4300, 5000, 150);
+  std::vector<std::pair<int32_t, int32_t>> batch_seeds;
+  for (int32_t i = 0; i < 1400; ++i) {
+    batch_seeds.emplace_back(static_cast<int32_t>(rng.Uniform(5900)),
+                             static_cast<int32_t>(rng.Uniform(4300)));
+  }
+  TrainOptions epoch_options;
+  epoch_options.epochs = 1;
+  const std::unique_ptr<EaModel> rrea = MakeModel(ModelKind::kRrea);
+  Matrix adam_param(5900, 48), adam_grad(5900, 48);
+  adam_param.GlorotInit(rng);
+  adam_grad.GlorotInit(rng);
+  AdamState adam_state(5900, 48, AdamOptions{});
+
   struct Kernel {
     const char* name;
     int64_t items;  // per iteration, for items_per_sec
@@ -581,6 +618,22 @@ int RunBackendMatrix(const Flags& flags) {
        [&] { GemmTransposeB(gemm_a, gemm_b, gemm_c); }, nullptr},
       {"topk", int64_t{1000} * 1000,
        [&] { benchmark::DoNotOptimize(ExactTopK(topk_a, topk_b, topk)); },
+       nullptr},
+      {"rrea_epoch",
+       2 * static_cast<int64_t>(batch_source.edges.size() +
+                                batch_target.edges.size()),
+       [&] {
+         benchmark::DoNotOptimize(
+             rrea->Train(batch_source, batch_target, batch_seeds,
+                         epoch_options));
+       },
+       nullptr},
+      {"adam", adam_param.size(),
+       [&] {
+         adam_state.Step(adam_param, adam_grad);
+         benchmark::DoNotOptimize(adam_param.data());
+         benchmark::ClobberMemory();
+       },
        nullptr},
       {"levenshtein", name_cells,
        [&] {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/macros.h"
+#include "src/simd/simd.h"
 
 namespace largeea {
 
@@ -34,10 +35,9 @@ void NormalizedAdjacency::Apply(const Matrix& in, Matrix& out) const {
     float* dst = out.Row(v);
     for (int64_t k = 0; k < dim; ++k) dst[k] = c * src[k];
   }
+  const simd::KernelTable& kt = simd::Kernels();
   for (const Entry& e : entries_) {
-    const float* src = in.Row(e.j);
-    float* dst = out.Row(e.i);
-    for (int64_t k = 0; k < dim; ++k) dst[k] += e.coeff * src[k];
+    kt.axpy(e.coeff, in.Row(e.j), out.Row(e.i), dim);
   }
 }
 

@@ -24,6 +24,11 @@ class NormalizedAdjacency {
     return static_cast<int32_t>(self_coeff_.size());
   }
 
+  /// Off-diagonal entries, both directions of every non-loop edge.
+  int64_t num_entries() const {
+    return static_cast<int64_t>(entries_.size());
+  }
+
  private:
   struct Entry {
     int32_t i;

@@ -6,9 +6,12 @@
 #include "src/nn/aggregation.h"
 #include "src/nn/loss.h"
 #include "src/nn/negative_sampler.h"
+#include "src/obs/profiler.h"
 
 namespace largeea {
 namespace {
+
+constexpr int64_t kF = sizeof(float);
 
 // Forward/backward workspace for one KG's GCN pass.
 struct GcnSide {
@@ -26,8 +29,24 @@ struct GcnSide {
     x.GlorotInit(rng);
   }
 
+  // Declared traffic of `applies` Apply calls and of `gemms` products
+  // of an n x d by a d x d matrix, for the phase scopes.
+  void DeclareApplies(obs::ProfileScope& prof, int64_t applies) const {
+    const int64_t n = x.rows(), d = x.cols(), m = adjacency.num_entries();
+    prof.AddBytes(applies * kF * (n + 2 * m) * d, applies * kF * (n + m) * d);
+    prof.AddFlops(applies * (n + 2 * m) * d);
+  }
+  void DeclareGemms(obs::ProfileScope& prof, int64_t gemms) const {
+    const int64_t n = x.rows(), d = x.cols();
+    prof.AddBytes(gemms * kF * (n * d + d * d), gemms * kF * n * d);
+    prof.AddFlops(gemms * 2 * n * d * d);
+  }
+
   // Z = Â · relu(Â X W1) · W2, intermediates retained for backward.
   void Forward(const Matrix& w1, const Matrix& w2) {
+    obs::ProfileScope prof("nn.forward");
+    DeclareApplies(prof, 2);
+    DeclareGemms(prof, 2);
     adjacency.Apply(x, p1);
     Gemm(p1, w1, q1);
     h1 = q1;
@@ -39,6 +58,9 @@ struct GcnSide {
   // Backward from dz; accumulates into dw1/dw2, overwrites dx.
   void Backward(const Matrix& w1, const Matrix& w2, Matrix& dw1,
                 Matrix& dw2) {
+    obs::ProfileScope prof("nn.backward");
+    DeclareApplies(prof, 2);
+    DeclareGemms(prof, 4);
     // dW2 += P2^T dZ ; dP2 = dZ W2^T
     GemmTransposeA(p2, dz, scratch_w2_);
     Axpy(1.0f, scratch_w2_, dw2);

@@ -1,10 +1,15 @@
 #include "src/nn/loss.h"
 
+#include <vector>
+
 #include "src/common/macros.h"
 #include "src/la/ops.h"
+#include "src/obs/profiler.h"
 
 namespace largeea {
 namespace {
+
+constexpr int64_t kF = sizeof(float);
 
 float Sign(float x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); }
 
@@ -30,12 +35,17 @@ MarginLossResult MarginLossAndGrad(
   MarginLossResult result;
   if (total_triplets == 0) return result;
   const float scale = 1.0f / static_cast<float>(total_triplets);
+  obs::ProfileScope prof("nn.loss");
 
+  // Sign(z_s - z_t), which every active triplet of the seed needs.
+  std::vector<float> pos_sign(static_cast<size_t>(dim));
   for (size_t i = 0; i < seeds.size(); ++i) {
     const auto [s, t] = seeds[i];
     const float* zs = source_embeddings.Row(s);
     const float* zt = target_embeddings.Row(t);
     const float d_pos = ManhattanDistance(zs, zt, dim);
+    for (int64_t k = 0; k < dim; ++k) pos_sign[k] = Sign(zs[k] - zt[k]);
+    const float* sp = pos_sign.data();
 
     // Corrupted target: d(z_s, z_t').
     for (const int32_t tn : negatives.target_negatives[i]) {
@@ -48,10 +58,9 @@ MarginLossResult MarginLossAndGrad(
       float* gt = target_grad.Row(t);
       float* gtn = target_grad.Row(tn);
       for (int64_t k = 0; k < dim; ++k) {
-        const float sp = Sign(zs[k] - zt[k]);
         const float sn = Sign(zs[k] - ztn[k]);
-        gs[k] += scale * (sp - sn);
-        gt[k] -= scale * sp;
+        gs[k] += scale * (sp[k] - sn);
+        gt[k] -= scale * sp[k];
         gtn[k] += scale * sn;
       }
     }
@@ -67,14 +76,20 @@ MarginLossResult MarginLossAndGrad(
       float* gt = target_grad.Row(t);
       float* gsn = source_grad.Row(sn);
       for (int64_t k = 0; k < dim; ++k) {
-        const float sp = Sign(zs[k] - zt[k]);
         const float sneg = Sign(zsn[k] - zt[k]);
-        gs[k] += scale * sp;
-        gt[k] += scale * (-sp + sneg);
+        gs[k] += scale * sp[k];
+        gt[k] += scale * (-sp[k] + sneg);
         gsn[k] -= scale * sneg;
       }
     }
   }
+  // Each seed's pair and each triplet read two rows for a distance and
+  // signs (3 flops per element); an active triplet then reads a
+  // negative row and three gradient rows and writes the three (8).
+  const int64_t pairs = static_cast<int64_t>(seeds.size()) + total_triplets;
+  prof.AddBytes(kF * dim * (2 * pairs + 4 * result.active_triplets),
+                kF * dim * 3 * result.active_triplets);
+  prof.AddFlops(dim * (3 * pairs + 8 * result.active_triplets));
   return result;
 }
 

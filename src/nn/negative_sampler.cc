@@ -3,26 +3,46 @@
 #include <algorithm>
 
 #include "src/common/macros.h"
-#include "src/la/ops.h"
+#include "src/obs/profiler.h"
+#include "src/simd/simd.h"
 
 namespace largeea {
 namespace {
 
+constexpr int64_t kF = sizeof(float);
+
 // `count` hardest candidates for `anchor` among `pool_size` random rows of
-// `candidates`, excluding `exclude`.
-std::vector<int32_t> NearestFromPool(const float* anchor,
+// `candidates`, excluding `exclude`. The whole pool is drawn first, in
+// the order the candidates used to be drawn and scored one by one, and
+// then scored four rows per kernel call, which is bit-identical to one
+// row per call. `pool` and `scored` are the caller's scratch.
+std::vector<int32_t> NearestFromPool(const simd::KernelTable& kt,
+                                     const float* anchor,
                                      const Matrix& candidates,
                                      int32_t exclude, int32_t count,
-                                     int32_t pool_size, Rng& rng) {
+                                     int32_t pool_size, Rng& rng,
+                                     std::vector<int32_t>& pool,
+                                     std::vector<std::pair<float, int32_t>>&
+                                         scored) {
   const int32_t n = static_cast<int32_t>(candidates.rows());
-  std::vector<std::pair<float, int32_t>> scored;
-  scored.reserve(pool_size);
+  const int64_t dim = candidates.cols();
+  pool.clear();
   for (int32_t i = 0; i < pool_size; ++i) {
     const int32_t cand = static_cast<int32_t>(rng.Uniform(n));
-    if (cand == exclude) continue;
-    scored.emplace_back(
-        ManhattanDistance(anchor, candidates.Row(cand), candidates.cols()),
-        cand);
+    if (cand != exclude) pool.push_back(cand);
+  }
+  scored.resize(pool.size());
+  size_t j = 0;
+  for (; j + 4 <= pool.size(); j += 4) {
+    const float* rows[4] = {
+        candidates.Row(pool[j]), candidates.Row(pool[j + 1]),
+        candidates.Row(pool[j + 2]), candidates.Row(pool[j + 3])};
+    float distances[4];
+    kt.manhattan4(anchor, rows, dim, distances);
+    for (int q = 0; q < 4; ++q) scored[j + q] = {distances[q], pool[j + q]};
+  }
+  for (; j < pool.size(); ++j) {
+    scored[j] = {kt.manhattan(anchor, candidates.Row(pool[j]), dim), pool[j]};
   }
   const size_t take = std::min<size_t>(count, scored.size());
   std::partial_sort(scored.begin(), scored.begin() + take, scored.end());
@@ -59,17 +79,29 @@ NegativeSamples SampleNearestNegatives(
     std::span<const std::pair<int32_t, int32_t>> seeds,
     const Matrix& source_embeddings, const Matrix& target_embeddings,
     int32_t negatives_per_seed, int32_t pool_size, Rng& rng) {
+  obs::ProfileScope prof("nn.negatives");
+  // Two pools per seed; each candidate reads a row against the anchor
+  // (3 flops per element).
+  const int64_t scored_rows =
+      2 * static_cast<int64_t>(seeds.size()) * pool_size;
+  prof.AddBytes(kF * scored_rows * source_embeddings.cols(), 0);
+  prof.AddFlops(3 * scored_rows * source_embeddings.cols());
+  const simd::KernelTable& kt = simd::Kernels();
+  std::vector<int32_t> pool;
+  std::vector<std::pair<float, int32_t>> scored;
+  pool.reserve(static_cast<size_t>(std::max(pool_size, 0)));
+  scored.reserve(static_cast<size_t>(std::max(pool_size, 0)));
   NegativeSamples samples;
   samples.target_negatives.resize(seeds.size());
   samples.source_negatives.resize(seeds.size());
   for (size_t i = 0; i < seeds.size(); ++i) {
     const auto [s, t] = seeds[i];
     samples.target_negatives[i] = NearestFromPool(
-        source_embeddings.Row(s), target_embeddings, t, negatives_per_seed,
-        pool_size, rng);
+        kt, source_embeddings.Row(s), target_embeddings, t,
+        negatives_per_seed, pool_size, rng, pool, scored);
     samples.source_negatives[i] = NearestFromPool(
-        target_embeddings.Row(t), source_embeddings, s, negatives_per_seed,
-        pool_size, rng);
+        kt, target_embeddings.Row(t), source_embeddings, s,
+        negatives_per_seed, pool_size, rng, pool, scored);
   }
   return samples;
 }

@@ -9,20 +9,22 @@
 #include "src/nn/transe.h"
 #include "src/nn/loss.h"
 #include "src/nn/negative_sampler.h"
+#include "src/obs/profiler.h"
+#include "src/simd/simd.h"
 
 namespace largeea {
 namespace {
 
-// out = h - 2 (n·h) n, written into dst (+= if accumulate).
-inline void ReflectInto(const float* n, const float* h, int64_t dim,
-                        float scale, float* dst) {
-  const float nh = Dot(n, h, dim);
-  for (int64_t k = 0; k < dim; ++k) {
-    dst[k] += scale * (h[k] - 2.0f * nh * n[k]);
-  }
-}
+constexpr int64_t kF = sizeof(float);
 
 // One KG's state: embeddings, per-relation unit normals, layer buffers.
+//
+// A layer sends every edge a message in each direction: the source
+// row's reflection through the edge relation's hyperplane. The forward
+// keeps each direction's n·h (column 0: n·src[head] for the message to
+// the tail, column 1: n·src[tail] for the message to the head), and the
+// backward reuses it: neither the normals nor the layer inputs change
+// between the two, so the value is the one the backward would compute.
 struct RreaSide {
   RreaSide(const LocalGraph& graph_in, int32_t dim, Rng& rng)
       : graph(&graph_in),
@@ -34,6 +36,8 @@ struct RreaSide {
         dh1(graph_in.num_vertices(), dim),
         dh2(graph_in.num_vertices(), dim),
         dn(std::max(graph_in.num_relations, 1), dim),
+        nh1(static_cast<int64_t>(graph_in.edges.size()), 2),
+        nh2(static_cast<int64_t>(graph_in.edges.size()), 2),
         coeff(graph_in.num_vertices()) {
     x.GlorotInit(rng);
     normals.GaussianInit(rng, 1.0f);
@@ -43,78 +47,90 @@ struct RreaSide {
     }
   }
 
-  // dst = layer(src): dst[i] = c_i (src[i] + Σ reflections of neighbours).
-  void ForwardLayer(const Matrix& src, Matrix& dst) const {
+  // dst = layer(src): dst[i] = c_i (src[i] + Σ reflections of
+  // neighbours). `nh` receives each edge direction's n·src row.
+  void ForwardLayer(const simd::KernelTable& kt, const Matrix& src,
+                    Matrix& dst, Matrix& nh) const {
     const int64_t dim = src.cols();
     dst.Fill(0.0f);
+    float* dots = nh.data();
     for (const LocalEdge& e : graph->edges) {
       const float* n = normals.Row(e.relation);
-      ReflectInto(n, src.Row(e.head), dim, coeff[e.tail], dst.Row(e.tail));
-      ReflectInto(n, src.Row(e.tail), dim, coeff[e.head], dst.Row(e.head));
+      const float* head = src.Row(e.head);
+      const float* tail = src.Row(e.tail);
+      dots[0] = kt.dot(n, head, dim);
+      kt.reflect_add(n, head, dots[0], coeff[e.tail], dst.Row(e.tail), dim);
+      dots[1] = kt.dot(n, tail, dim);
+      kt.reflect_add(n, tail, dots[1], coeff[e.head], dst.Row(e.head), dim);
+      dots += 2;
     }
     for (int32_t v = 0; v < graph->num_vertices(); ++v) {
-      const float c = coeff[v];
-      const float* s = src.Row(v);
-      float* d = dst.Row(v);
-      for (int64_t k = 0; k < dim; ++k) d[k] += c * s[k];
+      kt.axpy(coeff[v], src.Row(v), dst.Row(v), dim);
     }
   }
 
-  // Backward of one layer: given d(out) and the layer input `src`,
-  // accumulates d(src) into dsrc (overwritten) and dL/dn into dn.
-  void BackwardLayer(const Matrix& src, const Matrix& dout, Matrix& dsrc) {
+  // Backward of one layer: given d(out), the layer input `src` and the
+  // forward's n·src values, writes d(src) into dsrc and accumulates
+  // dL/dn into dn. The message's gradient is g = c * dout (c of the
+  // receiving vertex); one n·g serves both the reflected gradient and
+  // the normal's.
+  void BackwardLayer(const simd::KernelTable& kt, const Matrix& src,
+                     const Matrix& dout, const Matrix& nh, Matrix& dsrc) {
     const int64_t dim = src.cols();
     dsrc.Fill(0.0f);
     for (int32_t v = 0; v < graph->num_vertices(); ++v) {
-      const float c = coeff[v];
-      const float* g = dout.Row(v);
-      float* d = dsrc.Row(v);
-      for (int64_t k = 0; k < dim; ++k) d[k] += c * g[k];
+      kt.axpy(coeff[v], dout.Row(v), dsrc.Row(v), dim);
     }
-    std::vector<float> g(dim);
+    const float* dots = nh.data();
     for (const LocalEdge& e : graph->edges) {
       const float* n = normals.Row(e.relation);
       float* dnr = dn.Row(e.relation);
       // Direction tail <- head.
-      {
-        const float c = coeff[e.tail];
-        const float* gout = dout.Row(e.tail);
-        const float* h = src.Row(e.head);
-        for (int64_t k = 0; k < dim; ++k) g[k] = c * gout[k];
-        // d(src[head]) += Reflect(n, g): reflections are symmetric.
-        ReflectInto(n, g.data(), dim, 1.0f, dsrc.Row(e.head));
-        const float gn = Dot(g.data(), n, dim);
-        const float nh = Dot(n, h, dim);
-        for (int64_t k = 0; k < dim; ++k) {
-          dnr[k] += -2.0f * (gn * h[k] + nh * g[k]);
-        }
-      }
+      const float c_tail = coeff[e.tail];
+      const float* g_tail = dout.Row(e.tail);
+      kt.reflect_backward(n, src.Row(e.head), g_tail, c_tail,
+                          kt.scaled_dot(n, g_tail, c_tail, dim), dots[0],
+                          dsrc.Row(e.head), dnr, dim);
       // Direction head <- tail.
-      {
-        const float c = coeff[e.head];
-        const float* gout = dout.Row(e.head);
-        const float* h = src.Row(e.tail);
-        for (int64_t k = 0; k < dim; ++k) g[k] = c * gout[k];
-        ReflectInto(n, g.data(), dim, 1.0f, dsrc.Row(e.tail));
-        const float gn = Dot(g.data(), n, dim);
-        const float nh = Dot(n, h, dim);
-        for (int64_t k = 0; k < dim; ++k) {
-          dnr[k] += -2.0f * (gn * h[k] + nh * g[k]);
-        }
-      }
+      const float c_head = coeff[e.head];
+      const float* g_head = dout.Row(e.head);
+      kt.reflect_backward(n, src.Row(e.tail), g_head, c_head,
+                          kt.scaled_dot(n, g_head, c_head, dim), dots[1],
+                          dsrc.Row(e.tail), dnr, dim);
+      dots += 2;
     }
   }
 
   void Forward() {
-    ForwardLayer(x, h1);
-    ForwardLayer(h1, h2);
+    const int64_t directions = 2 * static_cast<int64_t>(graph->edges.size());
+    const int64_t cells = x.size();
+    obs::ProfileScope prof("nn.forward");
+    // Per layer and edge direction: read n, h and the destination row,
+    // write it; a dot (2 flops per element) and the message (4). Then
+    // the self term: read src and dst, write dst (2).
+    prof.AddBytes(2 * kF * (3 * directions * x.cols() + 2 * cells),
+                  2 * kF * (directions * x.cols() + cells));
+    prof.AddFlops(2 * (6 * directions * x.cols() + 2 * cells));
+    const simd::KernelTable& kt = simd::Kernels();
+    ForwardLayer(kt, x, h1, nh1);
+    ForwardLayer(kt, h1, h2, nh2);
   }
 
   // Backward from dh2 into dx and dn (dn zeroed here).
   void Backward() {
+    const int64_t directions = 2 * static_cast<int64_t>(graph->edges.size());
+    const int64_t cells = x.size();
+    obs::ProfileScope prof("nn.backward");
+    // Per layer and edge direction: read n and dout for n·g (3 flops
+    // per element), then n, h, dout, dsrc and dn, writing dsrc and dn
+    // (9). The self term reads dout and writes dsrc (2).
+    prof.AddBytes(2 * kF * (7 * directions * x.cols() + cells),
+                  2 * kF * (2 * directions * x.cols() + cells));
+    prof.AddFlops(2 * (12 * directions * x.cols() + 2 * cells));
+    const simd::KernelTable& kt = simd::Kernels();
     dn.Fill(0.0f);
-    BackwardLayer(h1, dh2, dh1);
-    BackwardLayer(x, dh1, dx);
+    BackwardLayer(kt, h1, dh2, nh2, dh1);
+    BackwardLayer(kt, x, dh1, nh1, dx);
   }
 
   const LocalGraph* graph;
@@ -122,6 +138,7 @@ struct RreaSide {
   Matrix normals;
   Matrix h1, h2;
   Matrix dx, dh1, dh2, dn;
+  Matrix nh1, nh2;  // n·h per (edge, direction), layers 1 and 2
   std::vector<float> coeff;
 };
 

@@ -7,9 +7,12 @@
 #include "src/nn/adam.h"
 #include "src/nn/loss.h"
 #include "src/nn/negative_sampler.h"
+#include "src/obs/profiler.h"
 
 namespace largeea {
 namespace {
+
+constexpr int64_t kF = sizeof(float);
 
 float Sign(float x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); }
 
@@ -32,6 +35,12 @@ struct TransESide {
   double TripleLossAndGrad(float margin, Rng& rng) {
     const int64_t dim = x.cols();
     if (graph->edges.empty()) return 0.0;
+    obs::ProfileScope prof("nn.loss");
+    // Per triple: read five rows for two distances and their signs (6
+    // flops per element); an active one updates five gradient rows (10).
+    const int64_t triples = static_cast<int64_t>(graph->edges.size());
+    prof.AddBytes(kF * 5 * triples * dim, 0);
+    prof.AddFlops(6 * triples * dim);
     const float scale = 1.0f / static_cast<float>(graph->edges.size());
     double loss = 0.0;
     std::vector<float> pos_sign(dim), neg_sign(dim);
@@ -65,6 +74,8 @@ struct TransESide {
       const float v = d_pos + margin - d_neg;
       if (v <= 0.0f) continue;
       loss += static_cast<double>(v) * scale;
+      prof.AddBytes(kF * 5 * dim, kF * 5 * dim);
+      prof.AddFlops(10 * dim);
       float* gh = dx.Row(e.head);
       float* gt = dx.Row(e.tail);
       float* ghn = dx.Row(ch);

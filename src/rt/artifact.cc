@@ -147,12 +147,6 @@ StatusOr<size_t> ReadAt(int fd, char* out, size_t bytes, uint64_t offset,
   return filled;
 }
 
-/// Closes a descriptor when it goes out of scope.
-struct FdCloser {
-  int fd;
-  ~FdCloser() { ::close(fd); }
-};
-
 }  // namespace
 
 std::string Hex64(uint64_t value) {

@@ -2,6 +2,8 @@
 #ifndef LARGEEA_RT_IO_UTIL_H_
 #define LARGEEA_RT_IO_UTIL_H_
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -27,6 +29,12 @@ inline Status AtomicallyWriteFile(const std::string& path,
 /// reading allocates no more than the file's bytes. NOT_FOUND if it
 /// cannot be opened.
 StatusOr<std::string> ReadFileToString(const std::string& path);
+
+/// Closes a file descriptor when it goes out of scope.
+struct FdCloser {
+  int fd;
+  ~FdCloser() { ::close(fd); }
+};
 
 /// FNV-1a 64-bit hash — the checkpoint checksum/fingerprint primitive.
 /// Not cryptographic; it detects truncation and bit rot, not adversaries.

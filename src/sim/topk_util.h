@@ -10,6 +10,7 @@
 #define LARGEEA_SIM_TOPK_UTIL_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -76,11 +77,13 @@ class TopKHeap {
     if (static_cast<int32_t>(heap_.size()) < k_) {
       heap_.push_back({score, id});
       std::push_heap(heap_.begin(), heap_.end(), Better);
-    } else if (Better({score, id}, heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), Better);
-      heap_.back() = {score, id};
-      std::push_heap(heap_.begin(), heap_.end(), Better);
+      return;
     }
+    // Full (or k <= 0). Most candidates of a long scan score below the
+    // worst kept one; they leave on one float compare.
+    if (heap_.empty() || score < heap_.front().first) return;
+    const std::pair<float, int32_t> item{score, id};
+    if (Better(item, heap_.front())) ReplaceWorst(item);
   }
 
   /// Empties the heap into `out` in deterministic (score desc, id asc)
@@ -99,13 +102,36 @@ class TopKHeap {
 
   /// Strict ranking: higher score first, then smaller id. Used both as
   /// the heap comparator (front = worst kept item) and the drain order.
+  /// A NaN score ranks below every number (NaNs among themselves by
+  /// id), so the ranking stays a strict total order on distinct ids and
+  /// the kept set a pure function of the candidates even then.
   static bool Better(const std::pair<float, int32_t>& a,
                      const std::pair<float, int32_t>& b) {
-    if (a.first != b.first) return a.first > b.first;
+    if (a.first > b.first) return true;
+    if (a.first < b.first) return false;
+    if (a.first == b.first) return a.second < b.second;  // also +0 vs -0
+    const bool a_nan = std::isnan(a.first);
+    if (a_nan != std::isnan(b.first)) return !a_nan;
     return a.second < b.second;
   }
 
  private:
+  // Puts `item` in the worst item's place at the front and sifts it
+  // down: one pass where pop_heap plus push_heap take two. The layout
+  // may differ from theirs, the kept set cannot.
+  void ReplaceWorst(const std::pair<float, int32_t>& item) {
+    const size_t n = heap_.size();
+    size_t hole = 0;
+    for (size_t child = 1; child < n; child = 2 * hole + 1) {
+      // The worse child is the one that must sit nearer the front.
+      if (child + 1 < n && Better(heap_[child], heap_[child + 1])) ++child;
+      if (!Better(item, heap_[child])) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = item;
+  }
+
   int32_t k_;
   std::vector<std::pair<float, int32_t>> heap_;
 };

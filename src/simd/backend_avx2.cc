@@ -29,6 +29,7 @@ struct Avx2Vec {
   static Reg Sub(Reg a, Reg b) { return _mm256_sub_ps(a, b); }
   static Reg Mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
   static Reg Div(Reg a, Reg b) { return _mm256_div_ps(a, b); }
+  static Reg Sqrt(Reg a) { return _mm256_sqrt_ps(a); }
 
   static Reg Abs(Reg a) {
     const __m256 mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));

@@ -60,6 +60,12 @@ struct ScalarVec {
     return r;
   }
 
+  static Reg Sqrt(Reg a) {
+    Reg r;
+    for (int l = 0; l < 8; ++l) r.lane[l] = std::sqrt(a.lane[l]);
+    return r;
+  }
+
   static Reg Abs(Reg a) {
     Reg r;
     for (int l = 0; l < 8; ++l) r.lane[l] = std::fabs(a.lane[l]);

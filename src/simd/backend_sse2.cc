@@ -50,6 +50,8 @@ struct Sse2Vec {
     return Reg{_mm_div_ps(a.lo, b.lo), _mm_div_ps(a.hi, b.hi)};
   }
 
+  static Reg Sqrt(Reg a) { return Reg{_mm_sqrt_ps(a.lo), _mm_sqrt_ps(a.hi)}; }
+
   static Reg Abs(Reg a) {
     // Clear the sign bit — the same result std::fabs produces, for every
     // input including -0.0 and NaNs.

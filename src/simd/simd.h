@@ -55,6 +55,20 @@ bool BackendAvailable(Backend backend);
 /// Every backend the running CPU supports, worst (scalar) to best.
 std::vector<Backend> AvailableBackends();
 
+/// The scalars of one Adam update (AdamState::Step, src/nn/adam.h).
+/// The complements 1 - beta are passed rounded once, so every backend
+/// multiplies by the same floats.
+struct AdamScalars {
+  float beta1 = 0.0f;
+  float one_minus_beta1 = 0.0f;
+  float beta2 = 0.0f;
+  float one_minus_beta2 = 0.0f;
+  float bias1 = 0.0f;  ///< 1 - beta1^t
+  float bias2 = 0.0f;  ///< 1 - beta2^t
+  float learning_rate = 0.0f;
+  float epsilon = 0.0f;
+};
+
 /// The dispatched float kernels. All functions accept unaligned
 /// pointers; `dim`/`n` may be any length >= 0 (tails are handled inside,
 /// uniformly across backends — see the determinism contract above).
@@ -79,6 +93,33 @@ struct KernelTable {
   void (*scale)(float* x, float alpha, int64_t n);
   /// x[i] /= denom (true division — not multiplication by 1/denom).
   void (*divide)(float* x, float denom, int64_t n);
+  /// Sum of a[i] * (c * b[i]) over the lane tree: dot(a, g) for the
+  /// scaled row g = c * b, without writing g out. Bit-identical to dot
+  /// on a materialised g, in either argument order (lane products
+  /// commute).
+  float (*scaled_dot)(const float* a, const float* b, float c, int64_t dim);
+
+  // The RREA epoch's per-edge work (src/nn/rrea.cc). A reflection of h
+  // through the hyperplane with unit normal n is h - 2 (n·h) n; the
+  // caller passes the dot product, which it computed once.
+
+  /// dst[i] += scale * (h[i] - (2 * nh) * n[i]): one edge direction's
+  /// message into its destination row.
+  void (*reflect_add)(const float* n, const float* h, float nh, float scale,
+                      float* dst, int64_t dim);
+  /// The backward of reflect_add for the gradient g = c * gout, in one
+  /// pass: dsrc[i] += g[i] - (2 * gn) * n[i] (the reflection is its own
+  /// transpose) and dn[i] += -2 * (gn * h[i] + nh * g[i]) (the normal's
+  /// gradient), where gn = n·g and nh = n·h.
+  void (*reflect_backward)(const float* n, const float* h, const float* gout,
+                           float c, float gn, float nh, float* dsrc,
+                           float* dn, int64_t dim);
+  /// One Adam update over n parameters, element-wise:
+  ///   m = b1 m + (1 - b1) g;   v = b2 v + ((1 - b2) g) g;
+  ///   p -= (lr (m / bias1)) / (sqrt(v / bias2) + eps).
+  /// sqrt is the correctly rounded IEEE square root in every backend.
+  void (*adam_step)(float* p, const float* g, float* m, float* v, int64_t n,
+                    const AdamScalars& s);
 };
 
 /// The active backend. Resolved lazily on first use: LARGEEA_SIMD if set

@@ -10,23 +10,20 @@
 // before anything is sized from it); the file read into one string is
 // the largest allocation, its bytes plus the terminating NUL.
 //
-// The allocation bound is measured by replacing the global allocation
-// functions for this test binary; they forward to malloc/free and record
-// the largest request while a load is being tracked. Files smaller than
-// kSmallAllocation get that much headroom for error messages.
+// The allocation bound is measured by the test binary's allocation probe
+// (tests/allocation_probe.h), which records the largest request while a
+// load is being tracked. Files smaller than kSmallAllocation get that
+// much headroom for error messages.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -42,85 +39,7 @@
 #include "src/stream/memory_budget.h"
 #include "src/stream/stream_options.h"
 #include "src/stream/tile_store.h"
-
-namespace {
-
-std::atomic<bool> g_tracking{false};
-std::atomic<size_t> g_largest{0};
-
-void Note(size_t size) {
-  if (!g_tracking.load(std::memory_order_relaxed)) return;
-  size_t seen = g_largest.load(std::memory_order_relaxed);
-  while (size > seen && !g_largest.compare_exchange_weak(
-                            seen, size, std::memory_order_relaxed)) {
-  }
-}
-
-void* Allocate(size_t size, bool nothrow) {
-  Note(size);
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr && !nothrow) throw std::bad_alloc();
-  return p;
-}
-
-void* AllocateAligned(size_t size, std::align_val_t align, bool nothrow) {
-  Note(size);
-  void* p = nullptr;
-  const size_t alignment =
-      std::max(static_cast<size_t>(align), sizeof(void*));
-  if (posix_memalign(&p, alignment, size == 0 ? 1 : size) != 0) p = nullptr;
-  if (p == nullptr && !nothrow) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(size_t n) { return Allocate(n, false); }
-void* operator new[](size_t n) { return Allocate(n, false); }
-void* operator new(size_t n, const std::nothrow_t&) noexcept {
-  return Allocate(n, true);
-}
-void* operator new[](size_t n, const std::nothrow_t&) noexcept {
-  return Allocate(n, true);
-}
-void* operator new(size_t n, std::align_val_t a) {
-  return AllocateAligned(n, a, false);
-}
-void* operator new[](size_t n, std::align_val_t a) {
-  return AllocateAligned(n, a, false);
-}
-void* operator new(size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  return AllocateAligned(n, a, true);
-}
-void* operator new[](size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return AllocateAligned(n, a, true);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "tests/allocation_probe.h"
 
 namespace largeea {
 namespace {
@@ -186,11 +105,9 @@ class ArtifactFuzzTest : public ::testing::Test {
       std::ofstream out(t.path, std::ios::binary);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    g_largest.store(0);
-    g_tracking.store(true);
+    StartAllocationProbe();
     const StatusCode code = t.load();
-    g_tracking.store(false);
-    const size_t largest = g_largest.load();
+    const size_t largest = StopAllocationProbe();
     ++loads_;
     const bool code_ok =
         std::find(allowed.begin(), allowed.end(), code) != allowed.end();

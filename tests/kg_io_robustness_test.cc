@@ -4,10 +4,14 @@
 // mode. See ISSUE/DESIGN.md §7 "Failure model".
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/kg/dataset.h"
 #include "src/kg/kg_io.h"
@@ -118,6 +122,60 @@ TEST_F(KgIoRobustnessTest, EmbeddedNulAndControlBytesDoNotCrash) {
   const auto kg = LoadTriples(path);
   ASSERT_TRUE(kg.ok());  // opaque bytes: all lines have 3 fields
   EXPECT_GE(kg->num_triples(), 1);
+}
+
+// A line of 64 KiB or more is one malformed line: skipped to its
+// newline and counted once, or INVALID_ARGUMENT in strict mode. One
+// byte shorter, it loads.
+TEST_F(KgIoRobustnessTest, LinesOfSixtyFourKiBAreMalformed) {
+  constexpr size_t kCap = size_t{64} << 10;
+  const std::string longest_name(kCap - 1 - 4, 'x');  // + "\tr\ty"
+  const std::string content = "a\tr\tb\n" + longest_name + "\tr\ty\n" +
+                              std::string(kCap, 'z') + "\tr\ty\n" +
+                              "b\tr\tc\n" + std::string(3 * kCap, 'w');
+  const std::string path = WriteFile("long.tsv", content);
+  TsvReadStats stats;
+  const auto kg = LoadTriples(path, {}, &stats);
+  ASSERT_TRUE(kg.ok());
+  EXPECT_EQ(kg->num_triples(), 3);
+  EXPECT_TRUE(kg->FindEntity(longest_name).has_value());
+  EXPECT_EQ(stats.lines_read, 5);
+  EXPECT_EQ(stats.lines_skipped, 2);
+  EXPECT_EQ(stats.skipped_line_numbers, (std::vector<int64_t>{3, 5}));
+  const auto strict = LoadTriples(path, Strict());
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(strict.status().message().find("line 3"), std::string::npos);
+}
+
+// A pipe reports no size, so its lines stream through a buffer that
+// grows while one line fills it; the load matches the same bytes read
+// from a file.
+TEST_F(KgIoRobustnessTest, PipesLoadLikeFiles) {
+  std::string content;
+  for (int i = 0; i < 400; ++i) {
+    content += "e" + std::to_string(i) + "\tr\te" + std::to_string(i + 1) +
+               "\n";
+  }
+  content += std::string(20000, 'n') + "\tr\te0\n";  // past 4 KiB
+  const std::string fifo = dir_ + "/pipe.tsv";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(fifo, std::ios::binary);
+    out << content;
+  });
+  TsvReadStats stats;
+  const auto piped = LoadTriples(fifo, {}, &stats);
+  writer.join();
+  const auto filed = LoadTriples(WriteFile("file.tsv", content));
+  ASSERT_TRUE(piped.ok());
+  ASSERT_TRUE(filed.ok());
+  EXPECT_EQ(stats.lines_skipped, 0);
+  EXPECT_EQ(piped->num_triples(), 401);
+  EXPECT_EQ(piped->num_entities(), filed->num_entities());
+  for (EntityId e = 0; e < piped->num_entities(); ++e) {
+    EXPECT_EQ(piped->EntityName(e), filed->EntityName(e));
+  }
 }
 
 TEST_F(KgIoRobustnessTest, CrlfLineEndingsAreHandled) {

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -13,6 +14,8 @@
 #include "src/core/large_ea.h"
 #include "src/gen/benchmark_gen.h"
 #include "src/la/ops.h"
+#include "src/nn/batch_graph.h"
+#include "src/nn/ea_model.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
@@ -393,6 +396,60 @@ TEST_F(ProfilerTest, HnswBuildRecordsScopeAndScoreCounter) {
     EXPECT_GT(k.seconds, 0.0);
   }
   EXPECT_TRUE(seen);
+}
+
+// One structure batch shows its epoch's phases: the two sides' forward
+// (every epoch plus the final one) and backward, the loss, the nearest
+// negatives' mining at the refresh (epoch 0 draws random ones, which
+// score nothing) and the four Adam steps per epoch, each with declared
+// traffic and flops.
+TEST_F(ProfilerTest, StructureBatchRecordsTrainingPhases) {
+  BenchmarkSpec spec = Ids15kSpec(LanguagePair::kEnFr);
+  spec.world.num_entities = 200;
+  const EaDataset ds = GenerateBenchmark(spec);
+  std::vector<EntityId> all_source(ds.source.num_entities());
+  std::iota(all_source.begin(), all_source.end(), 0);
+  std::vector<EntityId> all_target(ds.target.num_entities());
+  std::iota(all_target.begin(), all_target.end(), 0);
+  const LocalGraph source = BuildLocalGraph(ds.source, all_source);
+  const LocalGraph target = BuildLocalGraph(ds.target, all_target);
+  const auto seeds = LocalizeSeeds(source, target, ds.split.train);
+  TrainOptions options;
+  options.epochs = 11;
+  options.hard_negative_refresh = 10;
+
+  obs::Profiler::Get().Enable();
+  MakeModel(ModelKind::kRrea)->Train(source, target, seeds, options);
+  obs::Profiler::Get().Disable();
+
+  const int64_t epochs = options.epochs;
+  const int64_t adam_cells =
+      (int64_t{source.num_vertices()} + target.num_vertices() +
+       std::max(source.num_relations, 1) +
+       std::max(target.num_relations, 1)) *
+      options.dim;
+  const std::map<std::string, int64_t> want_calls = {
+      {"nn.forward", 2 * (epochs + 1)},
+      {"nn.backward", 2 * epochs},
+      {"nn.loss", epochs},
+      {"nn.negatives", 1},
+      {"nn.adam", 4 * epochs}};
+  std::map<std::string, obs::KernelProfile> seen;
+  for (const obs::KernelProfile& k : obs::Profiler::Get().KernelTotals()) {
+    if (want_calls.count(k.kernel) != 0) seen[k.kernel] = k;
+  }
+  for (const auto& [kernel, calls] : want_calls) {
+    SCOPED_TRACE(kernel);
+    ASSERT_EQ(seen.count(kernel), 1u);
+    const obs::KernelProfile& k = seen[kernel];
+    EXPECT_EQ(k.calls, calls);
+    EXPECT_GT(k.bytes_read, 0);
+    EXPECT_GT(k.flops, 0);
+    EXPECT_GT(k.seconds, 0.0);
+  }
+  EXPECT_EQ(seen["nn.adam"].bytes_read, 4 * 4 * epochs * adam_cells);
+  EXPECT_EQ(seen["nn.adam"].bytes_written, 4 * 3 * epochs * adam_cells);
+  EXPECT_EQ(seen["nn.adam"].flops, 14 * epochs * adam_cells);
 }
 
 TEST_F(ProfilerTest, FusedMatrixBitIdenticalWithProfilingOnAndOff) {

@@ -9,7 +9,10 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/la/ops.h"
 #include "src/par/grain.h"
 #include "src/par/thread_pool.h"
@@ -23,6 +26,68 @@
 
 namespace largeea {
 namespace {
+
+// TopKHeap against a sort-based oracle: whatever the offer order, the
+// heap drains exactly the first k candidates of the full list sorted
+// by TopKHeap::Better, bit for bit. The score sets stress the ranking's
+// edges: all-equal scores (only ids decide), +0 against -0 (equal
+// scores, so ids decide), NaNs of both signs among numbers (ranked
+// below every number), and a small set of repeated values that puts
+// many ties on the k boundary; k runs from 0 and 1 past the candidate
+// count.
+TEST(TopKHeapTest, DrainsTheSortOracleBitForBit) {
+  using Scored = std::pair<float, int32_t>;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(53);
+  std::vector<std::vector<float>> score_sets;
+  score_sets.push_back(std::vector<float>(40, 0.5f));
+  score_sets.push_back({0.0f, -0.0f, 0.0f, -0.0f, 1.0f, -1.0f, -0.0f, 0.0f});
+  score_sets.push_back(
+      {0.3f, nan, -nan, 0.7f, nan, -1.0f, 0.0f, -0.0f, nan, 0.3f, 2.0f});
+  std::vector<float> repeated(200);
+  for (float& v : repeated) {
+    v = static_cast<float>(rng.Uniform(5)) * 0.25f - 0.5f;
+  }
+  score_sets.push_back(repeated);
+  std::vector<float> random(300);
+  for (float& v : random) v = static_cast<float>(rng.UniformDouble());
+  random[17] = nan;
+  score_sets.push_back(random);
+
+  for (size_t set = 0; set < score_sets.size(); ++set) {
+    const std::vector<float>& scores = score_sets[set];
+    const int32_t n = static_cast<int32_t>(scores.size());
+    std::vector<Scored> candidates;
+    for (int32_t id = 0; id < n; ++id) candidates.emplace_back(scores[id], id);
+    std::vector<Scored> oracle = candidates;
+    std::sort(oracle.begin(), oracle.end(), TopKHeap::Better);
+    for (const int32_t k : {0, 1, 2, 5, n - 1, n, n + 7}) {
+      if (k < 0) continue;
+      const std::vector<Scored> want(
+          oracle.begin(), oracle.begin() + std::min(k, n));
+      for (int round = 0; round < 6; ++round) {
+        std::vector<Scored> order = candidates;
+        if (round == 1) std::reverse(order.begin(), order.end());
+        for (size_t i = order.size(); round > 1 && i > 1; --i) {
+          std::swap(order[i - 1], order[rng.Uniform(i)]);
+        }
+        TopKHeap heap(k);
+        for (const auto& [score, id] : order) heap.Offer(id, score);
+        std::vector<Scored> got;
+        heap.Drain(got);
+        SCOPED_TRACE("set " + std::to_string(set) + " k " +
+                     std::to_string(k) + " round " + std::to_string(round));
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(got[i].first),
+                    std::bit_cast<uint32_t>(want[i].first))
+              << "rank " << i;
+          EXPECT_EQ(got[i].second, want[i].second) << "rank " << i;
+        }
+      }
+    }
+  }
+}
 
 TEST(SparseSimMatrixTest, AccumulateKeepsRowsSorted) {
   SparseSimMatrix m(2, 10, 3);

@@ -219,6 +219,106 @@ TEST_F(SimdEquivalenceTest, ElementwiseBitIdenticalAcrossBackends) {
   }
 }
 
+// The RREA epoch's kernels and the Adam step against scalar, bitwise,
+// on misaligned views. Beyond backend agreement, each checks the
+// identity its caller relies on: scaled_dot equals dot on the
+// materialised row in either argument order, reflect_backward's dsrc
+// update equals reflect_add of the gradient at scale 1, and a
+// self-loop's two directions may hit the same dsrc and dn rows.
+TEST_F(SimdEquivalenceTest, TrainingKernelsBitIdenticalAcrossBackends) {
+  const simd::KernelTable& scalar =
+      simd::KernelsFor(simd::Backend::kScalar);
+  const auto same = [](const float* a, const float* b, int64_t n) {
+    return n == 0 ||
+           std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+  };
+  Rng rng(41);
+  for (const simd::Backend backend : simd::AvailableBackends()) {
+    const simd::KernelTable& kt = simd::KernelsFor(backend);
+    for (const int64_t dim : Dims()) {
+      for (const int64_t offset : {int64_t{0}, int64_t{1}, int64_t{3}}) {
+        SCOPED_TRACE(std::string(simd::BackendName(backend)) + " dim=" +
+                     std::to_string(dim) + " offset=" +
+                     std::to_string(offset));
+        const auto row = [&] {
+          AlignedBuffer b(static_cast<size_t>(dim + offset));
+          FillRandom(b.data(), dim + offset, rng);
+          return b;
+        };
+        const AlignedBuffer n_buf = row(), h_buf = row(), g_buf = row();
+        const float* n = n_buf.data() + offset;
+        const float* h = h_buf.data() + offset;
+        const float* gout = g_buf.data() + offset;
+        const float c = 0.25f + static_cast<float>(rng.UniformDouble());
+
+        // scaled_dot == dot(n, c * gout) == dot(c * gout, n).
+        AlignedBuffer g_mat(static_cast<size_t>(dim + offset));
+        float* g = g_mat.data() + offset;
+        for (int64_t i = 0; i < dim; ++i) g[i] = c * gout[i];
+        const float gn = kt.scaled_dot(n, gout, c, dim);
+        EXPECT_EQ(FloatBits(gn),
+                  FloatBits(scalar.scaled_dot(n, gout, c, dim)));
+        EXPECT_EQ(FloatBits(gn), FloatBits(scalar.dot(n, g, dim)));
+        EXPECT_EQ(FloatBits(gn), FloatBits(scalar.dot(g, n, dim)));
+        const float nh = scalar.dot(n, h, dim);
+
+        // reflect_add.
+        AlignedBuffer dst_kt = row();
+        AlignedBuffer dst_ref = dst_kt;
+        kt.reflect_add(n, h, nh, c, dst_kt.data() + offset, dim);
+        scalar.reflect_add(n, h, nh, c, dst_ref.data() + offset, dim);
+        EXPECT_TRUE(same(dst_kt.data(), dst_ref.data(), dim + offset));
+
+        // reflect_backward, twice into the same rows (a self-loop), the
+        // second time with h aliasing gout.
+        AlignedBuffer dsrc_kt = row(), dn_kt = row();
+        AlignedBuffer dsrc_ref = dsrc_kt, dn_ref = dn_kt;
+        AlignedBuffer dsrc_old = dsrc_kt;
+        const auto self_loop = [&](const simd::KernelTable& table,
+                                   AlignedBuffer& dsrc_buf,
+                                   AlignedBuffer& dn_buf) {
+          float* dsrc = dsrc_buf.data() + offset;
+          float* dn = dn_buf.data() + offset;
+          table.reflect_backward(n, h, gout, c, gn, nh, dsrc, dn, dim);
+          table.reflect_backward(n, gout, gout, c, gn, gn, dsrc, dn, dim);
+        };
+        self_loop(kt, dsrc_kt, dn_kt);
+        self_loop(scalar, dsrc_ref, dn_ref);
+        EXPECT_TRUE(same(dsrc_kt.data(), dsrc_ref.data(), dim + offset));
+        EXPECT_TRUE(same(dn_kt.data(), dn_ref.data(), dim + offset));
+        AlignedBuffer dsrc_one = dsrc_old;
+        AlignedBuffer dn_one = row();
+        kt.reflect_backward(n, h, gout, c, gn, nh, dsrc_one.data() + offset,
+                            dn_one.data() + offset, dim);
+        kt.reflect_add(n, g, gn, 1.0f, dsrc_old.data() + offset, dim);
+        EXPECT_TRUE(same(dsrc_one.data(), dsrc_old.data(), dim + offset));
+
+        // adam_step, with a non-negative second moment as Adam keeps it.
+        AlignedBuffer p_kt = row(), m_kt = row(), v_kt = row();
+        for (int64_t i = 0; i < dim + offset; ++i) {
+          v_kt.data()[i] = std::fabs(v_kt.data()[i]);
+        }
+        AlignedBuffer p_ref = p_kt, m_ref = m_kt, v_ref = v_kt;
+        const simd::AdamScalars adam{.beta1 = 0.9f,
+                                     .one_minus_beta1 = 1.0f - 0.9f,
+                                     .beta2 = 0.999f,
+                                     .one_minus_beta2 = 1.0f - 0.999f,
+                                     .bias1 = 0.271f,
+                                     .bias2 = 0.002997f,
+                                     .learning_rate = 0.02f,
+                                     .epsilon = 1e-8f};
+        kt.adam_step(p_kt.data() + offset, gout, m_kt.data() + offset,
+                     v_kt.data() + offset, dim, adam);
+        scalar.adam_step(p_ref.data() + offset, gout, m_ref.data() + offset,
+                         v_ref.data() + offset, dim, adam);
+        EXPECT_TRUE(same(p_kt.data(), p_ref.data(), dim + offset));
+        EXPECT_TRUE(same(m_kt.data(), m_ref.data(), dim + offset));
+        EXPECT_TRUE(same(v_kt.data(), v_ref.data(), dim + offset));
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Myers bit-parallel Levenshtein against the DP oracle.
 

@@ -82,13 +82,13 @@ for preset in ${SANITIZERS}; do
     # The readers of outside bytes, likewise always: the artifact fuzzers
     # (checkpoints, tiles, and the mapped index, whose damaged images must
     # be refused before a query reads past a section), the HNSW CSR
-    # checks, and the serve protocol fuzzer with its bounds on k and on
-    # the request line.
-    echo "=== ${preset} (artifact, index and serve protocol fuzzers) ==="
+    # checks, the serve protocol fuzzer with its bounds on k and on the
+    # request line, and the KG TSV loaders' fuzzer.
+    echo "=== ${preset} (artifact, index, serve protocol and TSV fuzzers) ==="
     ASAN_OPTIONS=detect_leaks=1:strict_string_checks=1 \
     UBSAN_OPTIONS=print_stacktrace=1 \
       "build-${preset}/tests/largeea_tests" \
-      --gtest_filter='ArtifactFuzz*:IndexFuzz*:HnswCsr*:ServeProtocolFuzz*:QueryEngineTest.*'
+      --gtest_filter='ArtifactFuzz*:IndexFuzz*:HnswCsr*:ServeProtocolFuzz*:QueryEngineTest.*:KgIoFuzz*'
   fi
 
   echo "=== ${preset} (streamed, LARGEEA_MEMORY_BUDGET_MB=${STREAM_BUDGET_MB}) ==="

@@ -22,9 +22,9 @@
 //     name-channel pipeline runs unbudgeted to record its tracked peak
 //     and fused-matrix hash, then once under each distinct budget among
 //     1/2, 1/4, and 1/8 of that peak (floored at 1 MiB). Rows, keyed
-//     (path, budget_mb), carry the observed peak, wall time, tile
-//     reloads (stream.cache.misses), and whether the fused matrix
-//     stayed bit-identical. The perf trajectory invokes it as
+//     (path, budget_mb), carry the observed peak, wall time, spilled
+//     bytes (stream.spill.bytes), and whether the fused matrix stayed
+//     bit-identical. The perf trajectory invokes it as
 //     `--mode=stream --json-out=BENCH_stream.json`;
 //   * --json-out=FILE --mode=profile — the kernel-scaling sweep with the
 //     profiler (DESIGN.md §11) enabled: the same threads x kernels grid,
@@ -696,7 +696,7 @@ int RunBackendMatrix(const Flags& flags) {
 // 1 MiB, so small datasets collapse them). The determinism contract
 // extends to streaming (DESIGN.md §10): every budgeted row must
 // reproduce its path's unbudgeted fused matrix bit-for-bit. Rows also
-// carry the tile reloads the run paid (stream.cache.misses).
+// carry the bytes the run spilled (stream.spill.bytes).
 
 uint64_t FusedMatrixHash(const SparseSimMatrix& m) {
   std::string bytes;
@@ -714,14 +714,14 @@ int RunStreamSweep(const Flags& flags) {
   const double scale = flags.GetDouble("scale", 0.2);
   BenchmarkSpec spec = Ids15kSpec(LanguagePair::kEnFr, scale);
   const EaDataset dataset = GenerateBenchmark(spec);
-  const obs::Counter& misses =
-      obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
+  const obs::Counter& spilled =
+      obs::MetricsRegistry::Get().GetCounter("stream.spill.bytes");
 
   struct RunResult {
     double seconds = 0.0;
     int64_t peak_bytes = 0;
     uint64_t fused_hash = 0;
-    int64_t cache_misses = 0;
+    int64_t spill_bytes = 0;
   };
   const auto run_once = [&](bool use_lsh, int64_t budget_mb) -> RunResult {
     // Name channel only: those are the streamed whole-graph phases
@@ -733,31 +733,31 @@ int RunStreamSweep(const Flags& flags) {
     // 0 disables streaming explicitly (the env var only applies to the
     // unset sentinel -1), so the baseline is the historical path.
     options.stream.memory_budget_mb = budget_mb;
-    const int64_t misses_before = misses.Value();
+    const int64_t spilled_before = spilled.Value();
     auto run = RunLargeEa(dataset, options);
     LARGEEA_CHECK(run.ok());
     return RunResult{run->total_seconds, run->peak_bytes,
                      FusedMatrixHash(run->fused),
-                     misses.Value() - misses_before};
+                     spilled.Value() - spilled_before};
   };
 
   std::printf("%-6s %10s %12s %10s %12s %10s %10s\n", "path", "budget_mb",
-              "peak", "seconds", "tile_misses", "identical", "compliant");
+              "peak", "seconds", "spilled", "identical", "compliant");
   const auto add_row = [&](const char* path, int64_t budget_mb,
                            const RunResult& run, bool identical) {
     const bool compliant =
         budget_mb == 0 || run.peak_bytes <= budget_mb * (1 << 20);
-    std::printf("%-6s %10lld %12s %10.3f %12lld %10s %10s\n", path,
+    std::printf("%-6s %10lld %12s %10.3f %12s %10s %10s\n", path,
                 static_cast<long long>(budget_mb),
                 bench::FormatBytes(run.peak_bytes).c_str(), run.seconds,
-                static_cast<long long>(run.cache_misses),
+                bench::FormatBytes(run.spill_bytes).c_str(),
                 identical ? "yes" : "NO", compliant ? "yes" : "NO");
     bench::BenchJson::Row row;
     row.Set("path", path)
         .Set("budget_mb", budget_mb)
         .Set("peak_bytes", run.peak_bytes)
         .Set("seconds", run.seconds)
-        .Set("cache_misses", run.cache_misses)
+        .Set("spill_bytes", run.spill_bytes)
         .Set("identical", identical)
         .Set("compliant", compliant);
     json.Add(std::move(row));

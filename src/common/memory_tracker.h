@@ -54,9 +54,8 @@ class MemoryTracker {
   /// Sets the peak to the current live amount (start of a measured phase).
   void ResetPeak();
 
-  /// Opens a named phase and returns its handle. Prefer the RAII
-  /// MemoryPhaseScope (or obs::Span with kTrackMemory) over calling this
-  /// directly.
+  /// Opens a named phase and returns its handle. Prefer obs::Span with
+  /// kTrackMemory over calling this directly.
   int32_t BeginPhase(std::string name);
 
   /// Closes the phase, appends it to FinishedPhases(), and returns its
@@ -88,33 +87,6 @@ class MemoryTracker {
   mutable std::mutex phase_mu_;
   std::vector<ActivePhase> active_;    // indexed by handle
   std::vector<MemoryPhase> finished_;
-};
-
-/// RAII wrapper around Begin/EndPhase.
-class MemoryPhaseScope {
- public:
-  explicit MemoryPhaseScope(std::string name)
-      : handle_(MemoryTracker::Get().BeginPhase(std::move(name))) {}
-  ~MemoryPhaseScope() {
-    if (!ended_) End();
-  }
-
-  MemoryPhaseScope(const MemoryPhaseScope&) = delete;
-  MemoryPhaseScope& operator=(const MemoryPhaseScope&) = delete;
-
-  /// Closes the phase now and returns its record. Idempotent.
-  MemoryPhase End() {
-    if (!ended_) {
-      record_ = MemoryTracker::Get().EndPhase(handle_);
-      ended_ = true;
-    }
-    return record_;
-  }
-
- private:
-  int32_t handle_;
-  bool ended_ = false;
-  MemoryPhase record_;
 };
 
 /// RAII registration of an externally-owned buffer with the tracker.

@@ -120,11 +120,9 @@ void Config::Register(FlagRegistry& r) {
           "stream whole-graph phases under this tracked-memory budget "
           "(MiB; 0 disables, unset defers to LARGEEA_MEMORY_BUDGET_MB)");
   r.Int32("stream-tile-rows", &pipeline.stream.tile_rows,
-          "rows per spilled tile (0 = sized from the budget)");
+          "rows per spilled or searched chunk (0 = sized from the budget)");
   r.String("stream-dir", &pipeline.stream.spill_dir,
-           "tile spill directory (empty = unique temp dir)");
-  r.Bool("stream-release-inputs", &pipeline.stream.release_inputs,
-         "free intermediate matrices as the fusion consumes them");
+           "spill directory (empty = the system temp dir)");
 
   // Runtime and I/O.
   r.Int64("threads", &threads,

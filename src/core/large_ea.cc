@@ -31,7 +31,7 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
   pipeline_span.AddAttr("simd.backend",
                         simd::BackendName(simd::ActiveBackend()));
 
-  // Memory-budgeted streaming: one context (budget + spill store) per
+  // Memory-budgeted streaming: one context (options + budget) per
   // run, handed only to the operators that know how to stream. Null
   // when disabled, which keeps every operator on its in-memory path.
   const stream::StreamOptions stream_options =
@@ -42,9 +42,11 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
     pipeline_span.AddAttr("stream.budget_mb",
                           stream_options.memory_budget_mb);
     LARGEEA_LOG_INFO("pipeline: streaming under a %" PRId64
-                     " MiB budget (spill dir '%s')",
+                     " MiB budget (spills to %s)",
                      stream_options.memory_budget_mb,
-                     stream_ctx->store().spill_dir().c_str());
+                     stream_options.spill_dir.empty()
+                         ? "the system temp dir"
+                         : stream_options.spill_dir.c_str());
   }
 
   // Per-node fingerprints cover every artifact the pipeline writes, so

@@ -60,11 +60,11 @@ struct LargeEaOptions {
   FaultToleranceOptions fault_tolerance;
   /// Memory-budgeted streaming execution (DESIGN.md §10). Resolved
   /// against LARGEEA_MEMORY_BUDGET_MB at run (and fingerprint) time; a
-  /// positive budget streams the name-channel embeddings and fusions
-  /// through a disk-backed TileStore without changing any result bit.
-  /// With release_inputs (the default) the intermediate matrices
-  /// (nff.semantic, nff.string, structure_channel.similarity) come back
-  /// empty — only `fused` and the metrics are retained.
+  /// positive budget spills the target's name embeddings to one mapped
+  /// file and streams the fusions without changing any result bit. The
+  /// intermediate matrices (nff.semantic, nff.string,
+  /// structure_channel.similarity) then come back empty — only `fused`
+  /// and the metrics are retained.
   stream::StreamOptions stream;
 };
 

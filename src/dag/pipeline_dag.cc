@@ -84,8 +84,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   const KnowledgeGraph& target = dataset.target;
   const NameChannelOptions& n = options.name_channel;
   const StructureChannelOptions& s = options.structure_channel;
-  const bool consume =
-      stream_ctx != nullptr && stream_ctx->options().release_inputs;
+  const bool consume = stream_ctx != nullptr;
   const int64_t src_rows = source.num_entities();
   const int64_t all_rows = src_rows + target.num_entities();
 
@@ -291,6 +290,10 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   std::vector<int32_t> fusion_inputs;
   if (v_struct >= 0) fusion_inputs.push_back(v_struct);
   if (v_name >= 0) fusion_inputs.push_back(v_name);
+  // A consuming fusion moves M_n out, so it must also wait for M_n's other
+  // reader, name_augmentation. With the structure channel on, M_s already
+  // orders them; without it, nothing else would.
+  if (consume && v_pseudo >= 0) fusion_inputs.push_back(v_pseudo);
   graph.AddNode(
       "fusion", std::move(fusion_inputs), {v_fused},
       SimBytes(src_rows, options.fused_top_k) * 2,

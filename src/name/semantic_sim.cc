@@ -1,12 +1,13 @@
 #include "src/name/semantic_sim.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
-#include "src/obs/trace.h"
+#include "src/obs/log.h"
+#include "src/stream/spill.h"
 #include "src/stream/stream_context.h"
 
 namespace largeea {
@@ -17,75 +18,55 @@ SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
                                           stream::StreamContext* stream_ctx) {
   SemanticEncoder encoder(options.encoder);
   if (options.use_idf) encoder.FitIdf({&source, &target});
+  const int64_t dim = encoder.dim();
+  const int64_t source_rows = source.num_entities();
+  const int64_t target_rows = target.num_entities();
 
+  // Under a memory budget the target is encoded in chunks of `block_rows`
+  // rows into one spill file, which the search then reads through a
+  // read-only mapping, and the source is encoded and searched in blocks of
+  // as many rows: neither whole-graph embedding matrix is ever tracked
+  // memory. A failed spill write keeps the target in memory instead.
+  // Names are encoded one at a time and the kept top-k of a row is a pure
+  // function of its candidates, so every path writes the same bytes.
+  int64_t block_rows = std::max<int64_t>(source_rows, 1);
+  std::optional<stream::SpilledMatrix> spilled;
+  if (stream_ctx != nullptr) {
+    block_rows = stream_ctx->budget().TileRowsFor(
+        target_rows, dim * static_cast<int64_t>(sizeof(float)));
+    StatusOr<stream::SpilledMatrix> spill = stream::SpillMatrix(
+        stream_ctx->options().spill_dir, target_rows, dim, block_rows,
+        [&](int64_t begin, int64_t end) {
+          return encoder.EncodeNameRange(target, static_cast<EntityId>(begin),
+                                         static_cast<EntityId>(end));
+        });
+    if (spill.ok()) {
+      spilled.emplace(std::move(spill).value());
+    } else {
+      LARGEEA_LOG_WARN("sens: keeping the target in memory: %s",
+                       spill.status().ToString().c_str());
+    }
+  }
+  const Matrix target_emb =
+      spilled.has_value() ? Matrix() : encoder.EncodeAllNames(target);
+  const MatrixRowRange target_view =
+      spilled.has_value() ? spilled->rows() : MatrixRowRange(target_emb);
+
+  std::optional<LshIndex> index;
+  if (options.use_lsh) index.emplace(target_view, options.lsh);
+  std::vector<EntityId> col_ids(target_rows);
+  std::iota(col_ids.begin(), col_ids.end(), 0);
   SparseSimMatrix m_se(source.num_entities(), target.num_entities(),
                        options.top_k);
   const TopKOptions topk{.k = options.top_k, .metric = options.metric};
-
-  if (stream_ctx != nullptr) {
-    // Memory-budgeted path: the target embeddings are encoded tile by
-    // tile into the spill store, and source blocks are encoded on the
-    // fly — neither whole-graph embedding matrix ever exists. Per-name
-    // encoding and order-independent top-k make this bit-identical to
-    // the in-memory path below.
-    const int64_t dim = encoder.dim();
-    const int64_t tile_rows = stream_ctx->budget().TileRowsFor(
-        target.num_entities(), dim * static_cast<int64_t>(sizeof(float)));
-    stream::TileMatrix tiles(&stream_ctx->store(), target.num_entities(), dim,
-                             tile_rows);
-    // The LSH index is built while the target is encoded: each fresh
-    // tile's rows are inserted before the tile is spilled, in ascending
-    // order exactly as in the one-shot constructor, so the finished
-    // index is identical to LshIndex(target_emb, options.lsh). The span
-    // therefore covers the tiles' encoding too.
-    std::optional<LshIndex> index;
-    std::optional<obs::Span> build_span;
-    if (options.use_lsh) {
-      index.emplace(static_cast<int32_t>(dim), options.lsh);
-      build_span.emplace("lsh/build_index");
-      build_span->AddAttr("streamed", int64_t{1});
-    }
-    for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-      const int32_t base = static_cast<int32_t>(tiles.TileBegin(t));
-      Matrix tile = encoder.EncodeNameRange(
-          target, base, static_cast<EntityId>(tiles.TileEnd(t)));
-      if (index.has_value()) {
-        for (int64_t r = 0; r < tile.rows(); ++r) {
-          index->Insert(base + static_cast<int32_t>(r), tile.Row(r));
-        }
-      }
-      tiles.Append(std::move(tile));
-    }
-    if (index.has_value()) {
-      index->FinishBuild();
-      build_span->End();
-    }
-    for (int64_t sb = 0; sb < source.num_entities(); sb += tile_rows) {
-      const int64_t se =
-          std::min<int64_t>(sb + tile_rows, source.num_entities());
-      const Matrix block = encoder.EncodeNameRange(
-          source, static_cast<EntityId>(sb), static_cast<EntityId>(se));
-      std::vector<EntityId> row_ids(se - sb);
-      std::iota(row_ids.begin(), row_ids.end(), static_cast<EntityId>(sb));
-      TopKInto(block, row_ids, tiles, index.has_value() ? &*index : nullptr,
-               topk, m_se);
-    }
-    m_se.RefreshMemoryTracking();
-    return m_se;
-  }
-
-  const Matrix source_emb = encoder.EncodeAllNames(source);
-  const Matrix target_emb = encoder.EncodeAllNames(target);
-  std::vector<EntityId> row_ids(source.num_entities());
-  std::iota(row_ids.begin(), row_ids.end(), 0);
-  std::vector<EntityId> col_ids(target.num_entities());
-  std::iota(col_ids.begin(), col_ids.end(), 0);
-  if (options.use_lsh) {
-    const LshIndex index(target_emb, options.lsh);
-    TopKInto(source_emb, row_ids, target_emb, col_ids, &index, topk, m_se);
-  } else {
-    TopKInto(source_emb, row_ids, target_emb, col_ids, /*index=*/nullptr,
-             topk, m_se);
+  for (int64_t begin = 0; begin < source_rows; begin += block_rows) {
+    const int64_t end = std::min(begin + block_rows, source_rows);
+    const Matrix block = encoder.EncodeNameRange(
+        source, static_cast<EntityId>(begin), static_cast<EntityId>(end));
+    std::vector<EntityId> row_ids(end - begin);
+    std::iota(row_ids.begin(), row_ids.end(), static_cast<EntityId>(begin));
+    TopKInto(block, row_ids, target_view, col_ids,
+             index.has_value() ? &*index : nullptr, topk, m_se);
   }
   m_se.RefreshMemoryTracking();
   return m_se;

@@ -35,10 +35,10 @@ class StreamContext;
 }  // namespace stream
 
 /// Computes M_se between the entity names of the two KGs. With a
-/// non-null `stream_ctx` the target embeddings are tiled through its
-/// spill store and the source is encoded block-by-block, keeping the
-/// working set under the memory budget; the result is bit-identical
-/// either way.
+/// non-null `stream_ctx` the target embeddings are spilled to one mapped
+/// file in its spill directory and the source is encoded block-by-block,
+/// keeping the tracked working set under the memory budget; the result is
+/// bit-identical either way.
 SparseSimMatrix ComputeSemanticSimilarity(const KnowledgeGraph& source,
                                           const KnowledgeGraph& target,
                                           const SensOptions& options,

@@ -1,6 +1,7 @@
 // The one on-disk container of every artifact the system persists:
 // pipeline checkpoints (src/rt/checkpoint.h), the serve index
-// (src/serve/index_artifact.h) and spilled tiles (src/stream/tile_store.h).
+// (src/serve/index_artifact.h) and the spilled target of a memory-budgeted
+// run (src/stream/spill.h).
 //
 //   largeea-<family> v3 <kind> <fingerprint> <payload-bytes> <payload-hash>\n
 //   <NUL bytes up to the next multiple of 64>
@@ -8,10 +9,10 @@
 //
 // * family — the header's magic: which kind of file this is at all.
 // * kind — what the payload encodes: a checkpoint's unit ("fused",
-//   "batch_0003"), "serve" for an index, "dense" for a tile.
+//   "batch_0003"), "serve" for an index, "dense" for a spill.
 // * fingerprint — 16 hex digits naming what produced the artifact: a
 //   checkpoint's per-node configuration fingerprint, an index's pipeline
-//   fingerprint, 0 for a tile.
+//   fingerprint, 0 for a spill.
 // * payload-hash — FNV-1a 64 of the payload, 16 hex digits. It detects
 //   truncation and bit rot, not adversaries, so every payload decoder
 //   still checks each count against the bytes that remain before it
@@ -20,11 +21,14 @@
 // The payload starts 64-byte aligned, so a mapped payload can hold arrays
 // that are read in place (the serve index's sections).
 //
-// Two readers share one header parser and one taxonomy. ReadArtifact
-// copies the file into memory (checkpoints and tiles decode their payload
-// into their own structures anyway); MapArtifact checksums the file by
-// streaming read and maps it read-only, for the serve index, which reads
-// its sections in the mapping. A mapping stays valid only because
+// One writer, ArtifactWriter, appends a payload of known size in pieces,
+// hashing it as it goes, and writes the final header last; WriteArtifact is
+// that writer given the whole payload at once. Two readers share one header
+// parser and one taxonomy. ReadArtifact copies the file into memory
+// (checkpoints decode their payload into their own structures anyway);
+// MapArtifact checksums the file by streaming read and maps it read-only,
+// for the serve index and a spill, which are read in the mapping. A
+// mapping stays valid only because
 // artifacts are replaced by rename and never rewritten in place: a file
 // truncated under a live mapping would SIGBUS its reader.
 //
@@ -67,7 +71,52 @@ std::optional<uint64_t> ParseHex64(std::string_view text);
 std::string ArtifactHeader(std::string_view family, std::string_view kind,
                            uint64_t fingerprint, std::string_view payload);
 
-/// Writes the header and `payload` to `path` atomically (tmp + rename),
+/// Writes one artifact whose payload size is known before its bytes are.
+/// The header's length does not depend on the hash, so the file is written
+/// front to back behind a header whose hash is still zeros, the payload
+/// appended in pieces and hashed as it goes, and Finish() writes the final
+/// header over the first. The bytes go to "<path>.tmp", which Finish()
+/// renames over `path`, so a failed or interrupted write never leaves a
+/// partial file under the final name. A writer destroyed before Finish()
+/// succeeds removes its temporary file.
+class ArtifactWriter {
+ public:
+  /// Opens "<path>.tmp" for an artifact of `payload_bytes` payload bytes.
+  static StatusOr<ArtifactWriter> Create(const std::string& path,
+                                         std::string_view family,
+                                         std::string_view kind,
+                                         uint64_t fingerprint,
+                                         uint64_t payload_bytes);
+
+  ArtifactWriter(ArtifactWriter&& other) noexcept;
+  ArtifactWriter& operator=(ArtifactWriter&&) = delete;
+  ArtifactWriter(const ArtifactWriter&) = delete;
+  ArtifactWriter& operator=(const ArtifactWriter&) = delete;
+  ~ArtifactWriter();
+
+  /// Appends the payload's next bytes; never more than declared in all.
+  Status Append(std::string_view bytes);
+
+  /// Once the whole payload is in: writes the header, closes the file and
+  /// renames it into place. Returns the file's size.
+  StatusOr<int64_t> Finish();
+
+ private:
+  ArtifactWriter() = default;
+  /// Closes and removes the temporary file, if it is still open.
+  void Discard();
+
+  int fd_ = -1;
+  std::string path_;
+  /// The header with a zero hash; Finish() spells the payload's hash
+  /// over its last 16 digits.
+  std::string header_;
+  uint64_t payload_bytes_ = 0;
+  uint64_t written_ = 0;
+  uint64_t hash_ = 0;
+};
+
+/// Writes the header and `payload` to `path` through an ArtifactWriter,
 /// and the file's size to `bytes_written` when given.
 Status WriteArtifact(const std::string& path, std::string_view family,
                      std::string_view kind, uint64_t fingerprint,

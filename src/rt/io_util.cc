@@ -10,17 +10,14 @@
 
 namespace largeea::rt {
 
-Status AtomicallyWriteFile(const std::string& path,
-                           std::initializer_list<std::string_view> pieces) {
+Status AtomicallyWriteFile(const std::string& path, std::string_view content) {
   const std::string tmp_path = path + ".tmp";
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) {
       return UnavailableError("cannot open '" + tmp_path + "' for writing");
     }
-    for (const std::string_view piece : pieces) {
-      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
-    }
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
     out.flush();
     if (!out) {
       std::remove(tmp_path.c_str());

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -13,17 +12,11 @@
 
 namespace largeea::rt {
 
-/// Writes `pieces`, in order, to `path` atomically: the bytes go to
-/// "<path>.tmp" which is renamed over `path` only after a successful
-/// write+close, so a crash mid-write can never leave a truncated file
-/// under the final name (rename(2) is atomic on POSIX filesystems). A
-/// header and a payload need not be joined in memory first.
-Status AtomicallyWriteFile(const std::string& path,
-                           std::initializer_list<std::string_view> pieces);
-inline Status AtomicallyWriteFile(const std::string& path,
-                                  std::string_view content) {
-  return AtomicallyWriteFile(path, {content});
-}
+/// Writes `content` to `path` atomically: the bytes go to "<path>.tmp"
+/// which is renamed over `path` only after a successful write+close, so a
+/// crash mid-write can never leave a truncated file under the final name
+/// (rename(2) is atomic on POSIX filesystems).
+Status AtomicallyWriteFile(const std::string& path, std::string_view content);
 
 /// Reads the whole file into one string sized from the file itself, so
 /// reading allocates no more than the file's bytes. NOT_FOUND if it

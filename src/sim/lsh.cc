@@ -1,6 +1,7 @@
 #include "src/sim/lsh.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "src/common/macros.h"
@@ -11,73 +12,52 @@
 
 namespace largeea {
 
-LshIndex::LshIndex(int32_t dim, const LshOptions& options)
-    : dim_(dim), options_(options) {
+LshIndex::LshIndex(const MatrixRowRange& data, const LshOptions& options)
+    : dim_(static_cast<int32_t>(data.cols())),
+      options_(options),
+      num_rows_(data.rows()) {
   LARGEEA_CHECK_GT(options.num_tables, 0);
   LARGEEA_CHECK_GT(options.bits_per_table, 0);
   LARGEEA_CHECK_LE(options.bits_per_table, kMaxLshBits);
   LARGEEA_CHECK_GE(options.probe_radius, 0);
   LARGEEA_CHECK_LE(options.probe_radius, kMaxLshProbeRadius);
-  // Hyperplanes depend only on (seed, dim), so one-shot and incremental
-  // builds of the same data hash identically.
+  LARGEEA_CHECK_LE(num_rows_, std::numeric_limits<int32_t>::max());
   Rng rng(options.seed);
   planes_ = Matrix(static_cast<int64_t>(options.num_tables) *
                        options.bits_per_table,
                    dim_);
   planes_.GaussianInit(rng, 1.0f);
-}
 
-LshIndex::LshIndex(const Matrix& data, const LshOptions& options)
-    : LshIndex(static_cast<int32_t>(data.cols()), options) {
   obs::Span build_span("lsh/build_index");
   build_span.AddAttr("num_tables", static_cast<int64_t>(options.num_tables));
   build_span.AddAttr("bits_per_table",
                      static_cast<int64_t>(options.bits_per_table));
-  pending_rows_.reserve(static_cast<size_t>(data.rows()));
-  pending_keys_.reserve(static_cast<size_t>(data.rows()) *
-                        options.num_tables);
-  for (int32_t row = 0; row < data.rows(); ++row) {
-    Insert(row, data.Row(row));
-  }
-  FinishBuild();
-}
-
-void LshIndex::Insert(int32_t row, const float* vec) {
-  LARGEEA_CHECK(!finished_);
-  LARGEEA_CHECK_GT(row, last_inserted_row_);
-  last_inserted_row_ = row;
-  pending_rows_.push_back(row);
-  for (int32_t t = 0; t < options_.num_tables; ++t) {
-    pending_keys_.push_back(Key(vec, t));
-  }
-}
-
-void LshIndex::FinishBuild() {
-  if (finished_) return;
-  finished_ = true;
-  // A counting sort per table: bucket sizes, their prefix sums, then the
-  // rows scattered in insertion (ascending) order, so every bucket's
-  // members ascend and Query() can OR them straight into a bitset.
+  // Every row's key in every table, then a counting sort per table:
+  // bucket sizes, their prefix sums, then the rows scattered in ascending
+  // order, so every bucket's members ascend and Query() can OR them
+  // straight into a bitset.
   const int64_t tables = options_.num_tables;
-  const int64_t rows = static_cast<int64_t>(pending_rows_.size());
+  const int64_t rows = num_rows_;
   const int64_t buckets = int64_t{1} << options_.bits_per_table;
+  std::vector<uint32_t> keys(static_cast<size_t>(rows * tables));
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int32_t t = 0; t < tables; ++t) {
+      keys[r * tables + t] = Key(data.Row(r), t);
+    }
+  }
   offsets_.assign(static_cast<size_t>(tables * (buckets + 1)), 0);
   members_.resize(static_cast<size_t>(tables * rows));
   std::vector<int32_t> cursor(static_cast<size_t>(buckets));
   for (int64_t t = 0; t < tables; ++t) {
     int32_t* offsets = offsets_.data() + t * (buckets + 1);
-    for (int64_t r = 0; r < rows; ++r) {
-      ++offsets[pending_keys_[r * tables + t] + 1];
-    }
+    for (int64_t r = 0; r < rows; ++r) ++offsets[keys[r * tables + t] + 1];
     std::partial_sum(offsets, offsets + buckets + 1, offsets);
     std::copy(offsets, offsets + buckets, cursor.begin());
     int32_t* members = members_.data() + t * rows;
     for (int64_t r = 0; r < rows; ++r) {
-      members[cursor[pending_keys_[r * tables + t]]++] = pending_rows_[r];
+      members[cursor[keys[r * tables + t]]++] = static_cast<int32_t>(r);
     }
   }
-  pending_rows_ = {};
-  pending_keys_ = {};
 
   // Bucket-occupancy histogram: the paper's Fig. 4 linearity argument
   // rests on occupancy staying near-constant as the dataset grows.
@@ -119,9 +99,8 @@ uint32_t LshIndex::Key(const float* vec, int32_t table) const {
 }
 
 void LshIndex::Query(const float* vec, uint64_t* bits) const {
-  LARGEEA_CHECK(finished_);
   const int64_t tables = options_.num_tables;
-  const int64_t rows = static_cast<int64_t>(members_.size()) / tables;
+  const int64_t rows = num_rows_;
   const int64_t buckets = int64_t{1} << options_.bits_per_table;
   for (int32_t t = 0; t < tables; ++t) {
     const int32_t* offsets = offsets_.data() + t * (buckets + 1);

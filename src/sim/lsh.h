@@ -35,33 +35,16 @@ struct LshOptions {
 /// Words of a bitset with one bit per row id in [0, rows).
 inline int64_t BitsetWords(int64_t rows) { return (rows + 63) / 64; }
 
-/// LSH index over the rows of a data matrix. Immutable once built —
-/// either in one shot from a full matrix, or incrementally (for the
-/// streaming layer, which only ever holds one tile of the data at a
-/// time). Both build paths produce identical indexes for identical
-/// data: the hyperplanes depend only on (seed, dim), and FinishBuild()
-/// lays the buckets out the same way for the same (row, key) pairs.
+/// LSH index over the rows of a data matrix, immutable once built. The
+/// hyperplanes depend only on (seed, dim).
 class LshIndex {
  public:
-  /// Builds the index over `data` (rows are points). The matrix is not
-  /// retained; only bucket membership is stored.
-  LshIndex(const Matrix& data, const LshOptions& options);
-
-  /// Incremental build: creates an empty index over `dim`-dimensional
-  /// points. Call Insert() with strictly ascending row ids, then
-  /// FinishBuild() before the first Query().
-  LshIndex(int32_t dim, const LshOptions& options);
-
-  /// Adds row `row` with vector `vec` (length dim()). Rows must arrive
-  /// in strictly ascending order, which keeps every bucket's members
-  /// ascending in the flat layout.
-  void Insert(int32_t row, const float* vec);
-
-  /// Seals an incrementally-built index: packs the buckets into flat
-  /// per-table offsets over one row-id array per table and records the
-  /// bucket-occupancy histogram. Idempotent; the one-shot constructor
-  /// calls it.
-  void FinishBuild();
+  /// Builds the index over `data` (rows are points): packs each table's
+  /// buckets into flat offsets over one row-id array and records the
+  /// bucket-occupancy histogram. The rows are not retained; only bucket
+  /// membership is stored. `data` may be a whole Matrix or a view, e.g.
+  /// of a mapped spill.
+  LshIndex(const MatrixRowRange& data, const LshOptions& options);
 
   /// Sets bit j of `bits` for every row j that shares a bucket with
   /// `vec` (dimension must match) in at least one table, or, with
@@ -75,26 +58,20 @@ class LshIndex {
   uint32_t Key(const float* vec, int32_t table) const;
 
   int32_t dim() const { return dim_; }
-  /// One past the largest inserted row id: the bit count of a Query()
-  /// bitset.
-  int64_t num_rows() const { return int64_t{last_inserted_row_} + 1; }
+  /// The indexed row count: the bit count of a Query() bitset.
+  int64_t num_rows() const { return num_rows_; }
   const LshOptions& options() const { return options_; }
 
  private:
   int32_t dim_ = 0;
   LshOptions options_;
-  int32_t last_inserted_row_ = -1;
-  bool finished_ = false;
+  int64_t num_rows_ = 0;
   /// Hyperplane normals: one matrix of shape
   /// (num_tables * bits_per_table) x dim, row-major by (table, bit).
   Matrix planes_;
-  /// Build-time (row, key) pairs, num_tables keys per row; FinishBuild()
-  /// packs and releases them.
-  std::vector<int32_t> pending_rows_;
-  std::vector<uint32_t> pending_keys_;
   /// Per table t, bucket `key` holds members_[t * n + o] for o in
   /// [offsets_[t * (2^bits + 1) + key], offsets_[... + key + 1]), with
-  /// n the inserted row count; members ascend within each bucket.
+  /// n the row count; members ascend within each bucket.
   std::vector<int32_t> offsets_;
   std::vector<int32_t> members_;
 };

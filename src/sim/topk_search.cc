@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/macros.h"
-#include "src/common/memory_tracker.h"
 #include "src/la/ops.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -17,12 +16,11 @@
 #include "src/sim/lsh.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
-#include "src/stream/tile_store.h"
 
 namespace largeea {
 
-// Both entries sweep tile-major through one block step (OfferBlock): a
-// block of source rows visits a target range in L2-sized tiles of
+// The sweep is tile-major through one block step (OfferBlock): a
+// block of source rows visits the target in L2-sized tiles of
 // par::TopKTileRows rows, offering every row its candidates inside the
 // tile to a heap that lives across tiles. Without an index every target
 // row is a candidate (OfferRows); with one, each row's candidates are
@@ -41,14 +39,14 @@ namespace {
 
 // Drains every row's heap into `out` (direct scatter: disjoint source
 // rows write disjoint `out` rows). `col_ids` maps target rows to
-// entity ids; empty means the identity.
+// entity ids.
 void DrainHeaps(std::span<TopKHeap> heaps, std::span<const EntityId> row_ids,
                 std::span<const EntityId> col_ids, SparseSimMatrix& out) {
   std::vector<std::pair<float, int32_t>> drained;
   for (size_t i = 0; i < heaps.size(); ++i) {
     heaps[i].Drain(drained);
     for (const auto& [score, j] : drained) {
-      out.Accumulate(row_ids[i], col_ids.empty() ? j : col_ids[j], score);
+      out.Accumulate(row_ids[i], col_ids[j], score);
     }
   }
 }
@@ -122,25 +120,23 @@ void OfferCandidates(const simd::KernelTable& kt, const float* src,
 }
 
 // The block step. Offers the rows of `heaps` — source rows from `begin`
-// on — their candidates among the target rows that `range` holds, the
-// first of which is target row `range_begin`: every row when `plan` is
+// on — their candidates among the target rows: every row when `plan` is
 // null, else the set bits of the heap's row plan, `words` words apiece.
-// The range is walked in tiles of `tile_rows` rows, so each tile stays
+// The target is walked in tiles of `tile_rows` rows, so each tile stays
 // L2-resident while every row of the block scores against it.
 void OfferBlock(const simd::KernelTable& kt, const MatrixRowRange& source,
                 int64_t begin, std::span<TopKHeap> heaps,
                 const uint64_t* plan, int64_t words,
-                const MatrixRowRange& range, int64_t range_begin,
-                int64_t tile_rows, SimMetric metric) {
+                const MatrixRowRange& target, int64_t tile_rows,
+                SimMetric metric) {
   // Deliberately a hot-path no-op unless LARGEEA_OBS_HOT_TRACING is
   // defined: per-block spans would crowd the trace.
   LARGEEA_TRACE_HOT_SPAN("topk/block");
   const int64_t dim = source.cols();
-  for (int64_t tile = 0; tile < range.rows(); tile += tile_rows) {
-    const int64_t tile_begin = range_begin + tile;
-    const int64_t tile_end =
-        range_begin + std::min(tile + tile_rows, range.rows());
-    const float* rows = range.Row(tile);
+  for (int64_t tile_begin = 0; tile_begin < target.rows();
+       tile_begin += tile_rows) {
+    const int64_t tile_end = std::min(tile_begin + tile_rows, target.rows());
+    const float* rows = target.Row(tile_begin);
     for (size_t r = 0; r < heaps.size(); ++r) {
       const float* src = source.Row(begin + static_cast<int64_t>(r));
       if (plan == nullptr) {
@@ -151,19 +147,6 @@ void OfferBlock(const simd::KernelTable& kt, const MatrixRowRange& source,
                         rows, dim, metric, heaps[r]);
       }
     }
-  }
-}
-
-void CheckSweep(const MatrixRowRange& source,
-                std::span<const EntityId> row_ids, int64_t target_rows,
-                int64_t target_cols, const LshIndex* index,
-                const TopKOptions& options) {
-  LARGEEA_CHECK_EQ(source.cols(), target_cols);
-  LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
-  LARGEEA_CHECK_GT(options.k, 0);
-  if (index != nullptr) {
-    LARGEEA_CHECK_EQ(source.cols(), index->dim());
-    LARGEEA_CHECK_LE(index->num_rows(), target_rows);
   }
 }
 
@@ -200,8 +183,14 @@ void TopKInto(const MatrixRowRange& source, std::span<const EntityId> row_ids,
               const MatrixRowRange& target, std::span<const EntityId> col_ids,
               const LshIndex* index, const TopKOptions& options,
               SparseSimMatrix& out) {
-  CheckSweep(source, row_ids, target.rows(), target.cols(), index, options);
+  LARGEEA_CHECK_EQ(source.cols(), target.cols());
+  LARGEEA_CHECK_EQ(static_cast<size_t>(source.rows()), row_ids.size());
   LARGEEA_CHECK_EQ(static_cast<size_t>(target.rows()), col_ids.size());
+  LARGEEA_CHECK_GT(options.k, 0);
+  if (index != nullptr) {
+    LARGEEA_CHECK_EQ(source.cols(), index->dim());
+    LARGEEA_CHECK_LE(index->num_rows(), target.rows());
+  }
   const int64_t dim = source.cols();
   const int64_t words = index == nullptr ? 0 : BitsetWords(target.rows());
   const simd::KernelTable& kt = simd::Kernels();
@@ -230,7 +219,7 @@ void TopKInto(const MatrixRowRange& source, std::span<const EntityId> row_ids,
           }
           OfferBlock(kt, source, begin, std::span(heaps).first(rows),
                      index == nullptr ? nullptr : plan.data(), words, target,
-                     /*range_begin=*/0, tile_rows, options.metric);
+                     tile_rows, options.metric);
           DrainHeaps(std::span(heaps).first(rows),
                      row_ids.subspan(begin, rows), col_ids, out);
         }
@@ -238,87 +227,6 @@ void TopKInto(const MatrixRowRange& source, std::span<const EntityId> row_ids,
       });
   RecordSweep(prof, index, source.rows(), block_rows, target.rows(), dim,
               options.k, planned.load(std::memory_order_relaxed));
-}
-
-void TopKInto(const MatrixRowRange& source, std::span<const EntityId> row_ids,
-              const stream::TileMatrix& target, const LshIndex* index,
-              const TopKOptions& options, SparseSimMatrix& out) {
-  LARGEEA_CHECK(target.complete());
-  CheckSweep(source, row_ids, target.rows(), target.cols(), index, options);
-  const int64_t rows = source.rows();
-  const int64_t dim = source.cols();
-  const int64_t words = index == nullptr ? 0 : BitsetWords(target.rows());
-  const simd::KernelTable& kt = simd::Kernels();
-  const int64_t block_rows = par::TopKBlockRows(rows, dim);
-  const int64_t tile_rows = par::TopKTileRows(dim);
-  obs::ProfileScope prof(ScopeName(index));
-
-  // Pinned tiles on the outside, with the whole call as one block: plan
-  // every row's candidates in parallel, then pin each spilled tile that
-  // holds a candidate once, in order, prefetching the next one, and run
-  // the block step over it for every block of rows. A call therefore
-  // pins each tile at most once, however many rows it has.
-  std::vector<uint64_t> plan(static_cast<size_t>(rows * words), 0);
-  std::atomic<int64_t> planned{0};
-  if (index != nullptr) {
-    par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
-      planned.fetch_add(
-          PlanCandidates(source, chunk.begin, chunk.end, *index, words,
-                         plan.data() + chunk.begin * words),
-          std::memory_order_relaxed);
-    });
-  }
-  std::vector<TopKHeap> heaps = ReservedHeaps(rows, options.k);
-  // The plan and the filled heaps stay live for the whole sweep;
-  // tracking them lets the tile cache's headroom and the budget's peak
-  // see them.
-  const TrackedAllocation tracked_plan(
-      static_cast<int64_t>(plan.size() * sizeof(uint64_t)) +
-      rows * options.k *
-          static_cast<int64_t>(sizeof(std::pair<float, int32_t>)));
-
-  // Every tile without a plan; with one, only the tiles where some row
-  // has a candidate, so a small block (tiny tiles) reads no more tiles
-  // than its candidates touch.
-  std::vector<int64_t> tiles;
-  std::vector<uint64_t> any(static_cast<size_t>(words), 0);
-  for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t w = 0; w < words; ++w) any[w] |= plan[i * words + w];
-  }
-  for (int64_t t = 0; t < target.num_tiles(); ++t) {
-    const int64_t begin = target.TileBegin(t);
-    const int64_t end = target.TileEnd(t);
-    bool needed = index == nullptr;
-    for (int64_t w = begin >> 6; !needed && w <= (end - 1) >> 6; ++w) {
-      needed = WordInRange(any.data(), w, begin, end) != 0;
-    }
-    if (needed) tiles.push_back(t);
-  }
-
-  for (size_t n = 0; n < tiles.size(); ++n) {
-    if (n + 1 < tiles.size()) target.Prefetch(tiles[n + 1]);
-    const int64_t t = tiles[n];
-    const std::shared_ptr<const Matrix> tile = target.Tile(t);
-    par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
-      for (int64_t begin = chunk.begin; begin < chunk.end;
-           begin += block_rows) {
-        OfferBlock(kt, source, begin,
-                   std::span(heaps).subspan(
-                       begin, std::min(block_rows, chunk.end - begin)),
-                   index == nullptr ? nullptr : plan.data() + begin * words,
-                   words, *tile, target.TileBegin(t), tile_rows,
-                   options.metric);
-      }
-    });
-  }
-
-  par::ParallelFor(0, rows, block_rows, [&](const par::ChunkRange& chunk) {
-    DrainHeaps(std::span(heaps).subspan(chunk.begin, chunk.end - chunk.begin),
-               row_ids.subspan(chunk.begin, chunk.end - chunk.begin), {},
-               out);
-  });
-  RecordSweep(prof, index, rows, block_rows, target.rows(), dim, options.k,
-              planned.load(std::memory_order_relaxed));
 }
 
 SparseSimMatrix ExactTopK(const Matrix& source, const Matrix& target,

@@ -8,11 +8,10 @@
 // random-hyperplane LSH index (src/sim/lsh.h), scored exactly — the
 // DBP1M-tier setting, where exact search is slower.
 //
-// Two entries, one per target kind, run that same block step and differ
-// only in their outer loop: an in-memory target, or a target spilled to
-// a TileStore under a memory budget. Both write into a global
-// SparseSimMatrix through row/column id maps, so mini-batch results
-// land directly in the full M_s.
+// One entry runs it over a row-range view of the target, whether the rows
+// sit in a Matrix or in a mapped spill file (src/stream/spill.h), and
+// writes into a global SparseSimMatrix through row/column id maps, so
+// mini-batch results land directly in the full M_s.
 #ifndef LARGEEA_SIM_TOPK_SEARCH_H_
 #define LARGEEA_SIM_TOPK_SEARCH_H_
 
@@ -40,10 +39,6 @@ struct TopKOptions {
 
 class LshIndex;
 
-namespace stream {
-class TileMatrix;
-}  // namespace stream
-
 /// Keeps the top-k target rows per source row. A null `index` makes
 /// every target row a candidate (exact search); otherwise the candidates
 /// of a source row are the target rows `index` (built over `target`)
@@ -52,7 +47,8 @@ class TileMatrix;
 /// pure function of the candidate set. `row_ids[i]` / `col_ids[j]` map
 /// view rows to entity ids in `out`. Both sides take row-range views (a
 /// whole Matrix converts implicitly), so callers can pass windows into
-/// the full embedding matrices instead of materialised row copies.
+/// the full embedding matrices, or a mapped spill, instead of
+/// materialised row copies.
 /// Swept tile-major: parallel blocks of source rows (par::TopKBlockRows)
 /// each plan their candidate bitsets (with an index), walk the target in
 /// L2-sized tiles (par::TopKTileRows) scoring four candidates per kernel
@@ -63,19 +59,6 @@ void TopKInto(const MatrixRowRange& source, std::span<const EntityId> row_ids,
               const MatrixRowRange& target, std::span<const EntityId> col_ids,
               const LshIndex* index, const TopKOptions& options,
               SparseSimMatrix& out);
-
-/// Memory-budgeted variant: the target is a complete TileMatrix in a
-/// TileStore, and column ids are its absolute row indices. The whole
-/// call is one block: every row's candidates are planned first (with a
-/// non-null `index`, built over the tiled target, e.g. incrementally),
-/// then each spilled tile holding a candidate is pinned once, in order,
-/// with the next such tile prefetched, and every row is offered its
-/// candidates inside it, by the same block step, to a heap kept across
-/// the spilled tiles. The plan and the heaps are tracked for the
-/// budget. Bit-identical to the in-memory entry over the same target.
-void TopKInto(const MatrixRowRange& source, std::span<const EntityId> row_ids,
-              const stream::TileMatrix& target, const LshIndex* index,
-              const TopKOptions& options, SparseSimMatrix& out);
 
 /// Convenience wrapper: exact search, identity id maps, fresh matrix.
 SparseSimMatrix ExactTopK(const Matrix& source, const Matrix& target,

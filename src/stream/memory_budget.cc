@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/memory_tracker.h"
 #include "src/obs/metrics.h"
 
 namespace largeea::stream {
@@ -26,18 +25,6 @@ int64_t MemoryBudget::TileRowsFor(int64_t total_rows, int64_t row_bytes) const {
   int64_t rows = budget_bytes_ / kAutoTilesPerBudget / row_bytes;
   rows = std::max(rows, kMinTileRows);
   return std::min(rows, total_rows);
-}
-
-int64_t MemoryBudget::CacheCapacityBytes(int64_t tile_bytes) const {
-  const int64_t floor = 3 * std::max<int64_t>(tile_bytes, 1);
-  if (!enabled()) return floor;
-  // The cache's own resident tiles are tracked too, so headroom is what
-  // the budget leaves over everything *else*; callers recompute this on
-  // every eviction pass, which makes the cache shrink as the pipeline's
-  // other buffers grow.
-  const int64_t headroom =
-      budget_bytes_ - MemoryTracker::Get().CurrentBytes() + tile_bytes;
-  return std::max(floor, headroom);
 }
 
 void MemoryBudget::ReportCompliance(int64_t peak_bytes) const {

@@ -1,10 +1,9 @@
 // Memory budget arithmetic for the streaming layer.
 //
 // A MemoryBudget translates the user-facing `--memory-budget-mb` into
-// the two numbers the TileStore needs: how many rows a dense tile may
-// hold, and how many bytes the LRU cache may keep resident. Both are
-// derived against the *live* MemoryTracker total, so the budget bounds
-// the whole process, not just the tiles.
+// the rows a dense chunk may hold (SENS spills its target and searches
+// its source in chunks of that many rows) and, after a run, into the
+// stream.budget.* compliance gauges.
 #ifndef LARGEEA_STREAM_MEMORY_BUDGET_H_
 #define LARGEEA_STREAM_MEMORY_BUDGET_H_
 
@@ -15,8 +14,7 @@
 namespace largeea::stream {
 
 /// Byte-level view of a resolved StreamOptions budget. Copyable; all
-/// methods are cheap and thread-safe (they read the global
-/// MemoryTracker, which is internally synchronised).
+/// methods are cheap and thread-safe.
 class MemoryBudget {
  public:
   explicit MemoryBudget(const StreamOptions& options);
@@ -32,13 +30,6 @@ class MemoryBudget {
   /// sizes tiles so ~kAutoTilesPerBudget of them fit in the budget,
   /// clamped to [kMinTileRows, total_rows]. Always >= 1.
   int64_t TileRowsFor(int64_t total_rows, int64_t row_bytes) const;
-
-  /// Bytes the tile cache may keep resident right now: the budget minus
-  /// the currently tracked bytes of everything else, floored at
-  /// 3 * `tile_bytes` so compute (current tile + prefetched next +
-  /// one in flight) can always make progress even when the rest of the
-  /// pipeline has eaten the budget.
-  int64_t CacheCapacityBytes(int64_t tile_bytes) const;
 
   /// Records `peak_bytes` (the pipeline's observed tracked peak)
   /// against the budget in the stream.budget.* gauges (peak, budget,

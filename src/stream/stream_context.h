@@ -10,27 +10,22 @@
 
 #include "src/stream/memory_budget.h"
 #include "src/stream/stream_options.h"
-#include "src/stream/tile_store.h"
 
 namespace largeea::stream {
 
-/// Owns the budget and the spill store for one pipeline run. The
-/// options must already be resolved (ResolveStreamOptions) and enabled.
+/// Owns the options and the budget of one pipeline run. The options must
+/// already be resolved (ResolveStreamOptions) and enabled.
 class StreamContext {
  public:
   explicit StreamContext(const StreamOptions& resolved)
-      : options_(resolved),
-        budget_(resolved),
-        store_(budget_, resolved.spill_dir) {}
+      : options_(resolved), budget_(resolved) {}
 
   const StreamOptions& options() const { return options_; }
   const MemoryBudget& budget() const { return budget_; }
-  TileStore& store() { return store_; }
 
  private:
   StreamOptions options_;
   MemoryBudget budget_;
-  TileStore store_;
 };
 
 }  // namespace largeea::stream

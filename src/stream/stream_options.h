@@ -1,11 +1,12 @@
 // Configuration of the memory-budgeted streaming execution layer.
 //
-// A pipeline run with a positive memory budget streams its whole-graph
-// dense buffers (semantic embeddings) through a disk-backed TileStore
-// and fuses its sparse matrices block-by-block, releasing inputs as they
-// are consumed, so the MemoryTracker peak stays under the budget at any
-// dataset scale. Results are bit-identical to the in-memory path — the
-// budget only moves bytes between RAM and disk (DESIGN.md §10).
+// A pipeline run with a positive memory budget spills its whole-graph
+// dense buffer (the target's semantic embeddings) to one mapped file,
+// encodes and searches the source in blocks, and fuses its sparse
+// matrices block-by-block, releasing inputs as they are consumed, so the
+// MemoryTracker peak stays under the budget at any dataset scale.
+// Results are bit-identical to the in-memory path — the budget only
+// moves bytes between RAM and disk (DESIGN.md §10).
 #ifndef LARGEEA_STREAM_STREAM_OPTIONS_H_
 #define LARGEEA_STREAM_STREAM_OPTIONS_H_
 
@@ -29,17 +30,17 @@ struct StreamOptions {
   /// path); -1 means "unset" — consult LARGEEA_MEMORY_BUDGET_MB, then
   /// fall back to disabled. CLI: --memory-budget-mb.
   int64_t memory_budget_mb = -1;
-  /// Rows per dense tile; 0 derives a size from the budget so that
-  /// several tiles fit comfortably (see MemoryBudget::TileRowsFor).
+  /// Rows per dense chunk: the spill writes the target and the search
+  /// encodes the source this many rows at a time; 0 derives a size from
+  /// the budget (see MemoryBudget::TileRowsFor).
   int32_t tile_rows = 0;
-  /// Directory for spilled tiles; empty creates (and removes) a unique
-  /// directory under the system temp path.
+  /// Directory for the spill file, created if missing; empty uses the
+  /// system temp directory. A spill removes its file once it is mapped.
   std::string spill_dir;
-  /// Release whole-graph intermediates (M_se, M_st, the per-channel
-  /// matrices) as soon as they are fused; the corresponding result
-  /// fields come back empty. Off keeps them, trading budget headroom
-  /// for inspectability.
-  bool release_inputs = true;
+  /// A budgeted run always releases its whole-graph intermediates (M_se,
+  /// M_st, the per-channel matrices) as soon as they are fused; those
+  /// result fields come back empty.
+  static constexpr bool release_inputs = true;
 };
 
 /// Applies the environment default: an unset budget (-1) resolves to

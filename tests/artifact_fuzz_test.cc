@@ -1,7 +1,7 @@
 // Seeded fuzzing, with no corpus, of the one artifact reader
 // (src/rt/artifact.h) and every payload decoder behind it: checkpoints
 // of a matrix, a pair list and a mini-batch set, a serve index, and a
-// spilled tile. Each valid artifact is damaged by bit flips (left
+// spilled matrix. Each valid artifact is damaged by bit flips (left
 // unsealed, or resealed with a fresh header so the decoders see them),
 // truncation at every header field and inside the payload, inflated
 // length prefixes and kind swaps. Every load must return a Status —
@@ -36,9 +36,7 @@
 #include "src/serve/index_artifact.h"
 #include "src/serve/index_manager.h"
 #include "src/serve/query_engine.h"
-#include "src/stream/memory_budget.h"
-#include "src/stream/stream_options.h"
-#include "src/stream/tile_store.h"
+#include "src/stream/spill.h"
 #include "tests/allocation_probe.h"
 
 namespace largeea {
@@ -388,12 +386,12 @@ class IndexFuzzTest : public ArtifactFuzzTest {
 
 TEST_F(IndexFuzzTest, ReaderReturnsAStatusAndStaysWithinTheFile) {
   Fuzz(index_, 201, 120);
-  // A tile is not an index, and neither is an index payload under the
-  // tile kind.
+  // A spill is not an index, and neither is an index payload under the
+  // spill's kind.
   Check(index_,
         rt::ArtifactHeader(rt::kTileFamily, "serve", kFingerprint, image_) +
             image_,
-        {StatusCode::kDataLoss}, "tile family");
+        {StatusCode::kDataLoss}, "spill family");
   Check(index_, Reseal(index_, image_, "dense"), {StatusCode::kDataLoss},
         "kind dense");
   EXPECT_GT(loads_, 2500);
@@ -519,41 +517,66 @@ TEST_F(IndexFuzzTest, DamagedSectionsAreDataLoss) {
   EXPECT_GE(loads_, 29);
 }
 
-TEST_F(ArtifactFuzzTest, TileReaderReturnsAStatusAndStaysWithinTheFile) {
-  stream::StreamOptions stream_options;
-  stream_options.memory_budget_mb = 64;
-  const stream::MemoryBudget budget(stream_options);
-  std::string valid;
-  {
-    stream::TileStore store(budget, dir_ + "/spill");
-    Rng rng(9);
-    Matrix tile(24, 20);
-    tile.GlorotInit(rng);
-    store.Put(std::move(tile));
-    auto bytes = rt::ReadFileToString(dir_ + "/spill/tile-000000.bin");
-    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-    valid = std::move(bytes).value();
-  }
-  const std::string path = dir_ + "/tile.bin";
-  const Target tile{"tile",
-                    std::string(rt::kTileFamily),
-                    "dense",
-                    /*fingerprint=*/0,
-                    path,
-                    [path] {
-                      return stream::ReadTileFile(path, 24, 20)
-                          .status()
-                          .code();
-                    },
-                    valid};
-  Fuzz(tile, 301, 150);
-  // The right bytes read as another shape.
-  Target other_shape = tile;
-  other_shape.name = "tile as 20 x 24";
-  other_shape.load = [path] {
-    return stream::ReadTileFile(path, 20, 24).status().code();
+// The spill reader verifies and maps the file; a file that maps is read
+// row by row, so every float of an accepted spill is touched.
+TEST_F(ArtifactFuzzTest, SpillReaderReturnsAStatusAndStaysWithinTheFile) {
+  Rng rng(9);
+  Matrix rows(24, 20);
+  rows.GlorotInit(rng);
+  const std::string path = dir_ + "/spill.bin";
+  ASSERT_TRUE(stream::WriteSpill(path, 24, 20, 5,
+                                 [&rows](int64_t begin, int64_t end) {
+                                   Matrix chunk(end - begin, rows.cols());
+                                   std::memcpy(chunk.data(), rows.Row(begin),
+                                               static_cast<size_t>(
+                                                   chunk.size()) *
+                                                   sizeof(float));
+                                   return chunk;
+                                 })
+                  .ok());
+  auto valid = rt::ReadFileToString(path);
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  const auto load_as = [path](int64_t num_rows, int64_t num_cols) {
+    return [path, num_rows, num_cols] {
+      const StatusOr<stream::SpilledMatrix> spilled =
+          stream::MapSpill(path, num_rows, num_cols);
+      if (spilled.ok()) {
+        float sum = 0.0f;
+        const MatrixRowRange view = spilled->rows();
+        for (int64_t r = 0; r < view.rows(); ++r) {
+          for (int64_t c = 0; c < view.cols(); ++c) sum += view.Row(r)[c];
+        }
+        volatile float sink = sum;
+        (void)sink;
+      }
+      return spilled.status().code();
+    };
   };
-  Check(other_shape, valid, {StatusCode::kDataLoss}, "other shape");
+  const Target spill{"spill",
+                     std::string(rt::kTileFamily),
+                     "dense",
+                     /*fingerprint=*/0,
+                     path,
+                     load_as(24, 20),
+                     std::move(valid).value()};
+  Fuzz(spill, 301, 150);
+  // The right bytes read as another shape.
+  Target other_shape = spill;
+  other_shape.name = "spill as 20 x 24";
+  other_shape.load = load_as(20, 24);
+  Check(other_shape, spill.valid, {StatusCode::kDataLoss}, "other shape");
+  // An inflated shape, resealed, so only the shape check can refuse it.
+  const auto [header, payload] = Split(spill.valid);
+  for (const int64_t inflated : {int64_t{25}, int64_t{1} << 31,
+                                 int64_t{1} << 40, int64_t{-1}}) {
+    for (const size_t at : {size_t{0}, sizeof(int64_t)}) {
+      std::string damaged = payload;
+      std::memcpy(damaged.data() + at, &inflated, sizeof(inflated));
+      Check(spill, Reseal(spill, damaged, "dense"), {StatusCode::kDataLoss},
+            "shape field at " + std::to_string(at) + " inflated to " +
+                std::to_string(inflated));
+    }
+  }
   EXPECT_GT(loads_, 2500);
 }
 

@@ -58,6 +58,9 @@ TEST(CliTest, UnknownFlagsExitTwoNamingTheFlag) {
       {{"run", "--segments", "4"}, "unknown flag --segments"},
       // The tile prefetch switch: the spilled sweep always prefetches.
       {{"run", "--stream-prefetch=false"}, "unknown flag --stream-prefetch"},
+      // The input-release switch: a budgeted run always releases them.
+      {{"run", "--stream-release-inputs=false"},
+       "unknown flag --stream-release-inputs"},
   };
   for (const auto& c : cases) {
     const CliOutcome outcome = RunCli(c.args);

@@ -40,7 +40,7 @@ TEST(ConfigTest, FlagsOverlayOntoPipelineOptions) {
   auto config = ConfigFromFlags(MakeFlags(
       {"--model=gcn", "--partition=vps", "--metric=dot", "--batches=7",
        "--epochs=13", "--memory-budget-mb=48", "--stream-tile-rows=96",
-       "--stream-release-inputs=false", "--use-lsh", "--string-weight=0.25",
+       "--use-lsh", "--string-weight=0.25",
        "--threads=3", "--strict-io", "--report-out=/tmp/r.json"}));
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->pipeline.structure_channel.model, ModelKind::kGcnAlign);
@@ -51,7 +51,6 @@ TEST(ConfigTest, FlagsOverlayOntoPipelineOptions) {
   EXPECT_EQ(config->pipeline.structure_channel.train.epochs, 13);
   EXPECT_EQ(config->pipeline.stream.memory_budget_mb, 48);
   EXPECT_EQ(config->pipeline.stream.tile_rows, 96);
-  EXPECT_FALSE(config->pipeline.stream.release_inputs);
   EXPECT_TRUE(config->pipeline.name_channel.nff.sens.use_lsh);
   EXPECT_FLOAT_EQ(config->pipeline.name_channel.nff.string_weight, 0.25f);
   EXPECT_EQ(config->threads, 3);

@@ -493,14 +493,15 @@ TEST(MemoryPhaseTest, OverlappingPhasesTrackIndependentPeaks) {
   tracker.ClearFinishedPhases();
 }
 
-TEST(MemoryPhaseTest, ScopeIsIdempotent) {
+TEST(MemoryPhaseTest, TrackMemorySpanEndsItsPhaseOnce) {
   MemoryTracker::Get().ClearFinishedPhases();
-  MemoryPhaseScope scope("scoped");
+  obs::Span span("scoped", obs::Span::kTrackMemory);
   MemoryTracker::Get().Add(100);
   MemoryTracker::Get().Remove(100);
-  const MemoryPhase first = scope.End();
-  const MemoryPhase second = scope.End();
-  EXPECT_EQ(first.peak_bytes, second.peak_bytes);
+  span.End();
+  const int64_t first = span.peak_bytes();
+  span.End();
+  EXPECT_EQ(span.peak_bytes(), first);
   EXPECT_EQ(MemoryTracker::Get().FinishedPhases().size(), 1u);
   MemoryTracker::Get().ClearFinishedPhases();
 }

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/par/background_worker.h"
 #include "src/par/grain.h"
 #include "src/par/parallel_for.h"
 #include "src/par/thread_pool.h"
@@ -394,54 +392,6 @@ TEST(ParallelReduceOrderedTest, FloatSumBitIdenticalAcrossThreadCounts) {
   // rounding — proving the test would catch a reassociated reduction.
   const float regrained = OrderedFloatSum(1, kN, kN);
   EXPECT_NE(at1, regrained);
-}
-
-TEST(BackgroundWorkerTest, ThrowingTaskSurfacesOnDrainNotTerminate) {
-  BackgroundWorker worker("test-bg");
-  ASSERT_TRUE(worker.Submit([] {
-    throw std::runtime_error("disk exploded");
-  }).ok());
-  const Status drained = worker.Drain();
-  EXPECT_EQ(drained.code(), StatusCode::kInternal);
-  EXPECT_NE(drained.message().find("disk exploded"), std::string::npos);
-  EXPECT_NE(drained.message().find("test-bg"), std::string::npos);
-  // The error was consumed: the worker is healthy again.
-  EXPECT_TRUE(worker.Drain().ok());
-}
-
-TEST(BackgroundWorkerTest, FailureKeepsLaterTasksRunningAndSubmitReports) {
-  BackgroundWorker worker("test-bg");
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(worker.Submit([] { throw 42; }).ok());  // non-std exception
-  ASSERT_TRUE(worker.Drain().code() == StatusCode::kInternal);
-  // A later Submit both enqueues its task and reports nothing stale.
-  EXPECT_TRUE(worker.Submit([&] { ran.fetch_add(1); }).ok());
-  EXPECT_TRUE(worker.Drain().ok());
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(BackgroundWorkerTest, OnlyFirstFailureIsKept) {
-  BackgroundWorker worker("test-bg");
-  // The first task throws only once the second is queued. Otherwise it
-  // may fail before the second Submit, which then returns "first" by
-  // contract. The statuses are checked after the release so a failed
-  // assertion cannot leave the worker blocked in its destructor.
-  std::promise<void> second_submitted;
-  const std::shared_future<void> release =
-      second_submitted.get_future().share();
-  const Status first = worker.Submit([release] {
-    release.wait();
-    throw std::runtime_error("first");
-  });
-  const Status second =
-      worker.Submit([] { throw std::runtime_error("second"); });
-  second_submitted.set_value();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  const Status drained = worker.Drain();
-  EXPECT_NE(drained.message().find("first"), std::string::npos);
-  EXPECT_EQ(drained.message().find("second"), std::string::npos);
-  EXPECT_TRUE(worker.Drain().ok());
 }
 
 }  // namespace

@@ -212,6 +212,44 @@ TEST_F(ArtifactFileTest, RoundTripReturnsPayloadAndFingerprint) {
   EXPECT_EQ(read->payload(), std::string_view("a\0b\n", 4));
 }
 
+TEST_F(ArtifactFileTest, WriterInPiecesEqualsOneWriteAndCleansUpUnfinished) {
+  const std::string payload = std::string("header goes last\0", 17) + "xyz";
+  ASSERT_TRUE(rt::WriteArtifact(path_, rt::kCheckpointFamily, "k", 7, payload)
+                  .ok());
+  const auto whole = rt::ReadFileToString(path_);
+  ASSERT_TRUE(whole.ok());
+  const std::string pieces_path = dir_ + "/pieces.bin";
+  {
+    auto writer = rt::ArtifactWriter::Create(pieces_path, rt::kCheckpointFamily,
+                                             "k", 7, payload.size());
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->Append(std::string_view(payload).substr(0, 5)).ok());
+    ASSERT_TRUE(writer->Append({}).ok());
+    ASSERT_TRUE(writer->Append(std::string_view(payload).substr(5)).ok());
+    const StatusOr<int64_t> bytes = writer->Finish();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(*bytes, static_cast<int64_t>(whole->size()));
+  }
+  EXPECT_EQ(*rt::ReadFileToString(pieces_path), *whole);
+  // A writer dropped before Finish() leaves neither the file nor its
+  // temporary behind.
+  const std::string dropped_path = dir_ + "/dropped.bin";
+  {
+    auto writer = rt::ArtifactWriter::Create(
+        dropped_path, rt::kCheckpointFamily, "k", 7, payload.size());
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->Append(std::string_view(payload).substr(0, 5)).ok());
+    EXPECT_TRUE(fs::exists(dropped_path + ".tmp"));
+  }
+  EXPECT_FALSE(fs::exists(dropped_path));
+  EXPECT_FALSE(fs::exists(dropped_path + ".tmp"));
+  EXPECT_EQ(rt::ArtifactWriter::Create(dir_ + "/missing/a.bin",
+                                       rt::kCheckpointFamily, "k", 7, 1)
+                .status()
+                .code(),
+            StatusCode::kUnavailable);
+}
+
 TEST_F(ArtifactFileTest, Taxonomy) {
   const std::string payload = "xyz";
   const std::string hash = rt::Hex64(rt::Fnv1a64(payload));

@@ -596,24 +596,6 @@ TEST(LshTest, QueryOrsIntoTheCallersBitset) {
   EXPECT_TRUE(bits.front() & 1);  // row 0 collides with itself
 }
 
-TEST(LshTest, IncrementalBuildMatchesOneShot) {
-  Rng rng(73);
-  Matrix data(150, 10);
-  data.GlorotInit(rng);
-  const LshOptions options{.num_tables = 5, .bits_per_table = 4, .seed = 2};
-  const LshIndex one_shot(data, options);
-  LshIndex incremental(static_cast<int32_t>(data.cols()), options);
-  for (int32_t r = 0; r < data.rows(); ++r) {
-    incremental.Insert(r, data.Row(r));
-  }
-  incremental.FinishBuild();
-  incremental.FinishBuild();  // idempotent
-  for (int32_t q = 0; q < data.rows(); q += 7) {
-    EXPECT_EQ(QueryRows(incremental, data.Row(q)),
-              QueryRows(one_shot, data.Row(q)));
-  }
-}
-
 // TopKInto through an LSH index against a scan with no bitset, no tiles
 // and no blocks: the key oracle's candidates, scored one by one, sorted
 // by the heap's own ranking and cut at k.

@@ -1,42 +1,44 @@
-// The memory-budgeted streaming layer (DESIGN.md §10): tile spill and
-// reload round-trip bit-exactly, the LRU cache evicts under a tiny
-// budget and transparently reloads, the spilled top-k sweep (exact and
-// LSH) matches the in-memory one byte for byte while reading each tile
-// at most once per source block, FuseStreamed matches Fuse entry for
-// entry, and the full budgeted pipeline reproduces the unbudgeted fused
-// matrix and metrics bit-identically — at any thread count and on every
-// SIMD backend this CPU has.
+// The memory-budgeted streaming layer (DESIGN.md §10): a spilled matrix
+// maps back bit-exactly and leaves no file behind, a failed spill write
+// leaves no file and keeps SENS on its in-memory target, a damaged spill
+// aborts, SENS over a spilled target matches SENS in memory (exact and
+// LSH, at any chunk size and thread count, for empty and one-row targets),
+// FuseStreamed matches Fuse entry for entry, and the full budgeted
+// pipeline reproduces the unbudgeted fused matrix, metrics and stream.*
+// counters bit-identically — at any thread count and on every SIMD
+// backend this CPU has.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
-#include <numeric>
-#include <optional>
-#include <span>
+#include <regex>
 #include <string>
 #include <vector>
 
-#include "src/common/memory_tracker.h"
 #include "src/common/rng.h"
 #include "src/core/large_ea.h"
 #include "src/gen/benchmark_gen.h"
 #include "src/la/matrix.h"
+#include "src/name/semantic_sim.h"
 #include "src/obs/metrics.h"
 #include "src/par/thread_pool.h"
+#include "src/rt/artifact.h"
 #include "src/rt/fault_injection.h"
 #include "src/rt/io_util.h"
-#include "src/sim/lsh.h"
 #include "src/sim/sparse_sim.h"
-#include "src/sim/topk_search.h"
 #include "src/simd/simd.h"
 #include "src/stream/memory_budget.h"
+#include "src/stream/spill.h"
+#include "src/stream/stream_context.h"
 #include "src/stream/stream_options.h"
-#include "src/stream/tile_store.h"
 
 namespace largeea {
 namespace {
@@ -55,16 +57,6 @@ Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   Matrix m(rows, cols);
   m.GlorotInit(rng);
   return m;
-}
-
-void ExpectMatrixEq(const Matrix& a, const Matrix& b) {
-  ASSERT_EQ(a.rows(), b.rows());
-  ASSERT_EQ(a.cols(), b.cols());
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    for (int64_t c = 0; c < a.cols(); ++c) {
-      ASSERT_EQ(a.At(r, c), b.At(r, c)) << "at (" << r << "," << c << ")";
-    }
-  }
 }
 
 TEST(StreamOptionsTest, EnvResolutionRespectsExplicitValues) {
@@ -114,200 +106,186 @@ TEST(MemoryBudgetTest, TileRowsHonourBudgetAndBounds) {
   EXPECT_LE(rows, (int64_t{8} << 20) / 1024);
 }
 
-TEST(TileStoreTest, SpillReloadRoundTripIsBitExact) {
-  const stream::MemoryBudget budget = BudgetOfMb(1);
-  stream::TileStore store(budget);
-  std::vector<Matrix> originals;
-  std::vector<stream::TileId> ids;
-  for (int i = 0; i < 6; ++i) {
-    originals.push_back(RandomMatrix(64, 32, 1000 + i));
-    ids.push_back(store.Put(originals.back()));
+// ---------------------------------------------------------------------
+// The spill: written in chunks, verified, mapped, and gone from its
+// directory once mapped.
+
+/// A fresh directory per test, removed with whatever is left in it.
+class SpillDirTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (fs::temp_directory_path() /
+            ("largeea_spill_test_" + std::to_string(::getpid())))
+               .string();
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
   }
-  EXPECT_EQ(store.num_tiles(), 6);
-  for (int i = 0; i < 6; ++i) {
-    const std::shared_ptr<const Matrix> tile = store.Get(ids[i]);
-    ASSERT_NE(tile, nullptr);
-    ExpectMatrixEq(*tile, originals[i]);
+  void TearDown() override { fs::remove_all(dir_); }
+
+  /// The names of the files in the spill directory.
+  std::vector<std::string> FilesInDir() const {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    return names;
   }
+
+  std::string dir_;
+};
+
+/// Hands out rows [begin, end) of `full`, as the encoder hands out names.
+stream::RowChunkFn CopyRows(const Matrix& full) {
+  return [&full](int64_t begin, int64_t end) {
+    Matrix chunk(end - begin, full.cols());
+    if (chunk.size() > 0) {
+      std::memcpy(chunk.data(), full.Row(begin),
+                  static_cast<size_t>(chunk.size()) * sizeof(float));
+    }
+    return chunk;
+  };
+}
+
+/// Bit-exact, row by row: the spill must not perturb one ulp.
+void ExpectRowsEq(const MatrixRowRange& rows, const Matrix& full) {
+  ASSERT_EQ(rows.rows(), full.rows());
+  ASSERT_EQ(rows.cols(), full.cols());
+  for (int64_t r = 0; r < full.rows(); ++r) {
+    ASSERT_EQ(std::memcmp(rows.Row(r), full.Row(r),
+                          static_cast<size_t>(full.cols()) * sizeof(float)),
+              0)
+        << "row " << r;
+  }
+}
+
+TEST_F(SpillDirTest, MapsBackBitExactlyAtAnyChunkSizeAndLeavesNoFile) {
+  const Matrix full = RandomMatrix(100, 16, 99);
+  auto& metrics = obs::MetricsRegistry::Get();
+  obs::Counter& tiles = metrics.GetCounter("stream.spill.tiles");
+  obs::Counter& bytes = metrics.GetCounter("stream.spill.bytes");
+  const size_t payload = 16 + 100 * 16 * sizeof(float);
+  const int64_t file_bytes = static_cast<int64_t>(
+      rt::ArtifactHeader(rt::kTileFamily, "dense", 0,
+                         std::string(payload, '\0'))
+          .size() +
+      payload);
+  for (const int64_t chunk_rows : {1, 7, 48, 100, 500}) {
+    SCOPED_TRACE(testing::Message() << "chunk_rows=" << chunk_rows);
+    const int64_t tiles_before = tiles.Value();
+    const int64_t bytes_before = bytes.Value();
+    const StatusOr<stream::SpilledMatrix> spilled =
+        stream::SpillMatrix(dir_, 100, 16, chunk_rows, CopyRows(full));
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    ExpectRowsEq(spilled->rows(), full);
+    EXPECT_EQ(tiles.Value() - tiles_before,
+              (100 + chunk_rows - 1) / chunk_rows);
+    EXPECT_EQ(bytes.Value() - bytes_before, file_bytes);
+    EXPECT_TRUE(FilesInDir().empty());
+  }
+}
+
+TEST_F(SpillDirTest, EmptyAndOneRowMatricesMapBack) {
+  for (const int64_t rows : {0, 1}) {
+    const Matrix full = RandomMatrix(rows, 12, 5);
+    const StatusOr<stream::SpilledMatrix> spilled =
+        stream::SpillMatrix(dir_, rows, 12, 1, CopyRows(full));
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    ExpectRowsEq(spilled->rows(), full);
+    EXPECT_TRUE(FilesInDir().empty());
+  }
+}
+
+TEST_F(SpillDirTest, MapSpillVerifiesTheChecksumAndTheShape) {
+  const Matrix full = RandomMatrix(40, 8, 3);
+  const std::string path = dir_ + "/m.bin";
+  int64_t written = 0;
+  ASSERT_TRUE(stream::WriteSpill(path, 40, 8, 16, CopyRows(full), &written)
+                  .ok());
+  EXPECT_EQ(written, static_cast<int64_t>(fs::file_size(path)));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  {
+    const StatusOr<stream::SpilledMatrix> mapped =
+        stream::MapSpill(path, 40, 8);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    ExpectRowsEq(mapped->rows(), full);
+  }
+  EXPECT_EQ(stream::MapSpill(path, 8, 40).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(stream::MapSpill(path, 39, 8).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(stream::MapSpill(dir_ + "/gone.bin", 40, 8).status().code(),
+            StatusCode::kNotFound);
+  // One flipped bit in the last float: the checksum refuses the file
+  // before any row can be read.
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-1, std::ios::end);
+    const char byte = static_cast<char>(f.get());
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(byte ^ 0x01));
+  }
+  const StatusOr<stream::SpilledMatrix> damaged =
+      stream::MapSpill(path, 40, 8);
+  EXPECT_EQ(damaged.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(damaged.status().message().find("checksum mismatch"),
+            std::string::npos);
 }
 
 #if LARGEEA_FAULT_INJECTION
-TEST(TileStoreTest, SpillWriteFailurePinsTilesInRamBitIdentically) {
+TEST_F(SpillDirTest, FailedWriteIsCountedAndLeavesNoFile) {
   auto& metrics = obs::MetricsRegistry::Get();
-  const int64_t failures_before =
-      metrics.GetCounter("stream.spill_failures").Value();
-
-  // Every spill write fails from here on — a full or broken scratch
-  // disk. The store must fall back to pinning tiles in RAM and serve
-  // every read with the exact bytes that were Put.
+  obs::Counter& failures = metrics.GetCounter("stream.spill_failures");
+  obs::Counter& bytes = metrics.GetCounter("stream.spill.bytes");
+  const int64_t failures_before = failures.Value();
+  const int64_t bytes_before = bytes.Value();
+  // The third chunk's write fails, as on a disk that fills up mid-file.
   rt::FaultInjector::Get().Arm(
       "stream.spill.write",
-      rt::FaultSpec{StatusCode::kUnavailable, "scratch disk full", 1, -1,
+      rt::FaultSpec{StatusCode::kUnavailable, "scratch disk full", 3, 1,
                     rt::FaultAction::kFail});
-  {
-    const stream::MemoryBudget budget = BudgetOfMb(1);
-    stream::TileStore store(budget);
-    std::vector<Matrix> originals;
-    std::vector<stream::TileId> ids;
-    for (int i = 0; i < 6; ++i) {
-      originals.push_back(RandomMatrix(64, 32, 2000 + i));
-      ids.push_back(store.Put(originals.back()));
-    }
-    for (int i = 0; i < 6; ++i) {
-      const std::shared_ptr<const Matrix> tile = store.Get(ids[i]);
-      ASSERT_NE(tile, nullptr);
-      ExpectMatrixEq(*tile, originals[i]);
-    }
-  }
+  const Matrix full = RandomMatrix(100, 16, 9);
+  const StatusOr<stream::SpilledMatrix> spilled =
+      stream::SpillMatrix(dir_, 100, 16, 10, CopyRows(full));
   rt::FaultInjector::Get().Reset();
-
-  EXPECT_GT(metrics.GetCounter("stream.spill_failures").Value(),
-            failures_before);
+  EXPECT_EQ(spilled.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(failures.Value() - failures_before, 1);
+  EXPECT_EQ(bytes.Value(), bytes_before);
+  EXPECT_TRUE(FilesInDir().empty());
 }
 #endif  // LARGEEA_FAULT_INJECTION
 
-TEST(TileStoreTest, EvictsUnderTinyBudgetAndReloadsEvictedTiles) {
-  auto& metrics = obs::MetricsRegistry::Get();
-  const int64_t evictions_before =
-      metrics.GetCounter("stream.cache.evictions").Value();
-
-  // 1 MiB budget, but the tracker is already charged for the live test
-  // process, so the cache runs at its floor of 3 tiles; 8 tiles of
-  // 128x256 floats (128 KiB each) must evict.
-  const stream::MemoryBudget budget = BudgetOfMb(1);
-  stream::TileStore store(budget);
-  std::vector<Matrix> originals;
-  std::vector<stream::TileId> ids;
-  for (int i = 0; i < 8; ++i) {
-    originals.push_back(RandomMatrix(128, 256, 2000 + i));
-    ids.push_back(store.Put(originals.back()));
-  }
-  const int64_t tile_bytes = 128 * 256 * sizeof(float);
-  EXPECT_LE(store.ResidentBytes(),
-            budget.CacheCapacityBytes(tile_bytes) + tile_bytes);
-  EXPECT_GT(metrics.GetCounter("stream.cache.evictions").Value(),
-            evictions_before);
-
-  // Every tile — including evicted ones — reloads bit-exactly.
-  for (int i = 0; i < 8; ++i) {
-    const std::shared_ptr<const Matrix> tile = store.Get(ids[i]);
-    ASSERT_NE(tile, nullptr);
-    ExpectMatrixEq(*tile, originals[i]);
-  }
-}
-
-// DESIGN.md §10: a spilled tile that fails its checksum at reload aborts
-// the run rather than feed it wrong floats. Sixteen 128 KiB tiles under a
-// 1 MiB budget evict at least the oldest, so its reload reads the
-// damaged file.
-TEST(TileStoreDeathTest, FlippedByteInASpilledTileAborts) {
+// DESIGN.md §10: a spill whose file no longer matches what was written
+// aborts the run rather than feed it wrong floats, and never returns. The
+// last chunk's request damages a row already written, as a failing disk
+// would, so the checksum of the rows as they were written no longer
+// matches the file.
+TEST(SpillDeathTest, DamagedSpillAbortsWithDataLoss) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The aborting child never runs the store's destructor, so the spill
-  // directory is named here and removed by the parent.
+  // The aborting child leaves its file behind; the parent removes it, so
+  // the name must not depend on the process.
   const std::string dir =
-      (fs::temp_directory_path() / "largeea_tile_death_test").string();
-  const auto reload_damaged_tile = [&dir] {
-    const stream::MemoryBudget budget = BudgetOfMb(1);
-    stream::TileStore store(budget, dir);
-    std::vector<stream::TileId> ids;
-    for (int i = 0; i < 16; ++i) {
-      ids.push_back(store.Put(RandomMatrix(128, 256, 3000 + i)));
-    }
-    for (const auto& entry : fs::directory_iterator(store.spill_dir())) {
-      std::fstream f(entry.path(),
-                     std::ios::in | std::ios::out | std::ios::binary);
-      f.seekg(-5, std::ios::end);
-      const char byte = static_cast<char>(f.get());
-      f.seekp(-5, std::ios::end);
-      f.put(static_cast<char>(byte ^ 0x10));
-    }
-    for (const stream::TileId id : ids) (void)store.Get(id);
-  };
-  EXPECT_DEATH(reload_damaged_tile(),
-               "cannot reload tile .*DATA_LOSS.*checksum mismatch");
+      (fs::temp_directory_path() / "largeea_spill_death_test").string();
   fs::remove_all(dir);
-}
-
-TEST(TileStoreTest, PinnedTilesSurviveEvictionPressure) {
-  const stream::MemoryBudget budget = BudgetOfMb(1);
-  stream::TileStore store(budget);
-  const Matrix original = RandomMatrix(128, 256, 7);
-  const stream::TileId first = store.Put(original);
-  // Hold the pin while flooding the cache far past its capacity.
-  const std::shared_ptr<const Matrix> pinned = store.Get(first);
-  for (int i = 0; i < 8; ++i) {
-    (void)store.Put(RandomMatrix(128, 256, 3000 + i));
-  }
-  // The pinned pointer must still see the original bytes.
-  ExpectMatrixEq(*pinned, original);
-}
-
-TEST(TileStoreTest, PrefetchLoadsInBackground) {
-  const stream::MemoryBudget budget = BudgetOfMb(1);
-  stream::TileStore store(budget);
-  std::vector<stream::TileId> ids;
-  for (int i = 0; i < 8; ++i) {
-    ids.push_back(store.Put(RandomMatrix(128, 256, 4000 + i)));
-  }
-  // Early tiles were evicted by the later Puts; prefetch and drain,
-  // then Get must hit without a synchronous load.
-  const int64_t issued_before = obs::MetricsRegistry::Get()
-                                    .GetCounter("stream.prefetch.issued")
-                                    .Value();
-  store.Prefetch(ids[0]);
-  store.DrainPrefetches();
-  EXPECT_GE(obs::MetricsRegistry::Get()
-                .GetCounter("stream.prefetch.issued")
-                .Value(),
-            issued_before);
-  const std::shared_ptr<const Matrix> tile = store.Get(ids[0]);
-  ASSERT_NE(tile, nullptr);
-  EXPECT_EQ(tile->rows(), 128);
-}
-
-TEST(TileMatrixTest, AppendAndTileViewsCoverAllRows) {
-  const stream::MemoryBudget budget = BudgetOfMb(1);
-  stream::TileStore store(budget);
-  const Matrix full = RandomMatrix(100, 16, 99);
-  stream::TileMatrix tiles(&store, 100, 16, 48);
-  ASSERT_EQ(tiles.num_tiles(), 3);
-  for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-    const int64_t begin = tiles.TileBegin(t);
-    const int64_t end = tiles.TileEnd(t);
-    Matrix block(end - begin, 16);
-    for (int64_t r = begin; r < end; ++r) {
-      for (int64_t c = 0; c < 16; ++c) block.At(r - begin, c) = full.At(r, c);
-    }
-    tiles.Append(std::move(block));
-  }
-  ASSERT_TRUE(tiles.complete());
-  for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-    tiles.Prefetch(t + 1);  // out-of-range on the last tile: no-op
-    const std::shared_ptr<const Matrix> tile = tiles.Tile(t);
-    for (int64_t r = tiles.TileBegin(t); r < tiles.TileEnd(t); ++r) {
-      for (int64_t c = 0; c < 16; ++c) {
-        ASSERT_EQ(tile->At(r - tiles.TileBegin(t), c), full.At(r, c));
+  fs::create_directories(dir);
+  const Matrix full = RandomMatrix(64, 16, 7);
+  const stream::RowChunkFn copy = CopyRows(full);
+  const auto damage_then_copy = [&](int64_t begin, int64_t end) {
+    if (end == full.rows()) {
+      for (const auto& entry : fs::directory_iterator(dir)) {
+        std::fstream f(entry.path(),
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(rt::kPayloadAlignment + 16);
+        const char byte = static_cast<char>(f.get());
+        f.seekp(rt::kPayloadAlignment + 16);
+        f.put(static_cast<char>(byte ^ 0x10));
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------
-// The spilled top-k sweep, exact and LSH: tile-major over the target,
-// bit-identical to the in-memory sweep, and reading each tile at most
-// once per block.
-
-// Cuts `full` into `tile_rows`-row tiles appended to a TileMatrix.
-stream::TileMatrix TileCopy(stream::TileStore& store, const Matrix& full,
-                            int64_t tile_rows) {
-  stream::TileMatrix tiles(&store, full.rows(), full.cols(), tile_rows);
-  for (int64_t t = 0; t < tiles.num_tiles(); ++t) {
-    Matrix block(tiles.TileEnd(t) - tiles.TileBegin(t), full.cols());
-    const float* first = full.Row(tiles.TileBegin(t));
-    std::copy(first, first + block.size(), block.data());
-    tiles.Append(std::move(block));
-  }
-  return tiles;
+    return copy(begin, end);
+  };
+  EXPECT_DEATH(
+      (void)stream::SpillMatrix(dir, 64, 16, 16, damage_then_copy),
+      "cannot map spill .*DATA_LOSS.*checksum mismatch");
+  fs::remove_all(dir);
 }
 
 void ExpectSparseEq(const SparseSimMatrix& a, const SparseSimMatrix& b) {
@@ -324,243 +302,113 @@ void ExpectSparseEq(const SparseSimMatrix& a, const SparseSimMatrix& b) {
   }
 }
 
-// Where a search's candidates come from: the parameter of the sweep
-// tests that hold for both kinds.
-enum class Candidates { kExact, kLsh };
+EaDataset SmallDataset() {
+  BenchmarkSpec spec = Ids15kSpec(LanguagePair::kEnFr);
+  spec.world.num_entities = 300;
+  return GenerateBenchmark(spec);
+}
 
-class StreamedTopKTest : public ::testing::TestWithParam<Candidates> {
+// ---------------------------------------------------------------------
+// SENS over a spilled target, exact and LSH: the same bytes as SENS in
+// memory.
+
+class SpilledSensTest : public SpillDirTest,
+                        public ::testing::WithParamInterface<bool> {
  protected:
-  static constexpr int64_t kTileRows = 32;
-  static constexpr int64_t kNumTiles = 10;
-
   void SetUp() override {
+    SpillDirTest::SetUp();
     saved_threads_ = par::ThreadPool::Get().num_threads();
   }
   void TearDown() override {
     par::ThreadPool::Get().SetNumThreads(saved_threads_);
+    SpillDirTest::TearDown();
   }
 
-  // Few short hashes make wide buckets, so every row's candidates
-  // spread over most of the target and cross many tile boundaries.
-  static LshOptions WideBuckets() {
-    LshOptions lsh;
-    lsh.num_tables = 3;
-    lsh.bits_per_table = 3;
-    return lsh;
+  SensOptions Options() const {
+    SensOptions options;
+    options.top_k = 10;
+    options.use_lsh = GetParam();
+    return options;
   }
 
-  // The index a parameterized search runs through: wide buckets over
-  // `target` for LSH, none for exact search.
-  static std::optional<LshIndex> IndexOver(const Matrix& target) {
-    std::optional<LshIndex> index;
-    if (GetParam() == Candidates::kLsh) index.emplace(target, WideBuckets());
-    return index;
-  }
-  static const LshIndex* Ptr(const std::optional<LshIndex>& index) {
-    return index.has_value() ? &*index : nullptr;
-  }
-
-  // One spilled search of source_ (a single block) against tiles_, with
-  // the parameter's candidates. Returns the result; `misses` and
-  // `issued` receive the call's stream.cache.misses and
-  // stream.prefetch.issued.
-  SparseSimMatrix SearchBlock(int64_t* misses, int64_t* issued) const {
-    const std::optional<LshIndex> index = IndexOver(target_);
-    auto& metrics = obs::MetricsRegistry::Get();
-    const int64_t misses_before =
-        metrics.GetCounter("stream.cache.misses").Value();
-    const int64_t issued_before =
-        metrics.GetCounter("stream.prefetch.issued").Value();
-    std::vector<EntityId> row_ids(source_.rows());
-    std::iota(row_ids.begin(), row_ids.end(), 0);
-    SparseSimMatrix out(static_cast<int32_t>(source_.rows()),
-                        static_cast<int32_t>(target_.rows()), 10);
-    TopKInto(source_, row_ids, tiles_, Ptr(index), TopKOptions{}, out);
-    *misses = metrics.GetCounter("stream.cache.misses").Value() -
-              misses_before;
-    *issued = metrics.GetCounter("stream.prefetch.issued").Value() -
-              issued_before;
-    return out;
+  /// A 1 MiB budget's context spilling into the test's directory.
+  stream::StreamContext Context(int32_t tile_rows) const {
+    stream::StreamOptions options;
+    options.memory_budget_mb = 1;
+    options.tile_rows = tile_rows;
+    options.spill_dir = dir_;
+    return stream::StreamContext(options);
   }
 
   int32_t saved_threads_ = 1;
-  // Tracked ballast past the 1 MiB budget pins the cache at its floor
-  // of three tiles, so a tile read twice is a reload.
-  const TrackedAllocation ballast_{int64_t{4} << 20};
-  stream::TileStore store_{BudgetOfMb(1)};
-  const Matrix target_ = RandomMatrix(kTileRows * kNumTiles, 64, 31);
-  const Matrix source_ = RandomMatrix(kTileRows, 64, 32);
-  const stream::TileMatrix tiles_ = TileCopy(store_, target_, kTileRows);
+  const EaDataset dataset_ = SmallDataset();
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    , StreamedTopKTest,
-    ::testing::Values(Candidates::kExact, Candidates::kLsh),
-    [](const ::testing::TestParamInfo<Candidates>& info) {
-      return std::string(info.param == Candidates::kLsh ? "Lsh" : "Exact");
-    });
+INSTANTIATE_TEST_SUITE_P(, SpilledSensTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Lsh" : "Exact");
+                         });
 
-TEST_P(StreamedTopKTest, MatchesInMemoryAcrossTileRowsAndThreads) {
-  constexpr int64_t kTargetRows = 150;
-  constexpr int64_t kDim = 16;
-  Matrix target = RandomMatrix(kTargetRows, kDim, 21);
-  // Exact duplicates score identically against every source row, so the
-  // k-boundary and the drain order both go through the id tie-break.
-  for (int64_t r = 0; r + 1 < kTargetRows; r += 5) {
-    std::copy(target.Row(r), target.Row(r) + kDim, target.Row(r + 1));
-  }
-  const Matrix source = RandomMatrix(40, kDim, 22);
-  // Rows land at an offset in a larger matrix, as streamed blocks do.
-  std::vector<EntityId> row_ids(source.rows());
-  std::iota(row_ids.begin(), row_ids.end(), 3);
-  std::vector<EntityId> col_ids(kTargetRows);
-  std::iota(col_ids.begin(), col_ids.end(), 0);
-  const std::optional<LshIndex> index = IndexOver(target);
-  const TopKOptions topk{.k = 7, .metric = SimMetric::kManhattan};
-
-  SparseSimMatrix expected(50, kTargetRows, topk.k);
-  TopKInto(source, row_ids, target, col_ids, Ptr(index), topk, expected);
-  int64_t ties = 0;
-  for (int32_t r = 0; r < expected.num_rows(); ++r) {
-    const auto row = expected.Row(r);
-    for (size_t i = 1; i < row.size(); ++i) {
-      ties += row[i].score == row[i - 1].score;
-    }
-  }
-  ASSERT_GT(ties, 0);
-
-  for (const int64_t tile_rows : {int64_t{1}, int64_t{7}, int64_t{64},
-                                  kTargetRows}) {
-    const stream::TileMatrix tiles = TileCopy(store_, target, tile_rows);
+TEST_P(SpilledSensTest, MatchesInMemoryAcrossChunkRowsAndThreads) {
+  const SparseSimMatrix expected =
+      ComputeSemanticSimilarity(dataset_.source, dataset_.target, Options());
+  ASSERT_GT(expected.TotalEntries(), 0);
+  for (const int32_t tile_rows : {1, 7, 64, 0}) {
     for (const int32_t threads : {1, 2, 8}) {
-      par::ThreadPool::Get().SetNumThreads(threads);
-      SparseSimMatrix streamed(50, kTargetRows, topk.k);
-      TopKInto(source, row_ids, tiles, Ptr(index), topk, streamed);
       SCOPED_TRACE(testing::Message() << "tile_rows=" << tile_rows
                                       << " threads=" << threads);
-      ExpectSparseEq(expected, streamed);
+      par::ThreadPool::Get().SetNumThreads(threads);
+      stream::StreamContext ctx = Context(tile_rows);
+      ExpectSparseEq(expected,
+                     ComputeSemanticSimilarity(dataset_.source,
+                                               dataset_.target, Options(),
+                                               &ctx));
+      EXPECT_TRUE(FilesInDir().empty());
     }
   }
 }
 
-TEST_P(StreamedTopKTest, SearchReadsEachTileAtMostOncePerBlock) {
-  int64_t misses = 0;
-  int64_t issued = 0;
-  const SparseSimMatrix out = SearchBlock(&misses, &issued);
-  EXPECT_EQ(out.TotalEntries(), source_.rows() * 10);
-  EXPECT_LE(misses, kNumTiles);
-}
-
-TEST_P(StreamedTopKTest, SearchPrefetchesEveryTileAfterTheFirst) {
-  // Every tile holds a candidate of some row (for exact search, of every
-  // row), so the sweep pins all of them in order and prefetches each
-  // next one. The cache holds three tiles, so each tile was evicted
-  // after its spill long before the sweep reaches it: every prefetch is
-  // a real one.
-  const std::optional<LshIndex> index = IndexOver(target_);
-  if (index.has_value()) {
-    std::vector<uint64_t> any(BitsetWords(target_.rows()), 0);
-    for (int64_t i = 0; i < source_.rows(); ++i) {
-      index->Query(source_.Row(i), any.data());
+TEST_P(SpilledSensTest, EmptyAndOneRowTargetsMatchInMemory) {
+  for (const int32_t rows : {0, 1}) {
+    SCOPED_TRACE(testing::Message() << "target rows=" << rows);
+    KnowledgeGraph target;
+    for (int32_t e = 0; e < rows; ++e) {
+      target.AddEntity(dataset_.target.EntityName(e));
     }
-    for (int64_t t = 0; t < kNumTiles; ++t) {
-      int64_t in_tile = 0;
-      for (int64_t j = t * kTileRows; j < (t + 1) * kTileRows; ++j) {
-        in_tile += (any[j >> 6] >> (j & 63)) & 1;
-      }
-      ASSERT_GT(in_tile, 0) << "tile " << t;
-    }
-  }
-  int64_t misses = 0;
-  int64_t issued = 0;
-  const SparseSimMatrix out = SearchBlock(&misses, &issued);
-  EXPECT_EQ(issued, kNumTiles - 1);
-
-  std::vector<EntityId> ids(target_.rows());
-  std::iota(ids.begin(), ids.end(), 0);
-  SparseSimMatrix in_memory(static_cast<int32_t>(source_.rows()),
-                            static_cast<int32_t>(target_.rows()), 10);
-  TopKInto(source_, std::span(ids).first(source_.rows()), target_, ids,
-           Ptr(index), TopKOptions{}, in_memory);
-  ExpectSparseEq(in_memory, out);
-}
-
-TEST_P(StreamedTopKTest, CountsEachRowOncePerSpilledCall) {
-  // tiles_ spans ten tiles; the counters still see one pass per row.
-  const std::string kind =
-      GetParam() == Candidates::kLsh ? "topk.lsh." : "topk.exact.";
-  auto& metrics = obs::MetricsRegistry::Get();
-  obs::Counter& rows = metrics.GetCounter(kind + "rows");
-  obs::Counter& scanned = metrics.GetCounter(kind + "candidates_scanned");
-  const int64_t rows_before = rows.Value();
-  const int64_t scanned_before = scanned.Value();
-  int64_t misses = 0;
-  int64_t issued = 0;
-  SearchBlock(&misses, &issued);
-  EXPECT_EQ(rows.Value() - rows_before, source_.rows());
-  if (GetParam() == Candidates::kExact) {
-    EXPECT_EQ(scanned.Value() - scanned_before,
-              source_.rows() * target_.rows());
+    const SparseSimMatrix expected =
+        ComputeSemanticSimilarity(dataset_.source, target, Options());
+    stream::StreamContext ctx = Context(0);
+    const SparseSimMatrix spilled =
+        ComputeSemanticSimilarity(dataset_.source, target, Options(), &ctx);
+    ExpectSparseEq(expected, spilled);
+    EXPECT_LE(spilled.TotalEntries(), rows * dataset_.source.num_entities());
+    EXPECT_TRUE(FilesInDir().empty());
   }
 }
 
-TEST_F(StreamedTopKTest, LshSearchPinsOnlyTilesHoldingCandidates) {
-  // One-row tiles and a one-row block: the row's candidates are a small
-  // share of the target, and no other tile may be read, prefetches
-  // included.
-  stream::TileStore store(BudgetOfMb(1));
-  const stream::TileMatrix one_row_tiles = TileCopy(store, target_, 1);
-  const LshIndex index(target_, LshOptions{});
-  std::vector<uint64_t> bits(BitsetWords(index.num_rows()), 0);
-  index.Query(source_.Row(0), bits.data());
-  int64_t candidates = 0;
-  for (const uint64_t word : bits) candidates += std::popcount(word);
-  ASSERT_LT(candidates, target_.rows() / 2);
-
-  auto& misses = obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
-  const int64_t misses_before = misses.Value();
-  const std::vector<EntityId> row_ids = {0};
-  SparseSimMatrix out(1, static_cast<int32_t>(target_.rows()), 10);
-  TopKInto(MatrixRowRange(source_, 0, 1), row_ids, one_row_tiles, &index,
-           TopKOptions{}, out);
-  store.DrainPrefetches();
-  EXPECT_LE(misses.Value() - misses_before, candidates);
+#if LARGEEA_FAULT_INJECTION
+TEST_P(SpilledSensTest, FailedSpillWriteKeepsTheTargetInMemoryBitIdentically) {
+  const SparseSimMatrix expected =
+      ComputeSemanticSimilarity(dataset_.source, dataset_.target, Options());
+  obs::Counter& failures =
+      obs::MetricsRegistry::Get().GetCounter("stream.spill_failures");
+  const int64_t failures_before = failures.Value();
+  // Every spill write fails from the second chunk on: a full or broken
+  // scratch disk. SENS must search the target in memory instead, with the
+  // same bytes.
+  rt::FaultInjector::Get().Arm(
+      "stream.spill.write",
+      rt::FaultSpec{StatusCode::kUnavailable, "scratch disk full", 2, -1,
+                    rt::FaultAction::kFail});
+  stream::StreamContext ctx = Context(64);
+  const SparseSimMatrix streamed = ComputeSemanticSimilarity(
+      dataset_.source, dataset_.target, Options(), &ctx);
+  rt::FaultInjector::Get().Reset();
+  ExpectSparseEq(expected, streamed);
+  EXPECT_EQ(failures.Value() - failures_before, 1);
+  EXPECT_TRUE(FilesInDir().empty());
 }
-
-TEST_P(StreamedTopKTest, PlanTrackedBytesAreItsBitsetsAndHeaps) {
-  // A budget that caches every tile: after a warm-up call nothing reloads,
-  // so the only tracked growth during a call is the plan itself.
-  stream::TileStore store(BudgetOfMb(64));
-  const stream::TileMatrix tiles = TileCopy(store, target_, kTileRows);
-  const std::optional<LshIndex> index = IndexOver(target_);
-  std::vector<EntityId> row_ids(source_.rows());
-  std::iota(row_ids.begin(), row_ids.end(), 0);
-  const TopKOptions topk{.k = 10};
-  const auto search = [&] {
-    SparseSimMatrix out(static_cast<int32_t>(source_.rows()),
-                        static_cast<int32_t>(target_.rows()), topk.k);
-    TopKInto(source_, row_ids, tiles, Ptr(index), topk, out);
-  };
-  search();
-  auto& misses = obs::MetricsRegistry::Get().GetCounter("stream.cache.misses");
-  const int64_t misses_before = misses.Value();
-  MemoryTracker& tracker = MemoryTracker::Get();
-  const int64_t before = tracker.CurrentBytes();
-  tracker.ResetPeak();
-  search();
-  ASSERT_EQ(misses.Value(), misses_before);
-  // With an index, one bit per target row, in whole 64-bit words, per
-  // source row; and k (score, id) entries per row's heap, reserved up
-  // front. Exact search plans nothing: the heaps are all.
-  const int64_t bitsets =
-      index.has_value() ? source_.rows() * BitsetWords(target_.rows()) * 8
-                        : 0;
-  const int64_t heaps =
-      source_.rows() * topk.k *
-      static_cast<int64_t>(sizeof(std::pair<float, int32_t>));
-  EXPECT_EQ(tracker.PeakBytes() - before, bitsets + heaps);
-  EXPECT_EQ(tracker.CurrentBytes(), before);
-}
+#endif  // LARGEEA_FAULT_INJECTION
 
 SparseSimMatrix RandomSparse(int32_t rows, int32_t cols, int32_t per_row,
                              uint64_t seed) {
@@ -600,20 +448,34 @@ uint64_t FusedHash(const SparseSimMatrix& m) {
 // Pipeline-level bit-identity: streamed == in-memory, across thread
 // counts and SIMD backends, with the tracked peak under the budget.
 
-class StreamPipelineTest : public ::testing::Test {
+class StreamPipelineTest : public SpillDirTest {
  protected:
   void SetUp() override {
+    SpillDirTest::SetUp();
     saved_threads_ = par::ThreadPool::Get().num_threads();
   }
   void TearDown() override {
     par::ThreadPool::Get().SetNumThreads(saved_threads_);
+    SpillDirTest::TearDown();
   }
   int32_t saved_threads_ = 1;
 
-  static EaDataset MakeDataset() {
-    BenchmarkSpec spec = Ids15kSpec(LanguagePair::kEnFr);
-    spec.world.num_entities = 300;
-    return GenerateBenchmark(spec);
+  /// Every stream.* counter in the registry, by name.
+  static std::map<std::string, int64_t> StreamCounters() {
+    const std::string json = obs::MetricsRegistry::Get().ToJson();
+    const size_t begin = json.find("\"counters\":{");
+    const std::string counters =
+        json.substr(begin, json.find('}', begin) - begin);
+    static const std::regex kStreamCounter(
+        R"re("(stream\.[^"]+)":(-?\d+))re");
+    std::map<std::string, int64_t> values;
+    for (std::sregex_iterator it(counters.begin(), counters.end(),
+                                 kStreamCounter),
+         end;
+         it != end; ++it) {
+      values[(*it)[1].str()] = std::stoll((*it)[2].str());
+    }
+    return values;
   }
 
   static LargeEaOptions BaseOptions() {
@@ -634,7 +496,7 @@ class StreamPipelineTest : public ::testing::Test {
 };
 
 TEST_F(StreamPipelineTest, BudgetedRunIsBitIdenticalAcrossThreads) {
-  const EaDataset dataset = MakeDataset();
+  const EaDataset dataset = SmallDataset();
   LargeEaOptions options = BaseOptions();
   options.stream.memory_budget_mb = 0;  // explicit: in-memory baseline
   const auto baseline = RunLargeEa(dataset, options);
@@ -644,23 +506,39 @@ TEST_F(StreamPipelineTest, BudgetedRunIsBitIdenticalAcrossThreads) {
   const int64_t budget_mb =
       std::max<int64_t>(1, baseline->peak_bytes / 2 / (1 << 20));
   options.stream.memory_budget_mb = budget_mb;
-  // Tiny tiles so the 300-entity fixture actually exercises multi-tile
-  // streaming, eviction, and prefetch.
+  // Small chunks so the 300-entity fixture spills and searches in
+  // several of them.
   options.stream.tile_rows = 64;
+  options.stream.spill_dir = dir_;
 
-  for (const int32_t threads : {1, 8}) {
+  // The stream.* counters (spilled chunks and bytes, spill failures) are
+  // a pure function of the inputs and the budget, never of the thread
+  // count.
+  std::map<std::string, int64_t> first_counters;
+  for (const int32_t threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
     par::ThreadPool::Get().SetNumThreads(threads);
+    obs::MetricsRegistry::Get().Reset();
     const auto streamed = RunLargeEa(dataset, options);
-    ASSERT_TRUE(streamed.ok()) << "threads=" << threads;
+    ASSERT_TRUE(streamed.ok());
     ExpectSameResult(*baseline, *streamed);
-    // release_inputs (default on) hands back empty intermediates.
+    // A budgeted run hands back empty intermediates.
     EXPECT_EQ(streamed->name_channel.nff.fused.TotalEntries(), 0);
     EXPECT_EQ(streamed->structure_channel.similarity.TotalEntries(), 0);
+    EXPECT_TRUE(FilesInDir().empty());
+    std::map<std::string, int64_t> counters = StreamCounters();
+    EXPECT_GT(counters["stream.spill.bytes"], 0);
+    EXPECT_GT(counters["stream.spill.tiles"], 0);
+    if (first_counters.empty()) {
+      first_counters = counters;
+    } else {
+      EXPECT_EQ(counters, first_counters);
+    }
   }
 }
 
 TEST_F(StreamPipelineTest, BudgetedRunIsBitIdenticalAcrossSimdBackends) {
-  const EaDataset dataset = MakeDataset();
+  const EaDataset dataset = SmallDataset();
   LargeEaOptions options = BaseOptions();
   options.stream.memory_budget_mb = 1;
   options.stream.tile_rows = 64;
@@ -681,7 +559,7 @@ TEST_F(StreamPipelineTest, BudgetedRunIsBitIdenticalAcrossSimdBackends) {
 }
 
 TEST_F(StreamPipelineTest, LshPathStreamsBitIdentically) {
-  const EaDataset dataset = MakeDataset();
+  const EaDataset dataset = SmallDataset();
   LargeEaOptions options = BaseOptions();
   options.name_channel.nff.sens.use_lsh = true;
   options.stream.memory_budget_mb = 0;
@@ -726,7 +604,7 @@ TEST_F(StreamPipelineTest, HalfBudgetRunStaysUnderBudgetBitIdentically) {
 }
 
 TEST_F(StreamPipelineTest, ReportsBudgetComplianceGauges) {
-  const EaDataset dataset = MakeDataset();
+  const EaDataset dataset = SmallDataset();
   LargeEaOptions options = BaseOptions();
   options.stream.memory_budget_mb = 64;  // generous: must be compliant
   const auto run = RunLargeEa(dataset, options);

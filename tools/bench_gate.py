@@ -14,7 +14,7 @@ key columns, so a re-ordered or extended sweep still gates correctly:
     stream  -> (path, budget_mb)      schema-checked only (per SENS
                                       path, the unbudgeted run and each
                                       distinct budget: peak, seconds,
-                                      tile reloads, bit-identity)
+                                      spilled bytes, bit-identity)
     dag     -> (row,)                 schema-checked only (DAG wall
                                       clock at concurrency 1 vs the
                                       pool's, node timings)

@@ -12,7 +12,7 @@
 #   * BENCH_stream.json — memory-budget sweep of the streaming layer:
 #     per SENS path (exact, lsh), the unbudgeted peak, then each
 #     distinct budget among 1/2, 1/4, 1/8 of it (floored at 1 MiB),
-#     each row recording peak/seconds/tile reloads and that the fused
+#     each row recording peak/seconds/spilled bytes and that the fused
 #     matrix stayed bit-identical (bench_micro --mode=stream
 #     --json-out, DESIGN.md §10). STREAM_SCALE tunes the dataset size;
 #   * BENCH_dag.json — the operator-DAG executor on the full pipeline

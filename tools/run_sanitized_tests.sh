@@ -24,12 +24,12 @@
 #
 # After the main matrix, a streamed pass re-runs a curated filter with
 # LARGEEA_MEMORY_BUDGET_MB set to a tiny budget, so the sanitizers see
-# the TileStore spill/reload path, the background prefetcher, and
-# FuseStreamed under memory/race checking (DESIGN.md §10). The filter is
-# curated on purpose: under the env budget, default-configured pipelines
-# release their intermediate matrices (release_inputs), so suites that
-# assert on nff.semantic / structure similarity contents would
-# mis-assert by design. STREAM_BUDGET_MB tunes the budget.
+# the spill path (chunked write, verified mapping, SENS over the mapped
+# target) and FuseStreamed under memory/race checking (DESIGN.md §10).
+# The filter is curated on purpose: under the env budget, pipelines
+# release their intermediate matrices, so suites that assert on
+# nff.semantic / structure similarity contents would mis-assert by
+# design. STREAM_BUDGET_MB tunes the budget.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,7 +37,7 @@ cd "$(dirname "$0")/.."
 SANITIZERS="${SANITIZERS:-sanitize tsan}"
 SIMD_BACKENDS="${SIMD_BACKENDS:-scalar auto}"
 STREAM_BUDGET_MB="${STREAM_BUDGET_MB:-8}"
-STREAM_FILTER='Stream*:TileStore*:TileMatrix*:FuseStreamed*:MemoryBudget*:ParDeterminism*:Dag*'
+STREAM_FILTER='Stream*:Spill*:FuseStreamed*:MemoryBudget*:ParDeterminism*:Dag*'
 
 for preset in ${SANITIZERS}; do
   cmake --preset "${preset}"
@@ -80,7 +80,7 @@ for preset in ${SANITIZERS}; do
       "build-${preset}/tests/largeea_tests" \
       --gtest_filter='FaultTolerance*:ShardChaos*:ShardPlan*:ShardComplete*:Heartbeat*:Subprocess*:TraceMerge*'
     # The readers of outside bytes, likewise always: the artifact fuzzers
-    # (checkpoints, tiles, and the mapped index, whose damaged images must
+    # (checkpoints, spills, and the mapped index, whose damaged images must
     # be refused before a query reads past a section), the HNSW CSR
     # checks, the serve protocol fuzzer with its bounds on k and on the
     # request line, and the KG TSV loaders' fuzzer.

@@ -14,6 +14,7 @@
 #include "src/core/large_ea.h"
 #include "src/gen/benchmark_gen.h"
 #include "src/kg/kg_io.h"
+#include "src/obs/metrics.h"
 
 using namespace largeea;
 
@@ -65,15 +66,19 @@ int main(int argc, char** argv) {
   }
 
   const LargeEaResult result = RunLargeEa(dataset, options).value();
+  // The run releases M_se and M_st once they are fused; their entry
+  // counts stay in the metrics registry (and the run report).
+  const auto entries = [](const char* gauge) {
+    return static_cast<long>(
+        obs::MetricsRegistry::Get().GetGauge(gauge).Value());
+  };
   std::printf("\nchannel breakdown:\n");
   std::printf("  SENS (semantic names): %.2fs, %ld candidates\n",
               result.name_channel.nff.sens_seconds,
-              static_cast<long>(result.name_channel.nff.semantic
-                                    .TotalEntries()));
+              entries("name.semantic_entries"));
   std::printf("  STNS (string names):   %.2fs, %ld candidates\n",
               result.name_channel.nff.stns_seconds,
-              static_cast<long>(result.name_channel.nff.string
-                                    .TotalEntries()));
+              entries("name.string_entries"));
   std::printf("  data augmentation:     %zu pseudo seeds\n",
               result.name_channel.pseudo_seeds.size());
   std::printf("  METIS-CPS partition:   %.2fs, %zu batches\n",

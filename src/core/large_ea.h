@@ -61,10 +61,11 @@ struct LargeEaOptions {
   /// Memory-budgeted streaming execution (DESIGN.md §10). Resolved
   /// against LARGEEA_MEMORY_BUDGET_MB at run (and fingerprint) time; a
   /// positive budget spills the target's name embeddings to one mapped
-  /// file and streams the fusions without changing any result bit. The
-  /// intermediate matrices (nff.semantic, nff.string,
-  /// structure_channel.similarity) then come back empty — only `fused`
-  /// and the metrics are retained.
+  /// file (and bounds the DAG's admissions) without changing any result
+  /// bit. The budget decides only that: every run, budgeted or not,
+  /// releases the intermediate matrices (nff.semantic, nff.string,
+  /// nff.fused, structure_channel.similarity) once fused, so they come
+  /// back empty — `fused`, the seeds and the metrics are retained.
   stream::StreamOptions stream;
 };
 

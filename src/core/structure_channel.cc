@@ -224,9 +224,7 @@ StatusOr<StructureChannelResult> TrainStructureChannel(
 
   const auto merge_block = [&result](const SparseSimMatrix& block) {
     for (int32_t r = 0; r < block.num_rows(); ++r) {
-      for (const SimEntry& e : block.Row(r)) {
-        result.similarity.Accumulate(r, e.column, e.score);
-      }
+      result.similarity.AccumulateRow(r, block.Row(r));
     }
   };
 

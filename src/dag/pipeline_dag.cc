@@ -65,6 +65,13 @@ bool TryLoadMatrix(rt::CheckpointManager& checkpoint, const char* kind,
   return false;
 }
 
+/// Publishes the entry count of an intermediate matrix, which the
+/// result no longer holds once fusion has consumed it.
+void SetEntriesGauge(const char* name, const SparseSimMatrix& m) {
+  obs::MetricsRegistry::Get().GetGauge(name).Set(
+      static_cast<double>(m.TotalEntries()));
+}
+
 /// Mutable state the node bodies close over. Lives on the caller's
 /// stack for the whole schedule; concurrent nodes touch disjoint
 /// fields (the graph's edges are exactly the cross-node accesses).
@@ -84,7 +91,6 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   const KnowledgeGraph& target = dataset.target;
   const NameChannelOptions& n = options.name_channel;
   const StructureChannelOptions& s = options.structure_channel;
-  const bool consume = stream_ctx != nullptr;
   const int64_t src_rows = source.num_entities();
   const int64_t all_rows = src_rows + target.num_entities();
 
@@ -92,23 +98,27 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   Graph graph;
   auto& registry = obs::MetricsRegistry::Get();
 
+  // Every intermediate matrix (M_se, M_st, M_n, M_s) is released when
+  // its last consumer finishes, and the fusions consume their inputs, so
+  // those result fields come back empty from every run.
+
   // --- Name channel: M_se ∥ M_st → M_n → pseudo seeds. ---
   int32_t v_name = -1, v_pseudo = -1;
   int32_t n_sem = -1, n_str = -1, n_fuse = -1, n_aug = -1;
   if (options.use_name_channel) {
     const int32_t v_sem = graph.AddValue(
-        "M_se", SimBytes(src_rows, n.nff.sens.top_k), /*retain=*/!consume,
+        "M_se", SimBytes(src_rows, n.nff.sens.top_k), /*retain=*/false,
         [&state] {
           state.result.name_channel.nff.semantic = SparseSimMatrix();
         });
     const int32_t v_str = graph.AddValue(
         "M_st", SimBytes(src_rows, n.nff.stns.max_entries_per_row),
-        /*retain=*/!consume, [&state] {
+        /*retain=*/false, [&state] {
           state.result.name_channel.nff.string = SparseSimMatrix();
         });
     v_name = graph.AddValue(
         "M_n", SimBytes(src_rows, n.nff.max_entries_per_row),
-        /*retain=*/!consume, [&state] {
+        /*retain=*/false, [&state] {
           state.result.name_channel.nff.fused = SparseSimMatrix();
         });
     v_pseudo = graph.AddValue("pseudo_seeds", src_rows * 8,
@@ -120,15 +130,15 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
             SimBytes(src_rows, n.nff.sens.top_k),
         [&](NodeContext& ctx) -> Status {
           SparseSimMatrix& out = state.result.name_channel.nff.semantic;
-          if (TryLoadMatrix(checkpoint, kSemanticKind, dataset, out, ctx)) {
-            return OkStatus();
+          if (!TryLoadMatrix(checkpoint, kSemanticKind, dataset, out, ctx)) {
+            LARGEEA_INJECT_FAULT("name.features");
+            out = ComputeSemanticSimilarity(source, target, n.nff.sens,
+                                            stream_ctx);
+            if (checkpoint.enabled()) {
+              (void)checkpoint.SaveMatrix(kSemanticKind, out);
+            }
           }
-          LARGEEA_INJECT_FAULT("name.features");
-          out = ComputeSemanticSimilarity(source, target, n.nff.sens,
-                                          stream_ctx);
-          if (checkpoint.enabled()) {
-            (void)checkpoint.SaveMatrix(kSemanticKind, out);
-          }
+          SetEntriesGauge("name.semantic_entries", out);
           return OkStatus();
         });
     n_str = graph.AddNode(
@@ -137,13 +147,13 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
             SimBytes(src_rows, n.nff.stns.max_entries_per_row),
         [&](NodeContext& ctx) -> Status {
           SparseSimMatrix& out = state.result.name_channel.nff.string;
-          if (TryLoadMatrix(checkpoint, kStringKind, dataset, out, ctx)) {
-            return OkStatus();
+          if (!TryLoadMatrix(checkpoint, kStringKind, dataset, out, ctx)) {
+            out = ComputeStringSimilarity(source, target, n.nff.stns);
+            if (checkpoint.enabled()) {
+              (void)checkpoint.SaveMatrix(kStringKind, out);
+            }
           }
-          out = ComputeStringSimilarity(source, target, n.nff.stns);
-          if (checkpoint.enabled()) {
-            (void)checkpoint.SaveMatrix(kStringKind, out);
-          }
+          SetEntriesGauge("name.string_entries", out);
           return OkStatus();
         });
     n_fuse = graph.AddNode(
@@ -155,17 +165,11 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
                             ctx)) {
             return OkStatus();
           }
-          if (consume) {
-            // Row-streamed fusion consumes M_se and M_st; the scheduler
-            // releases the moved-from values right after this node.
-            nff.fused = SparseSimMatrix::FuseStreamed(
-                std::move(nff.semantic), std::move(nff.string), 1.0f,
-                n.nff.string_weight, n.nff.max_entries_per_row);
-          } else {
-            nff.fused = nff.semantic.Fuse(nff.string, 1.0f,
-                                          n.nff.string_weight,
-                                          n.nff.max_entries_per_row);
-          }
+          // Row-streamed fusion consumes M_se and M_st; the scheduler
+          // releases the moved-from values right after this node.
+          nff.fused = SparseSimMatrix::FuseStreamed(
+              std::move(nff.semantic), std::move(nff.string), 1.0f,
+              n.nff.string_weight, n.nff.max_entries_per_row);
           if (checkpoint.enabled()) {
             (void)checkpoint.SaveMatrix(kNameFusedKind, nff.fused);
           }
@@ -246,7 +250,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
     const int32_t v_batches =
         graph.AddValue("batches", all_rows * 16, /*retain=*/true);
     v_struct = graph.AddValue(
-        "M_s", SimBytes(src_rows, s.top_k), /*retain=*/!consume, [&state] {
+        "M_s", SimBytes(src_rows, s.top_k), /*retain=*/false, [&state] {
           state.result.structure_channel.similarity = SparseSimMatrix();
         });
     graph.AddNode(
@@ -290,10 +294,10 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   std::vector<int32_t> fusion_inputs;
   if (v_struct >= 0) fusion_inputs.push_back(v_struct);
   if (v_name >= 0) fusion_inputs.push_back(v_name);
-  // A consuming fusion moves M_n out, so it must also wait for M_n's other
-  // reader, name_augmentation. With the structure channel on, M_s already
-  // orders them; without it, nothing else would.
-  if (consume && v_pseudo >= 0) fusion_inputs.push_back(v_pseudo);
+  // Fusion moves M_n out, so it must also wait for M_n's other reader,
+  // name_augmentation. With the structure channel on, M_s already orders
+  // them; without it, nothing else would.
+  if (v_pseudo >= 0) fusion_inputs.push_back(v_pseudo);
   graph.AddNode(
       "fusion", std::move(fusion_inputs), {v_fused},
       SimBytes(src_rows, options.fused_top_k) * 2,
@@ -303,33 +307,19 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         if (TryLoadMatrix(checkpoint, kFusedKind, dataset, r.fused, ctx)) {
           return OkStatus();
         }
-        // Which of M_s and M_n make up M, fused or moved. Under a
-        // consuming stream context the inputs are moved, and the
-        // scheduler's value release resets the moved-from fields to
-        // clean empties.
+        // Which of M_s and M_n make up M, fused or moved. The inputs are
+        // consumed, and the scheduler's value release resets the
+        // moved-from fields to clean empties.
         if (options.use_name_channel && options.use_structure_channel &&
-            !options.fuse_name_similarity) {
-          r.fused = consume ? std::move(r.structure_channel.similarity)
-                            : r.structure_channel.similarity;
-        } else if (options.use_name_channel &&
-                   options.use_structure_channel) {
-          if (consume) {
-            r.fused = SparseSimMatrix::FuseStreamed(
-                std::move(r.structure_channel.similarity),
-                std::move(r.name_channel.nff.fused),
-                options.structure_weight, options.name_weight,
-                options.fused_top_k);
-          } else {
-            r.fused = r.structure_channel.similarity.Fuse(
-                r.name_channel.nff.fused, options.structure_weight,
-                options.name_weight, options.fused_top_k);
-          }
+            options.fuse_name_similarity) {
+          r.fused = SparseSimMatrix::FuseStreamed(
+              std::move(r.structure_channel.similarity),
+              std::move(r.name_channel.nff.fused), options.structure_weight,
+              options.name_weight, options.fused_top_k);
         } else if (options.use_structure_channel) {
-          r.fused = consume ? std::move(r.structure_channel.similarity)
-                            : r.structure_channel.similarity;
+          r.fused = std::move(r.structure_channel.similarity);
         } else {
-          r.fused = consume ? std::move(r.name_channel.nff.fused)
-                            : r.name_channel.nff.fused;
+          r.fused = std::move(r.name_channel.nff.fused);
         }
         if (checkpoint.enabled()) {
           (void)checkpoint.SaveMatrix(kFusedKind, r.fused);

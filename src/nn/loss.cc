@@ -5,6 +5,7 @@
 #include "src/common/macros.h"
 #include "src/la/ops.h"
 #include "src/obs/profiler.h"
+#include "src/simd/simd.h"
 
 namespace largeea {
 namespace {
@@ -12,6 +13,20 @@ namespace {
 constexpr int64_t kF = sizeof(float);
 
 float Sign(float x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); }
+
+// out[j] = ManhattanDistance(a, rows.Row(ids[j])) bit for bit, four rows
+// per kernel call and the last 1-3 one at a time. |x - y| and |y - x|
+// are the same bits, so either side of a pair may be `a`.
+void Distances(const simd::KernelTable& kt, const float* a, const Matrix& rows,
+               std::span<const int32_t> ids, int64_t dim, float* out) {
+  size_t j = 0;
+  for (; j + 4 <= ids.size(); j += 4) {
+    const float* four[4] = {rows.Row(ids[j]), rows.Row(ids[j + 1]),
+                            rows.Row(ids[j + 2]), rows.Row(ids[j + 3])};
+    kt.manhattan4(a, four, dim, out + j);
+  }
+  for (; j < ids.size(); ++j) out[j] = kt.manhattan(a, rows.Row(ids[j]), dim);
+}
 
 }  // namespace
 
@@ -37,8 +52,12 @@ MarginLossResult MarginLossAndGrad(
   const float scale = 1.0f / static_cast<float>(total_triplets);
   obs::ProfileScope prof("nn.loss");
 
+  const simd::KernelTable& kt = simd::Kernels();
   // Sign(z_s - z_t), which every active triplet of the seed needs.
   std::vector<float> pos_sign(static_cast<size_t>(dim));
+  // The seed's negative distances, computed before any gradient row is
+  // written (the embeddings are read-only here).
+  std::vector<float> d_target, d_source;
   for (size_t i = 0; i < seeds.size(); ++i) {
     const auto [s, t] = seeds[i];
     const float* zs = source_embeddings.Row(s);
@@ -46,11 +65,18 @@ MarginLossResult MarginLossAndGrad(
     const float d_pos = ManhattanDistance(zs, zt, dim);
     for (int64_t k = 0; k < dim; ++k) pos_sign[k] = Sign(zs[k] - zt[k]);
     const float* sp = pos_sign.data();
+    const std::vector<int32_t>& target_negs = negatives.target_negatives[i];
+    const std::vector<int32_t>& source_negs = negatives.source_negatives[i];
+    d_target.resize(target_negs.size());
+    d_source.resize(source_negs.size());
+    Distances(kt, zs, target_embeddings, target_negs, dim, d_target.data());
+    Distances(kt, zt, source_embeddings, source_negs, dim, d_source.data());
 
     // Corrupted target: d(z_s, z_t').
-    for (const int32_t tn : negatives.target_negatives[i]) {
+    for (size_t j = 0; j < target_negs.size(); ++j) {
+      const int32_t tn = target_negs[j];
       const float* ztn = target_embeddings.Row(tn);
-      const float v = d_pos + margin - ManhattanDistance(zs, ztn, dim);
+      const float v = d_pos + margin - d_target[j];
       if (v <= 0.0f) continue;
       result.loss += v * scale;
       ++result.active_triplets;
@@ -66,9 +92,10 @@ MarginLossResult MarginLossAndGrad(
     }
 
     // Corrupted source: d(z_s', z_t).
-    for (const int32_t sn : negatives.source_negatives[i]) {
+    for (size_t j = 0; j < source_negs.size(); ++j) {
+      const int32_t sn = source_negs[j];
       const float* zsn = source_embeddings.Row(sn);
-      const float v = d_pos + margin - ManhattanDistance(zsn, zt, dim);
+      const float v = d_pos + margin - d_source[j];
       if (v <= 0.0f) continue;
       result.loss += v * scale;
       ++result.active_triplets;

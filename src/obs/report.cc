@@ -1,5 +1,9 @@
 #include "src/obs/report.h"
 
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
 #include "src/common/memory_tracker.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/metrics.h"
@@ -40,9 +44,23 @@ void RunReport::SetServe(const ServeStats& serve) {
   has_serve_ = true;
 }
 
-void RunReport::SetTotal(double seconds, int64_t peak_bytes) {
+void RunReport::SetTotal(double seconds, int64_t peak_bytes,
+                         int64_t peak_rss_bytes) {
   total_seconds_ = seconds;
   total_peak_bytes_ = peak_bytes;
+  total_peak_rss_bytes_ = peak_rss_bytes;
+}
+
+int64_t PeakResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    // "VmHWM:     101588 kB"
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtoll(line.c_str() + 6, nullptr, 10) * 1024;
+    }
+  }
+  return -1;
 }
 
 void RunReport::IngestMemoryPhases() {
@@ -103,6 +121,9 @@ std::string RunReport::ToJson() const {
   w.Key("total").BeginObject();
   w.Key("seconds").Double(total_seconds_);
   w.Key("peak_bytes").Int(total_peak_bytes_);
+  if (total_peak_rss_bytes_ >= 0) {
+    w.Key("peak_rss_bytes").Int(total_peak_rss_bytes_);
+  }
   w.EndObject();
 
   w.Key("phases").BeginArray();

@@ -14,12 +14,18 @@
 //                 "train_pairs", "test_pairs"},
 //     "config":  {<free-form string notes>},
 //     "eval":    {"hits_at_1", "hits_at_5", "mrr", "test_pairs"},
-//     "total":   {"seconds", "peak_bytes"},
+//     "total":   {"seconds", "peak_bytes", "peak_rss_bytes"},
 //     "phases":  [{"name", "seconds", "peak_bytes"}],     // -1 = untracked
 //     "memory_phases": [{"name", "start_bytes", "peak_bytes", "seconds"}],
 //     "spans":   [{"name", "count", "total_seconds"}],
 //     "metrics": {"counters", "gauges", "histograms"}
 //   }
+//
+// "total.peak_bytes" is the MemoryTracker's peak; "peak_rss_bytes" is
+// the process's resident high-water mark (PeakResidentBytes), present
+// when the tool reported one (`run` and `index-build` on Linux), so the
+// two side by side show how much of the resident peak the tracker
+// explains.
 //
 // Three sections are conditional: "eval" appears once SetEval() ran,
 // "serve" (queries answered, version swaps, latency percentiles)
@@ -75,7 +81,9 @@ class RunReport {
   void SetServe(const ServeStats& serve);
 
   /// End-to-end totals (the printed table's bottom line).
-  void SetTotal(double seconds, int64_t peak_bytes);
+  /// `peak_rss_bytes` < 0 leaves total.peak_rss_bytes out.
+  void SetTotal(double seconds, int64_t peak_bytes,
+                int64_t peak_rss_bytes = -1);
 
   /// Pulls MemoryTracker::FinishedPhases() into the report.
   void IngestMemoryPhases();
@@ -126,7 +134,13 @@ class RunReport {
   bool has_serve_ = false;
   double total_seconds_ = 0.0;
   int64_t total_peak_bytes_ = -1;
+  int64_t total_peak_rss_bytes_ = -1;
 };
+
+/// The process's resident high-water mark so far (VmHWM in
+/// /proc/self/status) in bytes; -1 where that file or field is missing
+/// (off Linux).
+int64_t PeakResidentBytes();
 
 }  // namespace largeea::obs
 

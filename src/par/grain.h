@@ -32,7 +32,8 @@ int64_t GemmPanel(int64_t k, int64_t n);
 int64_t GemmTileCols(int64_t k);
 /// Axpy/Scale/Relu element grain.
 int64_t ElemGrain(int64_t size);
-/// L2NormalizeRows row grain.
+/// Row grain of light per-row loops: L2NormalizeRows and the sparse
+/// similarity matrices' row merges and rescales.
 int64_t NormRowGrain(int64_t rows);
 /// Top-k source rows per block (exact and LSH): the rows that share
 /// each target tile while it is L2-resident (and, for LSH, plan their

@@ -2,6 +2,9 @@
 
 #include <vector>
 
+#include "src/par/grain.h"
+#include "src/par/parallel_for.h"
+
 namespace largeea {
 
 SparseSimMatrix CslsRescale(const SparseSimMatrix& m) {
@@ -19,16 +22,30 @@ SparseSimMatrix CslsRescale(const SparseSimMatrix& m) {
     if (!row.empty()) row_mean[r] = sum / static_cast<float>(row.size());
   }
 
+  // The column sums above are one serial pass (their float order is
+  // part of the result); the rescale writes each row from its own chunk.
   SparseSimMatrix out(m.num_rows(), m.num_cols(), m.max_entries_per_row());
-  for (int32_t r = 0; r < m.num_rows(); ++r) {
-    for (const SimEntry& e : m.Row(r)) {
-      const float col_mean =
-          col_count[e.column] > 0
-              ? col_sum[e.column] / static_cast<float>(col_count[e.column])
-              : 0.0f;
-      out.Accumulate(r, e.column, 2.0f * e.score - row_mean[r] - col_mean);
-    }
-  }
+  par::ParallelFor(
+      0, m.num_rows(), par::NormRowGrain(m.num_rows()),
+      [&](const par::ChunkRange& chunk) {
+        std::vector<SimEntry> rescaled;
+        for (int64_t i = chunk.begin; i < chunk.end; ++i) {
+          const int32_t r = static_cast<int32_t>(i);
+          const auto row = m.Row(r);
+          rescaled.clear();
+          rescaled.reserve(row.size());
+          for (const SimEntry& e : row) {
+            const float col_mean =
+                col_count[e.column] > 0
+                    ? col_sum[e.column] /
+                          static_cast<float>(col_count[e.column])
+                    : 0.0f;
+            rescaled.push_back(SimEntry{
+                e.column, 2.0f * e.score - row_mean[r] - col_mean});
+          }
+          out.AccumulateRow(r, rescaled);
+        }
+      });
   out.RefreshMemoryTracking();
   return out;
 }

@@ -1,8 +1,11 @@
 #include "src/sim/sparse_sim.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "src/common/macros.h"
+#include "src/par/grain.h"
+#include "src/par/parallel_for.h"
 
 namespace largeea {
 namespace {
@@ -34,10 +37,75 @@ void MergeRow(const std::vector<SimEntry>& a, const std::vector<SimEntry>& b,
   std::sort(merged.begin(), merged.end(), EntryBefore);
 }
 
+// Accumulate's step on a bare row of at most `cap` entries (<= 0:
+// unlimited): adds `score` to `col`'s entry, creating it if absent and
+// evicting the weakest entry of a full row when the new one beats it,
+// then restores the stored order.
+void AccumulateEntry(std::vector<SimEntry>& entries, int32_t cap,
+                     EntityId col, float score) {
+  // Existing entry: accumulate and restore descending order by bubbling.
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].column == col) {
+      entries[i].score += score;
+      size_t j = i;
+      while (j > 0 && EntryBefore(entries[j], entries[j - 1])) {
+        std::swap(entries[j], entries[j - 1]);
+        --j;
+      }
+      while (j + 1 < entries.size() &&
+             EntryBefore(entries[j + 1], entries[j])) {
+        std::swap(entries[j + 1], entries[j]);
+        ++j;
+      }
+      return;
+    }
+  }
+
+  const SimEntry entry{col, score};
+  const bool full = cap > 0 && static_cast<int32_t>(entries.size()) >= cap;
+  if (full) {
+    if (!EntryBefore(entry, entries.back())) return;  // too weak to enter
+    entries.back() = entry;
+  } else {
+    entries.push_back(entry);
+  }
+  size_t j = entries.size() - 1;
+  while (j > 0 && EntryBefore(entries[j], entries[j - 1])) {
+    std::swap(entries[j], entries[j - 1]);
+    --j;
+  }
+}
+
 size_t RowLimit(size_t merged_size, int32_t max_entries_per_row) {
   return max_entries_per_row > 0
              ? std::min(merged_size, static_cast<size_t>(max_entries_per_row))
              : merged_size;
+}
+
+// Fuse's merge of rows [begin, end) of `a` and `b` into `out`, in
+// parallel chunks. Each row is read and written only by its own chunk,
+// so the bytes are those of a serial merge at any thread count. Mutable
+// inputs (FuseStreamed's own) are freed row by row as they are merged.
+template <typename Rows>
+void MergeRows(Rows& a, Rows& b, float alpha, float beta, int32_t cap,
+               int64_t begin, int64_t end,
+               std::vector<std::vector<SimEntry>>& out) {
+  par::ParallelFor(
+      begin, end, par::NormRowGrain(end - begin),
+      [&](const par::ChunkRange& chunk) {
+        std::vector<SimEntry> merged;
+        for (int64_t r = chunk.begin; r < chunk.end; ++r) {
+          MergeRow(a[r], b[r], alpha, beta, merged);
+          out[r].assign(merged.begin(),
+                        merged.begin() + RowLimit(merged.size(), cap));
+          if constexpr (!std::is_const_v<Rows>) {
+            // swap actually frees (clear() keeps capacity, which is the
+            // whole footprint here).
+            std::vector<SimEntry>().swap(a[r]);
+            std::vector<SimEntry>().swap(b[r]);
+          }
+        }
+      });
 }
 
 }  // namespace
@@ -72,41 +140,33 @@ void SparseSimMatrix::Accumulate(int32_t row, EntityId col, float score) {
   LARGEEA_CHECK_LT(row, num_rows());
   LARGEEA_CHECK_GE(col, 0);
   LARGEEA_CHECK_LT(col, num_cols_);
-  std::vector<SimEntry>& entries = rows_[row];
+  AccumulateEntry(rows_[row], max_entries_per_row_, col, score);
+}
 
-  // Existing entry: accumulate and restore descending order by bubbling.
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].column == col) {
-      entries[i].score += score;
-      size_t j = i;
-      while (j > 0 && EntryBefore(entries[j], entries[j - 1])) {
-        std::swap(entries[j], entries[j - 1]);
-        --j;
-      }
-      while (j + 1 < entries.size() &&
-             EntryBefore(entries[j + 1], entries[j])) {
-        std::swap(entries[j + 1], entries[j]);
-        ++j;
-      }
-      return;
-    }
+void SparseSimMatrix::AccumulateRow(int32_t row,
+                                    std::span<const SimEntry> entries) {
+  LARGEEA_CHECK_GE(row, 0);
+  LARGEEA_CHECK_LT(row, num_rows());
+  if (entries.empty()) return;
+  std::vector<SimEntry>& stored = rows_[row];
+  // The row can only grow to the stored entries plus the new ones, and
+  // never past the cap: reserving that bound means no regrowth below.
+  size_t bound = stored.size() + entries.size();
+  if (max_entries_per_row_ > 0) {
+    bound = std::min(bound, static_cast<size_t>(max_entries_per_row_));
   }
-
-  const SimEntry entry{col, score};
-  const bool full = max_entries_per_row_ > 0 &&
-                    static_cast<int32_t>(entries.size()) >=
-                        max_entries_per_row_;
-  if (full) {
-    if (!EntryBefore(entry, entries.back())) return;  // too weak to enter
-    entries.back() = entry;
-  } else {
-    entries.push_back(entry);
+  std::vector<SimEntry> merged;
+  merged.reserve(bound);
+  merged.assign(stored.begin(), stored.end());
+  for (const SimEntry& e : entries) {
+    LARGEEA_CHECK_GE(e.column, 0);
+    LARGEEA_CHECK_LT(e.column, num_cols_);
+    AccumulateEntry(merged, max_entries_per_row_, e.column, e.score);
   }
-  size_t j = entries.size() - 1;
-  while (j > 0 && EntryBefore(entries[j], entries[j - 1])) {
-    std::swap(entries[j], entries[j - 1]);
-    --j;
-  }
+  // Repeated columns or entries too weak to enter leave it short of the
+  // bound; then it moves once more, into an exact fit.
+  merged.shrink_to_fit();
+  stored = std::move(merged);
 }
 
 std::span<const SimEntry> SparseSimMatrix::Row(int32_t row) const {
@@ -156,13 +216,8 @@ SparseSimMatrix SparseSimMatrix::Fuse(const SparseSimMatrix& other,
   LARGEEA_CHECK_EQ(num_rows(), other.num_rows());
   LARGEEA_CHECK_EQ(num_cols(), other.num_cols());
   SparseSimMatrix result(num_rows(), num_cols(), max_entries_per_row);
-  std::vector<SimEntry> merged;
-  for (int32_t r = 0; r < num_rows(); ++r) {
-    MergeRow(rows_[r], other.rows_[r], alpha, beta, merged);
-    result.rows_[r].assign(
-        merged.begin(),
-        merged.begin() + RowLimit(merged.size(), max_entries_per_row));
-  }
+  MergeRows(rows_, other.rows_, alpha, beta, max_entries_per_row, 0,
+            num_rows(), result.rows_);
   result.RefreshMemoryTracking();
   return result;
 }
@@ -176,25 +231,15 @@ SparseSimMatrix SparseSimMatrix::FuseStreamed(SparseSimMatrix a,
   LARGEEA_CHECK_EQ(a.num_cols(), b.num_cols());
   LARGEEA_CHECK_GT(rows_per_block, 0);
   SparseSimMatrix result(a.num_rows(), a.num_cols(), max_entries_per_row);
-  std::vector<SimEntry> merged;
-  for (int32_t r = 0; r < a.num_rows(); ++r) {
-    MergeRow(a.rows_[r], b.rows_[r], alpha, beta, merged);
-    result.rows_[r].assign(
-        merged.begin(),
-        merged.begin() + RowLimit(merged.size(), max_entries_per_row));
-    // Release the consumed rows; swap actually frees (clear() keeps
-    // capacity, which is the whole footprint here).
-    std::vector<SimEntry>().swap(a.rows_[r]);
-    std::vector<SimEntry>().swap(b.rows_[r]);
-    if ((r + 1) % rows_per_block == 0) {
-      a.RefreshMemoryTracking();
-      b.RefreshMemoryTracking();
-      result.RefreshMemoryTracking();
-    }
+  for (int64_t begin = 0; begin < a.num_rows(); begin += rows_per_block) {
+    const int64_t end = std::min<int64_t>(begin + rows_per_block,
+                                          a.num_rows());
+    MergeRows(a.rows_, b.rows_, alpha, beta, max_entries_per_row, begin, end,
+              result.rows_);
+    a.RefreshMemoryTracking();
+    b.RefreshMemoryTracking();
+    result.RefreshMemoryTracking();
   }
-  a.RefreshMemoryTracking();
-  b.RefreshMemoryTracking();
-  result.RefreshMemoryTracking();
   return result;
 }
 

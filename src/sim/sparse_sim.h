@@ -53,6 +53,13 @@ class SparseSimMatrix {
   /// beats it).
   void Accumulate(int32_t row, EntityId col, float score);
 
+  /// Accumulate()s each of `entries` into `row`, in order, with the same
+  /// stored order and score bits as those calls, but stores the row once
+  /// at its final length where they regrow it by doubling (a 50-entry
+  /// row: 400 bytes, not 512). Rows written by different threads must
+  /// be distinct.
+  void AccumulateRow(int32_t row, std::span<const SimEntry> entries);
+
   /// Entries of `row`, sorted by descending score.
   std::span<const SimEntry> Row(int32_t row) const;
 
@@ -72,15 +79,18 @@ class SparseSimMatrix {
 
   /// result = alpha * this + beta * other, entry-union, re-truncated to
   /// `max_entries_per_row` (<= 0: unlimited) per row. Shapes must match.
+  /// Rows merge in parallel chunks; the bytes do not depend on the
+  /// thread count.
   SparseSimMatrix Fuse(const SparseSimMatrix& other, float alpha, float beta,
                        int32_t max_entries_per_row) const;
 
-  /// Streaming variant of Fuse for the memory-budgeted path: consumes
-  /// both inputs, releasing each consumed row as it is merged, so peak
-  /// entry storage is ~one matrix instead of three. The merge itself is
-  /// row-identical to Fuse (same helper), so the result is bit-identical
-  /// to `a.Fuse(b, alpha, beta, max_entries_per_row)`. Memory tracking
-  /// is refreshed every `rows_per_block` rows so the MemoryTracker peak
+  /// Consuming variant of Fuse, the pipeline's fusion: releases each
+  /// input row as it is merged, so peak entry storage is ~one matrix
+  /// instead of three. The merge itself is row-identical to Fuse (same
+  /// helper), so the result is bit-identical to
+  /// `a.Fuse(b, alpha, beta, max_entries_per_row)`. Rows merge in
+  /// parallel chunks, `rows_per_block` rows at a time, and memory
+  /// tracking is refreshed after each block so the MemoryTracker peak
   /// reflects the shrinking inputs.
   static SparseSimMatrix FuseStreamed(SparseSimMatrix a, SparseSimMatrix b,
                                       float alpha, float beta,

@@ -38,16 +38,20 @@ namespace largeea {
 namespace {
 
 // Drains every row's heap into `out` (direct scatter: disjoint source
-// rows write disjoint `out` rows). `col_ids` maps target rows to
-// entity ids.
+// rows write disjoint `out` rows), each row stored once at its final
+// length. `col_ids` maps target rows to entity ids.
 void DrainHeaps(std::span<TopKHeap> heaps, std::span<const EntityId> row_ids,
                 std::span<const EntityId> col_ids, SparseSimMatrix& out) {
   std::vector<std::pair<float, int32_t>> drained;
+  std::vector<SimEntry> entries;
   for (size_t i = 0; i < heaps.size(); ++i) {
     heaps[i].Drain(drained);
+    entries.clear();
+    entries.reserve(drained.size());
     for (const auto& [score, j] : drained) {
-      out.Accumulate(row_ids[i], col_ids[j], score);
+      entries.push_back(SimEntry{col_ids[j], score});
     }
+    out.AccumulateRow(row_ids[i], entries);
   }
 }
 

@@ -1,12 +1,12 @@
 // Configuration of the memory-budgeted streaming execution layer.
 //
 // A pipeline run with a positive memory budget spills its whole-graph
-// dense buffer (the target's semantic embeddings) to one mapped file,
-// encodes and searches the source in blocks, and fuses its sparse
-// matrices block-by-block, releasing inputs as they are consumed, so the
-// MemoryTracker peak stays under the budget at any dataset scale.
-// Results are bit-identical to the in-memory path — the budget only
-// moves bytes between RAM and disk (DESIGN.md §10).
+// dense buffer (the target's semantic embeddings) to one mapped file and
+// encodes and searches the source in blocks, so the MemoryTracker peak
+// stays under the budget at any dataset scale. Every run, budgeted or
+// not, fuses its sparse matrices row by row and releases each input as
+// it is consumed. Results are bit-identical to the in-memory path — the
+// budget only moves bytes between RAM and disk (DESIGN.md §10).
 #ifndef LARGEEA_STREAM_STREAM_OPTIONS_H_
 #define LARGEEA_STREAM_STREAM_OPTIONS_H_
 
@@ -37,9 +37,10 @@ struct StreamOptions {
   /// Directory for the spill file, created if missing; empty uses the
   /// system temp directory. A spill removes its file once it is mapped.
   std::string spill_dir;
-  /// A budgeted run always releases its whole-graph intermediates (M_se,
-  /// M_st, the per-channel matrices) as soon as they are fused; those
-  /// result fields come back empty.
+  /// Every run, budgeted or not, releases its whole-graph intermediates
+  /// (M_se, M_st, the per-channel matrices) as soon as they are fused;
+  /// those result fields come back empty. Not a knob: the budget decides
+  /// only whether SENS spills its target.
   static constexpr bool release_inputs = true;
 };
 

@@ -2,7 +2,8 @@
 // the Config flags plus its own, and any other flag — a typo, or a flag
 // that no longer exists — or an out-of-range size exits 2 naming the
 // flag, before any input is read; a malformed --expect-fingerprint exits
-// 2 too; index-build writes the same trace and report as run.
+// 2 too; index-build writes the same trace and report as run, and the
+// run report's total holds the resident peak beside the tracked one.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -121,6 +122,38 @@ TEST(CliTest, IndexBuildWritesTraceAndReportWithItsSpans) {
   EXPECT_NE(json->find("\"largeea_cli index-build\""), std::string::npos);
   EXPECT_NE(json->find("\"serve/index_build\""), std::string::npos) << *json;
   EXPECT_NE(json->find("\"hnsw/build\""), std::string::npos) << *json;
+  fs::remove_all(dir);
+}
+
+TEST(CliTest, RunReportsTrackedAndResidentPeaks) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("largeea_cli_peak_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const CliOutcome generated =
+      RunCli({"generate", "--tier", "ids15k", "--scale", "0.03", "--out_dir",
+              dir.string()});
+  ASSERT_EQ(generated.status.exit_code, 0) << generated.output;
+  const fs::path report = dir / "report.json";
+  const CliOutcome ran = RunCli(
+      {"run", "--source", (dir / "source.tsv").string(), "--target",
+       (dir / "target.tsv").string(), "--seeds", (dir / "train.tsv").string(),
+       "--test", (dir / "test.tsv").string(), "--epochs", "2",
+       "--report-out", report.string()});
+  ASSERT_EQ(ran.status.exit_code, 0) << ran.output;
+  auto json = rt::ReadFileToString(report.string());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const size_t total = json->find("\"total\":{");
+  ASSERT_NE(total, std::string::npos) << *json;
+  const std::string section = json->substr(total, json->find('}', total) - total);
+  EXPECT_NE(section.find("\"peak_bytes\":"), std::string::npos) << section;
+#ifdef __linux__
+  // VmHWM of the run: a resident process holds at least a page.
+  const size_t rss = section.find("\"peak_rss_bytes\":");
+  ASSERT_NE(rss, std::string::npos) << section;
+  EXPECT_GT(std::stoll(section.substr(rss + 17)), 4096) << section;
+  EXPECT_NE(ran.output.find("resident "), std::string::npos) << ran.output;
+#endif
   fs::remove_all(dir);
 }
 

@@ -65,20 +65,22 @@ class CoreFixture : public ::testing::Test {
 const EaDataset* CoreFixture::dataset_ = nullptr;
 
 // The name channel alone: the pipeline with the structure channel
-// ablated, read back through the name_channel fields its nodes fill.
-NameChannelResult NameChannelAlone(const EaDataset& dataset,
-                                   const NameChannelOptions& name) {
+// ablated. Its fused matrix M is then the name channel's M_n, which the
+// run hands back as `fused` (the name_channel fields hold the seeds and
+// timings; every run releases M_n once fusion has consumed it).
+LargeEaResult NameChannelAlone(const EaDataset& dataset,
+                               const NameChannelOptions& name) {
   LargeEaOptions options;
   options.name_channel = name;
   options.use_structure_channel = false;
-  options.stream.memory_budget_mb = 0;  // in-memory: M_n is retained
-  return RunLargeEa(dataset, options).value().name_channel;
+  options.stream.memory_budget_mb = 0;
+  return RunLargeEa(dataset, options).value();
 }
 
 TEST_F(CoreFixture, NameChannelProducesFeaturesAndSeeds) {
-  const NameChannelResult result =
-      NameChannelAlone(dataset(), NameChannelOptions{});
-  EXPECT_GT(result.nff.fused.TotalEntries(), 0);
+  const LargeEaResult run = NameChannelAlone(dataset(), NameChannelOptions{});
+  const NameChannelResult& result = run.name_channel;
+  EXPECT_GT(run.fused.TotalEntries(), 0);
   EXPECT_GT(result.pseudo_seeds.size(), 20u);
   EXPECT_GT(result.total_seconds, 0.0);
   EXPECT_GT(result.peak_bytes, 0);
@@ -87,8 +89,8 @@ TEST_F(CoreFixture, NameChannelProducesFeaturesAndSeeds) {
 TEST_F(CoreFixture, NameChannelAugmentationCanBeDisabled) {
   NameChannelOptions options;
   options.enable_augmentation = false;
-  const NameChannelResult result = NameChannelAlone(dataset(), options);
-  EXPECT_TRUE(result.pseudo_seeds.empty());
+  const LargeEaResult run = NameChannelAlone(dataset(), options);
+  EXPECT_TRUE(run.name_channel.pseudo_seeds.empty());
 }
 
 class StructureStrategyTest
@@ -208,13 +210,26 @@ TEST_F(CoreFixture, WithoutNameFusionStillUsesAugmentation) {
   options.structure_channel.num_batches = 2;
   options.structure_channel.train.epochs = 10;
   options.fuse_name_similarity = false;
-  const LargeEaResult result = RunLargeEa(dataset(), options).value();
+  // The structure channel's own M_s (the run releases it once fusion has
+  // consumed it).
+  SparseSimMatrix structure;
+  const StructureTrainer keep_structure =
+      [&structure](const KnowledgeGraph& source, const KnowledgeGraph& target,
+                   MiniBatchSet batches, const StructureChannelOptions& s,
+                   rt::CheckpointManager* checkpoint) {
+        auto trained = TrainStructureChannel(source, target,
+                                             std::move(batches), s,
+                                             checkpoint);
+        if (trained.ok()) structure = trained->similarity;
+        return trained;
+      };
+  const LargeEaResult result =
+      RunLargeEa(dataset(), options, keep_structure).value();
   // The name channel still ran (DA seeds were added to ψ')...
   EXPECT_GT(result.effective_seeds.size(), dataset().split.train.size());
   // ...but the fused matrix is exactly the structure channel's M_s.
   for (int32_t r = 0; r < result.fused.num_rows(); ++r) {
-    ASSERT_EQ(result.fused.Row(r).size(),
-              result.structure_channel.similarity.Row(r).size());
+    ASSERT_EQ(result.fused.Row(r).size(), structure.Row(r).size());
   }
 }
 

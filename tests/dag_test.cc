@@ -354,6 +354,25 @@ TEST_F(DagPipelineTest, MatchesReferenceAcrossThreadsAndBudgets) {
   }
 }
 
+TEST_F(DagPipelineTest, UnbudgetedRunReleasesIntermediates) {
+  // Every run, budgeted or not, consumes M_se, M_st, M_n and M_s in its
+  // fusions and releases them; M, the seeds and the metrics stay.
+  const LargeEaResult reference = ReferenceRun(dataset(), BaseOptions());
+  const auto run = RunLargeEa(dataset(), BaseOptions());
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ExpectSameResult(reference, *run);
+  EXPECT_EQ(FusedHash(run->fused), FusedHash(reference.fused));
+  for (const SparseSimMatrix* released :
+       {&run->name_channel.nff.semantic, &run->name_channel.nff.string,
+        &run->name_channel.nff.fused, &run->structure_channel.similarity}) {
+    EXPECT_EQ(released->num_rows(), 0);
+    EXPECT_EQ(released->TotalEntries(), 0);
+  }
+  EXPECT_EQ(run->name_channel.pseudo_seeds, reference.name_channel.pseudo_seeds);
+  EXPECT_FALSE(run->name_channel.pseudo_seeds.empty());
+  EXPECT_GT(run->metrics.num_test_pairs, 0);
+}
+
 TEST_F(DagPipelineTest, MatchesReferenceOnScalarBackend) {
   const simd::Backend original = simd::ActiveBackend();
   simd::SetBackend(simd::Backend::kScalar);

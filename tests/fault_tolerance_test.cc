@@ -38,6 +38,19 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// The in-process trainer, copying the structure channel's own M_s into
+/// `out`: a run releases M_s once fusion has consumed it.
+StructureTrainer KeepingStructure(SparseSimMatrix* out) {
+  return [out](const KnowledgeGraph& source, const KnowledgeGraph& target,
+               MiniBatchSet batches, const StructureChannelOptions& options,
+               rt::CheckpointManager* checkpoint) {
+    auto trained = TrainStructureChannel(source, target, std::move(batches),
+                                         options, checkpoint);
+    if (trained.ok()) *out = trained->similarity;
+    return trained;
+  };
+}
+
 void ExpectBitIdentical(const LargeEaResult& a, const LargeEaResult& b) {
   ASSERT_EQ(a.fused.num_rows(), b.fused.num_rows());
   ASSERT_EQ(a.fused.num_cols(), b.fused.num_cols());
@@ -259,7 +272,9 @@ TEST_F(FaultToleranceTest, FailedBatchIsDroppedAndCounted) {
   spec.trigger_on_hit = 2;
   spec.max_triggers = 3;
   rt::FaultInjector::Get().Arm("structure.batch.train", spec);
-  const auto degraded = RunLargeEa(dataset(), options);
+  SparseSimMatrix structure;
+  const auto degraded =
+      RunLargeEa(dataset(), options, KeepingStructure(&structure));
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_EQ(degraded->structure_channel.batches_dropped, 1);
   EXPECT_EQ(degraded->structure_channel.batches_retried, 2);
@@ -268,7 +283,7 @@ TEST_F(FaultToleranceTest, FailedBatchIsDroppedAndCounted) {
   // damage, not a silently wrong answer.
   const MiniBatch& dropped = degraded->structure_channel.batches[1];
   for (const EntityId e : dropped.source_entities) {
-    EXPECT_TRUE(degraded->structure_channel.similarity.Row(e).empty());
+    EXPECT_TRUE(structure.Row(e).empty());
   }
   // The run is still a valid (degraded) alignment.
   EXPECT_GT(degraded->metrics.hits_at_1, 0.0);
@@ -541,9 +556,23 @@ TEST_F(ShardChaosTest, ShardExhaustingRetriesDegradesToNameChannel) {
   EXPECT_EQ(stats.shards_degraded, 1);
   EXPECT_EQ(stats.workers_launched, 4);  // 3 initial + 1 retry of shard 1
   EXPECT_EQ(degraded->structure_channel.batches_dropped, 1);
+  // The run released its M_s; the orchestrator's merge (merge-only
+  // TrainStructureChannel over the shared checkpoints) rebuilds it.
+  const LargeEaOptions options = OptionsFromArgs(AlignArgs(ckpt));
+  rt::CheckpointManager checkpoint = MakePipelineCheckpointManager(
+      dataset(), options, ckpt, /*resume=*/true);
+  StructureChannelOptions merge = options.structure_channel;
+  merge.resume_missing_batches_as_failed = true;
+  merge.drop_failed_batches = true;
+  const auto structure =
+      TrainStructureChannel(dataset().source, dataset().target,
+                            degraded->structure_channel.batches, merge,
+                            &checkpoint);
+  ASSERT_TRUE(structure.ok()) << structure.status().ToString();
+  EXPECT_EQ(structure->batches_dropped, 1);
   const MiniBatch& dropped = degraded->structure_channel.batches[1];
   for (const EntityId e : dropped.source_entities) {
-    EXPECT_TRUE(degraded->structure_channel.similarity.Row(e).empty());
+    EXPECT_TRUE(structure->similarity.Row(e).empty());
   }
   // Still a valid (explicitly degraded) alignment, not a wrong one.
   EXPECT_GT(degraded->metrics.hits_at_1, 0.0);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/la/matrix.h"
 #include "src/la/ops.h"
 #include "src/par/grain.h"
 #include "src/par/thread_pool.h"
@@ -23,6 +24,7 @@
 #include "src/sim/topk_search.h"
 #include "src/sim/topk_util.h"
 #include "src/simd/simd.h"
+#include "tests/allocation_probe.h"
 
 namespace largeea {
 namespace {
@@ -341,6 +343,151 @@ TEST(SimMatrixCodecTest, RejectsDamagedPayloads) {
               StatusCode::kDataLoss)
         << "cut at " << cut;
   }
+}
+
+// Scores with many ties (a handful of values), some NaN and some -0.0,
+// so the stored order's tie-breaks and NaN handling are exercised.
+float TieHeavyScore(Rng& rng) {
+  switch (rng.Uniform(8)) {
+    case 0:
+      return std::numeric_limits<float>::quiet_NaN();
+    case 1:
+      return -0.0f;
+    default:
+      return static_cast<float>(rng.Uniform(5)) * 0.25f - 0.5f;
+  }
+}
+
+TEST(SparseSimMatrixTest, AccumulateRowMatchesAccumulateCalls) {
+  // Against rows already holding entries, with repeated columns, ties,
+  // NaN, full-row evictions and an unlimited cap.
+  Rng rng(83);
+  for (const int32_t cap : {0, 1, 3, 8}) {
+    for (int trial = 0; trial < 300; ++trial) {
+      SparseSimMatrix calls(1, 12, cap), row(1, 12, cap);
+      const uint64_t held = rng.Uniform(6);
+      for (uint64_t i = 0; i < held; ++i) {
+        const EntityId col = static_cast<EntityId>(rng.Uniform(12));
+        const float score = TieHeavyScore(rng);
+        calls.Accumulate(0, col, score);
+        row.Accumulate(0, col, score);
+      }
+      std::vector<SimEntry> entries(rng.Uniform(14));
+      for (SimEntry& e : entries) {
+        e = SimEntry{static_cast<EntityId>(rng.Uniform(12)),
+                     TieHeavyScore(rng)};
+        calls.Accumulate(0, e.column, e.score);
+      }
+      row.AccumulateRow(0, entries);
+      SCOPED_TRACE(testing::Message() << "cap " << cap << " trial " << trial);
+      ExpectRowsBitIdentical(calls, row);
+    }
+  }
+}
+
+// The parent's CSLS: one Accumulate call per rescaled entry.
+SparseSimMatrix CslsByAccumulate(const SparseSimMatrix& m) {
+  std::vector<float> row_mean(m.num_rows(), 0.0f);
+  std::vector<float> col_sum(m.num_cols(), 0.0f);
+  std::vector<int32_t> col_count(m.num_cols(), 0);
+  for (int32_t r = 0; r < m.num_rows(); ++r) {
+    float sum = 0.0f;
+    for (const SimEntry& e : m.Row(r)) {
+      sum += e.score;
+      col_sum[e.column] += e.score;
+      ++col_count[e.column];
+    }
+    if (!m.Row(r).empty()) {
+      row_mean[r] = sum / static_cast<float>(m.Row(r).size());
+    }
+  }
+  SparseSimMatrix out(m.num_rows(), m.num_cols(), m.max_entries_per_row());
+  for (int32_t r = 0; r < m.num_rows(); ++r) {
+    for (const SimEntry& e : m.Row(r)) {
+      const float col_mean =
+          col_count[e.column] > 0
+              ? col_sum[e.column] / static_cast<float>(col_count[e.column])
+              : 0.0f;
+      out.Accumulate(r, e.column, 2.0f * e.score - row_mean[r] - col_mean);
+    }
+  }
+  return out;
+}
+
+TEST(SparseSimMatrixTest, RowParallelFuseAndCslsMatchSerialBitForBit) {
+  // Enough rows for many chunks and several FuseStreamed blocks.
+  Rng rng(89);
+  SparseSimMatrix a(700, 90, 12), b(700, 90, 12);
+  for (int32_t r = 0; r < 700; ++r) {
+    for (int i = 0; i < 12; ++i) {
+      a.Accumulate(r, static_cast<EntityId>(rng.Uniform(90)),
+                   rng.UniformFloat());
+      b.Accumulate(r, static_cast<EntityId>(rng.Uniform(90)),
+                   rng.UniformFloat() - 0.3f);
+    }
+  }
+  const SparseSimMatrix csls_oracle = CslsByAccumulate(a);
+  const int32_t saved_threads = par::ThreadPool::Get().num_threads();
+  par::ThreadPool::Get().SetNumThreads(1);
+  const SparseSimMatrix fused_serial = a.Fuse(b, 1.0f, 0.5f, 10);
+  for (const int32_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    par::ThreadPool::Get().SetNumThreads(threads);
+    ExpectRowsBitIdentical(CslsRescale(a), csls_oracle);
+    ExpectRowsBitIdentical(a.Fuse(b, 1.0f, 0.5f, 10), fused_serial);
+    ExpectRowsBitIdentical(
+        SparseSimMatrix::FuseStreamed(a, b, 1.0f, 0.5f, 10,
+                                      /*rows_per_block=*/96),
+        fused_serial);
+  }
+  par::ThreadPool::Get().SetNumThreads(saved_threads);
+}
+
+TEST(SparseSimMatrixTest, DrainCslsAndMergeStoreRowsAtFinalLength) {
+  // A 50-entry row written one Accumulate call at a time regrows to 64
+  // entries (a 512-byte request); written once, it is one 400-byte
+  // request, the largest any of these calls makes.
+  constexpr int32_t k = 50;
+  constexpr size_t kRowBytes = k * sizeof(SimEntry);
+  Rng rng(97);
+  Matrix source(2, 4), target(64, 4);
+  for (int64_t i = 0; i < source.size(); ++i) {
+    source.data()[i] = rng.UniformFloat();
+  }
+  for (int64_t i = 0; i < target.size(); ++i) {
+    target.data()[i] = rng.UniformFloat();
+  }
+  const std::vector<EntityId> row_ids = {0, 1};
+  std::vector<EntityId> col_ids(64);
+  std::iota(col_ids.begin(), col_ids.end(), 0);
+  const TopKOptions options{.k = k};
+  {
+    // Registers the sweep's counters, so the probed call below makes
+    // only its own allocations.
+    SparseSimMatrix warm(2, 64, k);
+    TopKInto(source, row_ids, target, col_ids, nullptr, options, warm);
+  }
+
+  SparseSimMatrix drained(2, 64, k);
+  StartAllocationProbe();
+  TopKInto(source, row_ids, target, col_ids, nullptr, options, drained);
+  EXPECT_EQ(StopAllocationProbe(), kRowBytes);
+  ASSERT_EQ(drained.Row(0).size(), static_cast<size_t>(k));
+
+  StartAllocationProbe();
+  const SparseSimMatrix rescaled = CslsRescale(drained);
+  EXPECT_EQ(StopAllocationProbe(), kRowBytes);
+  ASSERT_EQ(rescaled.Row(0).size(), static_cast<size_t>(k));
+
+  // The structure channel's merge of a batch block into an empty M_s row.
+  SparseSimMatrix merged(2, 64, k), calls(2, 64, k);
+  for (const SimEntry& e : drained.Row(0)) {
+    calls.Accumulate(0, e.column, e.score);
+  }
+  StartAllocationProbe();
+  merged.AccumulateRow(0, drained.Row(0));
+  EXPECT_EQ(StopAllocationProbe(), kRowBytes);
+  ExpectRowsBitIdentical(merged, calls);
 }
 
 // Brute-force reference for top-k.

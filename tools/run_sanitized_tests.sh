@@ -26,10 +26,9 @@
 # LARGEEA_MEMORY_BUDGET_MB set to a tiny budget, so the sanitizers see
 # the spill path (chunked write, verified mapping, SENS over the mapped
 # target) and FuseStreamed under memory/race checking (DESIGN.md §10).
-# The filter is curated on purpose: under the env budget, pipelines
-# release their intermediate matrices, so suites that assert on
-# nff.semantic / structure similarity contents would mis-assert by
-# design. STREAM_BUDGET_MB tunes the budget.
+# The filter is curated to the suites whose runs take the spill path;
+# the main pass already covers the rest (every run, budgeted or not,
+# releases its intermediate matrices). STREAM_BUDGET_MB tunes the budget.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

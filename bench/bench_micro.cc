@@ -834,6 +834,7 @@ int RunDagSweep(const Flags& flags) {
 
   auto dag = RunLargeEa(dataset, options);
   LARGEEA_CHECK(dag.ok());
+  const dag::ScheduleResult& schedule = dag->schedule;
   const bool identical = FusedMatrixHash(dag->fused) == serial_hash;
   const double speedup =
       dag->total_seconds > 0.0 ? serial_seconds / dag->total_seconds : 0.0;
@@ -857,10 +858,10 @@ int RunDagSweep(const Flags& flags) {
         .Set("peak_bytes", dag->peak_bytes)
         .Set("identical", identical)
         .Set("speedup", speedup)
-        .Set("deferrals", dag->dag_deferrals);
+        .Set("deferrals", schedule.total_deferrals);
     json.Add(std::move(row));
   }
-  for (const DagNodeStats& node : dag->dag_nodes) {
+  for (const dag::NodeRun& node : schedule.node_runs) {
     std::printf("%-24s %10.3f %12s\n", ("node:" + node.name).c_str(),
                 node.seconds, "-");
     bench::BenchJson::Row row;
@@ -873,15 +874,15 @@ int RunDagSweep(const Flags& flags) {
   }
   {
     std::string path;
-    for (const std::string& name : dag->dag_critical_path) {
+    for (const std::string& name : schedule.critical_path) {
       if (!path.empty()) path += " -> ";
       path += name;
     }
     std::printf("%-24s %10.3f %12s  %s\n", "critical_path",
-                dag->dag_critical_path_seconds, "-", path.c_str());
+                schedule.critical_path_seconds, "-", path.c_str());
     bench::BenchJson::Row row;
     row.Set("row", "critical_path")
-        .Set("seconds", dag->dag_critical_path_seconds)
+        .Set("seconds", schedule.critical_path_seconds)
         .Set("path", path);
     json.Add(std::move(row));
   }

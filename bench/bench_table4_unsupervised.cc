@@ -61,10 +61,10 @@ int main(int argc, char** argv) {
                                           ? working.split.test
                                           : dataset.split.test;
         const double precision =
-            PseudoSeedPrecision(result.name_channel.pseudo_seeds, truth);
+            PseudoSeedPrecision(result.pseudo_seeds, truth);
         std::printf(
             "data augmentation: %zu pseudo seeds, precision %.2f%%\n",
-            result.name_channel.pseudo_seeds.size(), 100.0 * precision);
+            result.pseudo_seeds.size(), 100.0 * precision);
         reported_da = true;
       }
       std::printf("%-22s %6.1f %6.1f %6.3f %9.2f %10s\n", run.label,

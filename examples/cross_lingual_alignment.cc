@@ -67,25 +67,26 @@ int main(int argc, char** argv) {
 
   const LargeEaResult result = RunLargeEa(dataset, options).value();
   // The run releases M_se and M_st once they are fused; their entry
-  // counts stay in the metrics registry (and the run report).
+  // counts stay in the metrics registry (and the run report), and each
+  // operator's wall time in the run's schedule.
   const auto entries = [](const char* gauge) {
     return static_cast<long>(
         obs::MetricsRegistry::Get().GetGauge(gauge).Value());
   };
+  const auto seconds = [&result](const char* node) {
+    return result.schedule.Find(node)->seconds;
+  };
   std::printf("\nchannel breakdown:\n");
   std::printf("  SENS (semantic names): %.2fs, %ld candidates\n",
-              result.name_channel.nff.sens_seconds,
-              entries("name.semantic_entries"));
+              seconds("name_semantic"), entries("name.semantic_entries"));
   std::printf("  STNS (string names):   %.2fs, %ld candidates\n",
-              result.name_channel.nff.stns_seconds,
-              entries("name.string_entries"));
+              seconds("name_string"), entries("name.string_entries"));
   std::printf("  data augmentation:     %zu pseudo seeds\n",
-              result.name_channel.pseudo_seeds.size());
+              result.pseudo_seeds.size());
   std::printf("  METIS-CPS partition:   %.2fs, %zu batches\n",
-              result.structure_channel.partition_seconds,
-              result.structure_channel.batches.size());
+              seconds("partition"), result.batches.size());
   std::printf("  mini-batch training:   %.2fs\n",
-              result.structure_channel.training_seconds);
+              seconds("structure_train"));
 
   if (result.metrics.num_test_pairs > 0) {
     std::printf("\nevaluation: H@1 %.1f%%  H@5 %.1f%%  MRR %.3f\n",

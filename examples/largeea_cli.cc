@@ -135,7 +135,6 @@ void StartShutdownWatcher(const Config& config_in, const char* tool) {
       report.SetTool(tool);
       config.WriteTo(report);
       report.AddConfig("interrupted", name);
-      report.IngestMemoryPhases();
       report.IngestTraceTotals();
       (void)report.WriteJson(config.report_out);
     }
@@ -237,40 +236,16 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-// Prints the per-phase wall-time/memory table and mirrors the same
-// numbers into `report`, so the printed table and the JSON report can
-// never disagree (they share one source: the result structs, which are
-// themselves filled from the instrumentation spans).
+// Prints the per-node wall-time/memory table and mirrors the same rows
+// into `report`, so the printed table and the JSON report can never
+// disagree: both are the scheduler's node table,
+// LargeEaResult::schedule, filled from the nodes' "dag/<name>" spans.
 void ReportPhases(const LargeEaResult& result, obs::RunReport& report) {
-  struct PhaseRow {
-    const char* name;
-    double seconds;
-    int64_t peak_bytes;  // -1 = not tracked for this phase
-  };
-  const PhaseRow rows[] = {
-      {"name_channel", result.name_channel.total_seconds,
-       result.name_channel.peak_bytes},
-      {"structure/partition", result.structure_channel.partition_seconds,
-       -1},
-      {"structure/train", result.structure_channel.training_seconds,
-       result.structure_channel.peak_training_bytes},
-  };
+  const dag::ScheduleResult& schedule = result.schedule;
   std::printf("%-22s %10s %12s\n", "Phase", "Time(s)", "PeakMem");
-  for (const PhaseRow& row : rows) {
-    char mem[32];
-    if (row.peak_bytes >= 0) {
-      std::snprintf(mem, sizeof(mem), "%.1fMB",
-                    static_cast<double>(row.peak_bytes) / (1 << 20));
-    } else {
-      std::snprintf(mem, sizeof(mem), "%s", "-");
-    }
-    std::printf("%-22s %10.3f %12s\n", row.name, row.seconds, mem);
-    report.AddPhase(row.name, row.seconds, row.peak_bytes);
-  }
-  // DAG-executor node stats: per-operator wall time and tracked peak,
-  // plus the measured critical path — the wall-clock floor at infinite
-  // concurrency.
-  for (const DagNodeStats& node : result.dag_nodes) {
+  // Per-operator wall time and tracked peak, plus the measured critical
+  // path — the wall-clock floor at infinite concurrency.
+  for (const dag::NodeRun& node : schedule.node_runs) {
     char mem[32];
     std::snprintf(mem, sizeof(mem), "%.1fMB",
                   static_cast<double>(node.peak_bytes) / (1 << 20));
@@ -279,15 +254,15 @@ void ReportPhases(const LargeEaResult& result, obs::RunReport& report) {
                 node.from_checkpoint ? "  (checkpoint)" : "");
     report.AddPhase(name, node.seconds, node.peak_bytes);
   }
-  if (!result.dag_critical_path.empty()) {
+  if (!schedule.critical_path.empty()) {
     std::string path;
-    for (const std::string& name : result.dag_critical_path) {
+    for (const std::string& name : schedule.critical_path) {
       if (!path.empty()) path += " -> ";
       path += name;
     }
     std::printf("%-22s %10.3f              %s\n", "dag/critical_path",
-                result.dag_critical_path_seconds, path.c_str());
-    report.AddPhase("dag/critical_path", result.dag_critical_path_seconds,
+                schedule.critical_path_seconds, path.c_str());
+    report.AddPhase("dag/critical_path", schedule.critical_path_seconds,
                     -1);
   }
   // The tracked peak beside the process's resident one: how much of the
@@ -336,8 +311,8 @@ void StartTracing(const Config& config) {
 
 // The outputs every pipeline command shares: prints the phase table
 // (and the --profile summary), then writes --trace-out and --report-out.
-// The report holds the dataset, the effective configuration, the phases,
-// the evaluation, the memory phases and the span totals so far. A
+// The report holds the dataset, the effective configuration, the node
+// table, the evaluation and the span totals so far. A
 // sharded run merges the orchestrator's own timeline with every worker
 // trace in `worker_traces` into one multi-process document; pid 1 stays
 // the orchestrator, workers get pids 2..N+1. Returns 0, or 1 after a
@@ -359,7 +334,6 @@ int WritePipelineOutputs(const char* tool, const EaDataset& dataset,
   report.AddConfig("simd.active", simd::BackendName(simd::ActiveBackend()));
   ReportPhases(result, report);
   if (result.metrics.num_test_pairs > 0) report.SetEval(result.metrics);
-  report.IngestMemoryPhases();
   report.IngestTraceTotals();
   if (config.profile) PrintProfileSummary();
 
@@ -460,14 +434,11 @@ int CmdRun(const Flags& flags, Config config, int argc, char** argv) {
   }
   const LargeEaResult& result = *run;
   std::printf("pseudo seeds: %zu; effective seeds: %zu\n",
-              result.name_channel.pseudo_seeds.size(),
-              result.effective_seeds.size());
-  if (result.structure_channel.batches_resumed > 0 ||
-      result.structure_channel.batches_dropped > 0) {
+              result.pseudo_seeds.size(), result.effective_seeds.size());
+  if (result.batches_resumed > 0 || result.batches_dropped > 0) {
     std::printf("batches resumed: %d; retried: %d; dropped: %d\n",
-                result.structure_channel.batches_resumed,
-                result.structure_channel.batches_retried,
-                result.structure_channel.batches_dropped);
+                result.batches_resumed, result.batches_retried,
+                result.batches_dropped);
   }
   if (config.shards > 0) {
     std::printf(

@@ -45,13 +45,15 @@ int main(int argc, char** argv) {
   // 3. Run and inspect.
   Timer timer;
   const LargeEaResult result = RunLargeEa(dataset, options).value();
+  // Every pipeline operator's wall time is in the run's schedule.
+  const auto seconds = [&result](const char* node) {
+    return result.schedule.Find(node)->seconds;
+  };
   std::printf("\nname channel: SENS %.2fs, STNS %.2fs, %zu pseudo seeds\n",
-              result.name_channel.nff.sens_seconds,
-              result.name_channel.nff.stns_seconds,
-              result.name_channel.pseudo_seeds.size());
+              seconds("name_semantic"), seconds("name_string"),
+              result.pseudo_seeds.size());
   std::printf("structure channel: partition %.2fs, training %.2fs\n",
-              result.structure_channel.partition_seconds,
-              result.structure_channel.training_seconds);
+              seconds("partition"), seconds("structure_train"));
   std::printf("\nLargeEA-R results (%.1fs total):\n", timer.Seconds());
   std::printf("  H@1 = %.1f%%  H@5 = %.1f%%  MRR = %.3f  (on %ld test pairs)\n",
               100.0 * result.metrics.hits_at_1,

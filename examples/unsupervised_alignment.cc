@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
       static_cast<int32_t>(flags.GetInt("epochs", 50));
   const LargeEaResult result = RunLargeEa(dataset, options).value();
 
-  const double precision = PseudoSeedPrecision(
-      result.name_channel.pseudo_seeds, dataset.split.test);
+  const double precision =
+      PseudoSeedPrecision(result.pseudo_seeds, dataset.split.test);
   std::printf(
       "data augmentation generated %zu pseudo seeds at %.1f%% precision\n",
-      result.name_channel.pseudo_seeds.size(), 100 * precision);
+      result.pseudo_seeds.size(), 100 * precision);
   std::printf("unsupervised result: H@1 %.1f%%  H@5 %.1f%%  MRR %.3f\n",
               100 * result.metrics.hits_at_1,
               100 * result.metrics.hits_at_5, result.metrics.mrr);

@@ -66,20 +66,9 @@ MemoryPhase MemoryTracker::EndPhase(int32_t handle) {
   record.seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - phase.start)
                        .count();
-  finished_.push_back(record);
   // Compact fully-drained tail so handles stay small across many runs.
   while (!active_.empty() && !active_.back().open) active_.pop_back();
   return record;
-}
-
-std::vector<MemoryPhase> MemoryTracker::FinishedPhases() const {
-  std::lock_guard<std::mutex> lock(phase_mu_);
-  return finished_;
-}
-
-void MemoryTracker::ClearFinishedPhases() {
-  std::lock_guard<std::mutex> lock(phase_mu_);
-  finished_.clear();
 }
 
 TrackedAllocation::TrackedAllocation(int64_t bytes) : bytes_(bytes) {

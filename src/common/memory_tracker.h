@@ -23,8 +23,8 @@ namespace largeea {
 /// A closed named phase: the peak tracked working set while it was open,
 /// plus its wall-clock duration. Phases nest and overlap freely — each
 /// one tracks its own peak independently of ResetPeak() and of other
-/// phases, so "name channel" and the enclosing "pipeline" both report
-/// correct peaks.
+/// phases, so a "dag/<node>" span and the enclosing "pipeline" both
+/// report correct peaks.
 struct MemoryPhase {
   std::string name;
   int64_t start_bytes = 0;  ///< live tracked bytes when the phase opened
@@ -58,15 +58,9 @@ class MemoryTracker {
   /// kTrackMemory over calling this directly.
   int32_t BeginPhase(std::string name);
 
-  /// Closes the phase, appends it to FinishedPhases(), and returns its
-  /// record. Each handle may be ended once.
+  /// Closes the phase and returns its record; the tracker keeps no
+  /// history. Each handle may be ended once.
   MemoryPhase EndPhase(int32_t handle);
-
-  /// Phases closed since the last ClearFinishedPhases(), in close order.
-  std::vector<MemoryPhase> FinishedPhases() const;
-
-  /// Drops the finished-phase history (start of a fresh run).
-  void ClearFinishedPhases();
 
  private:
   MemoryTracker() = default;
@@ -84,9 +78,8 @@ class MemoryTracker {
   /// Open-phase count mirrored outside the mutex so Add() can skip the
   /// lock entirely when no phase is active.
   std::atomic<int32_t> open_phases_{0};
-  mutable std::mutex phase_mu_;
-  std::vector<ActivePhase> active_;    // indexed by handle
-  std::vector<MemoryPhase> finished_;
+  std::mutex phase_mu_;
+  std::vector<ActivePhase> active_;  // indexed by handle
 };
 
 /// RAII registration of an externally-owned buffer with the tracker.

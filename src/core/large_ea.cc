@@ -74,9 +74,9 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
   registry.GetGauge("pipeline.effective_seeds")
       .Set(static_cast<double>(result.effective_seeds.size()));
   registry.GetGauge("pipeline.batches_dropped")
-      .Set(static_cast<double>(result.structure_channel.batches_dropped));
+      .Set(static_cast<double>(result.batches_dropped));
   registry.GetGauge("pipeline.batches_resumed")
-      .Set(static_cast<double>(result.structure_channel.batches_resumed));
+      .Set(static_cast<double>(result.batches_resumed));
   // Compliant when unbudgeted, or when the run's tracked peak stayed
   // under the budget the scheduler admitted against.
   const bool compliant =

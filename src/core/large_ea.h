@@ -19,11 +19,11 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/core/evaluator.h"
 #include "src/core/name_channel.h"
 #include "src/core/structure_channel.h"
+#include "src/dag/scheduler.h"
 #include "src/kg/dataset.h"
 #include "src/rt/status.h"
 #include "src/stream/stream_options.h"
@@ -63,36 +63,34 @@ struct LargeEaOptions {
   /// positive budget spills the target's name embeddings to one mapped
   /// file (and bounds the DAG's admissions) without changing any result
   /// bit. The budget decides only that: every run, budgeted or not,
-  /// releases the intermediate matrices (nff.semantic, nff.string,
-  /// nff.fused, structure_channel.similarity) once fused, so they come
-  /// back empty — `fused`, the seeds and the metrics are retained.
+  /// releases the intermediate matrices (M_se, M_st, M_n, M_s) once
+  /// fused.
   stream::StreamOptions stream;
 };
 
-/// Per-operator execution record of the DAG executor.
-struct DagNodeStats {
-  std::string name;
-  double seconds = 0.0;
-  int64_t peak_bytes = 0;       ///< tracked peak while the node ran
-  int64_t estimated_bytes = 0;  ///< declared admission estimate
-  bool from_checkpoint = false;
-  int32_t deferrals = 0;  ///< admissions denied by the memory budget
-};
-
+/// What a run returns. The intermediates (M_se, M_st, M_n, M_s) are the
+/// pipeline DAG's own state, released at their last consumer; a run's
+/// nodes are recorded once, in `schedule`.
 struct LargeEaResult {
   SparseSimMatrix fused;  ///< M = M_s + M_n
   EvalMetrics metrics;
-  NameChannelResult name_channel;
-  StructureChannelResult structure_channel;
+  /// ψ'_p: mutual-NN pseudo seeds not conflicting with the supplied
+  /// seeds (empty with augmentation or the name channel off).
+  EntityPairList pseudo_seeds;
   /// ψ' actually used by the structure channel (seeds + pseudo seeds).
   EntityPairList effective_seeds;
+  /// The structure channel's mini-batches and their outcome, as
+  /// StructureChannelResult counts them (empty with the channel off).
+  MiniBatchSet batches;
+  int32_t batches_dropped = 0;
+  int32_t batches_retried = 0;
+  int32_t batches_resumed = 0;
+  /// The pipeline span's wall time and tracked peak.
   double total_seconds = 0.0;
   int64_t peak_bytes = 0;
-  /// DAG-executor diagnostics, one entry per operator.
-  std::vector<DagNodeStats> dag_nodes;
-  double dag_critical_path_seconds = 0.0;
-  std::vector<std::string> dag_critical_path;  ///< node names, source→sink
-  int64_t dag_deferrals = 0;
+  /// Per node: wall time, tracked peak, admission estimate, deferrals
+  /// and whether it restored a checkpoint; plus the critical path.
+  dag::ScheduleResult schedule;
 };
 
 /// Runs LargeEA on `dataset` (dataset.split.train as ψ', possibly empty

@@ -1,7 +1,8 @@
 // Name channel (Section 2.3): NFF name features plus the name-based data
 // augmentation producing pseudo seeds. The channel runs as the pipeline
 // DAG's name_semantic / name_string / name_fuse / name_augmentation
-// operators (src/dag/pipeline_dag.cc), which fill NameChannelResult.
+// operators (src/dag/pipeline_dag.cc); a run returns their pseudo seeds
+// in LargeEaResult::pseudo_seeds and their timings in its schedule.
 #ifndef LARGEEA_CORE_NAME_CHANNEL_H_
 #define LARGEEA_CORE_NAME_CHANNEL_H_
 
@@ -17,17 +18,6 @@ struct NameChannelOptions {
   /// Relative top1-vs-top2 margin required of a pseudo seed (see
   /// GeneratePseudoSeeds); trades recall for precision on noisy names.
   float augmentation_margin = 0.08f;
-};
-
-struct NameChannelResult {
-  NffResult nff;  ///< M_se, M_st, fused M_n, component timings
-  /// Mutual-NN pseudo seeds not conflicting with the supplied seeds.
-  EntityPairList pseudo_seeds;
-  double total_seconds = 0.0;
-  int64_t peak_bytes = 0;
-  /// True when the channel was restored from a checkpoint instead of
-  /// computed (component timings are zero in that case).
-  bool resumed = false;
 };
 
 }  // namespace largeea

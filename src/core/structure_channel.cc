@@ -1,12 +1,10 @@
 #include "src/core/structure_channel.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -71,13 +69,11 @@ bool StructureBatchTrainable(const MiniBatch& batch) {
 StatusOr<MiniBatchSet> PrepareStructureBatches(
     const KnowledgeGraph& source, const KnowledgeGraph& target,
     const EntityPairList& seeds, const StructureChannelOptions& options,
-    rt::CheckpointManager* checkpoint, double* partition_seconds,
-    bool* from_checkpoint) {
+    rt::CheckpointManager* checkpoint, bool* from_checkpoint) {
   auto& registry = obs::MetricsRegistry::Get();
-  // The span is the single timing source for partition_seconds (no
-  // separate Timer). The batch set is checkpointed so a resumed run
-  // trains against the *identical* partition even if the partitioner's
-  // randomisation were to drift.
+  // The batch set is checkpointed so a resumed run trains against the
+  // *identical* partition even if the partitioner's randomisation were
+  // to drift.
   obs::Span partition_span("structure/partition");
   partition_span.AddAttr("num_batches",
                          static_cast<int64_t>(options.num_batches));
@@ -117,8 +113,6 @@ StatusOr<MiniBatchSet> PrepareStructureBatches(
       (void)checkpoint->SaveBatches(kPartitionKind, result);
     }
   }
-  const double seconds = partition_span.End();
-  if (partition_seconds != nullptr) *partition_seconds = seconds;
   if (from_checkpoint != nullptr) *from_checkpoint = loaded;
   return result;
 }
@@ -371,13 +365,6 @@ StatusOr<StructureChannelResult> TrainStructureChannel(
               ++result.batches_retried;
             }
             registry.GetCounter("structure.batch_retries").Increment();
-            if (options.retry_backoff_ms > 0) {
-              // Bounded exponential backoff: 1x, 2x, 4x, ... the base
-              // delay.
-              std::this_thread::sleep_for(std::chrono::milliseconds(
-                  static_cast<int64_t>(options.retry_backoff_ms)
-                  << (attempt - 1)));
-            }
             if (abort.load(std::memory_order_relaxed)) return;
           }
           auto block = train_batch_block(b, *model);
@@ -417,15 +404,11 @@ StatusOr<StructureChannelResult> RunStructureChannel(
     const KnowledgeGraph& source, const KnowledgeGraph& target,
     const EntityPairList& seeds, const StructureChannelOptions& options,
     rt::CheckpointManager* checkpoint) {
-  double partition_seconds = 0.0;
-  auto batches = PrepareStructureBatches(source, target, seeds, options,
-                                         checkpoint, &partition_seconds);
+  auto batches =
+      PrepareStructureBatches(source, target, seeds, options, checkpoint);
   if (!batches.ok()) return batches.status();
-  auto result = TrainStructureChannel(source, target,
-                                      std::move(batches).value(), options,
-                                      checkpoint);
-  if (result.ok()) result.value().partition_seconds = partition_seconds;
-  return result;
+  return TrainStructureChannel(source, target, std::move(batches).value(),
+                               options, checkpoint);
 }
 
 }  // namespace largeea

@@ -3,10 +3,11 @@
 // similarity matrix M_s.
 //
 // Fault tolerance: each mini-batch is an isolated unit of work. A batch
-// that fails is retried with bounded exponential backoff; if it keeps
-// failing it is dropped — its similarity contribution stays zero and the
-// event is counted (`structure.batches_dropped`) — so one poisoned
-// partition degrades recall instead of killing hours of training.
+// that fails is retried at once (training is deterministic and
+// in-process, so there is nothing to wait for); if it keeps failing it
+// is dropped — its similarity contribution stays zero and the event is
+// counted (`structure.batches_dropped`) — so one poisoned partition
+// degrades recall instead of killing hours of training.
 // Completed batches checkpoint their similarity block, so a resumed run
 // replays only the batches that never finished.
 #ifndef LARGEEA_CORE_STRUCTURE_CHANNEL_H_
@@ -49,9 +50,6 @@ struct StructureChannelOptions {
   uint64_t seed = 1;
   /// Re-attempts after a batch's first failure (0 = fail immediately).
   int32_t max_batch_retries = 2;
-  /// Sleep before retry r is `retry_backoff_ms << (r-1)`, capping the
-  /// total stall per batch; 0 disables sleeping (used by tests).
-  int32_t retry_backoff_ms = 100;
   /// When true, a batch that exhausts its retries is dropped (similarity
   /// contribution zeroed, counted); when false it fails the channel.
   bool drop_failed_batches = true;
@@ -78,7 +76,6 @@ struct StructureChannelOptions {
 struct StructureChannelResult {
   SparseSimMatrix similarity;  ///< M_s
   MiniBatchSet batches;
-  double partition_seconds = 0.0;
   double training_seconds = 0.0;
   /// Peak tracked working-set bytes during training (Table-6 accounting).
   int64_t peak_training_bytes = 0;
@@ -102,20 +99,17 @@ bool StructureBatchTrainable(const MiniBatch& batch);
 /// as its partition node, so the artifact is on disk before a sharded
 /// structure_train node spawns workers. With options.shard_count > 0
 /// (a worker) the partition is load-only and a missing artifact is
-/// FAILED_PRECONDITION (see the field comment).
-/// `partition_seconds`, when non-null, receives the phase wall time, and
-/// `from_checkpoint` whether the batch set was loaded rather than made.
+/// FAILED_PRECONDITION (see the field comment). `from_checkpoint`, when
+/// non-null, receives whether the batch set was loaded rather than made.
 StatusOr<MiniBatchSet> PrepareStructureBatches(
     const KnowledgeGraph& source, const KnowledgeGraph& target,
     const EntityPairList& seeds, const StructureChannelOptions& options,
-    rt::CheckpointManager* checkpoint, double* partition_seconds = nullptr,
-    bool* from_checkpoint = nullptr);
+    rt::CheckpointManager* checkpoint, bool* from_checkpoint = nullptr);
 
 /// The training phase alone: trains (or resumes) every trainable batch
 /// of an already-materialised partition and merges the blocks into M_s.
 /// The pipeline DAG runs this as its own operator downstream of the
-/// partition node; `result.batches` takes ownership of `batches` and
-/// `partition_seconds` stays zero.
+/// partition node; `result.batches` takes ownership of `batches`.
 StatusOr<StructureChannelResult> TrainStructureChannel(
     const KnowledgeGraph& source, const KnowledgeGraph& target,
     MiniBatchSet batches, const StructureChannelOptions& options,

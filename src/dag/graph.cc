@@ -4,11 +4,10 @@
 
 namespace largeea::dag {
 
-int32_t Graph::AddValue(std::string name, int64_t estimated_bytes,
-                        bool retain, std::function<void()> release) {
+int32_t Graph::AddValue(std::string name, bool retain,
+                        std::function<void()> release) {
   Value v;
   v.name = std::move(name);
-  v.estimated_bytes = estimated_bytes;
   v.retain = retain;
   v.release = std::move(release);
   values_.push_back(std::move(v));

@@ -3,11 +3,11 @@
 // A Graph is a set of nodes (operators) wired through values (the
 // intermediates flowing between them). Each node declares which values
 // it reads and writes plus an estimated working-set footprint; each
-// value declares its estimated size, whether it must survive the run
-// (`retain`), and how to free its backing storage. The scheduler
-// (src/dag/scheduler.h) uses exactly these declarations to overlap
-// independent subgraphs, admit nodes under the memory budget, and
-// release every intermediate the moment its last consumer finishes.
+// value declares whether it must survive the run (`retain`) and how to
+// free its backing storage. The scheduler (src/dag/scheduler.h) uses
+// exactly these declarations to overlap independent subgraphs, admit
+// nodes under the memory budget, and release every intermediate the
+// moment its last consumer finishes.
 //
 // Node ids double as the topological (and serial-execution) order:
 // AddNode requires every input value's producer to already exist, so
@@ -27,11 +27,9 @@ namespace largeea::dag {
 
 /// One intermediate (or output) flowing along the graph's edges. The
 /// value's storage lives wherever the producing node put it (typically
-/// a field of the pipeline result); the graph only tracks metadata.
+/// a field of the pipeline's state); the graph only tracks metadata.
 struct Value {
   std::string name;
-  /// Estimated bytes the materialised value occupies (admission input).
-  int64_t estimated_bytes = 0;
   /// Values the caller keeps (pipeline outputs) are never released.
   bool retain = true;
   /// Frees the backing storage, leaving a valid empty object behind.
@@ -56,7 +54,7 @@ class NodeContext {
 
 /// One operator. `estimated_bytes` is the node's peak transient working
 /// set *on top of* its inputs (admission adds it to the tracker's
-/// current bytes); outputs' sizes live on the values.
+/// current bytes).
 struct Node {
   std::string name;
   std::string span_name;  ///< "dag/<name>", stable storage for the span
@@ -70,7 +68,7 @@ class Graph {
  public:
   /// Declares a value; returns its id. `release` may be null (e.g. for
   /// trivially small values).
-  int32_t AddValue(std::string name, int64_t estimated_bytes, bool retain,
+  int32_t AddValue(std::string name, bool retain,
                    std::function<void()> release = nullptr);
 
   /// Declares a node; returns its id. Every input must already have a

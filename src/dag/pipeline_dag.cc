@@ -1,6 +1,5 @@
 #include "src/dag/pipeline_dag.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,11 +73,16 @@ void SetEntriesGauge(const char* name, const SparseSimMatrix& m) {
 
 /// Mutable state the node bodies close over. Lives on the caller's
 /// stack for the whole schedule; concurrent nodes touch disjoint
-/// fields (the graph's edges are exactly the cross-node accesses).
+/// fields (the graph's edges are exactly the cross-node accesses). The
+/// intermediates are released by the scheduler at their last consumer;
+/// only `result` leaves the run.
 struct PipelineState {
   LargeEaResult result;
-  MiniBatchSet batches;
-  double partition_seconds = 0.0;
+  SparseSimMatrix semantic;   ///< M_se
+  SparseSimMatrix string;     ///< M_st
+  SparseSimMatrix name;       ///< M_n
+  SparseSimMatrix structure;  ///< M_s
+  MiniBatchSet batches;       ///< partition -> structure_train
 };
 
 }  // namespace
@@ -96,40 +100,29 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
 
   PipelineState state;
   Graph graph;
-  auto& registry = obs::MetricsRegistry::Get();
 
   // Every intermediate matrix (M_se, M_st, M_n, M_s) is released when
-  // its last consumer finishes, and the fusions consume their inputs, so
-  // those result fields come back empty from every run.
+  // its last consumer finishes, and the fusions consume their inputs.
 
   // --- Name channel: M_se ∥ M_st → M_n → pseudo seeds. ---
   int32_t v_name = -1, v_pseudo = -1;
-  int32_t n_sem = -1, n_str = -1, n_fuse = -1, n_aug = -1;
   if (options.use_name_channel) {
     const int32_t v_sem = graph.AddValue(
-        "M_se", SimBytes(src_rows, n.nff.sens.top_k), /*retain=*/false,
-        [&state] {
-          state.result.name_channel.nff.semantic = SparseSimMatrix();
-        });
+        "M_se", /*retain=*/false,
+        [&state] { state.semantic = SparseSimMatrix(); });
     const int32_t v_str = graph.AddValue(
-        "M_st", SimBytes(src_rows, n.nff.stns.max_entries_per_row),
-        /*retain=*/false, [&state] {
-          state.result.name_channel.nff.string = SparseSimMatrix();
-        });
-    v_name = graph.AddValue(
-        "M_n", SimBytes(src_rows, n.nff.max_entries_per_row),
-        /*retain=*/false, [&state] {
-          state.result.name_channel.nff.fused = SparseSimMatrix();
-        });
-    v_pseudo = graph.AddValue("pseudo_seeds", src_rows * 8,
-                              /*retain=*/true);
+        "M_st", /*retain=*/false,
+        [&state] { state.string = SparseSimMatrix(); });
+    v_name = graph.AddValue("M_n", /*retain=*/false,
+                            [&state] { state.name = SparseSimMatrix(); });
+    v_pseudo = graph.AddValue("pseudo_seeds", /*retain=*/true);
 
-    n_sem = graph.AddNode(
+    graph.AddNode(
         "name_semantic", {}, {v_sem},
         all_rows * n.nff.sens.encoder.dim * 4 +
             SimBytes(src_rows, n.nff.sens.top_k),
         [&](NodeContext& ctx) -> Status {
-          SparseSimMatrix& out = state.result.name_channel.nff.semantic;
+          SparseSimMatrix& out = state.semantic;
           if (!TryLoadMatrix(checkpoint, kSemanticKind, dataset, out, ctx)) {
             LARGEEA_INJECT_FAULT("name.features");
             out = ComputeSemanticSimilarity(source, target, n.nff.sens,
@@ -141,12 +134,12 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
           SetEntriesGauge("name.semantic_entries", out);
           return OkStatus();
         });
-    n_str = graph.AddNode(
+    graph.AddNode(
         "name_string", {}, {v_str},
         all_rows * n.nff.stns.num_bands * n.nff.stns.rows_per_band * 8 +
             SimBytes(src_rows, n.nff.stns.max_entries_per_row),
         [&](NodeContext& ctx) -> Status {
-          SparseSimMatrix& out = state.result.name_channel.nff.string;
+          SparseSimMatrix& out = state.string;
           if (!TryLoadMatrix(checkpoint, kStringKind, dataset, out, ctx)) {
             out = ComputeStringSimilarity(source, target, n.nff.stns);
             if (checkpoint.enabled()) {
@@ -156,22 +149,21 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
           SetEntriesGauge("name.string_entries", out);
           return OkStatus();
         });
-    n_fuse = graph.AddNode(
+    graph.AddNode(
         "name_fuse", {v_sem, v_str}, {v_name},
         SimBytes(src_rows, n.nff.max_entries_per_row),
         [&](NodeContext& ctx) -> Status {
-          NffResult& nff = state.result.name_channel.nff;
-          if (TryLoadMatrix(checkpoint, kNameFusedKind, dataset, nff.fused,
+          if (TryLoadMatrix(checkpoint, kNameFusedKind, dataset, state.name,
                             ctx)) {
             return OkStatus();
           }
           // Row-streamed fusion consumes M_se and M_st; the scheduler
           // releases the moved-from values right after this node.
-          nff.fused = SparseSimMatrix::FuseStreamed(
-              std::move(nff.semantic), std::move(nff.string), 1.0f,
+          state.name = SparseSimMatrix::FuseStreamed(
+              std::move(state.semantic), std::move(state.string), 1.0f,
               n.nff.string_weight, n.nff.max_entries_per_row);
           if (checkpoint.enabled()) {
-            (void)checkpoint.SaveMatrix(kNameFusedKind, nff.fused);
+            (void)checkpoint.SaveMatrix(kNameFusedKind, state.name);
           }
           return OkStatus();
         });
@@ -181,10 +173,10 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
     // the whole structure channel overlaps the name channel.
     std::vector<int32_t> aug_inputs;
     if (n.enable_augmentation) aug_inputs.push_back(v_name);
-    n_aug = graph.AddNode(
+    graph.AddNode(
         "name_augmentation", std::move(aug_inputs), {v_pseudo}, src_rows * 8,
         [&](NodeContext& ctx) -> Status {
-          EntityPairList& pseudo = state.result.name_channel.pseudo_seeds;
+          EntityPairList& pseudo = state.result.pseudo_seeds;
           if (checkpoint.should_load()) {
             auto loaded = checkpoint.LoadPairs(kPseudoSeedKind);
             if (loaded.ok()) {
@@ -207,8 +199,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
           }
           if (n.enable_augmentation) {
             LARGEEA_INJECT_FAULT("name.augmentation");
-            pseudo = GeneratePseudoSeeds(state.result.name_channel.nff.fused,
-                                         dataset.split.train,
+            pseudo = GeneratePseudoSeeds(state.name, dataset.split.train,
                                          n.augmentation_margin);
             obs::MetricsRegistry::Get()
                 .GetGauge("name.pseudo_seeds")
@@ -226,8 +217,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   // the structure channel launches immediately. ---
   const bool seeds_need_name =
       options.use_name_channel && n.enable_augmentation;
-  const int32_t v_seeds =
-      graph.AddValue("psi_prime", src_rows * 8, /*retain=*/true);
+  const int32_t v_seeds = graph.AddValue("psi_prime", /*retain=*/true);
   graph.AddNode(
       "seed_augmentation",
       seeds_need_name ? std::vector<int32_t>{v_pseudo}
@@ -235,8 +225,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
       {v_seeds}, src_rows * 8, [&, seeds_need_name](NodeContext&) -> Status {
         state.result.effective_seeds = dataset.split.train;
         if (seeds_need_name) {
-          const EntityPairList& pseudo =
-              state.result.name_channel.pseudo_seeds;
+          const EntityPairList& pseudo = state.result.pseudo_seeds;
           state.result.effective_seeds.insert(
               state.result.effective_seeds.end(), pseudo.begin(),
               pseudo.end());
@@ -247,19 +236,17 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   // --- Structure channel: partition → per-batch training → M_s. ---
   int32_t v_struct = -1;
   if (options.use_structure_channel) {
-    const int32_t v_batches =
-        graph.AddValue("batches", all_rows * 16, /*retain=*/true);
-    v_struct = graph.AddValue(
-        "M_s", SimBytes(src_rows, s.top_k), /*retain=*/false, [&state] {
-          state.result.structure_channel.similarity = SparseSimMatrix();
-        });
+    const int32_t v_batches = graph.AddValue("batches", /*retain=*/true);
+    v_struct = graph.AddValue("M_s", /*retain=*/false, [&state] {
+      state.structure = SparseSimMatrix();
+    });
     graph.AddNode(
         "partition", {v_seeds}, {v_batches}, all_rows * 32,
         [&](NodeContext& ctx) -> Status {
           bool loaded = false;
           auto batches = PrepareStructureBatches(
               source, target, state.result.effective_seeds, s, &checkpoint,
-              &state.partition_seconds, &loaded);
+              &loaded);
           if (!batches.ok()) return batches.status();
           state.batches = std::move(batches).value();
           if (loaded) ctx.MarkFromCheckpoint();
@@ -272,16 +259,19 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
           auto trained = train_structure(
               source, target, std::move(state.batches), s, &checkpoint);
           if (!trained.ok()) return trained.status();
-          state.result.structure_channel = std::move(trained).value();
-          state.result.structure_channel.partition_seconds =
-              state.partition_seconds;
+          StructureChannelResult& channel = trained.value();
+          LargeEaResult& r = state.result;
+          state.structure = std::move(channel.similarity);
+          r.batches = std::move(channel.batches);
+          r.batches_dropped = channel.batches_dropped;
+          r.batches_retried = channel.batches_retried;
+          r.batches_resumed = channel.batches_resumed;
           // "From checkpoint" when every trainable batch resumed.
           int32_t trainable = 0;
-          for (const MiniBatch& b : state.result.structure_channel.batches) {
+          for (const MiniBatch& b : r.batches) {
             if (StructureBatchTrainable(b)) ++trainable;
           }
-          if (trainable > 0 &&
-              state.result.structure_channel.batches_resumed == trainable) {
+          if (trainable > 0 && r.batches_resumed == trainable) {
             ctx.MarkFromCheckpoint();
           }
           return OkStatus();
@@ -289,8 +279,7 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
   }
 
   // --- Fusion M = M_s + M_n, then evaluation. ---
-  const int32_t v_fused = graph.AddValue(
-      "M", SimBytes(src_rows, options.fused_top_k), /*retain=*/true);
+  const int32_t v_fused = graph.AddValue("M", /*retain=*/true);
   std::vector<int32_t> fusion_inputs;
   if (v_struct >= 0) fusion_inputs.push_back(v_struct);
   if (v_name >= 0) fusion_inputs.push_back(v_name);
@@ -313,13 +302,13 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
         if (options.use_name_channel && options.use_structure_channel &&
             options.fuse_name_similarity) {
           r.fused = SparseSimMatrix::FuseStreamed(
-              std::move(r.structure_channel.similarity),
-              std::move(r.name_channel.nff.fused), options.structure_weight,
-              options.name_weight, options.fused_top_k);
+              std::move(state.structure), std::move(state.name),
+              options.structure_weight, options.name_weight,
+              options.fused_top_k);
         } else if (options.use_structure_channel) {
-          r.fused = std::move(r.structure_channel.similarity);
+          r.fused = std::move(state.structure);
         } else {
-          r.fused = std::move(r.name_channel.nff.fused);
+          r.fused = std::move(state.name);
         }
         if (checkpoint.enabled()) {
           (void)checkpoint.SaveMatrix(kFusedKind, r.fused);
@@ -340,39 +329,10 @@ StatusOr<LargeEaResult> RunLargeEaPipeline(
       stream_ctx != nullptr ? stream_ctx->budget().budget_bytes() : 0;
   auto scheduled = Execute(graph, schedule);
   if (!scheduled.ok()) return scheduled.status();
-  ScheduleResult& sched = scheduled.value();
-
-  // Channel-level bookkeeping from the per-node runs (component timings
-  // stay zero for resumed nodes).
-  if (options.use_name_channel) {
-    NameChannelResult& name = state.result.name_channel;
-    const NodeRun& sem = sched.node_runs[static_cast<size_t>(n_sem)];
-    const NodeRun& str = sched.node_runs[static_cast<size_t>(n_str)];
-    const NodeRun& fuse = sched.node_runs[static_cast<size_t>(n_fuse)];
-    const NodeRun& aug = sched.node_runs[static_cast<size_t>(n_aug)];
-    name.resumed = sem.from_checkpoint && str.from_checkpoint &&
-                   fuse.from_checkpoint && aug.from_checkpoint;
-    if (!name.resumed) {
-      name.nff.sens_seconds = sem.from_checkpoint ? 0.0 : sem.seconds;
-      name.nff.stns_seconds = str.from_checkpoint ? 0.0 : str.seconds;
-      name.total_seconds =
-          sem.seconds + str.seconds + fuse.seconds + aug.seconds;
-      for (const NodeRun* run : {&sem, &str, &fuse, &aug}) {
-        name.peak_bytes = std::max(name.peak_bytes, run->peak_bytes);
-      }
-    }
-  }
-  state.result.dag_nodes.reserve(sched.node_runs.size());
-  for (const NodeRun& run : sched.node_runs) {
-    state.result.dag_nodes.push_back(DagNodeStats{
-        run.name, run.seconds, run.peak_bytes, run.estimated_bytes,
-        run.from_checkpoint, run.deferrals});
-  }
-  state.result.dag_critical_path_seconds = sched.critical_path_seconds;
-  state.result.dag_critical_path = std::move(sched.critical_path);
-  state.result.dag_deferrals = sched.total_deferrals;
-  registry.GetGauge("dag.nodes.deferred")
-      .Set(static_cast<double>(sched.total_deferrals));
+  state.result.schedule = std::move(scheduled).value();
+  obs::MetricsRegistry::Get()
+      .GetGauge("dag.nodes.deferred")
+      .Set(static_cast<double>(state.result.schedule.total_deferrals));
   return std::move(state.result);
 }
 

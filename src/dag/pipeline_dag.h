@@ -36,9 +36,10 @@ namespace largeea::dag {
 /// Runs the full pipeline as a scheduled operator graph and fills a
 /// LargeEaResult that is bit-identical (on `fused`, the metrics, and
 /// every checkpoint artifact) at any `max_concurrency`, budget, and
-/// SIMD backend. `checkpoint` must come from
-/// MakePipelineCheckpointManager so per-node artifacts carry per-node
-/// fingerprints; `stream_ctx` may be null (unbudgeted).
+/// SIMD backend; its `schedule` is Execute's record, unchanged.
+/// `checkpoint` must come from MakePipelineCheckpointManager so per-node
+/// artifacts carry per-node fingerprints; `stream_ctx` may be null
+/// (unbudgeted).
 /// `max_concurrency` bounds overlapping operators (1 = ascending-id
 /// serial order). The structure_train node calls `train_structure`.
 StatusOr<LargeEaResult> RunLargeEaPipeline(

@@ -16,6 +16,13 @@ enum class NodeState { kWaiting, kRunning, kDone };
 
 }  // namespace
 
+const NodeRun* ScheduleResult::Find(std::string_view name) const {
+  for (const NodeRun& run : node_runs) {
+    if (run.name == name) return &run;
+  }
+  return nullptr;
+}
+
 StatusOr<ScheduleResult> Execute(Graph& graph,
                                  const ScheduleOptions& options) {
   LARGEEA_RETURN_IF_ERROR(graph.Validate());

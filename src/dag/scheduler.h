@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/dag/graph.h"
@@ -56,6 +57,9 @@ struct NodeRun {
   int32_t deferrals = 0;  ///< times admission was denied by the budget
 };
 
+/// The one record of a run's nodes: RunLargeEa hands it back unchanged
+/// (LargeEaResult::schedule), and the CLI's phase table, the run
+/// report's `phases` and the benches read it.
 struct ScheduleResult {
   std::vector<NodeRun> node_runs;
   /// Longest dependency chain by measured node seconds — the lower
@@ -63,6 +67,10 @@ struct ScheduleResult {
   double critical_path_seconds = 0.0;
   std::vector<std::string> critical_path;  ///< node names, source→sink
   int64_t total_deferrals = 0;
+
+  /// The run of the node named `name`; null when the graph had no such
+  /// node (an ablated channel's).
+  const NodeRun* Find(std::string_view name) const;
 };
 
 /// Runs every node of `graph`. On a node failure, no further nodes are

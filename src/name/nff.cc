@@ -16,12 +16,10 @@ NffResult ComputeNameFeatures(const KnowledgeGraph& source,
                       options.sens.use_lsh ? std::string("true")
                                            : std::string("false"));
     result.semantic = ComputeSemanticSimilarity(source, target, options.sens);
-    result.sens_seconds = sens_span.End();
   }
   {
-    obs::Span stns_span("name/stns");
+    LARGEEA_TRACE_SPAN("name/stns");
     result.string = ComputeStringSimilarity(source, target, options.stns);
-    result.stns_seconds = stns_span.End();
   }
   LARGEEA_TRACE_SPAN("name/fuse");
   result.fused = result.semantic.Fuse(result.string, 1.0f,

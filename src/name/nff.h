@@ -23,8 +23,6 @@ struct NffResult {
   SparseSimMatrix semantic;  ///< M_se
   SparseSimMatrix string;    ///< M_st
   SparseSimMatrix fused;     ///< M_n = M_se + γ·M_st
-  double sens_seconds = 0.0;
-  double stns_seconds = 0.0;
 };
 
 /// Runs SENS and STNS in memory and fuses them. The pipeline's streamed

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <string>
 
-#include "src/common/memory_tracker.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -61,13 +60,6 @@ int64_t PeakResidentBytes() {
     }
   }
   return -1;
-}
-
-void RunReport::IngestMemoryPhases() {
-  for (const MemoryPhase& p : MemoryTracker::Get().FinishedPhases()) {
-    memory_phases_.push_back(
-        MemoryRow{p.name, p.start_bytes, p.peak_bytes, p.seconds});
-  }
 }
 
 void RunReport::IngestTraceTotals() {
@@ -132,17 +124,6 @@ std::string RunReport::ToJson() const {
     w.Key("name").String(p.name);
     w.Key("seconds").Double(p.seconds);
     w.Key("peak_bytes").Int(p.peak_bytes);
-    w.EndObject();
-  }
-  w.EndArray();
-
-  w.Key("memory_phases").BeginArray();
-  for (const MemoryRow& p : memory_phases_) {
-    w.BeginObject();
-    w.Key("name").String(p.name);
-    w.Key("start_bytes").Int(p.start_bytes);
-    w.Key("peak_bytes").Int(p.peak_bytes);
-    w.Key("seconds").Double(p.seconds);
     w.EndObject();
   }
   w.EndArray();

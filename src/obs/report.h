@@ -16,10 +16,12 @@
 //     "eval":    {"hits_at_1", "hits_at_5", "mrr", "test_pairs"},
 //     "total":   {"seconds", "peak_bytes", "peak_rss_bytes"},
 //     "phases":  [{"name", "seconds", "peak_bytes"}],     // -1 = untracked
-//     "memory_phases": [{"name", "start_bytes", "peak_bytes", "seconds"}],
 //     "spans":   [{"name", "count", "total_seconds"}],
 //     "metrics": {"counters", "gauges", "histograms"}
 //   }
+//
+// A pipeline run's "phases" are its DAG node table: one "dag/<node>" row
+// per node of LargeEaResult::schedule, then "dag/critical_path".
 //
 // "total.peak_bytes" is the MemoryTracker's peak; "peak_rss_bytes" is
 // the process's resident high-water mark (PeakResidentBytes), present
@@ -85,9 +87,6 @@ class RunReport {
   void SetTotal(double seconds, int64_t peak_bytes,
                 int64_t peak_rss_bytes = -1);
 
-  /// Pulls MemoryTracker::FinishedPhases() into the report.
-  void IngestMemoryPhases();
-
   /// Pulls TraceRecorder::Totals() into the report.
   void IngestTraceTotals();
 
@@ -112,12 +111,6 @@ class RunReport {
     int64_t count = 0;
     double total_seconds = 0.0;
   };
-  struct MemoryRow {
-    std::string name;
-    int64_t start_bytes = 0;
-    int64_t peak_bytes = 0;
-    double seconds = 0.0;
-  };
 
   std::string tool_;
   std::string dataset_name_;
@@ -127,7 +120,6 @@ class RunReport {
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<Phase> phases_;
   std::vector<SpanRow> spans_;
-  std::vector<MemoryRow> memory_phases_;
   EvalMetrics eval_;
   bool has_eval_ = false;
   ServeStats serve_;

@@ -26,6 +26,65 @@ void SkipWs(std::string_view s, size_t& i) {
   }
 }
 
+/// Reads the four hex digits of a \u escape, starting at s[i], into
+/// `unit` and advances i past them.
+Status ParseHex4(std::string_view s, size_t& i, uint32_t& unit) {
+  if (i + 4 > s.size()) return InvalidArgumentError("truncated \\u escape");
+  unit = 0;
+  for (int d = 0; d < 4; ++d) {
+    const char h = s[i + d];
+    unit <<= 4;
+    if (h >= '0' && h <= '9') unit |= h - '0';
+    else if (h >= 'a' && h <= 'f') unit |= h - 'a' + 10;
+    else if (h >= 'A' && h <= 'F') unit |= h - 'A' + 10;
+    else return InvalidArgumentError("bad \\u escape digit");
+  }
+  i += 4;
+  return OkStatus();
+}
+
+/// Appends code point `cp` (at most U+10FFFF, not a surrogate) as UTF-8.
+void AppendUtf8(uint32_t cp, std::string& out) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
+/// Decodes the code point of the \u escape whose hex digits start at
+/// s[i] and advances i past it. A code point above U+FFFF is spelled as
+/// a surrogate pair of escapes (Python's json.dumps writes U+1F600 as
+/// "\ud83d\ude00"); a lone or reversed surrogate is INVALID_ARGUMENT.
+Status ParseUnicodeEscape(std::string_view s, size_t& i, uint32_t& cp) {
+  LARGEEA_RETURN_IF_ERROR(ParseHex4(s, i, cp));
+  if (cp >= 0xDC00 && cp <= 0xDFFF) {
+    return InvalidArgumentError("lone low surrogate in \\u escape");
+  }
+  if (cp < 0xD800 || cp > 0xDBFF) return OkStatus();
+  if (i + 2 > s.size() || s[i] != '\\' || s[i + 1] != 'u') {
+    return InvalidArgumentError("lone high surrogate in \\u escape");
+  }
+  i += 2;
+  uint32_t low = 0;
+  LARGEEA_RETURN_IF_ERROR(ParseHex4(s, i, low));
+  if (low < 0xDC00 || low > 0xDFFF) {
+    return InvalidArgumentError("lone high surrogate in \\u escape");
+  }
+  cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+  return OkStatus();
+}
+
 /// Parses a JSON string literal at s[i] (which must be '"'); advances i
 /// past the closing quote and appends the decoded characters to `out`.
 Status ParseJsonString(std::string_view s, size_t& i, std::string& out) {
@@ -51,32 +110,9 @@ Status ParseJsonString(std::string_view s, size_t& i, std::string& out) {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u': {
-          if (i + 4 > s.size()) {
-            return InvalidArgumentError("truncated \\u escape");
-          }
           uint32_t cp = 0;
-          for (int d = 0; d < 4; ++d) {
-            const char h = s[i + d];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= h - '0';
-            else if (h >= 'a' && h <= 'f') cp |= h - 'a' + 10;
-            else if (h >= 'A' && h <= 'F') cp |= h - 'A' + 10;
-            else return InvalidArgumentError("bad \\u escape digit");
-          }
-          i += 4;
-          // UTF-8 encode (surrogate pairs are not recombined; entity
-          // names are produced by our own JsonEscape, which never emits
-          // them for code points above U+001F).
-          if (cp < 0x80) {
-            out += static_cast<char>(cp);
-          } else if (cp < 0x800) {
-            out += static_cast<char>(0xC0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-          }
+          LARGEEA_RETURN_IF_ERROR(ParseUnicodeEscape(s, i, cp));
+          AppendUtf8(cp, out);
           break;
         }
         default:

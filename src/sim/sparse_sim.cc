@@ -15,24 +15,56 @@ bool EntryBefore(const SimEntry& a, const SimEntry& b) {
   return a.column < b.column;
 }
 
+// A cell of MergeRow's column index: an open-addressing table, reused
+// across one chunk's rows, from a column to the merged index of its
+// first entry.
+struct ColumnCell {
+  EntityId column = kInvalidEntity;  ///< kInvalidEntity: an empty cell
+  uint32_t merged = 0;
+};
+
 // Shared row merge of Fuse and FuseStreamed — one implementation, so the
 // streamed result is bit-identical to the in-memory one by construction.
+// `merged` is alpha·a in a's order, then each column of b that a lacks,
+// in b's order; every entry of b adds beta·score, in b's order, to the
+// first merged entry of its column, found through the column index in
+// O(1). Then merged is sorted by score descending, column ascending.
 void MergeRow(const std::vector<SimEntry>& a, const std::vector<SimEntry>& b,
-              float alpha, float beta, std::vector<SimEntry>& merged) {
+              float alpha, float beta, std::vector<SimEntry>& merged,
+              std::vector<ColumnCell>& index) {
   merged.clear();
   for (const SimEntry& e : a) {
     merged.push_back(SimEntry{e.column, alpha * e.score});
   }
-  for (const SimEntry& e : b) {
-    bool found = false;
-    for (SimEntry& m : merged) {
-      if (m.column == e.column) {
-        m.score += beta * e.score;
-        found = true;
-        break;
+  if (!b.empty()) {
+    // A power of two at least twice the entries, so probes stay short.
+    int shift = 28;
+    while ((size_t{1} << (32 - shift)) < 2 * (a.size() + b.size())) --shift;
+    index.assign(size_t{1} << (32 - shift), ColumnCell{});
+    const size_t mask = index.size() - 1;
+    // The cell of `column`, or the empty cell it would take.
+    const auto cell = [&](EntityId column) -> ColumnCell& {
+      size_t h = (static_cast<uint32_t>(column) * 2654435769u) >> shift;
+      while (index[h].column != kInvalidEntity && index[h].column != column) {
+        h = (h + 1) & mask;
+      }
+      return index[h];
+    };
+    for (size_t i = 0; i < a.size(); ++i) {
+      ColumnCell& c = cell(a[i].column);
+      if (c.column == kInvalidEntity) {
+        c = {a[i].column, static_cast<uint32_t>(i)};
       }
     }
-    if (!found) merged.push_back(SimEntry{e.column, beta * e.score});
+    for (const SimEntry& e : b) {
+      ColumnCell& c = cell(e.column);
+      if (c.column == kInvalidEntity) {
+        c = {e.column, static_cast<uint32_t>(merged.size())};
+        merged.push_back(SimEntry{e.column, beta * e.score});
+      } else {
+        merged[c.merged].score += beta * e.score;
+      }
+    }
   }
   std::sort(merged.begin(), merged.end(), EntryBefore);
 }
@@ -94,8 +126,9 @@ void MergeRows(Rows& a, Rows& b, float alpha, float beta, int32_t cap,
       begin, end, par::NormRowGrain(end - begin),
       [&](const par::ChunkRange& chunk) {
         std::vector<SimEntry> merged;
+        std::vector<ColumnCell> index;
         for (int64_t r = chunk.begin; r < chunk.end; ++r) {
-          MergeRow(a[r], b[r], alpha, beta, merged);
+          MergeRow(a[r], b[r], alpha, beta, merged, index);
           out[r].assign(merged.begin(),
                         merged.begin() + RowLimit(merged.size(), cap));
           if constexpr (!std::is_const_v<Rows>) {

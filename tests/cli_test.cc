@@ -2,12 +2,15 @@
 // the Config flags plus its own, and any other flag — a typo, or a flag
 // that no longer exists — or an out-of-range size exits 2 naming the
 // flag, before any input is read; a malformed --expect-fingerprint exits
-// 2 too; index-build writes the same trace and report as run, and the
-// run report's total holds the resident peak beside the tracked one.
+// 2 too; index-build writes the same trace and report as run, the run
+// report's total holds the resident peak beside the tracked one, and its
+// phases are the printed DAG node table.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -154,6 +157,76 @@ TEST(CliTest, RunReportsTrackedAndResidentPeaks) {
   EXPECT_GT(std::stoll(section.substr(rss + 17)), 4096) << section;
   EXPECT_NE(ran.output.find("resident "), std::string::npos) << ran.output;
 #endif
+  fs::remove_all(dir);
+}
+
+// One breakdown: the printed table is one dag/<node> row per node, then
+// dag/critical_path, then total; the report's phases are those rows, in
+// that order, and nothing else (no channel-level rows, no memory_phases).
+TEST(CliTest, RunReportPhasesAreThePrintedNodeTable) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("largeea_cli_phases_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const CliOutcome generated =
+      RunCli({"generate", "--tier", "ids15k", "--scale", "0.03", "--out_dir",
+              dir.string()});
+  ASSERT_EQ(generated.status.exit_code, 0) << generated.output;
+  const fs::path report = dir / "report.json";
+  const CliOutcome ran = RunCli(
+      {"run", "--source", (dir / "source.tsv").string(), "--target",
+       (dir / "target.tsv").string(), "--seeds", (dir / "train.tsv").string(),
+       "--test", (dir / "test.tsv").string(), "--epochs", "2",
+       "--log-level", "off", "--report-out", report.string()});
+  ASSERT_EQ(ran.status.exit_code, 0) << ran.output;
+
+  // The printed rows between the table's header and its total row.
+  std::vector<std::string> printed;
+  bool in_table = false, saw_total = false;
+  std::istringstream lines(ran.output);
+  for (std::string line; std::getline(lines, line);) {
+    const std::string first = line.substr(0, line.find(' '));
+    if (first == "Phase") {
+      in_table = true;
+    } else if (in_table && first == "total") {
+      saw_total = true;
+      break;
+    } else if (in_table) {
+      printed.push_back(first);
+    }
+  }
+  ASSERT_TRUE(saw_total) << ran.output;
+  ASSERT_EQ(printed.size(), 10u) << ran.output;  // nine nodes, one path
+  for (size_t i = 0; i + 1 < printed.size(); ++i) {
+    EXPECT_TRUE(printed[i].starts_with("dag/")) << printed[i];
+    EXPECT_NE(printed[i], "dag/critical_path");
+  }
+  EXPECT_EQ(printed.back(), "dag/critical_path");
+
+  auto json = rt::ReadFileToString(report.string());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->find("\"memory_phases\""), std::string::npos) << *json;
+  const size_t begin = json->find("\"phases\":[");
+  ASSERT_NE(begin, std::string::npos) << *json;
+  const std::string phases =
+      json->substr(begin, json->find(']', begin) - begin);
+  const std::regex row(R"re("name":"([^"]*)","seconds":([^,]*),)re");
+  std::vector<std::string> names;
+  double critical_path_seconds = -1.0;
+  for (auto it = std::sregex_iterator(phases.begin(), phases.end(), row);
+       it != std::sregex_iterator(); ++it) {
+    names.push_back((*it)[1]);
+    if ((*it)[1] == "dag/critical_path") {
+      critical_path_seconds = std::stod((*it)[2]);
+    }
+  }
+  EXPECT_EQ(names, printed);
+
+  const size_t total = json->find("\"total\":{\"seconds\":");
+  ASSERT_NE(total, std::string::npos) << *json;
+  const double total_seconds = std::stod(json->substr(total + 19));
+  EXPECT_GE(critical_path_seconds, 0.0);
+  EXPECT_LE(critical_path_seconds, total_seconds);
   fs::remove_all(dir);
 }
 

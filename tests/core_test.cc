@@ -1,6 +1,8 @@
 // Tests for src/core: evaluator, channels, and the full LargeEA pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/evaluator.h"
 #include "src/core/large_ea.h"
 #include "src/core/name_channel.h"
@@ -66,8 +68,8 @@ const EaDataset* CoreFixture::dataset_ = nullptr;
 
 // The name channel alone: the pipeline with the structure channel
 // ablated. Its fused matrix M is then the name channel's M_n, which the
-// run hands back as `fused` (the name_channel fields hold the seeds and
-// timings; every run releases M_n once fusion has consumed it).
+// run hands back as `fused`, beside the pseudo seeds; the name nodes'
+// timings are rows of its schedule.
 LargeEaResult NameChannelAlone(const EaDataset& dataset,
                                const NameChannelOptions& name) {
   LargeEaOptions options;
@@ -79,18 +81,27 @@ LargeEaResult NameChannelAlone(const EaDataset& dataset,
 
 TEST_F(CoreFixture, NameChannelProducesFeaturesAndSeeds) {
   const LargeEaResult run = NameChannelAlone(dataset(), NameChannelOptions{});
-  const NameChannelResult& result = run.name_channel;
   EXPECT_GT(run.fused.TotalEntries(), 0);
-  EXPECT_GT(result.pseudo_seeds.size(), 20u);
-  EXPECT_GT(result.total_seconds, 0.0);
-  EXPECT_GT(result.peak_bytes, 0);
+  EXPECT_GT(run.pseudo_seeds.size(), 20u);
+  // The channel's four nodes ran, timed and memory-tracked.
+  double seconds = 0.0;
+  int64_t peak_bytes = 0;
+  for (const char* node : {"name_semantic", "name_string", "name_fuse",
+                           "name_augmentation"}) {
+    const dag::NodeRun* row = run.schedule.Find(node);
+    ASSERT_NE(row, nullptr) << node;
+    seconds += row->seconds;
+    peak_bytes = std::max(peak_bytes, row->peak_bytes);
+  }
+  EXPECT_GT(seconds, 0.0);
+  EXPECT_GT(peak_bytes, 0);
 }
 
 TEST_F(CoreFixture, NameChannelAugmentationCanBeDisabled) {
   NameChannelOptions options;
   options.enable_augmentation = false;
   const LargeEaResult run = NameChannelAlone(dataset(), options);
-  EXPECT_TRUE(run.name_channel.pseudo_seeds.empty());
+  EXPECT_TRUE(run.pseudo_seeds.empty());
 }
 
 class StructureStrategyTest

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/memory_tracker.h"
 #include "src/core/large_ea.h"
 #include "src/core/pipeline_fingerprint.h"
 #include "src/dag/graph.h"
@@ -51,7 +52,7 @@ namespace fs = std::filesystem;
 
 TEST(DagGraphTest, ValidateRejectsConsumerBeforeProducer) {
   dag::Graph graph;
-  const int32_t v = graph.AddValue("v", 0, true);
+  const int32_t v = graph.AddValue("v", true);
   // Consume v before any node produces it: the value stays an external
   // input (producer -1), which Validate accepts...
   graph.AddNode("consumer", {v}, {}, 0,
@@ -74,8 +75,8 @@ TEST(DagSchedulerTest, ConcurrencyOneReproducesSerialOrder) {
     };
   };
   dag::Graph graph;
-  const int32_t a = graph.AddValue("a", 0, true);
-  const int32_t b = graph.AddValue("b", 0, true);
+  const int32_t a = graph.AddValue("a", true);
+  const int32_t b = graph.AddValue("b", true);
   graph.AddNode("n0", {}, {a}, 0, record("n0"));
   graph.AddNode("n1", {}, {b}, 0, record("n1"));
   graph.AddNode("n2", {a, b}, {}, 0, record("n2"));
@@ -151,9 +152,9 @@ TEST(DagSchedulerTest, ReleasesValueAtLastConsumerOnly) {
   };
   dag::Graph graph;
   const int32_t mid =
-      graph.AddValue("mid", 0, /*retain=*/false, [&] { released.store(true); });
+      graph.AddValue("mid", /*retain=*/false, [&] { released.store(true); });
   const int32_t kept =
-      graph.AddValue("kept", 0, /*retain=*/true, [&] { released.store(true); });
+      graph.AddValue("kept", /*retain=*/true, [&] { released.store(true); });
   graph.AddNode("producer", {}, {mid, kept}, 0, noop);
   graph.AddNode("consumer0", {mid}, {}, 0, check);
   graph.AddNode("consumer1", {mid, kept}, {}, 0, check);
@@ -212,14 +213,14 @@ LargeEaResult ReferenceRun(const EaDataset& dataset,
     name = semantic.Fuse(string, 1.0f, n.nff.string_weight,
                          n.nff.max_entries_per_row);
     if (n.enable_augmentation) {
-      result.name_channel.pseudo_seeds = GeneratePseudoSeeds(
-          name, dataset.split.train, n.augmentation_margin);
+      result.pseudo_seeds = GeneratePseudoSeeds(name, dataset.split.train,
+                                                n.augmentation_margin);
     }
   }
   result.effective_seeds = dataset.split.train;
   result.effective_seeds.insert(result.effective_seeds.end(),
-                                result.name_channel.pseudo_seeds.begin(),
-                                result.name_channel.pseudo_seeds.end());
+                                result.pseudo_seeds.begin(),
+                                result.pseudo_seeds.end());
   SparseSimMatrix structure;
   if (options.use_structure_channel) {
     const StructureChannelOptions& s = options.structure_channel;
@@ -347,29 +348,28 @@ TEST_F(DagPipelineTest, MatchesReferenceAcrossThreadsAndBudgets) {
           << "threads=" << threads << " budget=" << budget_mb << ": "
           << scheduled.status().ToString();
       ExpectSameResult(reference, *scheduled);
-      EXPECT_FALSE(scheduled->dag_nodes.empty());
-      EXPECT_GT(scheduled->dag_critical_path_seconds, 0.0);
-      EXPECT_FALSE(scheduled->dag_critical_path.empty());
+      EXPECT_FALSE(scheduled->schedule.node_runs.empty());
+      EXPECT_GT(scheduled->schedule.critical_path_seconds, 0.0);
+      EXPECT_FALSE(scheduled->schedule.critical_path.empty());
     }
   }
 }
 
 TEST_F(DagPipelineTest, UnbudgetedRunReleasesIntermediates) {
   // Every run, budgeted or not, consumes M_se, M_st, M_n and M_s in its
-  // fusions and releases them; M, the seeds and the metrics stay.
+  // fusions and releases them; M, the seeds and the metrics stay. Once
+  // the run returns, the only tracked bytes it leaves behind are M's.
   const LargeEaResult reference = ReferenceRun(dataset(), BaseOptions());
+  const int64_t before = MemoryTracker::Get().CurrentBytes();
   const auto run = RunLargeEa(dataset(), BaseOptions());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(MemoryTracker::Get().CurrentBytes() - before,
+            run->fused.MemoryBytes());
+  EXPECT_GT(run->fused.MemoryBytes(), 0);
   ExpectSameResult(reference, *run);
   EXPECT_EQ(FusedHash(run->fused), FusedHash(reference.fused));
-  for (const SparseSimMatrix* released :
-       {&run->name_channel.nff.semantic, &run->name_channel.nff.string,
-        &run->name_channel.nff.fused, &run->structure_channel.similarity}) {
-    EXPECT_EQ(released->num_rows(), 0);
-    EXPECT_EQ(released->TotalEntries(), 0);
-  }
-  EXPECT_EQ(run->name_channel.pseudo_seeds, reference.name_channel.pseudo_seeds);
-  EXPECT_FALSE(run->name_channel.pseudo_seeds.empty());
+  EXPECT_EQ(run->pseudo_seeds, reference.pseudo_seeds);
+  EXPECT_FALSE(run->pseudo_seeds.empty());
   EXPECT_GT(run->metrics.num_test_pairs, 0);
 }
 
@@ -401,7 +401,9 @@ TEST_F(DagPipelineTest, ChecksNodeStatsCoverEveryOperator) {
   const auto run = RunLargeEa(dataset(), options);
   ASSERT_TRUE(run.ok());
   std::vector<std::string> names;
-  for (const DagNodeStats& node : run->dag_nodes) names.push_back(node.name);
+  for (const dag::NodeRun& node : run->schedule.node_runs) {
+    names.push_back(node.name);
+  }
   for (const char* expected :
        {"name_semantic", "name_string", "name_fuse", "name_augmentation",
         "seed_augmentation", "partition", "structure_train", "fusion",
@@ -448,7 +450,7 @@ TEST_F(DagPipelineTest, ResumeMarksEveryNodeWhoseArtifactLoaded) {
   const auto resumed = RunLargeEa(dataset(), options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   std::vector<std::string> marked;
-  for (const DagNodeStats& node : resumed->dag_nodes) {
+  for (const dag::NodeRun& node : resumed->schedule.node_runs) {
     if (node.from_checkpoint) marked.push_back(node.name);
   }
   std::sort(marked.begin(), marked.end());
@@ -473,8 +475,15 @@ TEST_F(DagPipelineTest, ResumeReExecutesOnlyTheDirtySubgraph) {
 #endif
   const auto resumed = RunLargeEa(dataset(), changed);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed->name_channel.resumed);
-  EXPECT_EQ(resumed->structure_channel.batches_resumed, 0);
+  // The name channel resumed: each of its four nodes restored its
+  // artifact.
+  for (const char* node : {"name_semantic", "name_string", "name_fuse",
+                           "name_augmentation"}) {
+    const dag::NodeRun* run = resumed->schedule.Find(node);
+    ASSERT_NE(run, nullptr) << node;
+    EXPECT_TRUE(run->from_checkpoint) << node;
+  }
+  EXPECT_EQ(resumed->batches_resumed, 0);
 #if LARGEEA_FAULT_INJECTION
   // The name features were restored, not recomputed: the fault point
   // inside the compute path was never reached.

@@ -51,6 +51,17 @@ StructureTrainer KeepingStructure(SparseSimMatrix* out) {
   };
 }
 
+/// "The name channel resumed": each of its four nodes restored its
+/// checkpoint artifact instead of computing.
+bool NameChannelResumed(const LargeEaResult& run) {
+  for (const char* node : {"name_semantic", "name_string", "name_fuse",
+                           "name_augmentation"}) {
+    const dag::NodeRun* r = run.schedule.Find(node);
+    if (r == nullptr || !r->from_checkpoint) return false;
+  }
+  return true;
+}
+
 void ExpectBitIdentical(const LargeEaResult& a, const LargeEaResult& b) {
   ASSERT_EQ(a.fused.num_rows(), b.fused.num_rows());
   ASSERT_EQ(a.fused.num_cols(), b.fused.num_cols());
@@ -101,14 +112,12 @@ class FaultToleranceTest : public ::testing::Test {
   }
 
   /// Pipeline options shaped for the crash matrix: small and fast, no
-  /// retries (a failing batch fails the run, like a real crash), no
-  /// backoff sleeps.
+  /// retries (a failing batch fails the run, like a real crash).
   static LargeEaOptions Options() {
     LargeEaOptions options;
     options.structure_channel.num_batches = 3;
     options.structure_channel.train.epochs = 10;
     options.structure_channel.max_batch_retries = 0;
-    options.structure_channel.retry_backoff_ms = 0;
     options.structure_channel.drop_failed_batches = false;
     return options;
   }
@@ -210,8 +219,8 @@ TEST_F(FaultToleranceTest, ResumeAfterBatchCrashReplaysOnlyMissingBatches) {
   const auto resumed = RunLargeEa(dataset(), options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   // Two blocks came from checkpoints, only the in-flight one retrained.
-  EXPECT_EQ(resumed->structure_channel.batches_resumed, 2);
-  EXPECT_TRUE(resumed->name_channel.resumed);
+  EXPECT_EQ(resumed->batches_resumed, 2);
+  EXPECT_TRUE(NameChannelResumed(*resumed));
 }
 
 TEST_F(FaultToleranceTest, CorruptCheckpointIsRecomputedNotTrusted) {
@@ -235,7 +244,7 @@ TEST_F(FaultToleranceTest, CorruptCheckpointIsRecomputedNotTrusted) {
   const auto resumed = RunLargeEa(dataset(), options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ExpectBitIdentical(baseline, *resumed);
-  EXPECT_EQ(resumed->structure_channel.batches_resumed, 2);
+  EXPECT_EQ(resumed->batches_resumed, 2);
 }
 
 TEST_F(FaultToleranceTest, StaleFingerprintInvalidatesCheckpoints) {
@@ -253,8 +262,8 @@ TEST_F(FaultToleranceTest, StaleFingerprintInvalidatesCheckpoints) {
   changed.fault_tolerance.resume = true;
   const auto resumed = RunLargeEa(dataset(), changed);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed->name_channel.resumed);
-  EXPECT_EQ(resumed->structure_channel.batches_resumed, 0);
+  EXPECT_TRUE(NameChannelResumed(*resumed));
+  EXPECT_EQ(resumed->batches_resumed, 0);
 
   LargeEaOptions fresh = changed;
   fresh.fault_tolerance = {};
@@ -276,12 +285,12 @@ TEST_F(FaultToleranceTest, FailedBatchIsDroppedAndCounted) {
   const auto degraded =
       RunLargeEa(dataset(), options, KeepingStructure(&structure));
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_EQ(degraded->structure_channel.batches_dropped, 1);
-  EXPECT_EQ(degraded->structure_channel.batches_retried, 2);
+  EXPECT_EQ(degraded->batches_dropped, 1);
+  EXPECT_EQ(degraded->batches_retried, 2);
 
   // The dropped batch's structural similarity block is zero — visible
   // damage, not a silently wrong answer.
-  const MiniBatch& dropped = degraded->structure_channel.batches[1];
+  const MiniBatch& dropped = degraded->batches[1];
   for (const EntityId e : dropped.source_entities) {
     EXPECT_TRUE(structure.Row(e).empty());
   }
@@ -305,8 +314,8 @@ TEST_F(FaultToleranceTest, RetryRecoversFromTransientFault) {
   rt::FaultInjector::Get().Arm("structure.batch.train", spec);
   const auto recovered = RunLargeEa(dataset(), options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->structure_channel.batches_dropped, 0);
-  EXPECT_EQ(recovered->structure_channel.batches_retried, 1);
+  EXPECT_EQ(recovered->batches_dropped, 0);
+  EXPECT_EQ(recovered->batches_retried, 1);
   ExpectBitIdentical(baseline, *recovered);
 }
 
@@ -329,7 +338,7 @@ TEST_F(FaultToleranceTest, CheckpointWriteFailuresNeverFailTheRun) {
   options.fault_tolerance.resume = true;
   const auto resumed = RunLargeEa(dataset(), options);
   ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ(resumed->structure_channel.batches_resumed, 0);
+  EXPECT_EQ(resumed->batches_resumed, 0);
   ExpectBitIdentical(baseline, *resumed);
 }
 
@@ -341,8 +350,8 @@ TEST_F(FaultToleranceTest, ResumeOfCompletedRunIsInstantAndIdentical) {
   options.fault_tolerance.resume = true;
   const auto second = RunLargeEa(dataset(), options);
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->name_channel.resumed);
-  EXPECT_EQ(second->structure_channel.batches_resumed, 3);
+  EXPECT_TRUE(NameChannelResumed(*second));
+  EXPECT_EQ(second->batches_resumed, 3);
   ExpectBitIdentical(first, *second);
 }
 
@@ -555,7 +564,7 @@ TEST_F(ShardChaosTest, ShardExhaustingRetriesDegradesToNameChannel) {
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_EQ(stats.shards_degraded, 1);
   EXPECT_EQ(stats.workers_launched, 4);  // 3 initial + 1 retry of shard 1
-  EXPECT_EQ(degraded->structure_channel.batches_dropped, 1);
+  EXPECT_EQ(degraded->batches_dropped, 1);
   // The run released its M_s; the orchestrator's merge (merge-only
   // TrainStructureChannel over the shared checkpoints) rebuilds it.
   const LargeEaOptions options = OptionsFromArgs(AlignArgs(ckpt));
@@ -566,11 +575,11 @@ TEST_F(ShardChaosTest, ShardExhaustingRetriesDegradesToNameChannel) {
   merge.drop_failed_batches = true;
   const auto structure =
       TrainStructureChannel(dataset().source, dataset().target,
-                            degraded->structure_channel.batches, merge,
+                            degraded->batches, merge,
                             &checkpoint);
   ASSERT_TRUE(structure.ok()) << structure.status().ToString();
   EXPECT_EQ(structure->batches_dropped, 1);
-  const MiniBatch& dropped = degraded->structure_channel.batches[1];
+  const MiniBatch& dropped = degraded->batches[1];
   for (const EntityId e : dropped.source_entities) {
     EXPECT_TRUE(structure->similarity.Row(e).empty());
   }
@@ -628,7 +637,7 @@ TEST_F(ShardChaosTest, WorkerWithFailingCheckpointDiskDegrades) {
       dataset(), OptionsFromArgs(AlignArgs(ckpt)), sharding, &stats);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_EQ(stats.shards_degraded, 1);
-  EXPECT_EQ(degraded->structure_channel.batches_dropped, 1);
+  EXPECT_EQ(degraded->batches_dropped, 1);
   EXPECT_GT(degraded->metrics.hits_at_1, 0.0);
 }
 

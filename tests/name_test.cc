@@ -313,8 +313,6 @@ TEST_F(NameChannelFixture, NffFusesBothAspects) {
   EXPECT_GT(nff.semantic.TotalEntries(), 0);
   EXPECT_GT(nff.string.TotalEntries(), 0);
   EXPECT_GT(nff.fused.TotalEntries(), 0);
-  EXPECT_GE(nff.sens_seconds, 0.0);
-  EXPECT_GE(nff.stns_seconds, 0.0);
 }
 
 TEST_F(NameChannelFixture, DataAugmentationIsMutualAndPrecise) {

@@ -445,7 +445,6 @@ TEST_F(TraceTest, ThreadNameMetadataAppearsInChromeTrace) {
 }
 
 TEST_F(TraceTest, TrackMemorySpanReportsPhasePeak) {
-  MemoryTracker::Get().ClearFinishedPhases();
   constexpr int64_t kBytes = 8 << 20;
   obs::Span span("test/mem", obs::Span::kTrackMemory);
   {
@@ -454,11 +453,6 @@ TEST_F(TraceTest, TrackMemorySpanReportsPhasePeak) {
   }
   span.End();
   EXPECT_GE(span.peak_bytes(), kBytes);
-  // The span's memory phase also lands in the tracker's history.
-  const auto phases = MemoryTracker::Get().FinishedPhases();
-  ASSERT_FALSE(phases.empty());
-  EXPECT_EQ(phases.back().name, "test/mem");
-  EXPECT_GE(phases.back().peak_bytes - phases.back().start_bytes, kBytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -466,7 +460,6 @@ TEST_F(TraceTest, TrackMemorySpanReportsPhasePeak) {
 
 TEST(MemoryPhaseTest, OverlappingPhasesTrackIndependentPeaks) {
   auto& tracker = MemoryTracker::Get();
-  tracker.ClearFinishedPhases();
   const int64_t base = tracker.CurrentBytes();
 
   const int32_t outer = tracker.BeginPhase("outer");
@@ -483,18 +476,14 @@ TEST(MemoryPhaseTest, OverlappingPhasesTrackIndependentPeaks) {
   EXPECT_EQ(inner_record.start_bytes, base + 1000);
   EXPECT_EQ(inner_record.peak_bytes, base + 3000);
   EXPECT_EQ(outer_record.start_bytes, base);
+  EXPECT_EQ(outer_record.name, "outer");
   EXPECT_EQ(outer_record.peak_bytes, base + 3000);
   EXPECT_GE(outer_record.seconds, 0.0);
-
-  const auto finished = tracker.FinishedPhases();
-  ASSERT_EQ(finished.size(), 2u);  // close order: inner first
-  EXPECT_EQ(finished[0].name, "inner");
-  EXPECT_EQ(finished[1].name, "outer");
-  tracker.ClearFinishedPhases();
 }
 
+// A second End() neither ends the phase again (EndPhase checks that a
+// handle is ended once) nor moves the recorded peak.
 TEST(MemoryPhaseTest, TrackMemorySpanEndsItsPhaseOnce) {
-  MemoryTracker::Get().ClearFinishedPhases();
   obs::Span span("scoped", obs::Span::kTrackMemory);
   MemoryTracker::Get().Add(100);
   MemoryTracker::Get().Remove(100);
@@ -502,8 +491,6 @@ TEST(MemoryPhaseTest, TrackMemorySpanEndsItsPhaseOnce) {
   const int64_t first = span.peak_bytes();
   span.End();
   EXPECT_EQ(span.peak_bytes(), first);
-  EXPECT_EQ(MemoryTracker::Get().FinishedPhases().size(), 1u);
-  MemoryTracker::Get().ClearFinishedPhases();
 }
 
 // ---------------------------------------------------------------------------
@@ -696,27 +683,24 @@ TEST(RunReportTest, EvalOmittedUntilSet) {
   EXPECT_FALSE(v.has("eval"));
 }
 
-TEST(RunReportTest, IngestsTraceTotalsAndMemoryPhases) {
+TEST(RunReportTest, IngestsTraceTotals) {
   obs::TraceRecorder::Get().Clear();
   obs::TraceRecorder::Get().Enable();
-  MemoryTracker::Get().ClearFinishedPhases();
   {
     obs::Span span("test/ingested", obs::Span::kTrackMemory);
   }
   obs::TraceRecorder::Get().Disable();
 
   obs::RunReport report;
-  report.IngestMemoryPhases();
   report.IngestTraceTotals();
   const JsonValue v = ParseOrDie(report.ToJson());
   ASSERT_EQ(v.at("spans").array.size(), 1u);
   EXPECT_EQ(v.at("spans").array[0].at("name").string, "test/ingested");
   EXPECT_EQ(v.at("spans").array[0].at("count").number, 1.0);
-  ASSERT_EQ(v.at("memory_phases").array.size(), 1u);
-  EXPECT_EQ(v.at("memory_phases").array[0].at("name").string,
-            "test/ingested");
+  // Phases are the caller's rows; a memory-tracked span adds none.
+  EXPECT_TRUE(v.at("phases").array.empty());
+  EXPECT_FALSE(v.has("memory_phases"));
   obs::TraceRecorder::Get().Clear();
-  MemoryTracker::Get().ClearFinishedPhases();
 }
 
 // ---------------------------------------------------------------------------

@@ -90,7 +90,6 @@ class ParDeterminismTest : public ::testing::Test {
     LargeEaOptions options;
     options.structure_channel.num_batches = 3;
     options.structure_channel.train.epochs = 10;
-    options.structure_channel.retry_backoff_ms = 0;
     return options;
   }
 

@@ -1,9 +1,11 @@
 // Seeded fuzzing, with no corpus, of the serve protocol: ServeLoop::Run
 // over sessions of valid request lines — entity, name and exact-name
-// queries, stats and swaps — damaged by bit flips, truncation, duplicated
-// or missing keys, huge numbers and over-long lines. Every request line
-// must get exactly one response line, in order, and the loop must keep
-// serving: each session ends with a valid query, which is answered.
+// queries (one name spelled with every JSON escape, a surrogate pair
+// included, so damage reaches the string decoder), stats and swaps —
+// damaged by bit flips, truncation, duplicated or missing keys, huge
+// numbers and over-long lines. Every request line must get exactly one
+// response line, in order, and the loop must keep serving: each session
+// ends with a valid query, which is answered.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -61,7 +63,7 @@ class ServeProtocolFuzzTest : public ::testing::Test {
 
   /// A valid request line.
   std::string ValidLine(Rng& rng) const {
-    switch (rng.Uniform(6)) {
+    switch (rng.Uniform(7)) {
       case 0:
         return R"({"op":"query","entity":)" + std::to_string(rng.Uniform(40)) +
                R"(,"k":)" + std::to_string(1 + rng.Uniform(8)) + "}";
@@ -74,6 +76,9 @@ class ServeProtocolFuzzTest : public ::testing::Test {
         return R"({"op":"stats"})";
       case 4:
         return R"({"op":"swap","index":")" + path_ + R"("})";
+      case 5:  // every escape, a BMP character and a surrogate pair
+        return R"({"op":"query","name":"\u0061lda\t\"gil\" \\\/\b\f\r\n )"
+               R"(\u00e9 \ud83d\ude00","k":2})";
       default:
         return R"({"entity":)" + std::to_string(rng.Uniform(30)) + "}";
     }

@@ -752,6 +752,46 @@ TEST(ServeLoopTest, ParseFlatObject) {
   EXPECT_FALSE(serve::ParseFlatObject(R"({"a":1} trailing)").ok());
   EXPECT_FALSE(serve::ParseFlatObject(R"({"a")").ok());
   EXPECT_FALSE(serve::ParseFlatObject(R"({"a":})").ok());
+
+  // Every escape JSON defines. A code point above U+FFFF arrives as a
+  // surrogate pair (Python's json.dumps spells U+1F600 "\ud83d\ude00")
+  // and decodes to its one 4-byte UTF-8 sequence, so it can match a
+  // stored UTF-8 name.
+  const auto value = [](const std::string& escaped) {
+    return serve::ParseFlatObject(R"({"v":")" + escaped + R"("})");
+  };
+  EXPECT_EQ(value(R"(\"\\\/\b\f\n\r\t)")->at("v"), "\"\\/\b\f\n\r\t");
+  EXPECT_EQ(value(R"(\u0041\u00e9\u20AC)")->at("v"),
+            "A\xC3\xA9\xE2\x82\xAC");
+  EXPECT_EQ(value(R"(\ud83d\ude00)")->at("v"), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(value(R"(a\uD800\uDC00b\uDBFF\uDFFF)")->at("v"),
+            "a\xF0\x90\x80\x80" "b\xF4\x8F\xBF\xBF");  // U+10000, U+10FFFF
+  for (const std::string bad : {
+           R"(\ud83d)",          // lone high surrogate
+           R"(\ud83dx)",         // high surrogate, then a plain character
+           R"(\ud83d\n)",        // high surrogate, then another escape
+           R"(\ud83d\u0041)",    // high surrogate, then a BMP escape
+           R"(\ud83d\ud83d)",    // two high surrogates
+           R"(\ude00)",          // lone low surrogate
+           R"(\ude00\ud83d)",    // reversed pair
+           R"(\ud83d\ude0g)",    // bad hex digit in the low half
+           R"(\u00G9)",          // bad hex digit
+           R"(\q)",              // unknown escape
+       }) {
+    const auto parsed = value(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // A \u escape cut short by the end of the line: truncated, not read
+  // past the end.
+  for (const std::string truncated :
+       {R"({"v":"\u00)", R"({"v":"\ud83d\u)", R"({"v":"\ud83d\)",
+        R"({"v":"\)"}) {
+    const auto parsed = serve::ParseFlatObject(truncated);
+    ASSERT_FALSE(parsed.ok()) << truncated;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << truncated;
+  }
 }
 
 TEST(ServeLoopTest, ProtocolAnswersInOrderAndSwapsMidStream) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -441,6 +442,116 @@ TEST(SparseSimMatrixTest, RowParallelFuseAndCslsMatchSerialBitForBit) {
         fused_serial);
   }
   par::ThreadPool::Get().SetNumThreads(saved_threads);
+}
+
+// Fuse's row merge as it was before columns were matched through a
+// column index: each entry of b finds its column by a linear scan of
+// the merged row. The oracle for the stored bits of Fuse and
+// FuseStreamed.
+std::vector<SimEntry> LinearScanMerge(std::span<const SimEntry> a,
+                                      std::span<const SimEntry> b,
+                                      float alpha, float beta, int32_t cap) {
+  std::vector<SimEntry> merged;
+  for (const SimEntry& e : a) {
+    merged.push_back(SimEntry{e.column, alpha * e.score});
+  }
+  for (const SimEntry& e : b) {
+    bool found = false;
+    for (SimEntry& m : merged) {
+      if (m.column == e.column) {
+        m.score += beta * e.score;
+        found = true;
+        break;
+      }
+    }
+    if (!found) merged.push_back(SimEntry{e.column, beta * e.score});
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const SimEntry& x, const SimEntry& y) {
+              if (x.score != y.score) return x.score > y.score;
+              return x.column < y.column;
+            });
+  if (cap > 0 && merged.size() > static_cast<size_t>(cap)) {
+    merged.resize(static_cast<size_t>(cap));
+  }
+  return merged;
+}
+
+// A matrix holding exactly `rows`, uncapped: entries in any order, a
+// column possibly repeated, as the codec can store them.
+SparseSimMatrix MatrixOfRows(const std::vector<std::vector<SimEntry>>& rows,
+                             int32_t cols) {
+  rt::BinaryWriter w;
+  w.I32(static_cast<int32_t>(rows.size()));
+  w.I32(cols);
+  w.I32(0);
+  for (const std::vector<SimEntry>& row : rows) {
+    w.U32(static_cast<uint32_t>(row.size()));
+    w.Raw(row.data(), row.size());
+  }
+  auto m = DecodeMatrix(w.TakeBytes());
+  EXPECT_TRUE(m.ok()) << m.status().ToString();
+  return std::move(m).value();
+}
+
+TEST(SparseSimMatrixTest, FuseMatchesTheLinearScanMerge) {
+  // b's columns share a's range, overlap it or are disjoint from it;
+  // scores are tie-heavy with +0 and -0, and NaN in the short rows
+  // (up to 16 merged entries, which std::sort orders by insertion; the
+  // longer rows run its partitioning, where NaN has no order).
+  struct Regime {
+    int32_t max_len;
+    bool with_nan;
+    std::vector<int32_t> caps;
+  };
+  const Regime regimes[] = {{8, true, {0, 1, 6}}, {50, false, {0, 1, 50}}};
+  Rng rng(101);
+  for (const Regime& regime : regimes) {
+    const int32_t len = regime.max_len;
+    std::vector<std::vector<SimEntry>> a_rows(300), b_rows(300);
+    for (size_t r = 0; r < a_rows.size(); ++r) {
+      const int32_t shift = static_cast<int32_t>(rng.Uniform(3)) * len / 2;
+      const auto fill = [&](std::vector<SimEntry>& row, int32_t first) {
+        row.resize(rng.Uniform(static_cast<uint64_t>(len) + 1));
+        for (SimEntry& e : row) {
+          float score = TieHeavyScore(rng);
+          while (!regime.with_nan && std::isnan(score)) {
+            score = TieHeavyScore(rng);
+          }
+          e = SimEntry{first + static_cast<EntityId>(rng.Uniform(len)),
+                       score};
+        }
+      };
+      fill(a_rows[r], 0);
+      fill(b_rows[r], shift);
+    }
+    const SparseSimMatrix a = MatrixOfRows(a_rows, 2 * len);
+    const SparseSimMatrix b = MatrixOfRows(b_rows, 2 * len);
+    for (const int32_t cap : regime.caps) {
+      for (const auto& [alpha, beta] :
+           {std::pair{1.0f, 0.05f}, std::pair{0.5f, -1.5f}}) {
+        SCOPED_TRACE(testing::Message() << "rows up to " << len << ", cap "
+                                        << cap << ", beta " << beta);
+        const SparseSimMatrix fused = a.Fuse(b, alpha, beta, cap);
+        const SparseSimMatrix streamed = SparseSimMatrix::FuseStreamed(
+            a, b, alpha, beta, cap, /*rows_per_block=*/64);
+        for (int32_t r = 0; r < a.num_rows(); ++r) {
+          const std::vector<SimEntry> oracle =
+              LinearScanMerge(a.Row(r), b.Row(r), alpha, beta, cap);
+          for (const SparseSimMatrix* m : {&fused, &streamed}) {
+            const auto row = m->Row(r);
+            ASSERT_EQ(row.size(), oracle.size()) << "row " << r;
+            for (size_t i = 0; i < row.size(); ++i) {
+              EXPECT_EQ(row[i].column, oracle[i].column) << "row " << r;
+              EXPECT_EQ(std::bit_cast<uint32_t>(row[i].score),
+                        std::bit_cast<uint32_t>(oracle[i].score))
+                  << "row " << r << " entry " << i;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SparseSimMatrixTest, DrainCslsAndMergeStoreRowsAtFinalLength) {

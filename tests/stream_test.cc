@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/memory_tracker.h"
 #include "src/common/rng.h"
 #include "src/core/large_ea.h"
 #include "src/gen/benchmark_gen.h"
@@ -519,12 +520,14 @@ TEST_F(StreamPipelineTest, BudgetedRunIsBitIdenticalAcrossThreads) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
     par::ThreadPool::Get().SetNumThreads(threads);
     obs::MetricsRegistry::Get().Reset();
+    const int64_t before = MemoryTracker::Get().CurrentBytes();
     const auto streamed = RunLargeEa(dataset, options);
     ASSERT_TRUE(streamed.ok());
     ExpectSameResult(*baseline, *streamed);
-    // A budgeted run hands back empty intermediates.
-    EXPECT_EQ(streamed->name_channel.nff.fused.TotalEntries(), 0);
-    EXPECT_EQ(streamed->structure_channel.similarity.TotalEntries(), 0);
+    // A budgeted run releases its intermediates (M_n and M_s included):
+    // the only tracked bytes it leaves behind are M's.
+    EXPECT_EQ(MemoryTracker::Get().CurrentBytes() - before,
+              streamed->fused.MemoryBytes());
     EXPECT_TRUE(FilesInDir().empty());
     std::map<std::string, int64_t> counters = StreamCounters();
     EXPECT_GT(counters["stream.spill.bytes"], 0);
